@@ -1,0 +1,207 @@
+"""Single-sided atom-cavity node: conditional reflection and phase solving.
+
+A three-level atom sits in a one-sided cavity.  The qubit states are two
+ground levels; only |1> couples to the cavity mode (rate g), while |0> is
+decoupled by hyperfine splitting.  A weak probe pulse reflects off the
+cavity and picks up an atom-conditioned phase.
+
+In the weak-excitation limit the intracavity field a and the atomic
+coherence s obey a pair of linear equations (rates in units of the cavity
+decay kappa, detunings delta1 = atom - probe, delta2 = cavity - probe):
+
+    da/dt = -(i delta2 + kappa/2) a - i g s - sqrt(kappa) a_in
+    ds/dt = -(i delta1 + gamma/2) s - i g P1 a
+
+with P1 the population of |1> (0 or 1) and gamma the spontaneous-emission
+rate.  Eliminating the steady state and using a_out = a_in + sqrt(kappa) a
+gives the reflection coefficient
+
+    r(P1) = [(i delta1 + gamma/2)(i delta2 - kappa/2) + P1 g^2]
+            / [(i delta1 + gamma/2)(i delta2 + kappa/2) + P1 g^2].
+
+For gamma = 0 this is a pure phase for both atomic states; for gamma > 0
+the coupled (P1 = 1) reflection contracts, |r1| < 1, and the missing
+amplitude is scattered out of the mode.
+
+All rates are expressed in units of kappa; nothing in the model constrains
+absolute scales.
+"""
+
+import cmath
+import math
+from dataclasses import dataclass, replace
+
+from .errors import OracleFailureError, SingularParametersError
+
+# |denominator| below this times kappa^2 counts as singular (double headroom)
+SINGULAR_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class CavityParams:
+    """One atom-cavity node.  delta1/delta2/g/gamma are in units of kappa."""
+
+    delta1: float
+    delta2: float
+    g: float
+    kappa: float = 1.0
+    gamma: float = 0.0
+
+    def __post_init__(self):
+        if not self.kappa > 0:
+            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if self.g < 0:
+            raise ValueError(f"coupling g must be non-negative, got {self.g}")
+        if self.gamma < 0:
+            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
+
+    def with_gamma(self, gamma: float) -> "CavityParams":
+        return replace(self, gamma=gamma)
+
+
+@dataclass(frozen=True)
+class ReflectionPair:
+    """Reflection coefficients for the two qubit states of one node."""
+
+    r0: complex
+    r1: complex
+
+    @property
+    def phi0(self) -> float:
+        """arg(r0), in (-pi, pi]."""
+        return cmath.phase(self.r0)
+
+    @property
+    def phi1(self) -> float:
+        """arg(r1), in (-pi, pi]."""
+        return cmath.phase(self.r1)
+
+    @property
+    def lossless(self) -> bool:
+        return abs(abs(self.r0) - 1.0) < 1e-13 and abs(abs(self.r1) - 1.0) < 1e-13
+
+
+def reflection_coefficient(params: CavityParams, p1: int) -> complex:
+    """Reflection coefficient of the node for atomic population p1 in {0, 1}.
+
+    With gamma = 0 the modulus is exactly 1 (passive phase shift); with
+    gamma > 0 and p1 = 1 the modulus drops below 1.  The |0> state never
+    couples to the atom, so r0 is gamma-independent.
+    """
+    if p1 not in (0, 1):
+        raise ValueError(f"p1 must be 0 or 1, got {p1}")
+    d1 = 1j * params.delta1 + 0.5 * params.gamma
+    num = d1 * (1j * params.delta2 - 0.5 * params.kappa) + p1 * params.g**2
+    den = d1 * (1j * params.delta2 + 0.5 * params.kappa) + p1 * params.g**2
+    if abs(den) < SINGULAR_TOL * params.kappa**2:
+        raise SingularParametersError(
+            f"reflection denominator {den!r} is singular for {params}")
+    return num / den
+
+
+def reflection_pair(params: CavityParams) -> ReflectionPair:
+    return ReflectionPair(reflection_coefficient(params, 0),
+                          reflection_coefficient(params, 1))
+
+
+def solve_params_for_phase(n: int, kappa: float = 1.0) -> CavityParams:
+    """Parameters giving conditional phases +pi/n (atom in |0>) and -pi/n (|1>).
+
+    Solved for gamma = 0 under the symmetric-detuning constraint
+    delta1 = delta2 = delta.  arg r0 = pi - 2*atan(2*delta/kappa) fixes
+    delta = (kappa/2) * cot(pi/(2n)); requiring arg r1 = -pi/n then gives
+    g^2 = 2*delta^2.  The closed form is re-verified against
+    reflection_coefficient before returning.
+    """
+    if n < 2:
+        raise ValueError(f"phase solver needs n >= 2, got {n}")
+    cot = 1.0 / math.tan(math.pi / (2 * n))
+    delta = 0.5 * kappa * cot
+    g = kappa * cot / math.sqrt(2.0)
+    params = CavityParams(delta1=delta, delta2=delta, g=g, kappa=kappa)
+    target = math.pi / n
+    pair = reflection_pair(params)
+    if abs(pair.phi0 - target) > 1e-9 or abs(pair.phi1 + target) > 1e-9:
+        raise OracleFailureError(
+            f"phase solution failed self-check for n={n}: "
+            f"phi0={pair.phi0!r}, phi1={pair.phi1!r}, target={target!r}")
+    return params
+
+
+def steady_state_oracle(params: CavityParams, p1: int) -> complex:
+    """Independent check of the reflection: solve the driven linear system.
+
+    Sets a constant unit drive a_in = 1, writes the two linearized equations
+    as A s = -b for s = (a, sigma), solves the 2x2 system numerically and
+    returns a_out = 1 + sqrt(kappa) * a.  No algebraic reduction is shared
+    with reflection_coefficient.
+    """
+    if p1 not in (0, 1):
+        raise ValueError(f"p1 must be 0 or 1, got {p1}")
+    k = params.kappa
+    ca = -(1j * params.delta2 + 0.5 * k)       # a <- a
+    cs = -(1j * params.delta1 + 0.5 * params.gamma)  # sigma <- sigma
+    drive = -math.sqrt(k)
+
+    if p1 == 0 or params.g == 0.0:
+        # atom decoupled from the drive; sigma relaxes to zero
+        if ca == 0:
+            raise OracleFailureError(f"undamped cavity equation for {params}")
+        a = -drive / ca
+        return 1.0 + math.sqrt(k) * a
+
+    # coupled 2x2 solve:  ca*a - i g sigma = -drive ;  -i g a + cs*sigma = 0
+    det = ca * cs - (-1j * params.g) * (-1j * params.g * p1)
+    if abs(det) < 1e-300:
+        raise OracleFailureError(f"singular steady-state system for {params}")
+    # Cramer's rule on [ [ca, -i g], [-i g p1, cs] ] (a, sigma) = (-drive, 0)
+    a = (-drive) * cs / det
+    return 1.0 + math.sqrt(k) * a
+
+
+def rk4_relaxation(params: CavityParams, p1: int, dt: float = 0.01,
+                   horizon: float = 4000.0, tol: float = 1e-11) -> complex:
+    """Dynamical route to the same steady state, by fixed-step RK4.
+
+    Slow next to the implicit solve, but shares no linear algebra with it;
+    used in tests to triangulate both closed form and oracle.  Raises
+    OracleFailureError if the state has not settled within the horizon.
+    """
+    k = params.kappa
+    ca = -(1j * params.delta2 + 0.5 * k)
+    cs = -(1j * params.delta1 + 0.5 * params.gamma)
+    g = params.g
+
+    def deriv(a, s):
+        return ca * a - 1j * g * s - math.sqrt(k), cs * s - 1j * g * p1 * a
+
+    a = 0j
+    s = 0j
+    steps = int(horizon / dt)
+    check_every = 200
+    prev = (a, s)
+    for i in range(1, steps + 1):
+        k1a, k1s = deriv(a, s)
+        k2a, k2s = deriv(a + 0.5 * dt * k1a, s + 0.5 * dt * k1s)
+        k3a, k3s = deriv(a + 0.5 * dt * k2a, s + 0.5 * dt * k2s)
+        k4a, k4s = deriv(a + dt * k3a, s + dt * k3s)
+        a = a + dt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
+        s = s + dt / 6.0 * (k1s + 2 * k2s + 2 * k3s + k4s)
+        if i % check_every == 0:
+            if abs(a - prev[0]) < tol and abs(s - prev[1]) < tol:
+                return 1.0 + math.sqrt(k) * a
+            prev = (a, s)
+    raise OracleFailureError(
+        f"RK4 relaxation did not converge within t={horizon} for {params}")
+
+
+def coupling_at_position(g0: float, kc: float, wc: float,
+                         z: float, r_perp: float) -> float:
+    """Position-dependent coupling in a Fabry-Perot standing-wave mode.
+
+    g(z, r_perp) = g0 * cos(kc z) * exp(-r_perp^2 / wc^2): axial standing
+    wave times the transverse Gaussian profile of waist wc.
+    """
+    if not wc > 0:
+        raise ValueError(f"mode waist must be positive, got {wc}")
+    return g0 * math.cos(kc * z) * math.exp(-(r_perp**2) / wc**2)
