@@ -16,14 +16,12 @@ from .cavity import (CavityParams, ReflectionPair, coupling_at_position,
 from .errors import (DegenerateOutcomeError, DegenerateRuleError,
                      OracleFailureError, SimulationError,
                      SingularParametersError, UndefinedFidelityError)
-from .homodyne import (DecisionRule, OutcomeClass, build_decision_rule,
-                       classify, conditional_atomic_state, outcome_density,
-                       quadrature_wavefunction, sample_outcome, sample_outcomes)
-from .hybrid_state import (BranchRecord, HybridState, TargetState,
-                           apply_channel_loss, apply_cps,
-                           closed_form_final_state, env_overlap,
-                           init_plus_state, make_target, state_from_dict,
-                           state_to_dict, target_from_dict, target_to_dict)
+from .homodyne import (SCENARIOS, DecisionRule, OutcomeClass,
+                       build_decision_rule, conditional_atomic_state,
+                       outcome_density, quadrature_wavefunction,
+                       resolve_scenario, sample_outcomes)
+from .hybrid_state import (HybridState, TargetState, apply_channel_loss,
+                           apply_cps, closed_form_final_state, init_plus_state)
 from .metrics import (ClassResult, ScenarioRun, SweepPoint,
                       closed_form_two_qubit, fidelity, monte_carlo_estimate,
                       run_scenario, success_probability, sweep, w_state_success,

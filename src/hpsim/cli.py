@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .cavity import reflection_pair, solve_params_for_phase
 from .errors import SimulationError
-from .homodyne import density_components
+from .homodyne import SCENARIOS, density_components, resolve_scenario
 from .metrics import (GAMMA_MODEL_NOTE, closed_form_two_qubit, run_scenario,
                       sweep, write_sweep_csv)
 from .numerics import RNG_ALGORITHM
@@ -27,10 +27,8 @@ from .numerics import RNG_ALGORITHM
 MODEL_VERSION = (f"hpsim {__version__}; reflection=steady-state-v1; "
                  f"rng={RNG_ALGORITHM}")
 
-SCENARIO_CHOICES = ("two_qubit_X", "three_qubit_P", "gsum_X", "n_qubit_P",
-                    "two_qubit", "three_qubit", "gsum", "n_qubit")
-_CANONICAL = {"two_qubit": "two_qubit_X", "three_qubit": "three_qubit_P",
-              "gsum": "gsum_X", "n_qubit": "n_qubit_P"}
+# canonical scenario names, then their short aliases
+SCENARIO_CHOICES = tuple(SCENARIOS) + tuple(row[1] for row in SCENARIOS.values())
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -110,22 +108,13 @@ def _write_text(args, text):
             fh.close()
 
 
-def _scenario(args) -> str:
-    return _CANONICAL.get(args.scenario, args.scenario)
-
-
-def _validate_common(args, scenario):
+def _validate_common(args):
+    """Check the shared flags; (canonical scenario, qubit count, axis)."""
     if not 0.0 <= args.eta_sq <= 1.0:
         raise UsageError("--eta-sq must lie in [0, 1]")
     if isinstance(getattr(args, "gamma", 0.0), float) and args.gamma < 0:
         raise UsageError("--gamma must be non-negative")
-    n = args.n
-    if scenario == "n_qubit_P":
-        if n is None:
-            raise UsageError("scenario n_qubit_P requires --n")
-        if not 2 <= n <= 20:
-            raise UsageError("--n must lie in 2..20")
-    return n
+    return resolve_scenario(args.scenario, args.n)
 
 
 def _num_or_null(x):
@@ -163,8 +152,7 @@ def cmd_solve_params(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _scenario(args)
-    n = _validate_common(args, scenario)
+    scenario, n, _ = _validate_common(args)
     alpha = _resolve_alpha(args)
     if alpha <= 0:
         raise UsageError("simulate needs a positive pulse amplitude")
@@ -201,8 +189,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    scenario = _scenario(args)
-    n = _validate_common(args, scenario)
+    scenario, n, _ = _validate_common(args)
     nbars = _parse_float_list(args.nbar)
     gammas = _parse_float_list(args.gamma)
     if any(g < 0 for g in gammas):
@@ -218,31 +205,23 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_density(args) -> int:
-    scenario = _scenario(args)
-    n = _validate_common(args, scenario)
+    scenario, n, quadrature = _validate_common(args)
     alpha = _resolve_alpha(args)
     if args.points < 2:
         raise UsageError("--points must be at least 2")
 
     from .homodyne import build_decision_rule, integration_window, outcome_density
-    from .metrics import prepare_state, scenario_qubits
+    from .metrics import prepare_state
 
     state = prepare_state(scenario, alpha, args.eta_sq, gamma=args.gamma, n=n)
-    if alpha > 0:
-        rule = build_decision_rule(scenario, alpha, math.sqrt(args.eta_sq),
-                                   n=scenario_qubits(scenario, n))
-        quadrature = rule.quadrature
-        classes = rule.classes
-    else:
-        # zero-amplitude pulse: a single vacuum Gaussian, no resolvable bins
-        rule = None
-        quadrature = "X" if scenario.endswith("_X") else "P"
-        classes = ()
+    # a zero-amplitude pulse is a single vacuum Gaussian with no bins
+    rule = (build_decision_rule(scenario, alpha, math.sqrt(args.eta_sq), n=n)
+            if alpha > 0 else None)
     if args.quadrature is not None and args.quadrature != quadrature:
         # override measures the other axis; class bins do not apply there
         quadrature = args.quadrature
         rule = None
-        classes = ()
+    classes = rule.classes if rule is not None else ()
     lo, hi = integration_window(state, quadrature)
     grid = np.linspace(lo, hi, args.points)
     total = outcome_density(state, quadrature, grid)

@@ -33,9 +33,43 @@ _QUART_PI = math.pi ** (-0.25)
 _SIGMA = 1.0 / math.sqrt(2.0)      # quadrature standard deviation
 WINDOW_SIGMAS = 8.0                # integration window half-width, in sigmas
 
-SCENARIOS = ("two_qubit_X", "three_qubit_P", "gsum_X", "n_qubit_P")
-_SCENARIO_ALIASES = {"two_qubit": "two_qubit_X", "three_qubit": "three_qubit_P",
-                     "gsum": "gsum_X", "n_qubit": "n_qubit_P"}
+# Scenario table: name -> (quadrature axis, short alias, smallest n,
+# largest n).  A scenario whose range holds a single n fixes its qubit count.
+# n_qubit_P stops at 15 because the central bin's environment Gram matrix
+# takes C(n, n//2)^2 * 16 B: 6435^2 * 16 B = 0.66 GB at n = 15, but
+# 12870^2 * 16 B = 2.65 GB at n = 16, and the overlap holds several such
+# arrays at once.
+SCENARIOS = {
+    "two_qubit_X": ("X", "two_qubit", 2, 2),
+    "three_qubit_P": ("P", "three_qubit", 3, 3),
+    "gsum_X": ("X", "gsum", 3, 3),
+    "n_qubit_P": ("P", "n_qubit", 2, 15),
+}
+
+
+def resolve_scenario(scenario, n=None):
+    """(canonical name, qubit count, quadrature axis) of a scenario or alias.
+
+    Raises ValueError for an unknown name, a missing n where the scenario
+    leaves it open, or an n outside the scenario's range.
+    """
+    for name, (axis, alias, n_min, n_max) in SCENARIOS.items():
+        if scenario in (name, alias):
+            break
+    else:
+        raise ValueError(
+            f"unknown scenario {scenario!r}; choose from {tuple(SCENARIOS)}")
+    if n is None:
+        if n_min != n_max:
+            raise ValueError(f"scenario {name} needs an explicit n in "
+                             f"{n_min}..{n_max}")
+        return name, n_min, axis
+    if not n_min <= n <= n_max:
+        if n_min == n_max:
+            raise ValueError(f"scenario {name} fixes n={n_min}, got n={n}")
+        raise ValueError(f"scenario {name} takes n in {n_min}..{n_max}, "
+                         f"got n={n}")
+    return name, n, axis
 
 
 def _check_quadrature(quadrature):
@@ -177,144 +211,104 @@ class DecisionRule:
         return np.searchsorted(np.asarray(self.thresholds), v, side="right")
 
 
-def _scenario_geometry(scenario, n):
-    scenario = _SCENARIO_ALIASES.get(scenario, scenario)
-    if scenario == "two_qubit_X":
-        return scenario, 2, "X"
-    if scenario == "three_qubit_P":
-        return scenario, 3, "P"
-    if scenario == "gsum_X":
-        return scenario, 3, "X"
-    if scenario == "n_qubit_P":
-        if n is None or n < 2:
-            raise ValueError("n_qubit_P needs an explicit n >= 2")
-        return scenario, n, "P"
-    raise ValueError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
-
-
-def _class_target_name(n, ws):
-    if ws == (0, n):
-        return "Bell-phi+" if n == 2 else f"GHZ({n})"
-    if len(ws) == 1:
-        k = ws[0]
-        if n == 2 and k == 1:
-            return "Bell-psi+"
-        return f"W({n})" if k == 1 else f"Dicke({n},{k})"
-    if len(ws) == 2:
-        return f"Gprime({n},{ws[0]})"
-    return f"GHZ({n})|Dicke({n},{n//2})"
-
-
 def build_decision_rule(scenario, alpha, eta=1.0, n=None) -> DecisionRule:
     """Thresholds and class map for one measurement scenario.
 
     Bin centers are the eta-scaled branch means sqrt(2) eta alpha cos/sin
-    of the class phases (the detector is assumed to know the channel
-    transmission); thresholds sit at midpoints of adjacent centers.
-    Weight groups whose means coincide are merged: {0, n} always share the
-    -alpha label (the GHZ bin), and on the P axis with n = 2k the central
-    Dicke weight joins it -- that bin is flagged needs_x_gate.
+    of the weight-k pulse labels eta alpha e^{i(1 - 2k/n) pi} (the detector
+    is assumed to know the channel transmission); thresholds sit at
+    midpoints of adjacent centers.  Every group of weights whose means
+    coincide becomes one bin (see _outcome_class).
     """
-    scenario, n, axis = _scenario_geometry(scenario, n)
+    scenario, n, axis = resolve_scenario(scenario, n)
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
 
     a = eta * alpha
-    thetas = {k: (1.0 - 2.0 * k / n) * math.pi for k in range(n + 1)}
+    thetas = [(1.0 - 2.0 * k / n) * math.pi for k in range(n + 1)]
+    labels = [a * complex(math.cos(t), math.sin(t)) for t in thetas]
     trig = math.cos if axis == "X" else math.sin
-    means = {k: math.sqrt(2.0) * a * trig(thetas[k]) for k in range(n + 1)}
+    means = [math.sqrt(2.0) * a * trig(t) for t in thetas]
+
+    tol = 1e-9 * max(1.0, math.sqrt(2.0) * a)
+    if all(abs(lab - labels[0]) <= tol for lab in labels):
+        raise DegenerateRuleError(
+            f"scenario {scenario} with alpha={alpha}, eta={eta} has no "
+            "resolvable bins")
 
     # group weights by (eta-scaled) mean
-    tol = 1e-9 * max(1.0, math.sqrt(2.0) * a)
     groups = []   # list of (center, [weights])
-    for k in sorted(means, key=lambda k: means[k]):
+    for k in sorted(range(n + 1), key=lambda k: means[k]):
         if groups and abs(means[k] - groups[-1][0]) <= tol:
             groups[-1][1].append(k)
         else:
             groups.append((means[k], [k]))
 
-    if len(groups) < 2 and not (len(groups) == 1
-                                and sorted(groups[0][1]) == [0, n // 2, n]):
-        raise DegenerateRuleError(
-            f"scenario {scenario} with alpha={alpha}, eta={eta} has no "
-            "resolvable bins")
-
     centers = [g[0] for g in groups]
     thresholds = tuple(0.5 * (c1 + c2) for c1, c2 in zip(centers, centers[1:]))
     bounds = (-math.inf,) + thresholds + (math.inf,)
-
-    classes = []
-    for (center, ws), lo, hi in zip(groups, bounds[:-1], bounds[1:]):
-        ws = tuple(sorted(ws))
-        name = _class_target_name(n, ws)
-        needs_x = False
-        zeta_at = None
-
-        if ws == (0, n):
-            parity = 0
-            support, base, signs = _ghz_support(n)
-        elif len(ws) == 1:
-            k = ws[0]
-            parity = k % n
-            support = _weight_support(n, k)
-            base = np.full(len(support), 1.0 / math.sqrt(len(support)))
-            signs = np.zeros(len(support), dtype=int)
-        elif len(ws) == 2 and ws[1] == n - ws[0] and axis == "X":
-            k = ws[0]
-            parity = f"{k}|{n - k}"
-            sup_k = _weight_support(n, k)
-            sup_nk = _weight_support(n, n - k)
-            support = sup_k + sup_nk
-            base = np.full(len(support), 1.0 / math.sqrt(len(support)))
-            signs = np.concatenate([np.ones(len(sup_k), dtype=int),
-                                    -np.ones(len(sup_nk), dtype=int)])
-            zeta_at = _make_zeta(a, thetas[k], axis)
-        elif sorted(ws) == [0, n // 2, n] and axis == "P" and n % 2 == 0:
-            parity = f"0|{n // 2}"
-            needs_x = True
-            sup_g, _, _ = _ghz_support(n)
-            sup_d = _weight_support(n, n // 2)
-            support = sup_g + sup_d
-            base = np.full(len(support), 1.0 / math.sqrt(len(support)))
-            signs = np.concatenate([np.ones(2, dtype=int),
-                                    -np.ones(len(sup_d), dtype=int)])
-            zeta_at = _make_zeta(a, math.pi, axis)
-        else:
-            raise DegenerateRuleError(
-                f"unresolvable coincidence of weight groups {ws} in {scenario}")
-
-        classes.append(OutcomeClass(
-            lo=lo, hi=hi, parity=parity, target_name=name, n=n, weights=ws,
-            support=tuple(support), base_amps=base, phase_signs=signs,
-            zeta_at=zeta_at, needs_x_gate=needs_x))
-
+    weights = hamming_weights(n)
+    classes = tuple(
+        _outcome_class(lo, hi, n, axis, ws, labels, weights, tol)
+        for (_, ws), lo, hi in zip(groups, bounds[:-1], bounds[1:]))
     return DecisionRule(scenario=scenario, n=n, alpha=float(alpha),
                         eta=float(eta), quadrature=axis,
-                        thresholds=thresholds, classes=tuple(classes))
+                        thresholds=thresholds, classes=classes)
 
 
-def _make_zeta(a, theta, axis):
-    label = a * complex(math.cos(theta), math.sin(theta))
-    return lambda v: _zeta(label, axis, v)
+def _outcome_class(lo, hi, n, axis, ws, labels, weights, tol) -> OutcomeClass:
+    """The bin of the weights `ws`, which share one quadrature mean.
+
+    Its target is uniform over the union of the weights' supports, taken in
+    (k mod n, k) order.  A bin holds at most two distinct pulse labels --
+    conjugates on the X axis, mirror images on the P axis -- whose zeta
+    phases are exact negatives, so each support string carries e^{+i zeta}
+    if its label is the first weight's and e^{-i zeta} otherwise.  The bin
+    needs an X gate when its two labels differ in X mean.
+    """
+    order = sorted(ws, key=lambda k: (k % n, k))
+    first = labels[order[0]]
+    sign = {k: 1 if abs(labels[k] - first) <= tol else -1 for k in order}
+    two_labels = -1 in sign.values()
+    parts = [np.flatnonzero(weights == k) for k in order]
+    support = tuple(int(i) for part in parts for i in part)
+    signs = np.concatenate([np.full(len(part), sign[k] if two_labels else 0)
+                            for k, part in zip(order, parts)])
+    residues = list(dict.fromkeys(k % n for k in order))
+    parity = residues[0] if len(residues) == 1 else "|".join(map(str, residues))
+    needs_x = any(math.sqrt(2.0) * abs(labels[k].real - first.real) > tol
+                  for k in order)
+    zeta_at = (lambda v: _zeta(first, axis, v)) if two_labels else None
+    return OutcomeClass(
+        lo=lo, hi=hi, parity=parity,
+        target_name=_target_name(n, axis, order, sign), n=n,
+        weights=tuple(sorted(ws)), support=support,
+        base_amps=np.full(len(support), 1.0 / math.sqrt(len(support))),
+        phase_signs=signs, zeta_at=zeta_at, needs_x_gate=needs_x)
 
 
-def _weight_support(n, k):
-    w = hamming_weights(n)
-    return tuple(int(i) for i in np.nonzero(w == k)[0])
+def _target_name(n, axis, order, sign):
+    """GHZ/W/Dicke per pulse label, joined with '|' when a bin holds two.
+
+    Two-node bins with one label are the Bell pairs; a conjugate pair on
+    the X axis is the summed-Dicke state Gprime(n, k).
+    """
+    comps = [tuple(k for k in order if sign[k] == s) for s in (1, -1)]
+    comps = [c for c in comps if c]
+    if len(comps) == 2 and axis == "X":
+        return f"Gprime({n},{comps[0][0]})"
+    if len(comps) == 1 and n == 2:
+        return "Bell-phi+" if comps[0] == (0, 2) else "Bell-psi+"
+    return "|".join(_label_state_name(n, c) for c in comps)
 
 
-def _ghz_support(n):
-    support = (0, 2**n - 1)
-    base = np.full(2, 1.0 / math.sqrt(2.0))
-    return support, base, np.zeros(2, dtype=int)
-
-
-def classify(v, rule: DecisionRule):
-    """Map one outcome to (parity label, target state at that outcome)."""
-    cls = rule.class_at(v)
-    return cls.parity, cls.target_at(v)
+def _label_state_name(n, ks):
+    if len(ks) == 2:                # weights 0 and n share one label
+        return f"GHZ({n})"
+    k = ks[0]
+    return f"W({n})" if k == 1 and n > 2 else f"Dicke({n},{k})"
 
 
 # --- sampling ----------------------------------------------------------------
@@ -335,10 +329,6 @@ def sample_outcomes(state: HybridState, quadrature, trials: int, seed) -> np.nda
     branch = np.searchsorted(cum, rng.random(trials), side="right")
     means = quadrature_mean(state.fields, quadrature)[branch]
     return means + _SIGMA * standard_normals(rng, trials)
-
-
-def sample_outcome(state: HybridState, quadrature, seed) -> float:
-    return float(sample_outcomes(state, quadrature, 1, seed)[0])
 
 
 # --- conditional atomic state --------------------------------------------------
@@ -397,11 +387,6 @@ def class_overlap_integrand(state: HybridState, quadrature, cls: OutcomeClass):
         return np.real(np.einsum("ns,st,nt->n", w, gamma, np.conj(w)))
 
     return overlap
-
-
-def target_overlap_density(state: HybridState, quadrature, v, cls: OutcomeClass):
-    """One-shot <T(v)| rho~(v) |T(v)>; see class_overlap_integrand."""
-    return class_overlap_integrand(state, quadrature, cls)(v)
 
 
 def density_components(state: HybridState, rule: DecisionRule, v: np.ndarray):

@@ -25,7 +25,6 @@ States are immutable; operations return new values.
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -34,35 +33,12 @@ NORM_TOL = 1e-12
 _UNIT_TOL = 1e-13        # |r| within this of 1 counts as lossless
 
 
-def index_to_bits(x: int, n: int) -> str:
-    """Branch index -> bitstring; character i is qubit i."""
-    return format(x, f"0{n}b")
-
-
-def bits_to_index(bits: str) -> int:
-    return int(bits, 2)
-
-
-def qubit_bit(x: int, i: int, n: int) -> int:
-    """Value of qubit i in branch index x (qubit 0 = leftmost character)."""
-    return (x >> (n - 1 - i)) & 1
-
-
 def hamming_weights(n: int) -> np.ndarray:
     """Weight of every n-bit branch index, as an int array of length 2^n."""
     w = np.zeros(1, dtype=np.int64)
     for _ in range(n):
         w = np.concatenate([w, w + 1])
     return w
-
-
-@dataclass(frozen=True)
-class BranchRecord:
-    """One computational-basis branch: amplitude, pulse label, loss labels."""
-
-    amp: complex
-    field: complex
-    env: tuple
 
 
 @dataclass(frozen=True)
@@ -95,16 +71,6 @@ class HybridState:
     @property
     def n_loss_events(self) -> int:
         return self.env.shape[1]
-
-    def branch(self, bits: str) -> BranchRecord:
-        x = bits_to_index(bits)
-        return BranchRecord(complex(self.amps[x]), complex(self.fields[x]),
-                            tuple(complex(e) for e in self.env[x]))
-
-    def branches(self) -> dict:
-        """Full bitstring -> BranchRecord map (small n only; for inspection)."""
-        return {index_to_bits(x, self.n): self.branch(index_to_bits(x, self.n))
-                for x in range(self.n_branches)}
 
 
 def init_plus_state(n: int, alpha: float) -> HybridState:
@@ -160,18 +126,6 @@ def apply_channel_loss(state: HybridState, eta: float) -> HybridState:
                        fields=eta * state.fields, env=env)
 
 
-def env_overlap(state: HybridState, x_bits: str, y_bits: str) -> complex:
-    """Decoherence factor Gamma_xy = prod_j <e_yj | e_xj> between two branches."""
-    x = bits_to_index(x_bits)
-    y = bits_to_index(y_bits)
-    ex = state.env[x]
-    ey = state.env[y]
-    if ex.shape != ey.shape:
-        raise ValueError("environment records differ in length")
-    expo = np.sum(-(np.abs(ex) ** 2 + np.abs(ey) ** 2) / 2.0 + np.conj(ey) * ex)
-    return complex(np.exp(expo))
-
-
 def env_gram(env_rows: np.ndarray) -> np.ndarray:
     """Pairwise Gamma factors for the given environment rows (a PSD Gram matrix)."""
     norms = np.sum(np.abs(env_rows) ** 2, axis=1)
@@ -221,127 +175,3 @@ class TargetState:
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"target not normalized: sum={norm!r}")
         self.amps.flags.writeable = False
-
-    def amp_map(self) -> dict:
-        """bitstring -> amplitude map over the support."""
-        return {index_to_bits(x, self.n): complex(a)
-                for x, a in enumerate(self.amps) if a != 0}
-
-
-def _weight_indices(n: int, k: int):
-    qubits = range(n)
-    for ones in combinations(qubits, k):
-        idx = 0
-        for q in ones:
-            idx |= 1 << (n - 1 - q)
-        yield idx
-
-
-def _dicke_vector(n: int, k: int) -> np.ndarray:
-    v = np.zeros(2**n, dtype=complex)
-    idx = list(_weight_indices(n, k))
-    v[idx] = 1.0 / math.sqrt(len(idx))
-    return v
-
-
-def make_target(name: str, n: int = None, k: int = None,
-                phase: float = 0.0) -> TargetState:
-    """Build a named target state.
-
-    Supported names: "GHZ", "W" (= Dicke k=1), "Dicke", "Gsum", "Gprime",
-    "Bell-phi+", "Bell-psi+".  Gsum(n,k) is (D_{n,k} + D_{n,n-k})/sqrt(2)
-    for n != 2k and plain D_{2k,k} otherwise; Gprime(n,k,zeta) carries the
-    measured-outcome phase, (e^{i zeta} D_{n,k} + e^{-i zeta} D_{n,n-k})/sqrt(2).
-    """
-    if name == "Bell-phi+":
-        v = np.zeros(4, dtype=complex)
-        v[[0, 3]] = 1.0 / math.sqrt(2.0)
-        return TargetState("Bell-phi+", 2, v)
-    if name == "Bell-psi+":
-        v = np.zeros(4, dtype=complex)
-        v[[1, 2]] = 1.0 / math.sqrt(2.0)
-        return TargetState("Bell-psi+", 2, v)
-
-    if n is None or n < 1:
-        raise ValueError(f"target {name!r} needs a qubit count n >= 1")
-    if name == "GHZ":
-        v = np.zeros(2**n, dtype=complex)
-        v[[0, 2**n - 1]] = 1.0 / math.sqrt(2.0)
-        return TargetState(f"GHZ({n})", n, v)
-    if name == "W":
-        return TargetState(f"W({n})", n, _dicke_vector(n, 1))
-    if name == "Dicke":
-        if k is None or not 0 <= k <= n:
-            raise ValueError(f"Dicke state needs 0 <= k <= n, got k={k}")
-        return TargetState(f"Dicke({n},{k})", n, _dicke_vector(n, k))
-    if name == "Gsum":
-        if k is None or not 0 <= k <= n:
-            raise ValueError(f"Gsum state needs 0 <= k <= n, got k={k}")
-        if n == 2 * k:
-            return TargetState(f"Gsum({n},{k})", n, _dicke_vector(n, k))
-        v = (_dicke_vector(n, k) + _dicke_vector(n, n - k)) / math.sqrt(2.0)
-        return TargetState(f"Gsum({n},{k})", n, v)
-    if name == "Gprime":
-        if k is None or not 0 < k < n or n == 2 * k:
-            raise ValueError(f"Gprime needs 0 < k < n with n != 2k, got k={k}")
-        v = (np.exp(1j * phase) * _dicke_vector(n, k)
-             + np.exp(-1j * phase) * _dicke_vector(n, n - k)) / math.sqrt(2.0)
-        return TargetState(f"Gprime({n},{k})", n, v)
-    raise ValueError(f"unknown target state {name!r}")
-
-
-# --- serialization -----------------------------------------------------------
-
-def state_to_dict(state: HybridState) -> dict:
-    return {
-        "n": state.n,
-        "alpha0": state.alpha0,
-        "branches": [
-            {
-                "bits": index_to_bits(x, state.n),
-                "amp_re": float(state.amps[x].real),
-                "amp_im": float(state.amps[x].imag),
-                "field_re": float(state.fields[x].real),
-                "field_im": float(state.fields[x].imag),
-                "env": [[float(e.real), float(e.imag)] for e in state.env[x]],
-            }
-            for x in range(state.n_branches)
-        ],
-    }
-
-
-def state_from_dict(d: dict) -> HybridState:
-    n = int(d["n"])
-    size = 2**n
-    amps = np.zeros(size, dtype=complex)
-    fields = np.zeros(size, dtype=complex)
-    n_events = len(d["branches"][0]["env"]) if d["branches"] else 0
-    env = np.zeros((size, n_events), dtype=complex)
-    for rec in d["branches"]:
-        x = bits_to_index(rec["bits"])
-        amps[x] = rec["amp_re"] + 1j * rec["amp_im"]
-        fields[x] = rec["field_re"] + 1j * rec["field_im"]
-        env[x] = [re + 1j * im for re, im in rec["env"]]
-    return HybridState(n=n, alpha0=float(d["alpha0"]), amps=amps,
-                       fields=fields, env=env)
-
-
-def target_to_dict(target: TargetState) -> dict:
-    return {
-        "name": target.name,
-        "n": target.n,
-        "needs_x_gate": target.needs_x_gate,
-        "amps": [
-            {"bits": index_to_bits(x, target.n),
-             "re": float(a.real), "im": float(a.imag)}
-            for x, a in enumerate(target.amps) if a != 0
-        ],
-    }
-
-
-def target_from_dict(d: dict) -> TargetState:
-    n = int(d["n"])
-    v = np.zeros(2**n, dtype=complex)
-    for rec in d["amps"]:
-        v[bits_to_index(rec["bits"])] = rec["re"] + 1j * rec["im"]
-    return TargetState(d["name"], n, v, bool(d.get("needs_x_gate", False)))

@@ -27,7 +27,8 @@ from .cavity import reflection_pair, solve_params_for_phase
 from .errors import UndefinedFidelityError
 from .homodyne import (DecisionRule, build_decision_rule,
                        class_overlap_integrand, density_cdf, integration_window,
-                       outcome_density, quadrature_mean, sample_outcomes)
+                       outcome_density, quadrature_mean, resolve_scenario,
+                       sample_outcomes)
 from .hybrid_state import HybridState, apply_channel_loss, apply_cps, init_plus_state
 from .numerics import erfc, integrate_piecewise
 
@@ -199,20 +200,6 @@ class ScenarioRun:
     mc_results: tuple = ()          # present when trials > 0
 
 
-def scenario_qubits(scenario: str, n=None) -> int:
-    fixed = {"two_qubit_X": 2, "three_qubit_P": 3, "gsum_X": 3}
-    if scenario in fixed:
-        if n is not None and n != fixed[scenario]:
-            raise ValueError(
-                f"scenario {scenario} fixes n={fixed[scenario]}, got n={n}")
-        return fixed[scenario]
-    if scenario == "n_qubit_P":
-        if n is None:
-            raise ValueError("scenario n_qubit_P needs an explicit n")
-        return n
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
 def prepare_state(scenario: str, alpha: float, eta_sq: float,
                   gamma: float = 0.0, n=None) -> HybridState:
     """Initial product state -> lumped channel -> one CPS gate per node.
@@ -223,7 +210,7 @@ def prepare_state(scenario: str, alpha: float, eta_sq: float,
     is not supposed to have.  Node absorption under gamma > 0 is recorded
     per gate, where it physically occurs.
     """
-    nq = scenario_qubits(scenario, n)
+    _, nq, _ = resolve_scenario(scenario, n)
     if not 0.0 <= eta_sq <= 1.0:
         raise ValueError(f"eta_sq must lie in [0, 1], got {eta_sq}")
     params = solve_params_for_phase(nq).with_gamma(gamma)
@@ -238,7 +225,7 @@ def prepare_state(scenario: str, alpha: float, eta_sq: float,
 def run_scenario(scenario: str, alpha: float, eta_sq: float,
                  gamma: float = 0.0, n=None, trials: int = 0,
                  seed=0) -> ScenarioRun:
-    nq = scenario_qubits(scenario, n)
+    _, nq, _ = resolve_scenario(scenario, n)
     state = prepare_state(scenario, alpha, eta_sq, gamma, n)
     rule = build_decision_rule(scenario, alpha, math.sqrt(eta_sq), n=nq)
     results = tuple(evaluate_classes(state, rule))

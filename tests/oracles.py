@@ -4,10 +4,13 @@ These deliberately share no code with the package: erfc comes from a
 Maclaurin series for small arguments and a Lentz-evaluated continued
 fraction for large ones, and Gaussian bin masses are assembled from that
 oracle.  Agreement between package and oracle is therefore a dual-route
-check, not a tautology.
+check, not a tautology.  Named target states are built by enumerating qubit
+subsets, not from the package's decision-rule supports.
 """
 
 import math
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -86,3 +89,73 @@ def brute_force_sequential_state(n: int, alpha: float, r0: complex, r1: complex)
             f *= r1 if bit else r0
         fields[x] = f
     return fields
+
+
+# --- named target states ------------------------------------------------------
+
+@dataclass(frozen=True)
+class Target:
+    """A named pure atomic state; character i of a bitstring is qubit i."""
+
+    name: str
+    n: int
+    amps: np.ndarray
+
+    def amp_map(self) -> dict:
+        """bitstring -> amplitude map over the support."""
+        return {format(x, f"0{self.n}b"): complex(a)
+                for x, a in enumerate(self.amps) if a != 0}
+
+
+def _dicke_vector(n: int, k: int) -> np.ndarray:
+    v = np.zeros(2**n, dtype=complex)
+    idx = [sum(1 << (n - 1 - q) for q in ones)
+           for ones in combinations(range(n), k)]
+    v[idx] = 1.0 / math.sqrt(len(idx))
+    return v
+
+
+def make_target(name: str, n: int = None, k: int = None,
+                phase: float = 0.0) -> Target:
+    """Build a named target state.
+
+    Supported names: "GHZ", "W" (= Dicke k=1), "Dicke", "Gsum", "Gprime",
+    "Bell-phi+", "Bell-psi+".  Gsum(n,k) is (D_{n,k} + D_{n,n-k})/sqrt(2)
+    for n != 2k and plain D_{2k,k} otherwise; Gprime(n,k,zeta) carries the
+    measured-outcome phase, (e^{i zeta} D_{n,k} + e^{-i zeta} D_{n,n-k})/sqrt(2).
+    """
+    if name == "Bell-phi+":
+        v = np.zeros(4, dtype=complex)
+        v[[0, 3]] = 1.0 / math.sqrt(2.0)
+        return Target("Bell-phi+", 2, v)
+    if name == "Bell-psi+":
+        v = np.zeros(4, dtype=complex)
+        v[[1, 2]] = 1.0 / math.sqrt(2.0)
+        return Target("Bell-psi+", 2, v)
+
+    if n is None or n < 1:
+        raise ValueError(f"target {name!r} needs a qubit count n >= 1")
+    if name == "GHZ":
+        v = np.zeros(2**n, dtype=complex)
+        v[[0, 2**n - 1]] = 1.0 / math.sqrt(2.0)
+        return Target(f"GHZ({n})", n, v)
+    if name == "W":
+        return Target(f"W({n})", n, _dicke_vector(n, 1))
+    if name == "Dicke":
+        if k is None or not 0 <= k <= n:
+            raise ValueError(f"Dicke state needs 0 <= k <= n, got k={k}")
+        return Target(f"Dicke({n},{k})", n, _dicke_vector(n, k))
+    if name == "Gsum":
+        if k is None or not 0 <= k <= n:
+            raise ValueError(f"Gsum state needs 0 <= k <= n, got k={k}")
+        if n == 2 * k:
+            return Target(f"Gsum({n},{k})", n, _dicke_vector(n, k))
+        v = (_dicke_vector(n, k) + _dicke_vector(n, n - k)) / math.sqrt(2.0)
+        return Target(f"Gsum({n},{k})", n, v)
+    if name == "Gprime":
+        if k is None or not 0 < k < n or n == 2 * k:
+            raise ValueError(f"Gprime needs 0 < k < n with n != 2k, got k={k}")
+        v = (np.exp(1j * phase) * _dicke_vector(n, k)
+             + np.exp(-1j * phase) * _dicke_vector(n, n - k)) / math.sqrt(2.0)
+        return Target(f"Gprime({n},{k})", n, v)
+    raise ValueError(f"unknown target state {name!r}")

@@ -82,6 +82,8 @@ def test_simulate_usage_errors_exit_2():
         ("simulate", "--scenario", "two_qubit", "--alpha", "-1"),
         ("simulate", "--scenario", "two_qubit", "--alpha", "1", "--eta-sq", "1.5"),
         ("simulate", "--scenario", "n_qubit_P", "--alpha", "1"),       # missing --n
+        ("simulate", "--scenario", "n_qubit", "--alpha", "1", "--n", "16"),
+        ("simulate", "--scenario", "n_qubit", "--alpha", "1", "--n", "20"),
         ("simulate", "--scenario", "two_qubit", "--alpha", "1", "--n", "3"),
         ("simulate", "--scenario", "two_qubit", "--alpha", "1", "--gamma", "-0.1"),
         ("simulate", "--scenario", "bogus", "--alpha", "1"),

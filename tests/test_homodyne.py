@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from hpsim.errors import DegenerateOutcomeError, DegenerateRuleError
-from hpsim.homodyne import (build_decision_rule, classify,
+from hpsim.homodyne import (build_decision_rule, class_overlap_integrand,
                             conditional_atomic_state, density_cdf,
                             density_components, integration_window,
                             outcome_density, quadrature_mean,
-                            quadrature_wavefunction, sample_outcome,
-                            sample_outcomes, target_overlap_density)
-from hpsim.hybrid_state import make_target
+                            quadrature_wavefunction, sample_outcomes)
 from hpsim.metrics import prepare_state, run_scenario
 from hpsim.numerics import adaptive_simpson
+from oracles import make_target
 
 QPI = math.pi ** (-0.25)
 
@@ -144,33 +143,61 @@ def test_n_qubit_rule_merges_balanced_dicke():
     assert merged[0].target_name == "GHZ(4)|Dicke(4,2)"
 
 
+def test_n_qubit_rule_six_pairs_mirror_weights():
+    # on P, weights k and j share a mean when k + j = n/2 or 3n/2
+    rule = build_decision_rule("n_qubit_P", 3.0, 1.0, n=6)
+    assert [c.parity for c in rule.classes] == ["4|5", "0|3", "1|2"]
+    assert [c.target_name for c in rule.classes] == [
+        "Dicke(6,4)|Dicke(6,5)", "GHZ(6)|Dicke(6,3)", "W(6)|Dicke(6,2)"]
+    assert [c.weights for c in rule.classes] == [(4, 5), (0, 3, 6), (1, 2)]
+    assert all(c.needs_x_gate for c in rule.classes)
+    # the two labels of a bin carry opposite zeta phases
+    ghz = rule.classes[1]
+    assert list(ghz.phase_signs[:2]) == [1, 1]
+    assert set(ghz.phase_signs[2:]) == {-1}
+
+
+def test_rule_every_n_and_pipeline_invariants():
+    for n in range(2, 16):
+        rule = build_decision_rule("n_qubit_P", 3.0, 0.8, n=n)
+        covered = sorted(k for c in rule.classes for k in c.weights)
+        assert covered == list(range(n + 1)), n
+        assert sum(len(c.support) for c in rule.classes) == 2**n, n
+    for n in range(2, 13):
+        run = run_scenario("n_qubit_P", 3.0, 2 / 3, gamma=0.2, n=n)
+        total = sum(r.success_prob for r in run.results)
+        assert abs(total - 1.0) < 1e-9, n
+        assert all(0.0 <= r.fidelity <= 1.0 for r in run.results), n
+
+
 def test_rule_degenerate_cases():
     with pytest.raises(DegenerateRuleError):
         build_decision_rule("three_qubit_P", 4.0, 0.0)   # opaque channel
+    with pytest.raises(DegenerateRuleError):
+        build_decision_rule("n_qubit_P", 4.0, 0.0, n=2)
     with pytest.raises(ValueError):
         build_decision_rule("two_qubit_X", 0.0, 1.0)
     with pytest.raises(ValueError):
         build_decision_rule("n_qubit_P", 1.0, 1.0)       # missing n
+    with pytest.raises(ValueError):
+        build_decision_rule("n_qubit_P", 1.0, 1.0, n=16)
 
 
 def test_classify_examples():
     rule2 = build_decision_rule("two_qubit_X", 2.0, 1.0)
-    p, target = classify(0.7, rule2)
-    assert (p, target.name) == (1, "Bell-psi+")
-    p, target = classify(0.0, rule2)                      # tie -> upper interval
-    assert (p, target.name) == (1, "Bell-psi+")
-    p, target = classify(-0.3, rule2)
-    assert (p, target.name) == (0, "Bell-phi+")
-
     rule3 = build_decision_rule("three_qubit_P", 5.0, 1.0)
-    p, target = classify(0.0, rule3)
-    assert (p, target.name) == (0, "GHZ(3)")
+    cases = [(rule2, 0.7, 1, "Bell-psi+"),
+             (rule2, 0.0, 1, "Bell-psi+"),                # tie -> upper interval
+             (rule2, -0.3, 0, "Bell-phi+"),
+             (rule3, 0.0, 0, "GHZ(3)")]
+    for rule, v, parity, name in cases:
+        cls = rule.class_at(v)
+        assert (cls.parity, cls.target_at(v).name) == (parity, name)
 
 
 def test_classify_merged_class_sets_flag():
     rule = build_decision_rule("n_qubit_P", 3.0, 1.0, n=4)
-    _, target = classify(0.0, rule)
-    assert target.needs_x_gate
+    assert rule.class_at(0.0).target_at(0.0).needs_x_gate
 
 
 # --- sampling --------------------------------------------------------------------
@@ -199,8 +226,6 @@ def test_sampler_reproducible():
     a = sample_outcomes(st, "P", 512, 99)
     b = sample_outcomes(st, "P", 512, 99)
     assert np.array_equal(a, b)
-    # the single-draw helper is the trials=1 batch
-    assert sample_outcome(st, "P", 99) == sample_outcomes(st, "P", 1, 99)[0]
 
 
 def test_sampler_rejects_zero_trials():
@@ -271,18 +296,17 @@ def test_zeta_convention_irrelevant_for_two_qubit_fidelity():
 def test_target_overlap_density_matches_dense_route():
     run = run_scenario("three_qubit_P", 3.0, 0.8)
     cls = run.rule.classes[1]        # GHZ bin
+    overlap = class_overlap_integrand(run.state, "P", cls)
     for v in (-0.5, 0.0, 1.2):
         dense = conditional_atomic_state(run.state, "P", v)
         t = cls.target_at(v)
         want = np.real(t.amps.conj() @ dense @ t.amps) * outcome_density(
             run.state, "P", v)
-        got = target_overlap_density(run.state, "P", v, cls)
-        assert abs(got - want) < 1e-12
+        assert abs(overlap(v) - want) < 1e-12
     # vectorized call agrees with scalar calls
     vs = np.array([-0.5, 0.0, 1.2])
-    vec = target_overlap_density(run.state, "P", vs, cls)
-    for v, g in zip(vs, vec):
-        assert abs(g - target_overlap_density(run.state, "P", float(v), cls)) < 1e-14
+    for v, g in zip(vs, overlap(vs)):
+        assert abs(g - overlap(float(v))) < 1e-14
 
 
 def test_density_components_sum_to_total():

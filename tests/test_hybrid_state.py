@@ -5,13 +5,21 @@ import pytest
 
 from hpsim.cavity import ReflectionPair, reflection_pair, solve_params_for_phase
 from hpsim.hybrid_state import (HybridState, apply_channel_loss, apply_cps,
-                                closed_form_final_state, env_overlap,
-                                env_overlap_matrix, hamming_weights,
-                                init_plus_state, make_target, state_from_dict,
-                                state_to_dict, target_from_dict, target_to_dict)
-from oracles import brute_force_sequential_state
+                                closed_form_final_state, env_overlap_matrix,
+                                hamming_weights, init_plus_state)
+from oracles import brute_force_sequential_state, make_target
 
 PAIR_I = ReflectionPair(1j, -1j)
+
+
+def field(state, bits):
+    """Pulse label of the branch `bits` (character i is qubit i)."""
+    return state.fields[int(bits, 2)]
+
+
+def env_overlap(state, x_bits, y_bits):
+    """Gamma_xy between two branches, read off the full overlap matrix."""
+    return env_overlap_matrix(state)[int(x_bits, 2), int(y_bits, 2)]
 
 
 def run_gates(n, alpha, pair=None, order=None):
@@ -24,12 +32,10 @@ def run_gates(n, alpha, pair=None, order=None):
 
 def test_init_single_qubit():
     st = init_plus_state(1, 2.0)
-    b = st.branches()
-    assert set(b) == {"0", "1"}
-    for rec in b.values():
-        assert abs(rec.amp - 1 / math.sqrt(2)) < 1e-15
-        assert rec.field == 2.0
-        assert rec.env == ()
+    assert st.n_branches == 2
+    assert np.all(np.abs(st.amps - 1 / math.sqrt(2)) < 1e-15)
+    assert np.all(st.fields == 2.0)
+    assert st.env.shape == (2, 0)
 
 
 def test_init_three_qubits_uniform():
@@ -58,8 +64,8 @@ def test_init_rejects_bad_inputs():
 
 def test_cps_single_qubit_conditioned_phase():
     st = apply_cps(init_plus_state(1, 3.0), 0, PAIR_I)
-    assert abs(st.branch("0").field - 3j) < 1e-15
-    assert abs(st.branch("1").field + 3j) < 1e-15
+    assert abs(field(st, "0") - 3j) < 1e-15
+    assert abs(field(st, "1") + 3j) < 1e-15
     assert st.n_loss_events == 0          # unit-modulus pair appends nothing
 
 
@@ -73,10 +79,10 @@ def test_cps_identity_pair_is_noop():
 
 def test_two_gates_sort_branches_by_parity():
     st = run_gates(2, 1.0, pair=PAIR_I)
-    assert abs(st.branch("01").field - 1.0) < 1e-15
-    assert abs(st.branch("10").field - 1.0) < 1e-15
-    assert abs(st.branch("00").field + 1.0) < 1e-15
-    assert abs(st.branch("11").field + 1.0) < 1e-15
+    assert abs(field(st, "01") - 1.0) < 1e-15
+    assert abs(field(st, "10") - 1.0) < 1e-15
+    assert abs(field(st, "00") + 1.0) < 1e-15
+    assert abs(field(st, "11") + 1.0) < 1e-15
 
 
 def test_cps_index_out_of_range():
@@ -106,8 +112,8 @@ def test_channel_loss_opaque():
 def test_channel_loss_scales_post_gate_fields():
     eta = math.sqrt(2 / 3)
     st = apply_channel_loss(run_gates(2, 3.0, pair=PAIR_I), eta)
-    assert abs(st.branch("01").field - eta * 3.0) < 1e-14
-    assert abs(st.branch("00").field + eta * 3.0) < 1e-14
+    assert abs(field(st, "01") - eta * 3.0) < 1e-14
+    assert abs(field(st, "00") + eta * 3.0) < 1e-14
 
 
 def test_channel_loss_rejects_bad_eta():
@@ -130,7 +136,7 @@ def test_env_overlap_identical_and_conjugate():
 def test_env_overlap_opposite_labels():
     # labels e and -e after one event: |<e|-e>| = exp(-2|e|^2)
     st = apply_channel_loss(run_gates(1, 1.5, pair=PAIR_I), 0.6)
-    e = st.branch("0").env[0]
+    e = st.env[0b0, 0]
     got = env_overlap(st, "1", "0")
     assert abs(abs(got) - math.exp(-2 * abs(e) ** 2)) < 1e-12
 
@@ -151,8 +157,8 @@ def test_lossy_cps_keeps_env_lengths_global():
     pair = ReflectionPair(1j, 0.5j)
     st = apply_cps(init_plus_state(2, 1.0), 0, pair)
     assert st.env.shape == (4, 1)
-    assert st.branch("00").env[0] == 0.0          # uncoupled branch: zero label
-    assert abs(st.branch("10").env[0] - math.sqrt(0.75)) < 1e-14
+    assert st.env[0b00, 0] == 0.0          # uncoupled branch: zero label
+    assert abs(st.env[0b10, 0] - math.sqrt(0.75)) < 1e-14
 
 
 def test_gate_order_invariance():
@@ -192,14 +198,14 @@ def test_closed_form_against_brute_force_enumeration():
 
 def test_closed_form_fields_small_n():
     st2 = closed_form_final_state(2, 2.0)
-    assert abs(st2.branch("00").field + 2.0) < 1e-14
-    assert abs(st2.branch("01").field - 2.0) < 1e-14
-    assert abs(st2.branch("11").field + 2.0) < 1e-14
+    assert abs(field(st2, "00") + 2.0) < 1e-14
+    assert abs(field(st2, "01") - 2.0) < 1e-14
+    assert abs(field(st2, "11") + 2.0) < 1e-14
     st3 = closed_form_final_state(3, 1.0)
-    assert abs(st3.branch("000").field + 1.0) < 1e-14
-    assert abs(st3.branch("001").field - np.exp(1j * math.pi / 3)) < 1e-14
-    assert abs(st3.branch("011").field - np.exp(-1j * math.pi / 3)) < 1e-14
-    assert abs(st3.branch("111").field + 1.0) < 1e-14
+    assert abs(field(st3, "000") + 1.0) < 1e-14
+    assert abs(field(st3, "001") - np.exp(1j * math.pi / 3)) < 1e-14
+    assert abs(field(st3, "011") - np.exp(-1j * math.pi / 3)) < 1e-14
+    assert abs(field(st3, "111") + 1.0) < 1e-14
 
 
 def test_weight_group_coefficients_three_qubits():
@@ -263,24 +269,6 @@ def test_target_rejects_bad_inputs():
         make_target("Gprime", 4, 2)
     with pytest.raises(ValueError):
         make_target("nonsense", 2)
-
-
-def test_state_serialization_round_trip():
-    st = apply_channel_loss(run_gates(2, 1.4), 0.7)
-    d = state_to_dict(st)
-    assert d["branches"][1]["bits"] == "01"
-    back = state_from_dict(d)
-    assert back.n == st.n and back.alpha0 == st.alpha0
-    assert np.allclose(back.amps, st.amps)
-    assert np.allclose(back.fields, st.fields)
-    assert np.allclose(back.env, st.env)
-
-
-def test_target_serialization_round_trip():
-    t = make_target("Gprime", 3, 1, phase=1.2)
-    back = target_from_dict(target_to_dict(t))
-    assert back.name == t.name
-    assert np.allclose(back.amps, t.amps)
 
 
 def test_state_constructor_enforces_invariants():

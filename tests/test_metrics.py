@@ -65,7 +65,8 @@ def test_success_quadrature_matches_interval_closed_form():
 
 def test_probability_completeness_every_scenario():
     cases = [("two_qubit_X", 1.3, None), ("three_qubit_P", 2.4, None),
-             ("gsum_X", 1.8, None), ("n_qubit_P", 3.1, 5), ("n_qubit_P", 2.2, 4)]
+             ("gsum_X", 1.8, None), ("n_qubit_P", 3.1, 5), ("n_qubit_P", 2.2, 4),
+             ("n_qubit_P", 2.6, 6), ("n_qubit_P", 2.6, 8)]
     for scenario, alpha, n in cases:
         run = run_scenario(scenario, alpha, 0.75, n=n)
         total = sum(r.success_prob for r in run.results)
