@@ -126,82 +126,3 @@ def solve_params_for_phase(n: int, kappa: float = 1.0) -> CavityParams:
             f"phase solution failed self-check for n={n}: "
             f"phi0={pair.phi0!r}, phi1={pair.phi1!r}, target={target!r}")
     return params
-
-
-def steady_state_oracle(params: CavityParams, p1: int) -> complex:
-    """Independent check of the reflection: solve the driven linear system.
-
-    Sets a constant unit drive a_in = 1, writes the two linearized equations
-    as A s = -b for s = (a, sigma), solves the 2x2 system numerically and
-    returns a_out = 1 + sqrt(kappa) * a.  No algebraic reduction is shared
-    with reflection_coefficient.
-    """
-    if p1 not in (0, 1):
-        raise ValueError(f"p1 must be 0 or 1, got {p1}")
-    k = params.kappa
-    ca = -(1j * params.delta2 + 0.5 * k)       # a <- a
-    cs = -(1j * params.delta1 + 0.5 * params.gamma)  # sigma <- sigma
-    drive = -math.sqrt(k)
-
-    if p1 == 0 or params.g == 0.0:
-        # atom decoupled from the drive; sigma relaxes to zero
-        if ca == 0:
-            raise OracleFailureError(f"undamped cavity equation for {params}")
-        a = -drive / ca
-        return 1.0 + math.sqrt(k) * a
-
-    # coupled 2x2 solve:  ca*a - i g sigma = -drive ;  -i g a + cs*sigma = 0
-    det = ca * cs - (-1j * params.g) * (-1j * params.g * p1)
-    if abs(det) < 1e-300:
-        raise OracleFailureError(f"singular steady-state system for {params}")
-    # Cramer's rule on [ [ca, -i g], [-i g p1, cs] ] (a, sigma) = (-drive, 0)
-    a = (-drive) * cs / det
-    return 1.0 + math.sqrt(k) * a
-
-
-def rk4_relaxation(params: CavityParams, p1: int, dt: float = 0.01,
-                   horizon: float = 4000.0, tol: float = 1e-11) -> complex:
-    """Dynamical route to the same steady state, by fixed-step RK4.
-
-    Slow next to the implicit solve, but shares no linear algebra with it;
-    used in tests to triangulate both closed form and oracle.  Raises
-    OracleFailureError if the state has not settled within the horizon.
-    """
-    k = params.kappa
-    ca = -(1j * params.delta2 + 0.5 * k)
-    cs = -(1j * params.delta1 + 0.5 * params.gamma)
-    g = params.g
-
-    def deriv(a, s):
-        return ca * a - 1j * g * s - math.sqrt(k), cs * s - 1j * g * p1 * a
-
-    a = 0j
-    s = 0j
-    steps = int(horizon / dt)
-    check_every = 200
-    prev = (a, s)
-    for i in range(1, steps + 1):
-        k1a, k1s = deriv(a, s)
-        k2a, k2s = deriv(a + 0.5 * dt * k1a, s + 0.5 * dt * k1s)
-        k3a, k3s = deriv(a + 0.5 * dt * k2a, s + 0.5 * dt * k2s)
-        k4a, k4s = deriv(a + dt * k3a, s + dt * k3s)
-        a = a + dt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
-        s = s + dt / 6.0 * (k1s + 2 * k2s + 2 * k3s + k4s)
-        if i % check_every == 0:
-            if abs(a - prev[0]) < tol and abs(s - prev[1]) < tol:
-                return 1.0 + math.sqrt(k) * a
-            prev = (a, s)
-    raise OracleFailureError(
-        f"RK4 relaxation did not converge within t={horizon} for {params}")
-
-
-def coupling_at_position(g0: float, kc: float, wc: float,
-                         z: float, r_perp: float) -> float:
-    """Position-dependent coupling in a Fabry-Perot standing-wave mode.
-
-    g(z, r_perp) = g0 * cos(kc z) * exp(-r_perp^2 / wc^2): axial standing
-    wave times the transverse Gaussian profile of waist wc.
-    """
-    if not wc > 0:
-        raise ValueError(f"mode waist must be positive, got {wc}")
-    return g0 * math.cos(kc * z) * math.exp(-(r_perp**2) / wc**2)

@@ -60,12 +60,12 @@ def _resolve_alpha(args):
     if args.alpha is not None and args.nbar is not None:
         raise UsageError("give either --alpha or --nbar, not both")
     if args.alpha is not None:
-        if args.alpha < 0:
-            raise UsageError("--alpha must be non-negative")
+        if not (math.isfinite(args.alpha) and args.alpha >= 0):
+            raise UsageError("--alpha must be finite and non-negative")
         return float(args.alpha)
     if args.nbar is not None:
-        if args.nbar < 0:
-            raise UsageError("--nbar must be non-negative")
+        if not (math.isfinite(args.nbar) and args.nbar >= 0):
+            raise UsageError("--nbar must be finite and non-negative")
         return math.sqrt(args.nbar)
     raise UsageError("one of --alpha or --nbar is required")
 
@@ -80,6 +80,8 @@ def _parse_float_list(text):
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise UsageError(f"non-numeric range {text!r}")
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise UsageError(f"non-finite range {text!r}")
         if step <= 0 or stop < start:
             raise UsageError(f"empty or descending range {text!r}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -90,6 +92,8 @@ def _parse_float_list(text):
         raise UsageError(f"non-numeric list {text!r}")
     if not values:
         raise UsageError(f"empty list {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"non-finite value in list {text!r}")
     return values
 
 
@@ -112,8 +116,9 @@ def _validate_common(args):
     """Check the shared flags; (canonical scenario, qubit count, axis)."""
     if not 0.0 <= args.eta_sq <= 1.0:
         raise UsageError("--eta-sq must lie in [0, 1]")
-    if isinstance(getattr(args, "gamma", 0.0), float) and args.gamma < 0:
-        raise UsageError("--gamma must be non-negative")
+    gamma = getattr(args, "gamma", 0.0)
+    if isinstance(gamma, float) and not (math.isfinite(gamma) and gamma >= 0):
+        raise UsageError("--gamma must be finite and non-negative")
     return resolve_scenario(args.scenario, args.n)
 
 

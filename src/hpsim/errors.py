@@ -16,7 +16,7 @@ class SingularParametersError(SimulationError):
 
 
 class OracleFailureError(SimulationError):
-    """The steady-state reference solver could not produce a value."""
+    """A self-check or reference solver could not produce a consistent value."""
 
 
 class DegenerateRuleError(SimulationError):

@@ -128,11 +128,7 @@ def density_cdf(state: HybridState, quadrature, v):
     """P(outcome <= v), closed form through erfc."""
     means = quadrature_mean(state.fields, quadrature)
     w = np.abs(state.amps) ** 2
-    varr = np.asarray(v, dtype=float)
-    if varr.ndim:
-        cdf = 0.5 * np.einsum("b,bn->n", w, erfc(means[:, None] - varr[None, :]))
-        return cdf
-    return float(0.5 * np.sum(w * erfc(means - varr)))
+    return 0.5 * (w @ erfc(np.subtract.outer(means, np.asarray(v, dtype=float))))
 
 
 def integration_window(state: HybridState, quadrature):
@@ -167,19 +163,20 @@ class OutcomeClass:
     needs_x_gate: bool = False
 
     def target_amps(self, v):
-        """Support amplitudes of the target at outcome v (vectorized in v)."""
+        """Support amplitudes of the target at the outcomes in the 1-D array v.
+
+        Shape (len(v), S); just base_amps, shape (S,), when the target does
+        not depend on the outcome.
+        """
         if self.zeta_at is None:
             return self.base_amps
         z = self.zeta_at(np.asarray(v, dtype=float))
-        if np.ndim(v) == 0:
-            return self.base_amps * np.exp(1j * self.phase_signs * z)
-        return self.base_amps[None, :] * np.exp(
-            1j * self.phase_signs[None, :] * np.asarray(z)[:, None])
+        return self.base_amps * np.exp(1j * self.phase_signs * z[:, None])
 
     def target_at(self, v) -> TargetState:
         """Materialize the full target state at outcome v."""
         amps = np.zeros(2**self.n, dtype=complex)
-        amps[list(self.support)] = self.target_amps(float(v))
+        amps[list(self.support)] = np.reshape(self.target_amps([float(v)]), -1)
         return TargetState(self.target_name, self.n, amps,
                            needs_x_gate=self.needs_x_gate)
 
@@ -366,7 +363,7 @@ def class_overlap_integrand(state: HybridState, quadrature, cls: OutcomeClass):
     integrating this over the bin and dividing by the bin probability gives
     the class fidelity.  The support restriction and environment Gram
     factors are computed once, so the returned callable is cheap inside
-    quadrature loops and vectorizes over outcome arrays.
+    quadrature loops.  It takes a 1-D array of outcomes.
     """
     sup = list(cls.support)
     fields = state.fields[sup]
@@ -375,16 +372,15 @@ def class_overlap_integrand(state: HybridState, quadrature, cls: OutcomeClass):
     means = quadrature_mean(fields, quadrature)
 
     def overlap(v):
-        tamps = cls.target_amps(v)
-        if np.ndim(v) == 0:
-            psi = quadrature_wavefunction(fields, quadrature, float(v))
-            w = np.conj(tamps) * amps * psi
-            return float(np.real(w @ gamma @ np.conj(w)))
         varr = np.asarray(v, dtype=float)
         envl = _QUART_PI * np.exp(-0.5 * (varr[:, None] - means[None, :]) ** 2)
         psi = envl * np.exp(1j * _zeta(fields[None, :], quadrature, varr[:, None]))
-        w = np.conj(tamps) * amps[None, :] * psi
-        return np.real(np.einsum("ns,st,nt->n", w, gamma, np.conj(w)))
+        w = np.conj(cls.target_amps(varr)) * amps[None, :] * psi
+        # w Gamma w^dag row by row, on BLAS, reusing w for its conjugate
+        wg = w @ gamma
+        np.conj(w, out=w)
+        wg *= w
+        return wg.real.sum(1)
 
     return overlap
 

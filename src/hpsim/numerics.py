@@ -13,7 +13,11 @@ Philox4x64 counter-based generator -> 53-bit uniform doubles -> Box-Muller
 streams exactly; see RNG_ALGORITHM.
 """
 
+import math
+
 import numpy as np
+
+from .errors import SimulationError
 
 RNG_ALGORITHM = "philox4x64 uniforms + box-muller(cos) normals, v1"
 
@@ -141,45 +145,61 @@ def erf(x):
 
 # --- adaptive Simpson quadrature ------------------------------------------
 
-def _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
-        # Richardson extrapolation of the two half-interval estimates
-        return left + right + delta / 15.0
-    half = 0.5 * tol
-    return (_simpson_recurse(f, a, m, fa, flm, fm, left, half, depth - 1)
-            + _simpson_recurse(f, m, b, fm, frm, fb, right, half, depth - 1))
-
-
-def adaptive_simpson(f, a, b, tol=1e-9, max_depth=48):
-    """Integrate scalar f over [a, b] to absolute tolerance tol."""
-    if a == b:
-        return 0.0
-    fa = f(a)
-    fm = f(0.5 * (a + b))
-    fb = f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, max_depth)
+_MAX_DEPTH = 48        # refinement levels below each initial segment
 
 
 def integrate_piecewise(f, breakpoints, tol=1e-9):
     """Integrate f over consecutive [b_i, b_i+1] segments, sharing the tolerance.
 
-    Splitting at known structure points (peak centers, thresholds) keeps the
-    adaptive refinement cheap on multi-peak integrands.
+    Adaptive Simpson: each segment gets tol / (number of segments); a
+    panel is accepted when its two half-panel estimates differ from the
+    whole by |delta| <= 15 tol (or at depth _MAX_DEPTH) and contributes the
+    Richardson-extrapolated sum, otherwise both halves are refined with
+    half the tolerance.  The refinement runs level by level: f receives
+    every pending point of one level as a single 1-D array and must return
+    an array of the same shape.  Splitting at known structure points (peak
+    centers, thresholds) keeps the refinement cheap on multi-peak
+    integrands.  Raises SimulationError at the first non-finite value of f.
     """
     pts = sorted(breakpoints)
-    nseg = max(1, len(pts) - 1)
-    seg_tol = tol / nseg
-    return sum(adaptive_simpson(f, lo, hi, seg_tol)
-               for lo, hi in zip(pts[:-1], pts[1:]))
+    a = np.array(pts[:-1], dtype=float)
+    b = np.array(pts[1:], dtype=float)
+    tol = tol / max(1, len(a))
+    a, b = a[a != b], b[a != b]
+    if not a.size:
+        return 0.0
+    fa, fm, fb = np.split(_evaluate(f, np.concatenate([a, 0.5 * (a + b), b])), 3)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    accepted = []
+    for depth in range(_MAX_DEPTH, -1, -1):
+        m = 0.5 * (a + b)
+        flm, frm = np.split(
+            _evaluate(f, np.concatenate([0.5 * (a + m), 0.5 * (m + b)])), 2)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        done = (np.abs(delta) <= 15.0 * tol) | (depth == 0)
+        # Richardson extrapolation of the two half-panel estimates
+        accepted.append((left + right + delta / 15.0)[done])
+        go = ~done
+        if not go.any():
+            break
+        a, b = np.concatenate([a[go], m[go]]), np.concatenate([m[go], b[go]])
+        fa, fm, fb = (np.concatenate([fa[go], fm[go]]),
+                      np.concatenate([flm[go], frm[go]]),
+                      np.concatenate([fm[go], fb[go]]))
+        whole = np.concatenate([left[go], right[go]])
+        tol *= 0.5
+    return math.fsum(np.concatenate(accepted))
+
+
+def _evaluate(f, v):
+    """f(v) as floats; SimulationError at the first non-finite value."""
+    out = np.asarray(f(v), dtype=float)
+    if not np.isfinite(out).all():
+        bad = v[~np.isfinite(out)][0]
+        raise SimulationError(f"non-finite integrand value at v={float(bad)!r}")
+    return out
 
 
 # --- seeded sampling -------------------------------------------------------

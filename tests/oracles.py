@@ -3,9 +3,13 @@
 These deliberately share no code with the package: erfc comes from a
 Maclaurin series for small arguments and a Lentz-evaluated continued
 fraction for large ones, and Gaussian bin masses are assembled from that
-oracle.  Agreement between package and oracle is therefore a dual-route
-check, not a tautology.  Named target states are built by enumerating qubit
-subsets, not from the package's decision-rule supports.
+oracle.  The cavity reflection is re-derived by a direct 2x2 steady-state
+solve and by RK4 relaxation of the equations of motion; quadrature is the
+classic recursive, one-point-at-a-time adaptive Simpson that the package's
+level-by-level integrator must reproduce.  Agreement between package and
+oracle is therefore a dual-route check, not a tautology.  Named target
+states are built by enumerating qubit subsets, not from the package's
+decision-rule supports.
 """
 
 import math
@@ -13,6 +17,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+
+from hpsim.cavity import CavityParams
+from hpsim.errors import OracleFailureError
 
 
 def erfc_series(x: float) -> float:
@@ -89,6 +96,113 @@ def brute_force_sequential_state(n: int, alpha: float, r0: complex, r1: complex)
             f *= r1 if bit else r0
         fields[x] = f
     return fields
+
+
+# --- recursive adaptive Simpson -------------------------------------------------
+
+def _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, depth):
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = f(lm)
+    frm = f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    if depth <= 0 or abs(delta) <= 15.0 * tol:
+        # Richardson extrapolation of the two half-interval estimates
+        return left + right + delta / 15.0
+    half = 0.5 * tol
+    return (_simpson_recurse(f, a, m, fa, flm, fm, left, half, depth - 1)
+            + _simpson_recurse(f, m, b, fm, frm, fb, right, half, depth - 1))
+
+
+def adaptive_simpson(f, a, b, tol=1e-9, max_depth=48):
+    """Integrate scalar f over [a, b] to absolute tolerance tol, depth first."""
+    if a == b:
+        return 0.0
+    fa = f(a)
+    fm = f(0.5 * (a + b))
+    fb = f(b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, max_depth)
+
+
+def integrate_piecewise_recursive(f, breakpoints, tol=1e-9):
+    """adaptive_simpson on consecutive [b_i, b_i+1] segments, sharing tol."""
+    pts = sorted(breakpoints)
+    seg_tol = tol / max(1, len(pts) - 1)
+    return sum(adaptive_simpson(f, lo, hi, seg_tol)
+               for lo, hi in zip(pts[:-1], pts[1:]))
+
+
+# --- cavity steady state ----------------------------------------------------------
+
+def steady_state_oracle(params: CavityParams, p1: int) -> complex:
+    """Independent check of the reflection: solve the driven linear system.
+
+    Sets a constant unit drive a_in = 1, writes the two linearized equations
+    as A s = -b for s = (a, sigma), solves the 2x2 system numerically and
+    returns a_out = 1 + sqrt(kappa) * a.  No algebraic reduction is shared
+    with reflection_coefficient.
+    """
+    if p1 not in (0, 1):
+        raise ValueError(f"p1 must be 0 or 1, got {p1}")
+    k = params.kappa
+    ca = -(1j * params.delta2 + 0.5 * k)       # a <- a
+    cs = -(1j * params.delta1 + 0.5 * params.gamma)  # sigma <- sigma
+    drive = -math.sqrt(k)
+
+    if p1 == 0 or params.g == 0.0:
+        # atom decoupled from the drive; sigma relaxes to zero
+        if ca == 0:
+            raise OracleFailureError(f"undamped cavity equation for {params}")
+        a = -drive / ca
+        return 1.0 + math.sqrt(k) * a
+
+    # coupled 2x2 solve:  ca*a - i g sigma = -drive ;  -i g a + cs*sigma = 0
+    det = ca * cs - (-1j * params.g) * (-1j * params.g * p1)
+    if abs(det) < 1e-300:
+        raise OracleFailureError(f"singular steady-state system for {params}")
+    # Cramer's rule on [ [ca, -i g], [-i g p1, cs] ] (a, sigma) = (-drive, 0)
+    a = (-drive) * cs / det
+    return 1.0 + math.sqrt(k) * a
+
+
+def rk4_relaxation(params: CavityParams, p1: int, dt: float = 0.01,
+                   horizon: float = 4000.0, tol: float = 1e-11) -> complex:
+    """Dynamical route to the same steady state, by fixed-step RK4.
+
+    Slow next to the implicit solve, but shares no linear algebra with it;
+    used in tests to triangulate both closed form and oracle.  Raises
+    OracleFailureError if the state has not settled within the horizon.
+    """
+    k = params.kappa
+    ca = -(1j * params.delta2 + 0.5 * k)
+    cs = -(1j * params.delta1 + 0.5 * params.gamma)
+    g = params.g
+
+    def deriv(a, s):
+        return ca * a - 1j * g * s - math.sqrt(k), cs * s - 1j * g * p1 * a
+
+    a = 0j
+    s = 0j
+    steps = int(horizon / dt)
+    check_every = 200
+    prev = (a, s)
+    for i in range(1, steps + 1):
+        k1a, k1s = deriv(a, s)
+        k2a, k2s = deriv(a + 0.5 * dt * k1a, s + 0.5 * dt * k1s)
+        k3a, k3s = deriv(a + 0.5 * dt * k2a, s + 0.5 * dt * k2s)
+        k4a, k4s = deriv(a + dt * k3a, s + dt * k3s)
+        a = a + dt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
+        s = s + dt / 6.0 * (k1s + 2 * k2s + 2 * k3s + k4s)
+        if i % check_every == 0:
+            if abs(a - prev[0]) < tol and abs(s - prev[1]) < tol:
+                return 1.0 + math.sqrt(k) * a
+            prev = (a, s)
+    raise OracleFailureError(
+        f"RK4 relaxation did not converge within t={horizon} for {params}")
 
 
 # --- named target states ------------------------------------------------------

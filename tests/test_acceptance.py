@@ -14,13 +14,13 @@ import sys
 import numpy as np
 
 from hpsim.cavity import CavityParams, reflection_coefficient, reflection_pair, \
-    solve_params_for_phase, steady_state_oracle
+    solve_params_for_phase
 from hpsim.hybrid_state import closed_form_final_state, hamming_weights, \
     init_plus_state, apply_cps
 from hpsim.homodyne import density_cdf, sample_outcomes
 from hpsim.metrics import closed_form_two_qubit, monte_carlo_estimate, \
     run_scenario, w_state_success
-from oracles import erfc_oracle
+from oracles import erfc_oracle, steady_state_oracle
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

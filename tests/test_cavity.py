@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from hpsim.cavity import (CavityParams, coupling_at_position, reflection_coefficient,
-                          reflection_pair, rk4_relaxation, solve_params_for_phase,
-                          steady_state_oracle)
+from hpsim.cavity import (CavityParams, reflection_coefficient, reflection_pair,
+                          solve_params_for_phase)
 from hpsim.errors import SingularParametersError
+from oracles import rk4_relaxation, steady_state_oracle
 
 
 def test_published_settings_two_node():
@@ -143,14 +143,6 @@ def test_invalid_params_rejected():
         CavityParams(0.5, 0.5, 1.0, gamma=-0.1)
     with pytest.raises(ValueError):
         reflection_coefficient(CavityParams(0.5, 0.5, 1.0), 2)
-
-
-def test_coupling_at_position():
-    assert coupling_at_position(2.5, 3.0, 1.0, 0.0, 0.0) == 2.5
-    assert abs(coupling_at_position(1.0, 2.0, 1.0, math.pi / 4, 0.0)) < 1e-15
-    assert abs(coupling_at_position(1.0, 1.0, 1.0, 0.0, 1.0) - math.exp(-1)) < 1e-15
-    with pytest.raises(ValueError):
-        coupling_at_position(1.0, 1.0, 0.0, 0.0, 0.0)
 
 
 def test_rk4_relaxation_respects_horizon():

@@ -8,13 +8,14 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 
 def run_cli(*args, env_extra=None):
+    """Run `python -m hpsim`; a run that hangs fails the test after 120 s."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("HPSIM_DEFAULT_SEED", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "hpsim", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_solve_params_two_nodes():
@@ -87,6 +88,14 @@ def test_simulate_usage_errors_exit_2():
         ("simulate", "--scenario", "two_qubit", "--alpha", "1", "--n", "3"),
         ("simulate", "--scenario", "two_qubit", "--alpha", "1", "--gamma", "-0.1"),
         ("simulate", "--scenario", "bogus", "--alpha", "1"),
+        # non-finite inputs
+        ("simulate", "--scenario", "two_qubit", "--alpha", "1", "--gamma", "nan"),
+        ("simulate", "--scenario", "two_qubit", "--alpha", "1", "--gamma", "inf"),
+        ("simulate", "--scenario", "two_qubit", "--alpha", "inf"),
+        ("simulate", "--scenario", "two_qubit", "--alpha", "nan"),
+        ("simulate", "--scenario", "two_qubit", "--nbar", "inf"),
+        ("simulate", "--scenario", "two_qubit", "--nbar", "nan"),
+        ("simulate", "--scenario", "two_qubit", "--alpha", "1", "--eta-sq", "nan"),
     ]
     for args in cases:
         res = run_cli(*args)
@@ -99,6 +108,10 @@ def test_simulate_numerical_failure_exits_3():
                   "--eta-sq", "0")
     assert res.returncode == 3
     assert "numerical failure" in res.stderr
+    # the integrand overflows; the integrator stops at the first bad value
+    res = run_cli("simulate", "--scenario", "two_qubit", "--alpha", "1e300")
+    assert res.returncode == 3
+    assert "non-finite integrand" in res.stderr
 
 
 def test_simulate_deterministic_bytes():
@@ -141,6 +154,21 @@ def test_sweep_empty_range_exits_2():
     assert res.returncode == 2
     res = run_cli("sweep", "--scenario", "two_qubit", "--nbar", "")
     assert res.returncode == 2
+
+
+def test_sweep_non_finite_inputs_exit_2():
+    cases = [("--nbar", "1", "--gamma", "nan"),
+             ("--nbar", "1", "--gamma", "0,inf"),
+             ("--nbar", "0:inf:1"),
+             ("--nbar", "nan:1:0.5"),
+             ("--nbar", "0:1:nan"),
+             ("--nbar", "1,nan"),
+             ("--nbar", "1", "--gamma", "0:inf:0.1"),
+             ("--nbar", "1", "--eta-sq", "inf")]
+    for args in cases:
+        res = run_cli("sweep", "--scenario", "two_qubit", *args)
+        assert res.returncode == 2, args
+        assert "Traceback" not in res.stderr, args
 
 
 def test_sweep_writes_file(tmp_path):
@@ -194,6 +222,17 @@ def test_density_three_peaks():
     assert len(tops) == 3
     assert abs(tops[0] + want) < 0.05 and abs(tops[1]) < 0.05 \
         and abs(tops[2] - want) < 0.05
+
+
+def test_density_non_finite_inputs_exit_2():
+    cases = [("--alpha", "1", "--gamma", "nan"),
+             ("--alpha", "1", "--gamma", "inf"),
+             ("--alpha", "inf"),
+             ("--nbar", "nan"),
+             ("--alpha", "1", "--eta-sq", "nan")]
+    for args in cases:
+        res = run_cli("density", "--scenario", "two_qubit", *args)
+        assert res.returncode == 2, args
 
 
 def test_seed_out_of_range_exits_2():

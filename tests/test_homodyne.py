@@ -10,8 +10,7 @@ from hpsim.homodyne import (build_decision_rule, class_overlap_integrand,
                             outcome_density, quadrature_mean,
                             quadrature_wavefunction, sample_outcomes)
 from hpsim.metrics import prepare_state, run_scenario
-from hpsim.numerics import adaptive_simpson
-from oracles import make_target
+from oracles import adaptive_simpson, make_target
 
 QPI = math.pi ** (-0.25)
 
@@ -296,17 +295,14 @@ def test_zeta_convention_irrelevant_for_two_qubit_fidelity():
 def test_target_overlap_density_matches_dense_route():
     run = run_scenario("three_qubit_P", 3.0, 0.8)
     cls = run.rule.classes[1]        # GHZ bin
-    overlap = class_overlap_integrand(run.state, "P", cls)
-    for v in (-0.5, 0.0, 1.2):
+    vs = np.array([-0.5, 0.0, 1.2])
+    got = class_overlap_integrand(run.state, "P", cls)(vs)
+    for v, g in zip(vs, got):
         dense = conditional_atomic_state(run.state, "P", v)
         t = cls.target_at(v)
         want = np.real(t.amps.conj() @ dense @ t.amps) * outcome_density(
             run.state, "P", v)
-        assert abs(overlap(v) - want) < 1e-12
-    # vectorized call agrees with scalar calls
-    vs = np.array([-0.5, 0.0, 1.2])
-    for v, g in zip(vs, overlap(vs)):
-        assert abs(g - overlap(float(v))) < 1e-14
+        assert abs(g - want) < 1e-12
 
 
 def test_density_components_sum_to_total():

@@ -5,12 +5,17 @@ import numpy as np
 import pytest
 
 from hpsim.errors import UndefinedFidelityError
-from hpsim.homodyne import build_decision_rule
-from hpsim.metrics import (SWEEP_CSV_COLUMNS, ClassResult, closed_form_two_qubit,
-                           fidelity, interval_probability, monte_carlo_estimate,
-                           run_scenario, success_probability, sweep, sweep_rows,
+from hpsim.homodyne import (build_decision_rule, class_overlap_integrand,
+                            outcome_density)
+from hpsim.metrics import (QUAD_TOL, SWEEP_CSV_COLUMNS, ClassResult,
+                           _clip_to_window, _segment_points,
+                           closed_form_two_qubit, fidelity, interval_probability,
+                           monte_carlo_estimate, prepare_state, run_scenario,
+                           success_probability, sweep, sweep_rows,
                            w_state_success, write_sweep_csv)
-from oracles import erfc_oracle, gauss_bin_mass, mixture_bin_mass
+from hpsim.numerics import integrate_piecewise
+from oracles import (erfc_oracle, gauss_bin_mass, integrate_piecewise_recursive,
+                     mixture_bin_mass)
 
 ETA23 = math.sqrt(2 / 3)
 
@@ -24,6 +29,44 @@ def by_target(results, name):
         if r.target_name == name:
             return r
     raise KeyError(name)
+
+
+# --- level-by-level quadrature against the recursive oracle ----------------------
+
+class _Counted:
+    """Integrand wrapper that counts the outcome points it is asked for."""
+
+    def __init__(self, f):
+        self.f = f
+        self.points = 0
+
+    def __call__(self, v):
+        self.points += np.size(v)
+        return self.f(v)
+
+
+@pytest.mark.parametrize("scenario, n", [
+    ("two_qubit_X", None), ("three_qubit_P", None), ("gsum_X", None),
+    ("n_qubit_P", 5), ("n_qubit_P", 6), ("n_qubit_P", 8)])
+def test_level_by_level_integration_matches_recursive_oracle(scenario, n):
+    # same refinement decisions: equal point counts, values equal to rounding
+    for alpha in (1.0, 3.0):
+        for gamma in (0.0, 0.2):
+            state = prepare_state(scenario, alpha, 2 / 3, gamma, n)
+            rule = build_decision_rule(scenario, alpha, ETA23, n=n)
+            density = lambda v: outcome_density(state, rule.quadrature, v)
+            for cls in rule.classes:
+                lo, hi = _clip_to_window(state, rule, cls.lo, cls.hi)
+                pts = _segment_points(state, rule, lo, hi)
+                overlap = class_overlap_integrand(state, rule.quadrature, cls)
+                for f in (density, overlap):
+                    level = _Counted(f)
+                    single = _Counted(lambda v: float(f(np.array([v]))[0]))
+                    got = integrate_piecewise(level, pts, QUAD_TOL)
+                    want = integrate_piecewise_recursive(single, pts, QUAD_TOL)
+                    where = (alpha, gamma, cls.target_name)
+                    assert abs(got - want) <= 1e-13, where
+                    assert level.points == single.points, where
 
 
 # --- success probability ---------------------------------------------------------

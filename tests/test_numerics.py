@@ -1,10 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 
-from hpsim.numerics import (adaptive_simpson, erf, erfc, integrate_piecewise,
-                            philox_stream, standard_normals)
-from oracles import erfc_oracle
+from hpsim.errors import SimulationError
+from hpsim.numerics import (erf, erfc, integrate_piecewise, philox_stream,
+                            standard_normals)
+from oracles import adaptive_simpson, erfc_oracle
 
 
 def test_erfc_against_dual_method_oracle():
@@ -67,10 +69,24 @@ def test_adaptive_simpson_empty_interval():
 
 
 def test_integrate_piecewise_matches_single_interval():
-    f = lambda v: math.exp(-(v - 0.5) ** 2)
+    f = lambda v: np.exp(-(v - 0.5) ** 2)
     whole = adaptive_simpson(f, -6.0, 6.0, 1e-10)
     split = integrate_piecewise(f, [-6.0, -1.0, 0.5, 6.0], 1e-10)
     assert abs(whole - split) < 1e-9
+
+
+def test_integrate_piecewise_stops_at_first_non_finite_value():
+    # a NaN region first sampled on the third level: no further level runs
+    for bad in (np.nan, np.inf):
+        sizes = []
+
+        def f(v):
+            sizes.append(v.size)
+            return np.where((v > 0.6) & (v < 0.65), bad, np.exp(-v * v))
+
+        with pytest.raises(SimulationError, match="non-finite integrand"):
+            integrate_piecewise(f, [0.0, 1.0])
+        assert sizes == [3, 2, 4]
 
 
 def test_philox_stream_is_deterministic():
