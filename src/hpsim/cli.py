@@ -30,6 +30,8 @@ MODEL_VERSION = (f"hpsim {__version__}; reflection=steady-state-v1; "
 # canonical scenario names, then their short aliases
 SCENARIO_CHOICES = tuple(SCENARIOS) + tuple(row[1] for row in SCENARIOS.values())
 
+MAX_RANGE_POINTS = 10**6    # start:stop:step ranges; the figures use 41
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
@@ -84,8 +86,11 @@ def _parse_float_list(text):
             raise UsageError(f"non-finite range {text!r}")
         if step <= 0 or stop < start:
             raise UsageError(f"empty or descending range {text!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(count)]
+        steps = (stop - start) / step + 1e-9
+        if not steps < MAX_RANGE_POINTS:
+            raise UsageError(f"range {text!r} has more than "
+                             f"{MAX_RANGE_POINTS} points")
+        return [start + i * step for i in range(int(math.floor(steps)) + 1)]
     try:
         values = [float(p) for p in text.split(",") if p != ""]
     except ValueError:

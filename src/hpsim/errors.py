@@ -23,9 +23,5 @@ class DegenerateRuleError(SimulationError):
     """The requested decision rule would contain a zero-width class."""
 
 
-class DegenerateOutcomeError(SimulationError):
-    """Conditional state requested at an outcome of numerically zero density."""
-
-
 class UndefinedFidelityError(SimulationError):
     """Fidelity requested for a class whose success probability vanishes."""

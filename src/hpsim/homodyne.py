@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateOutcomeError, DegenerateRuleError
-from .hybrid_state import (HybridState, TargetState, env_gram,
-                           env_overlap_matrix, hamming_weights)
+from .errors import DegenerateRuleError
+from .hybrid_state import SectorState
 from .numerics import erfc, philox_stream, standard_normals
 
 _QUART_PI = math.pi ** (-0.25)
@@ -35,15 +34,11 @@ WINDOW_SIGMAS = 8.0                # integration window half-width, in sigmas
 
 # Scenario table: name -> (quadrature axis, short alias, smallest n,
 # largest n).  A scenario whose range holds a single n fixes its qubit count.
-# n_qubit_P stops at 15 because the central bin's environment Gram matrix
-# takes C(n, n//2)^2 * 16 B: 6435^2 * 16 B = 0.66 GB at n = 15, but
-# 12870^2 * 16 B = 2.65 GB at n = 16, and the overlap holds several such
-# arrays at once.
 SCENARIOS = {
     "two_qubit_X": ("X", "two_qubit", 2, 2),
     "three_qubit_P": ("P", "three_qubit", 3, 3),
     "gsum_X": ("X", "gsum", 3, 3),
-    "n_qubit_P": ("P", "n_qubit", 2, 15),
+    "n_qubit_P": ("P", "n_qubit", 2, 20),
 }
 
 
@@ -108,30 +103,29 @@ def quadrature_wavefunction(label, quadrature, v, include_phase=True):
     return env * np.exp(1j * _zeta(label, quadrature, v))
 
 
-def outcome_density(state: HybridState, quadrature, v):
+def outcome_density(state: SectorState, quadrature, v):
     """Probability density of the homodyne outcome.
 
     Atomic orthogonality kills every cross term, so the density is the
-    plain mixture sum_x |c_x|^2 |<v|f_x>|^2; environment labels drop out.
+    plain mixture sum_k p_k |<v|f_k>|^2 over the weights; environment
+    labels drop out.
     """
     _check_quadrature(quadrature)
     means = quadrature_mean(state.fields, quadrature)
-    w = np.abs(state.amps) ** 2
     varr = np.atleast_1d(np.asarray(v, dtype=float))
-    dens = np.einsum("b,bn->n", w,
-                     np.exp(-(varr[None, :] - means[:, None]) ** 2))
+    dens = state.probs @ np.exp(-(varr[None, :] - means[:, None]) ** 2)
     dens /= math.sqrt(math.pi)
     return float(dens[0]) if np.ndim(v) == 0 else dens
 
 
-def density_cdf(state: HybridState, quadrature, v):
+def density_cdf(state: SectorState, quadrature, v):
     """P(outcome <= v), closed form through erfc."""
     means = quadrature_mean(state.fields, quadrature)
-    w = np.abs(state.amps) ** 2
-    return 0.5 * (w @ erfc(np.subtract.outer(means, np.asarray(v, dtype=float))))
+    return 0.5 * (state.probs
+                  @ erfc(np.subtract.outer(means, np.asarray(v, dtype=float))))
 
 
-def integration_window(state: HybridState, quadrature):
+def integration_window(state: SectorState, quadrature):
     """[min mean - 8 sigma, max mean + 8 sigma]; truncated tails < 1e-14."""
     means = quadrature_mean(state.fields, quadrature)
     pad = WINDOW_SIGMAS * _SIGMA
@@ -144,10 +138,10 @@ def integration_window(state: HybridState, quadrature):
 class OutcomeClass:
     """One detection bin: interval, parity label, and its target state.
 
-    `weights` lists the Hamming weights whose branches feed this bin.
-    The target may depend on the measured value through the zeta phase;
-    `phase_signs` gives each support string its e^{+-i zeta(v)} factor
-    (0 for outcome-independent targets).
+    `weights` lists the Hamming weights whose branches feed this bin; the
+    target is uniform over their `size` strings.  It may depend on the
+    measured value through the zeta phase: `phase_signs` gives each weight
+    its e^{+-i zeta(v)} factor (0 for outcome-independent targets).
     """
 
     lo: float
@@ -156,29 +150,10 @@ class OutcomeClass:
     target_name: str
     n: int
     weights: tuple
-    support: tuple              # branch indices carrying the target
-    base_amps: np.ndarray       # (S,) target magnitudes on the support
-    phase_signs: np.ndarray     # (S,) in {-1, 0, +1}
+    size: int                   # sum of C(n, k) over the weights
+    phase_signs: tuple          # per weight, in {-1, 0, +1}
     zeta_at: object = field(repr=False, default=None)   # callable v -> zeta
     needs_x_gate: bool = False
-
-    def target_amps(self, v):
-        """Support amplitudes of the target at the outcomes in the 1-D array v.
-
-        Shape (len(v), S); just base_amps, shape (S,), when the target does
-        not depend on the outcome.
-        """
-        if self.zeta_at is None:
-            return self.base_amps
-        z = self.zeta_at(np.asarray(v, dtype=float))
-        return self.base_amps * np.exp(1j * self.phase_signs * z[:, None])
-
-    def target_at(self, v) -> TargetState:
-        """Materialize the full target state at outcome v."""
-        amps = np.zeros(2**self.n, dtype=complex)
-        amps[list(self.support)] = np.reshape(self.target_amps([float(v)]), -1)
-        return TargetState(self.target_name, self.n, amps,
-                           needs_x_gate=self.needs_x_gate)
 
 
 @dataclass(frozen=True)
@@ -246,33 +221,29 @@ def build_decision_rule(scenario, alpha, eta=1.0, n=None) -> DecisionRule:
     centers = [g[0] for g in groups]
     thresholds = tuple(0.5 * (c1 + c2) for c1, c2 in zip(centers, centers[1:]))
     bounds = (-math.inf,) + thresholds + (math.inf,)
-    weights = hamming_weights(n)
     classes = tuple(
-        _outcome_class(lo, hi, n, axis, ws, labels, weights, tol)
+        _outcome_class(lo, hi, n, axis, ws, labels, tol)
         for (_, ws), lo, hi in zip(groups, bounds[:-1], bounds[1:]))
     return DecisionRule(scenario=scenario, n=n, alpha=float(alpha),
                         eta=float(eta), quadrature=axis,
                         thresholds=thresholds, classes=classes)
 
 
-def _outcome_class(lo, hi, n, axis, ws, labels, weights, tol) -> OutcomeClass:
+def _outcome_class(lo, hi, n, axis, ws, labels, tol) -> OutcomeClass:
     """The bin of the weights `ws`, which share one quadrature mean.
 
-    Its target is uniform over the union of the weights' supports, taken in
-    (k mod n, k) order.  A bin holds at most two distinct pulse labels --
-    conjugates on the X axis, mirror images on the P axis -- whose zeta
-    phases are exact negatives, so each support string carries e^{+i zeta}
-    if its label is the first weight's and e^{-i zeta} otherwise.  The bin
-    needs an X gate when its two labels differ in X mean.
+    Its target is uniform over the union of the weights' supports.  A bin
+    holds at most two distinct pulse labels -- conjugates on the X axis,
+    mirror images on the P axis -- whose zeta phases are exact negatives,
+    so each weight carries e^{+i zeta} if its label is that of the first
+    weight in (k mod n, k) order and e^{-i zeta} otherwise.  The bin needs
+    an X gate when its two labels differ in X mean.
     """
     order = sorted(ws, key=lambda k: (k % n, k))
     first = labels[order[0]]
     sign = {k: 1 if abs(labels[k] - first) <= tol else -1 for k in order}
     two_labels = -1 in sign.values()
-    parts = [np.flatnonzero(weights == k) for k in order]
-    support = tuple(int(i) for part in parts for i in part)
-    signs = np.concatenate([np.full(len(part), sign[k] if two_labels else 0)
-                            for k, part in zip(order, parts)])
+    weights = tuple(sorted(ws))
     residues = list(dict.fromkeys(k % n for k in order))
     parity = residues[0] if len(residues) == 1 else "|".join(map(str, residues))
     needs_x = any(math.sqrt(2.0) * abs(labels[k].real - first.real) > tol
@@ -281,9 +252,9 @@ def _outcome_class(lo, hi, n, axis, ws, labels, weights, tol) -> OutcomeClass:
     return OutcomeClass(
         lo=lo, hi=hi, parity=parity,
         target_name=_target_name(n, axis, order, sign), n=n,
-        weights=tuple(sorted(ws)), support=support,
-        base_amps=np.full(len(support), 1.0 / math.sqrt(len(support))),
-        phase_signs=signs, zeta_at=zeta_at, needs_x_gate=needs_x)
+        weights=weights, size=sum(math.comb(n, k) for k in weights),
+        phase_signs=tuple(sign[k] if two_labels else 0 for k in weights),
+        zeta_at=zeta_at, needs_x_gate=needs_x)
 
 
 def _target_name(n, axis, order, sign):
@@ -310,74 +281,54 @@ def _label_state_name(n, ks):
 
 # --- sampling ----------------------------------------------------------------
 
-def sample_outcomes(state: HybridState, quadrature, trials: int, seed) -> np.ndarray:
-    """Draw homodyne outcomes: branch by |c_x|^2, then N(mean_x, 1/2).
+def sample_outcomes(state: SectorState, quadrature, trials: int, seed) -> np.ndarray:
+    """Draw homodyne outcomes: a branch x uniformly, then N(mean_|x|, 1/2).
 
     Stream layout (fixed for reproducibility): `trials` uniforms pick the
     branches, then 2*`trials` uniforms feed Box-Muller for the normals.
+    The 2^n branches are equally likely, so the inverse-CDF pick of the
+    uniform u is x = floor(u 2^n), exact for 53-bit uniforms; its weight
+    is the popcount of x.
     """
     _check_quadrature(quadrature)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = philox_stream(seed)
-    probs = np.abs(state.amps) ** 2
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    branch = np.searchsorted(cum, rng.random(trials), side="right")
-    means = quadrature_mean(state.fields, quadrature)[branch]
+    branch = (rng.random(trials) * 2.0**state.n).astype(np.int64)
+    weight = np.zeros(trials, dtype=np.int64)
+    for i in range(state.n):
+        weight += (branch >> i) & 1
+    means = quadrature_mean(state.fields, quadrature)[weight]
     return means + _SIGMA * standard_normals(rng, trials)
 
 
-# --- conditional atomic state --------------------------------------------------
+# --- bin overlaps ----------------------------------------------------------------
 
-_MAX_DENSE_N = 10      # 2^n x 2^n density matrix cap
-
-
-def conditional_atomic_state(state: HybridState, quadrature, v,
-                             include_phase=True) -> np.ndarray:
-    """Atomic density matrix given outcome v, in the bitstring basis.
-
-    rho_xy proportional to c_x conj(c_y) psi_x(v) conj(psi_y(v)) Gamma_xy
-    with Gamma the environment overlap factors; normalized to unit trace.
-    Raises DegenerateOutcomeError if the density underflows at v.
-    """
-    if state.n > _MAX_DENSE_N:
-        raise ValueError(
-            f"dense conditional state limited to n <= {_MAX_DENSE_N}")
-    psi = quadrature_wavefunction(state.fields, quadrature, float(v),
-                                  include_phase=include_phase)
-    u = state.amps * psi
-    trace = float(np.sum(np.abs(u) ** 2))
-    if not trace > 1e-300:
-        raise DegenerateOutcomeError(
-            f"outcome v={v} has vanishing density; conditional state undefined")
-    gamma = env_overlap_matrix(state)
-    rho = (u[:, None] * np.conj(u)[None, :]) * gamma
-    return rho / trace
-
-
-def class_overlap_integrand(state: HybridState, quadrature, cls: OutcomeClass):
+def class_overlap_integrand(state: SectorState, quadrature, cls: OutcomeClass):
     """Precompiled v -> <T(v)| rho~(v) |T(v)> for one bin.
 
     rho~ is the *unnormalized* conditional state (trace = outcome density);
     integrating this over the bin and dividing by the bin probability gives
-    the class fidelity.  The support restriction and environment Gram
-    factors are computed once, so the returned callable is cheap inside
-    quadrature loops.  It takes a 1-D array of outcomes.
+    the class fidelity.  Target and state are uniform within a weight, so
+    the overlap is sum_kk' W_k G_kk' conj(W_k') over the bin's weights with
+    W_k(v) = conj(T_k(v)) <v|f_k> and T_k = e^{+-i zeta(v)} / sqrt(size).
+    The returned callable takes a 1-D array of outcomes.
     """
-    sup = list(cls.support)
-    fields = state.fields[sup]
-    amps = state.amps[sup]
-    gamma = env_gram(state.env[sup])
+    ks = list(cls.weights)
+    fields = state.fields[ks]
+    coherence = state.coherence[np.ix_(ks, ks)] / cls.size
+    signs = np.array(cls.phase_signs, dtype=float)
     means = quadrature_mean(fields, quadrature)
 
     def overlap(v):
         varr = np.asarray(v, dtype=float)
         envl = _QUART_PI * np.exp(-0.5 * (varr[:, None] - means[None, :]) ** 2)
-        psi = envl * np.exp(1j * _zeta(fields[None, :], quadrature, varr[:, None]))
-        w = np.conj(cls.target_amps(varr)) * amps[None, :] * psi
-        # w Gamma w^dag row by row, on BLAS, reusing w for its conjugate
-        wg = w @ gamma
+        phase = _zeta(fields[None, :], quadrature, varr[:, None])
+        if cls.zeta_at is not None:
+            phase -= signs * cls.zeta_at(varr)[:, None]
+        w = envl * np.exp(1j * phase)
+        # w G w^dag row by row, reusing w for its conjugate
+        wg = w @ coherence
         np.conj(w, out=w)
         wg *= w
         return wg.real.sum(1)
@@ -385,19 +336,13 @@ def class_overlap_integrand(state: HybridState, quadrature, cls: OutcomeClass):
     return overlap
 
 
-def density_components(state: HybridState, rule: DecisionRule, v: np.ndarray):
+def density_components(state: SectorState, rule: DecisionRule, v: np.ndarray):
     """Per-class component densities over a grid (for curve export).
 
-    Component c sums the branch Gaussians whose Hamming weights feed class
-    c; the total density is the sum of all components.
+    Component c sums the weight Gaussians that feed class c; the total
+    density is the sum of all components.
     """
-    weights = hamming_weights(state.n)
     means = quadrature_mean(state.fields, rule.quadrature)
-    w2 = np.abs(state.amps) ** 2
-    out = []
-    for cls in rule.classes:
-        mask = np.isin(weights, cls.weights)
-        comp = np.einsum("b,bn->n", w2[mask],
-                         np.exp(-(v[None, :] - means[mask][:, None]) ** 2))
-        out.append(comp / math.sqrt(math.pi))
-    return out
+    gauss = np.exp(-(v[None, :] - means[:, None]) ** 2) / math.sqrt(math.pi)
+    return [state.probs[list(cls.weights)] @ gauss[list(cls.weights)]
+            for cls in rule.classes]

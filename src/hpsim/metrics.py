@@ -18,6 +18,7 @@ every report; it is a model choice, not a calibrated device curve.
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ from .homodyne import (DecisionRule, build_decision_rule,
                        class_overlap_integrand, density_cdf, integration_window,
                        outcome_density, quadrature_mean, resolve_scenario,
                        sample_outcomes)
-from .hybrid_state import HybridState, apply_channel_loss, apply_cps, init_plus_state
+from .hybrid_state import SectorState, sector_state
 from .numerics import erfc, integrate_piecewise
 
 QUAD_TOL = 1e-9
@@ -71,7 +72,7 @@ def _segment_points(state, rule, lo, hi):
     return [lo] + inner + [hi]
 
 
-def success_probability(state: HybridState, rule: DecisionRule,
+def success_probability(state: SectorState, rule: DecisionRule,
                         class_index: int) -> float:
     """Outcome density integrated over one bin (adaptive Simpson, tol 1e-9)."""
     cls = rule.classes[class_index]
@@ -83,14 +84,14 @@ def success_probability(state: HybridState, rule: DecisionRule,
         lambda v: outcome_density(state, rule.quadrature, v), pts, QUAD_TOL)
 
 
-def interval_probability(state: HybridState, quadrature, lo, hi) -> float:
+def interval_probability(state: SectorState, quadrature, lo, hi) -> float:
     """Closed-form bin mass through erfc (dual route to success_probability)."""
     hi_cdf = 1.0 if hi == math.inf else density_cdf(state, quadrature, hi)
     lo_cdf = 0.0 if lo == -math.inf else density_cdf(state, quadrature, lo)
     return hi_cdf - lo_cdf
 
 
-def fidelity(state: HybridState, rule: DecisionRule, class_index: int,
+def fidelity(state: SectorState, rule: DecisionRule, class_index: int,
              success_prob: float = None) -> float:
     """Average fidelity of the bin's conditional state with its target."""
     cls = rule.classes[class_index]
@@ -106,7 +107,7 @@ def fidelity(state: HybridState, rule: DecisionRule, class_index: int,
     return num / ps
 
 
-def evaluate_classes(state: HybridState, rule: DecisionRule) -> list:
+def evaluate_classes(state: SectorState, rule: DecisionRule) -> list:
     """Quadrature ClassResult for every bin of the rule."""
     out = []
     for i, cls in enumerate(rule.classes):
@@ -151,7 +152,7 @@ def w_state_success(n: int) -> float:
 
 # --- Monte Carlo ----------------------------------------------------------------
 
-def monte_carlo_estimate(state: HybridState, rule: DecisionRule,
+def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
                          trials: int, seed) -> list:
     """Sample outcomes, classify, and estimate per-bin probability and fidelity.
 
@@ -194,32 +195,27 @@ class ScenarioRun:
     alpha: float
     eta_sq: float
     gamma_over_kappa: float
-    state: HybridState
+    state: SectorState
     rule: DecisionRule
     results: tuple                  # quadrature ClassResults
     mc_results: tuple = ()          # present when trials > 0
 
 
 def prepare_state(scenario: str, alpha: float, eta_sq: float,
-                  gamma: float = 0.0, n=None) -> HybridState:
+                  gamma: float = 0.0, n=None) -> SectorState:
     """Initial product state -> lumped channel -> one CPS gate per node.
 
     The transmission-eta^2 channel is lumped at the pulse input, before any
     node: a single lumped loss must not imprint gate phases on the
     environment, or it would carry which-path information the lumped model
     is not supposed to have.  Node absorption under gamma > 0 is recorded
-    per gate, where it physically occurs.
+    per gate, where it physically occurs (see sector_state).
     """
     _, nq, _ = resolve_scenario(scenario, n)
     if not 0.0 <= eta_sq <= 1.0:
         raise ValueError(f"eta_sq must lie in [0, 1], got {eta_sq}")
     params = solve_params_for_phase(nq).with_gamma(gamma)
-    pair = reflection_pair(params)
-    state = init_plus_state(nq, alpha)
-    state = apply_channel_loss(state, math.sqrt(eta_sq))
-    for i in range(nq):
-        state = apply_cps(state, i, pair)
-    return state
+    return sector_state(nq, alpha, math.sqrt(eta_sq), reflection_pair(params))
 
 
 def run_scenario(scenario: str, alpha: float, eta_sq: float,
@@ -257,16 +253,18 @@ def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float,
     """Quadrature results over a (mean photon number) x (gamma) grid.
 
     Points are independent work items; with jobs > 1 they are evaluated in
-    a process pool and merged by index, so the output order (and content)
-    does not depend on the job count.
+    a process pool of at most min(jobs, points, CPUs) workers and merged by
+    index, so the output order (and content) does not depend on the job
+    count.
     """
     nbars = list(mean_photon_numbers)
     if not nbars:
         raise ValueError("mean photon number range is empty")
     configs = [(scenario, float(nbar), float(g), float(eta_sq), n)
                for nbar in nbars for g in gammas]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(configs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_point, configs))
     return [_sweep_point(c) for c in configs]
 

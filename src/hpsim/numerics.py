@@ -195,7 +195,8 @@ def integrate_piecewise(f, breakpoints, tol=1e-9):
 
 def _evaluate(f, v):
     """f(v) as floats; SimulationError at the first non-finite value."""
-    out = np.asarray(f(v), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(f(v), dtype=float)
     if not np.isfinite(out).all():
         bad = v[~np.isfinite(out)][0]
         raise SimulationError(f"non-finite integrand value at v={float(bad)!r}")

@@ -10,6 +10,12 @@ level-by-level integrator must reproduce.  Agreement between package and
 oracle is therefore a dual-route check, not a tautology.  Named target
 states are built by enumerating qubit subsets, not from the package's
 decision-rule supports.
+
+The dense 2^n branch state (one amplitude, pulse label and row of
+environment labels per bitstring, with the per-branch Gram matrix of the
+environment overlaps) is the reference for the package's weight-sector
+state.  It shares only the cavity reflection, the quadrature wavefunction
+and the decision rule's per-weight target phases with the package.
 """
 
 import math
@@ -18,8 +24,9 @@ from itertools import combinations
 
 import numpy as np
 
-from hpsim.cavity import CavityParams
-from hpsim.errors import OracleFailureError
+from hpsim.cavity import CavityParams, reflection_pair, solve_params_for_phase
+from hpsim.errors import OracleFailureError, SimulationError
+from hpsim.homodyne import quadrature_wavefunction, resolve_scenario
 
 
 def erfc_series(x: float) -> float:
@@ -273,3 +280,210 @@ def make_target(name: str, n: int = None, k: int = None,
              + np.exp(-1j * phase) * _dicke_vector(n, n - k)) / math.sqrt(2.0)
         return Target(f"Gprime({n},{k})", n, v)
     raise ValueError(f"unknown target state {name!r}")
+
+
+# --- dense 2^n branch state ------------------------------------------------------
+#
+# |Psi> = sum_x c_x |x> |f_x> |e_x1> |e_x2> ...  with one environment label
+# per loss event.  A CPS gate on qubit i multiplies f_x by r0 or r1 according
+# to bit i and, when the reflection is sub-unit, records sqrt(1-|r|^2) f_x in
+# a fresh environment mode; a transmission-eta channel records
+# sqrt(1-eta^2) f_x.  Tracing the environments out multiplies atomic
+# coherences by Gamma_xy = prod_j <e_yj|e_xj>.
+
+MAX_QUBITS = 20
+NORM_TOL = 1e-12
+_UNIT_TOL = 1e-13        # |r|^2 within this of 1 counts as lossless
+_MAX_DENSE_N = 10        # 2^n x 2^n density matrix cap
+
+
+class DegenerateOutcomeError(SimulationError):
+    """Conditional state requested at an outcome of numerically zero density."""
+
+
+def hamming_weights(n: int) -> np.ndarray:
+    """Weight of every n-bit branch index, as an int array of length 2^n."""
+    w = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        w = np.concatenate([w, w + 1])
+    return w
+
+
+@dataclass(frozen=True)
+class HybridState:
+    n: int
+    alpha0: float
+    amps: np.ndarray      # (2^n,) complex atomic amplitudes
+    fields: np.ndarray    # (2^n,) complex coherent labels of the pulse
+    env: np.ndarray       # (2^n, n_events) complex environment labels
+
+    def __post_init__(self):
+        size = 2**self.n
+        if self.amps.shape != (size,) or self.fields.shape != (size,):
+            raise ValueError("branch arrays must have one entry per bitstring")
+        if self.env.ndim != 2 or self.env.shape[0] != size:
+            raise ValueError("env must be (2^n, n_events)")
+        norm = float(np.sum(np.abs(self.amps) ** 2))
+        if abs(norm - 1.0) > NORM_TOL:
+            raise ValueError(f"branch amplitudes not normalized: sum={norm!r}")
+        if np.any(np.abs(self.fields) > self.alpha0 + 1e-12):
+            raise ValueError("field label exceeds the initial amplitude; "
+                             "only passive operations are modeled")
+        for a in (self.amps, self.fields, self.env):
+            a.flags.writeable = False
+
+    @property
+    def n_branches(self) -> int:
+        return 2**self.n
+
+    @property
+    def n_loss_events(self) -> int:
+        return self.env.shape[1]
+
+
+def init_plus_state(n: int, alpha: float) -> HybridState:
+    """All qubits in (|0>+|1>)/sqrt(2), pulse in the coherent state |alpha>."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"n must be in 1..{MAX_QUBITS}, got {n}")
+    if isinstance(alpha, complex) or alpha < 0:
+        raise ValueError(f"alpha must be real and non-negative, got {alpha!r}")
+    size = 2**n
+    amps = np.full(size, 2.0 ** (-n / 2), dtype=complex)
+    fields = np.full(size, complex(alpha), dtype=complex)
+    env = np.zeros((size, 0), dtype=complex)
+    return HybridState(n=n, alpha0=float(alpha), amps=amps, fields=fields, env=env)
+
+
+def apply_cps(state: HybridState, qubit_index: int, pair) -> HybridState:
+    """Reflect the pulse off node `qubit_index` with reflection pair (r0, r1).
+
+    If either reflection is sub-unit, one loss event is appended globally:
+    every branch records sqrt(1 - |r_bit|^2) times its incident field.
+    """
+    if not 0 <= qubit_index < state.n:
+        raise ValueError(f"qubit index {qubit_index} out of range for n={state.n}")
+    shift = state.n - 1 - qubit_index
+    bit = (np.arange(state.n_branches) >> shift) & 1
+    r = np.where(bit == 1, complex(pair.r1), complex(pair.r0))
+    loss0 = max(0.0, 1.0 - abs(pair.r0) ** 2)
+    loss1 = max(0.0, 1.0 - abs(pair.r1) ** 2)
+    if max(loss0, loss1) > _UNIT_TOL:
+        loss_amp = np.where(bit == 1, math.sqrt(loss1), math.sqrt(loss0))
+        env = np.concatenate([state.env, (loss_amp * state.fields)[:, None]],
+                             axis=1)
+    else:
+        env = state.env.copy()
+    return HybridState(n=state.n, alpha0=state.alpha0, amps=state.amps.copy(),
+                       fields=r * state.fields, env=env)
+
+
+def apply_channel_loss(state: HybridState, eta: float) -> HybridState:
+    """One lumped beam splitter of amplitude transmission eta on the pulse."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    refl = math.sqrt(max(0.0, 1.0 - eta * eta))
+    env = np.concatenate([state.env, (refl * state.fields)[:, None]], axis=1)
+    return HybridState(n=state.n, alpha0=state.alpha0, amps=state.amps.copy(),
+                       fields=eta * state.fields, env=env)
+
+
+def env_gram(env_rows: np.ndarray) -> np.ndarray:
+    """Pairwise Gamma factors for the given environment rows (a PSD Gram matrix)."""
+    norms = np.sum(np.abs(env_rows) ** 2, axis=1)
+    cross = env_rows @ env_rows.conj().T
+    return np.exp(cross - 0.5 * (norms[:, None] + norms[None, :]))
+
+
+def env_overlap_matrix(state: HybridState) -> np.ndarray:
+    """All pairwise Gamma_xy of a state at once."""
+    return env_gram(state.env)
+
+
+def dense_state(scenario: str, alpha: float, eta_sq: float,
+                gamma: float = 0.0, n=None, pair=None) -> HybridState:
+    """The package's pipeline on the dense state: channel, then every gate.
+
+    `pair` replaces the scenario's reflection pair when given.
+    """
+    _, nq, _ = resolve_scenario(scenario, n)
+    if pair is None:
+        pair = reflection_pair(solve_params_for_phase(nq).with_gamma(gamma))
+    state = apply_channel_loss(init_plus_state(nq, alpha), math.sqrt(eta_sq))
+    for i in range(nq):
+        state = apply_cps(state, i, pair)
+    return state
+
+
+def closed_form_final_state(n: int, alpha: float) -> HybridState:
+    """State after n ideal CPS gates at phases +/- pi/n, written directly.
+
+    A branch of Hamming weight k carries amplitude 2^(-n/2) and field
+    alpha * exp(i (n - 2k) pi / n); weights 0 and n share the label -alpha,
+    which is what makes the GHZ component inseparable on the pulse alone.
+    """
+    if n < 2:
+        raise ValueError(f"closed form needs n >= 2, got {n}")
+    if isinstance(alpha, complex) or alpha < 0:
+        raise ValueError(f"alpha must be real and non-negative, got {alpha!r}")
+    size = 2**n
+    k = hamming_weights(n)
+    amps = np.full(size, 2.0 ** (-n / 2), dtype=complex)
+    fields = alpha * np.exp(1j * math.pi * (n - 2 * k) / n)
+    env = np.zeros((size, 0), dtype=complex)
+    return HybridState(n=n, alpha0=float(alpha), amps=amps, fields=fields, env=env)
+
+
+def conditional_atomic_state(state: HybridState, quadrature, v,
+                             include_phase=True) -> np.ndarray:
+    """Atomic density matrix given outcome v, in the bitstring basis.
+
+    rho_xy proportional to c_x conj(c_y) psi_x(v) conj(psi_y(v)) Gamma_xy
+    with Gamma the environment overlap factors; normalized to unit trace.
+    Raises DegenerateOutcomeError if the density underflows at v.
+    """
+    if state.n > _MAX_DENSE_N:
+        raise ValueError(
+            f"dense conditional state limited to n <= {_MAX_DENSE_N}")
+    psi = quadrature_wavefunction(state.fields, quadrature, float(v),
+                                  include_phase=include_phase)
+    u = state.amps * psi
+    trace = float(np.sum(np.abs(u) ** 2))
+    if not trace > 1e-300:
+        raise DegenerateOutcomeError(
+            f"outcome v={v} has vanishing density; conditional state undefined")
+    rho = (u[:, None] * np.conj(u)[None, :]) * env_overlap_matrix(state)
+    return rho / trace
+
+
+@dataclass(frozen=True)
+class TargetState:
+    """A named pure atomic state as a normalized amplitude vector."""
+
+    name: str
+    n: int
+    amps: np.ndarray
+    needs_x_gate: bool = False
+
+    def __post_init__(self):
+        if self.amps.shape != (2**self.n,):
+            raise ValueError("target amplitude vector has wrong length")
+        norm = float(np.sum(np.abs(self.amps) ** 2))
+        if abs(norm - 1.0) > NORM_TOL:
+            raise ValueError(f"target not normalized: sum={norm!r}")
+        self.amps.flags.writeable = False
+
+
+def target_at(cls, v) -> TargetState:
+    """A decision-rule bin's target at outcome v as a dense 2^n vector.
+
+    Uniform over the strings of the bin's weights; weight k carries
+    e^{i s_k zeta(v)} with s_k its phase sign.
+    """
+    weights = hamming_weights(cls.n)
+    amps = np.zeros(2**cls.n, dtype=complex)
+    zeta = 0.0 if cls.zeta_at is None else float(cls.zeta_at(np.array([v]))[0])
+    for k, sign in zip(cls.weights, cls.phase_signs):
+        amps[weights == k] = np.exp(1j * sign * zeta)
+    amps /= math.sqrt(np.count_nonzero(amps))
+    return TargetState(cls.target_name, cls.n, amps,
+                       needs_x_gate=cls.needs_x_gate)

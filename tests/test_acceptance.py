@@ -15,12 +15,11 @@ import numpy as np
 
 from hpsim.cavity import CavityParams, reflection_coefficient, reflection_pair, \
     solve_params_for_phase
-from hpsim.hybrid_state import closed_form_final_state, hamming_weights, \
-    init_plus_state, apply_cps
 from hpsim.homodyne import density_cdf, sample_outcomes
 from hpsim.metrics import closed_form_two_qubit, monte_carlo_estimate, \
-    run_scenario, w_state_success
-from oracles import erfc_oracle, steady_state_oracle
+    prepare_state, run_scenario, w_state_success
+from oracles import apply_cps, closed_form_final_state, erfc_oracle, \
+    hamming_weights, init_plus_state, steady_state_oracle
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -125,8 +124,11 @@ def test_c06_n_qubit_closed_form_oracle():
         for i in range(n):
             st = apply_cps(st, i, pair)
         cf = closed_form_final_state(n, 1.9)
+        sector = prepare_state("n_qubit_P", 1.9, 1.0, n=n)
         worst = max(worst, float(np.max(np.abs(st.fields - cf.fields))),
-                    float(np.max(np.abs(st.amps - cf.amps))))
+                    float(np.max(np.abs(st.amps - cf.amps))),
+                    float(np.max(np.abs(sector.fields[hamming_weights(n)]
+                                        - cf.fields))))
     st3 = closed_form_final_state(3, 2.0)
     w = hamming_weights(3)
     coef = [math.sqrt(float(np.sum(np.abs(st3.amps[np.isin(w, [0, 3])]) ** 2))),
@@ -135,7 +137,8 @@ def test_c06_n_qubit_closed_form_oracle():
     cdev = max(abs(coef[0] - 0.5), abs(coef[1] - math.sqrt(6) / 4),
                abs(coef[2] - math.sqrt(6) / 4))
     ok = report("C6 n-qubit oracle", worst < 1e-12 and cdev < 1e-12,
-                f"sequential vs closed form n=2..8 max dev {worst:.2e} "
+                f"sequential (dense and per weight) vs closed form n=2..8 "
+                f"max dev {worst:.2e} "
                 f"(tol 1e-12); weight-class coefficients dev {cdev:.2e}")
     assert ok
 

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from hpsim.cavity import ReflectionPair, reflection_pair, solve_params_for_phase
-from hpsim.hybrid_state import (HybridState, apply_channel_loss, apply_cps,
-                                closed_form_final_state, env_overlap_matrix,
-                                hamming_weights, init_plus_state)
-from oracles import brute_force_sequential_state, make_target
+from hpsim.homodyne import (build_decision_rule, class_overlap_integrand,
+                            integration_window, outcome_density,
+                            quadrature_mean, sample_outcomes)
+from hpsim.hybrid_state import sector_state
+from hpsim.metrics import prepare_state
+from hpsim.numerics import philox_stream, standard_normals
+from oracles import (HybridState, apply_channel_loss, apply_cps,
+                     brute_force_sequential_state, closed_form_final_state,
+                     conditional_atomic_state, dense_state, env_overlap_matrix,
+                     hamming_weights, init_plus_state, make_target, target_at)
 
 PAIR_I = ReflectionPair(1j, -1j)
 
@@ -287,3 +293,78 @@ def test_state_arrays_are_read_only():
     st = init_plus_state(2, 1.0)
     with pytest.raises(ValueError):
         st.fields[0] = 9.0
+
+
+# --- weight-sector state against the dense oracle ------------------------------
+
+def _weight_sums(matrix, n):
+    """(n+1) x (n+1) sums of a 2^n x 2^n matrix over weight blocks."""
+    onehot = hamming_weights(n)[None, :] == np.arange(n + 1)[:, None]
+    return onehot @ matrix @ onehot.T
+
+
+def _assert_sectors_match(sector, dense):
+    n = dense.n
+    w = hamming_weights(n)
+    scale = max(1.0, dense.alpha0)
+    for k in range(n + 1):
+        assert np.max(np.abs(dense.fields[w == k] - sector.fields[k])) \
+            <= 1e-13 * scale, k
+        assert abs(np.sum(np.abs(dense.amps[w == k]) ** 2)
+                   - sector.probs[k]) <= 1e-15, k
+    want = _weight_sums(env_overlap_matrix(dense), n) / 2**n
+    assert np.max(np.abs(sector.coherence - want)) \
+        <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("scenario, n", [
+    ("two_qubit_X", None), ("three_qubit_P", None), ("gsum_X", None)]
+    + [("n_qubit_P", n) for n in range(2, 11)])
+@pytest.mark.parametrize("gamma", [0.0, 0.2, 0.5])
+def test_sector_state_matches_dense_oracle(scenario, n, gamma):
+    for alpha in (1.0, 3.0):
+        sector = prepare_state(scenario, alpha, 2 / 3, gamma, n)
+        dense = dense_state(scenario, alpha, 2 / 3, gamma, n)
+        _assert_sectors_match(sector, dense)
+        rule = build_decision_rule(scenario, alpha, math.sqrt(2 / 3), n=n)
+        lo, hi = integration_window(sector, rule.quadrature)
+        vs = np.linspace(lo + 5.0, hi - 5.0, 7)
+        dens = outcome_density(sector, rule.quadrature, vs)
+        means = quadrature_mean(dense.fields, rule.quadrature)
+        want = np.abs(dense.amps) ** 2 @ np.exp(
+            -(vs[None, :] - means[:, None]) ** 2) / math.sqrt(math.pi)
+        assert np.max(np.abs(dens - want)) <= 1e-12, alpha
+        rhos = [conditional_atomic_state(dense, rule.quadrature, v) * d
+                for v, d in zip(vs, dens)]
+        for cls in rule.classes:
+            got = class_overlap_integrand(sector, rule.quadrature, cls)(vs)
+            for v, rho, g in zip(vs, rhos, got):
+                t = target_at(cls, v).amps
+                want = np.real(t.conj() @ rho @ t)
+                assert abs(g - want) <= 1e-12, (alpha, cls.target_name, v)
+
+
+def test_sector_state_with_two_lossy_reflections():
+    # gamma > 0 makes only r1 lossy; a generic pair exercises both bits
+    pair = ReflectionPair(0.9 * np.exp(0.4j), 0.7 * np.exp(-1.1j))
+    for n in (2, 4, 7):
+        _assert_sectors_match(
+            sector_state(n, 2.0, 0.8, pair),
+            dense_state("n_qubit_P", 2.0, 0.64, n=n, pair=pair))
+
+
+@pytest.mark.parametrize("n, seed", [(2, 3), (5, 11), (9, 7), (10, 2024)])
+def test_sampled_weight_matches_dense_inverse_cdf(n, seed):
+    # distinct labels for every weight, so a different pick shows in the mean
+    pair = ReflectionPair(np.exp(0.3j), 0.8 * np.exp(-0.9j))
+    sector = sector_state(n, 2.0, 1.0, pair)
+    dense = dense_state("n_qubit_P", 2.0, 1.0, n=n, pair=pair)
+    trials = 50_000
+    rng = philox_stream(seed)
+    cum = np.cumsum(np.abs(dense.amps) ** 2)
+    cum[-1] = 1.0
+    branch = np.searchsorted(cum, rng.random(trials), side="right")
+    want = (quadrature_mean(dense.fields, "P")[branch]
+            + standard_normals(rng, trials) / math.sqrt(2.0))
+    got = sample_outcomes(sector, "P", trials, seed)
+    assert np.max(np.abs(got - want)) < 1e-13

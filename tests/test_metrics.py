@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hpsim import metrics
 from hpsim.errors import UndefinedFidelityError
 from hpsim.homodyne import (build_decision_rule, class_overlap_integrand,
                             outcome_density)
@@ -318,6 +319,35 @@ def test_sweep_parallel_matches_serial():
     serial = sweep("three_qubit_P", [1.0, 3.0], [0.0, 0.2], 2 / 3, jobs=1)
     parallel = sweep("three_qubit_P", [1.0, 3.0], [0.0, 0.2], 2 / 3, jobs=2)
     assert sweep_rows(serial) == sweep_rows(parallel)
+
+
+def test_sweep_pool_size_capped_by_points_and_cpus(monkeypatch):
+    # an executor starts all max_workers processes at its first submit, so
+    # the pool must not be sized by --jobs alone; no process is started here
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(metrics, "ProcessPoolExecutor", Recorder)
+    for cpus, want in ((64, 3), (2, 2)):
+        monkeypatch.setattr(metrics.os, "cpu_count", lambda: cpus)
+        pts = sweep("two_qubit_X", [0.0, 1.0, 2.0], [0.0], 1.0, jobs=10_000)
+        assert sizes.pop() == want
+        assert len(pts) == 3
+    monkeypatch.setattr(metrics.os, "cpu_count", lambda: None)
+    sweep("two_qubit_X", [0.0, 1.0], [0.0], 1.0, jobs=10_000)
+    assert sizes == []                  # one usable CPU: no pool at all
 
 
 def test_sweep_csv_format():
