@@ -16,6 +16,10 @@ benchmark's stored reference outputs carry Simpson's own error, up to
 1.4e-9, beyond their 1e-9 gate (notes/decisions.md).  Independent
 cross-check routes, the dense 2^n branch state among them, live in
 tests/oracles.py.
+
+A result that does not exist is decided once per level: a pulse that
+resolves no bins raises DegenerateRuleError (a ValueError, exit 2 at the
+CLI), and a bin whose success probability vanishes reports fidelity NaN.
 """
 
 __version__ = "0.1.0"
@@ -23,17 +27,14 @@ __version__ = "0.1.0"
 from .cavity import (CavityParams, ReflectionPair, reflection_coefficient,
                      reflection_pair, solve_params_for_phase)
 from .errors import (DegenerateRuleError, OracleFailureError,
-                     SimulationError, SingularParametersError,
-                     UndefinedFidelityError)
+                     SimulationError, SingularParametersError)
 from .homodyne import (SCENARIOS, DecisionRule, OutcomeClass,
-                       build_decision_rule, outcome_density,
-                       quadrature_wavefunction, resolve_scenario,
+                       build_decision_rule, outcome_density, resolve_scenario,
                        sample_outcomes)
 from .hybrid_state import SectorState, sector_state
 from .metrics import (ClassResult, ScenarioRun, SweepPoint,
                       closed_form_two_qubit, fidelity, monte_carlo_estimate,
-                      run_scenario, success_probability, sweep, w_state_success,
-                      write_sweep_csv)
+                      run_scenario, success_probability, sweep, write_sweep_csv)
 from .numerics import erfc
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -76,10 +76,6 @@ class ReflectionPair:
         """arg(r1), in (-pi, pi]."""
         return cmath.phase(self.r1)
 
-    @property
-    def lossless(self) -> bool:
-        return abs(abs(self.r0) - 1.0) < 1e-13 and abs(abs(self.r1) - 1.0) < 1e-13
-
 
 def reflection_coefficient(params: CavityParams, p1: int) -> complex:
     """Reflection coefficient of the node for atomic population p1 in {0, 1}.

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .cavity import reflection_pair, solve_params_for_phase
-from .errors import SimulationError
+from .errors import DegenerateRuleError, SimulationError
 from .homodyne import SCENARIOS, density_components, resolve_scenario
 from .metrics import (GAMMA_MODEL_NOTE, closed_form_two_qubit, run_scenario,
                       sweep, write_sweep_csv)
@@ -164,8 +164,6 @@ def cmd_solve_params(args) -> int:
 def cmd_simulate(args) -> int:
     scenario, n, _ = _validate_common(args)
     alpha = _resolve_alpha(args)
-    if alpha <= 0:
-        raise UsageError("simulate needs a positive pulse amplitude")
     seed = _resolve_seed(args)
     if args.trials < 0:
         raise UsageError("--trials must be non-negative")
@@ -224,9 +222,10 @@ def cmd_density(args) -> int:
     from .metrics import prepare_state
 
     state = prepare_state(scenario, alpha, args.eta_sq, gamma=args.gamma, n=n)
-    # a zero-amplitude pulse is a single vacuum Gaussian with no bins
-    rule = (build_decision_rule(scenario, alpha, math.sqrt(args.eta_sq), n=n)
-            if alpha > 0 else None)
+    try:
+        rule = build_decision_rule(scenario, alpha, math.sqrt(args.eta_sq), n=n)
+    except DegenerateRuleError:
+        rule = None             # the pulse resolves no bins: no class columns
     if args.quadrature is not None and args.quadrature != quadrature:
         # override measures the other axis; class bins do not apply there
         quadrature = args.quadrature

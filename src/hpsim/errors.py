@@ -2,8 +2,9 @@
 
 Everything derived from SimulationError is a *numerical* failure (the inputs
 were legal but the computation could not produce a value); the CLI maps these
-to exit code 3.  Plain ValueError is reserved for contract violations on the
-inputs themselves (exit code 2 at the CLI).
+to exit code 3.  ValueError, DegenerateRuleError included, is a contract
+violation on the inputs themselves (exit code 2 at the CLI).  A bin whose
+success probability vanishes is not an error: its fidelity is NaN.
 """
 
 
@@ -19,9 +20,5 @@ class OracleFailureError(SimulationError):
     """A self-check or reference solver could not produce a consistent value."""
 
 
-class DegenerateRuleError(SimulationError):
-    """The requested decision rule would contain a zero-width class."""
-
-
-class UndefinedFidelityError(SimulationError):
-    """Fidelity requested for a class whose success probability vanishes."""
+class DegenerateRuleError(ValueError):
+    """The pulse resolves no bins: every branch label coincides."""

@@ -19,7 +19,6 @@ state.  Ties at a threshold go to the upper interval.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,21 +85,6 @@ def _zeta(label, quadrature, v):
     if quadrature == "X":
         return a * np.sin(theta) * (v - 2.0 * a * np.cos(theta))
     return -2.0 * a * np.cos(theta) * (math.sqrt(2.0) * v - a * np.sin(theta))
-
-
-def quadrature_wavefunction(label, quadrature, v, include_phase=True):
-    """<v | coherent label> on the chosen quadrature axis.
-
-    (1/pi)^{1/4} exp(-(v - mean)^2 / 2 + i zeta); with include_phase=False
-    only the real Gaussian envelope is returned (for phase-convention
-    checks -- the envelope fixes every probability).
-    """
-    _check_quadrature(quadrature)
-    mean = quadrature_mean(label, quadrature)
-    env = _QUART_PI * np.exp(-0.5 * (np.asarray(v, dtype=float) - mean) ** 2)
-    if not include_phase:
-        return env + 0j
-    return env * np.exp(1j * _zeta(label, quadrature, v))
 
 
 def outcome_density(state: SectorState, quadrature, v):
@@ -172,12 +156,6 @@ class DecisionRule:
         if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise ValueError("thresholds must be strictly increasing")
 
-    def class_index(self, v) -> int:
-        return bisect_right(self.thresholds, v)
-
-    def class_at(self, v) -> OutcomeClass:
-        return self.classes[self.class_index(v)]
-
     def class_indices(self, v: np.ndarray) -> np.ndarray:
         """Vectorized class lookup; ties go to the upper interval."""
         return np.searchsorted(np.asarray(self.thresholds), v, side="right")
@@ -190,11 +168,13 @@ def build_decision_rule(scenario, alpha, eta=1.0, n=None) -> DecisionRule:
     of the weight-k pulse labels eta alpha e^{i(1 - 2k/n) pi} (the detector
     is assumed to know the channel transmission); thresholds sit at
     midpoints of adjacent centers.  Every group of weights whose means
-    coincide becomes one bin (see _outcome_class).
+    coincide becomes one bin (see _outcome_class).  A pulse whose labels
+    all coincide within the grouping tolerance (eta alpha = 0 among them)
+    resolves no bins and raises DegenerateRuleError, a ValueError.
     """
     scenario, n, axis = resolve_scenario(scenario, n)
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be non-negative, got {alpha}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
 

@@ -27,13 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_UNIT_TOL = 1e-13        # |r|^2 within this of 1 counts as lossless
+from .errors import SimulationError
+
+_UNIT_TOL = 1e-13        # |r|^2 within this of 1 counts as loss-free
 
 
 @dataclass(frozen=True)
 class SectorState:
     n: int
-    alpha0: float
     probs: np.ndarray       # (n+1,) C(n,k) / 2^n
     fields: np.ndarray      # (n+1,) pulse label of the weight-k branches
     coherence: np.ndarray   # (n+1, n+1) G_kk'
@@ -55,7 +56,7 @@ def sector_state(n: int, alpha: float, eta: float, pair) -> SectorState:
     and moves it to (a + bx, b + by).  When neither reflection is lossy
     beyond _UNIT_TOL the gate records no event (s = 0).  The channel's loss
     label sqrt(1 - eta^2) alpha is the same on every branch, so its factor
-    is 1.
+    is 1.  A pulse too large for floating point raises SimulationError.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -67,17 +68,19 @@ def sector_state(n: int, alpha: float, eta: float, pair) -> SectorState:
     s = np.sqrt(loss) if max(loss) > _UNIT_TOL else np.zeros(2)
     f = np.array([eta * alpha], dtype=complex)
     d = np.ones((1, 1), dtype=complex)
-    for m in range(1, n + 1):
-        e = np.outer(s, f)                      # e[bit, a]
-        half = 0.5 * np.abs(e) ** 2
-        # step[bx, by, a, b]: the (a, b) entry times <e_y|e_x>
-        step = d * np.exp(e[:, None, :, None] * e.conj()[None, :, None, :]
-                          - half[:, None, :, None] - half[None, :, None, :])
-        d = np.zeros((m + 1, m + 1), dtype=complex)
-        for bx in (0, 1):
-            for by in (0, 1):
-                d[bx:bx + m, by:by + m] += step[bx, by]
-        f = np.append(f * pair.r0, f[-1] * pair.r1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, n + 1):
+            e = np.outer(s, f)                      # e[bit, a]
+            half = 0.5 * np.abs(e) ** 2
+            # step[bx, by, a, b]: the (a, b) entry times <e_y|e_x>
+            step = d * np.exp(e[:, None, :, None] * e.conj()[None, :, None, :]
+                              - half[:, None, :, None] - half[None, :, None, :])
+            d = np.zeros((m + 1, m + 1), dtype=complex)
+            for bx in (0, 1):
+                for by in (0, 1):
+                    d[bx:bx + m, by:by + m] += step[bx, by]
+            f = np.append(f * pair.r0, f[-1] * pair.r1)
+    if not (np.isfinite(f).all() and np.isfinite(d).all()):
+        raise SimulationError(f"non-finite sector state at alpha={alpha!r}")
     probs = np.array([math.comb(n, k) for k in range(n + 1)]) / 2.0**n
-    return SectorState(n=n, alpha0=float(alpha), probs=probs, fields=f,
-                       coherence=d / 2.0**n)
+    return SectorState(n=n, probs=probs, fields=f, coherence=d / 2.0**n)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import reflection_pair, solve_params_for_phase
-from .errors import UndefinedFidelityError
+from .errors import DegenerateRuleError
 from .homodyne import (DecisionRule, build_decision_rule,
                        class_overlap_integrand, density_cdf, integration_window,
                        outcome_density, quadrature_mean, resolve_scenario,
@@ -73,9 +73,9 @@ def _segment_points(state, rule, lo, hi):
 
 
 def success_probability(state: SectorState, rule: DecisionRule,
-                        class_index: int) -> float:
+                        index: int) -> float:
     """Outcome density integrated over one bin (adaptive Simpson, tol 1e-9)."""
-    cls = rule.classes[class_index]
+    cls = rule.classes[index]
     lo, hi = _clip_to_window(state, rule, cls.lo, cls.hi)
     if hi <= lo:
         return 0.0
@@ -91,15 +91,18 @@ def interval_probability(state: SectorState, quadrature, lo, hi) -> float:
     return hi_cdf - lo_cdf
 
 
-def fidelity(state: SectorState, rule: DecisionRule, class_index: int,
+def fidelity(state: SectorState, rule: DecisionRule, index: int,
              success_prob: float = None) -> float:
-    """Average fidelity of the bin's conditional state with its target."""
-    cls = rule.classes[class_index]
-    ps = (success_probability(state, rule, class_index)
+    """Average fidelity of the bin's conditional state with its target.
+
+    NaN when the bin's success probability is below 1e-12: an empty bin
+    has no conditional state (Monte Carlo reports an empty bin the same way).
+    """
+    cls = rule.classes[index]
+    ps = (success_probability(state, rule, index)
           if success_prob is None else success_prob)
     if ps < 1e-12:
-        raise UndefinedFidelityError(
-            f"class {cls.target_name} has vanishing success probability")
+        return math.nan
     lo, hi = _clip_to_window(state, rule, cls.lo, cls.hi)
     pts = _segment_points(state, rule, lo, hi)
     num = integrate_piecewise(class_overlap_integrand(state, rule.quadrature, cls),
@@ -135,19 +138,6 @@ def closed_form_two_qubit(alpha: float, eta: float):
     hi = erfc(-s)
     lo = erfc(s)
     return (hi + lo) / 4.0, hi / (hi + lo)
-
-
-def w_state_success(n: int) -> float:
-    """Probability of projecting onto a W-class state: n / 2^(n-1).
-
-    Counts both single-excitation bins (k = 1 and k = n-1, related by a
-    global bit flip).  For n = 2 those bins coincide, so the realized
-    single-bin probability is 1/2 while the formula returns 1; n = 2 is
-    kept only for the algebraic limit.
-    """
-    if n < 2:
-        raise ValueError(f"w_state_success needs n >= 2, got {n}")
-    return n / 2.0 ** (n - 1)
 
 
 # --- Monte Carlo ----------------------------------------------------------------
@@ -222,8 +212,8 @@ def run_scenario(scenario: str, alpha: float, eta_sq: float,
                  gamma: float = 0.0, n=None, trials: int = 0,
                  seed=0) -> ScenarioRun:
     _, nq, _ = resolve_scenario(scenario, n)
-    state = prepare_state(scenario, alpha, eta_sq, gamma, n)
     rule = build_decision_rule(scenario, alpha, math.sqrt(eta_sq), n=nq)
+    state = prepare_state(scenario, alpha, eta_sq, gamma, n)
     results = tuple(evaluate_classes(state, rule))
     mc = (tuple(monte_carlo_estimate(state, rule, trials, seed))
           if trials > 0 else ())
@@ -237,15 +227,12 @@ def run_scenario(scenario: str, alpha: float, eta_sq: float,
 def _sweep_point(args) -> SweepPoint:
     scenario, nbar, gamma, eta_sq, n = args
     alpha = math.sqrt(nbar)
-    if alpha <= 0.0:
-        # a zero-amplitude pulse has no resolvable bins; report the empty point
-        return SweepPoint(scenario=scenario, mean_photon_number=nbar,
-                          alpha=alpha, gamma_over_kappa=gamma,
-                          eta_sq=eta_sq, results=())
-    run = run_scenario(scenario, alpha, eta_sq, gamma=gamma, n=n)
-    return SweepPoint(scenario=scenario, mean_photon_number=float(nbar),
-                      alpha=alpha, gamma_over_kappa=float(gamma),
-                      eta_sq=float(eta_sq), results=run.results)
+    try:
+        results = run_scenario(scenario, alpha, eta_sq, gamma=gamma, n=n).results
+    except DegenerateRuleError:
+        results = ()            # the pulse resolves no bins: the point has no rows
+    return SweepPoint(scenario=scenario, mean_photon_number=nbar, alpha=alpha,
+                      gamma_over_kappa=gamma, eta_sq=eta_sq, results=results)
 
 
 def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float,

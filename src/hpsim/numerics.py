@@ -24,7 +24,7 @@ RNG_ALGORITHM = "philox4x64 uniforms + box-muller(cos) normals, v1"
 _SQRPI = 5.6418958354775628695e-1  # 1/sqrt(pi)
 
 # --- Cody rational coefficients ------------------------------------------
-# region 1: erf(x), |x| <= 0.46875
+# region 1: 1 - erfc(x), |x| <= 0.46875
 _A = (3.16112374387056560e0, 1.13864154151050156e2,
       3.77485237685302021e2, 3.20937758913846947e3)
 _A4 = 1.85777706184603153e-1
@@ -56,7 +56,7 @@ _XBIG = 26.543          # erfc underflows to 0 beyond this
 
 
 def _erf_small(y2):
-    """erf(x)/x for y2 = x^2 <= THRESH^2 (rational in x^2)."""
+    """(1 - erfc(x))/x for y2 = x^2 <= THRESH^2 (rational in x^2)."""
     num = _A4 * y2
     den = y2
     for a, b in zip(_A[:3], _B[:3]):
@@ -124,22 +124,6 @@ def erfc(x):
     neg = xa < 0.0
     if neg.any():
         out[neg] = 2.0 - out[neg]
-    return float(out) if scalar else out
-
-
-def erf(x):
-    """Error function, elementwise (via the same rational kernels)."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    xa = np.asarray(x, dtype=float)
-    y = np.abs(xa)
-    out = np.empty_like(y)
-    small = y <= _THRESH
-    if small.any():
-        ys = xa[small]
-        out[small] = ys * _erf_small(ys * ys)
-    big = ~small
-    if big.any():
-        out[big] = np.sign(xa[big]) * (1.0 - erfc(y[big]))
     return float(out) if scalar else out
 
 

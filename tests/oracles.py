@@ -14,8 +14,8 @@ decision-rule supports.
 The dense 2^n branch state (one amplitude, pulse label and row of
 environment labels per bitstring, with the per-branch Gram matrix of the
 environment overlaps) is the reference for the package's weight-sector
-state.  It shares only the cavity reflection, the quadrature wavefunction
-and the decision rule's per-weight target phases with the package.
+state.  It shares only the cavity reflection, the quadrature mean and zeta
+phase, and the decision rule's per-weight target phases with the package.
 """
 
 import math
@@ -26,7 +26,7 @@ import numpy as np
 
 from hpsim.cavity import CavityParams, reflection_pair, solve_params_for_phase
 from hpsim.errors import OracleFailureError, SimulationError
-from hpsim.homodyne import quadrature_wavefunction, resolve_scenario
+from hpsim.homodyne import _zeta, quadrature_mean, resolve_scenario
 
 
 def erfc_series(x: float) -> float:
@@ -91,6 +91,19 @@ def gauss_bin_mass(mean: float, lo: float, hi: float) -> float:
 def mixture_bin_mass(weights, means, lo, hi) -> float:
     return float(sum(w * gauss_bin_mass(m, lo, hi)
                      for w, m in zip(weights, means)))
+
+
+def w_state_success(n: int) -> float:
+    """Probability of projecting onto a W-class state: n / 2^(n-1).
+
+    Counts both single-excitation bins (k = 1 and k = n-1, related by a
+    global bit flip).  For n = 2 those bins coincide, so the realized
+    single-bin probability is 1/2 while the formula returns 1; n = 2 is
+    kept only for the algebraic limit.
+    """
+    if n < 2:
+        raise ValueError(f"w_state_success needs n >= 2, got {n}")
+    return n / 2.0 ** (n - 1)
 
 
 def brute_force_sequential_state(n: int, alpha: float, r0: complex, r1: complex):
@@ -431,6 +444,20 @@ def closed_form_final_state(n: int, alpha: float) -> HybridState:
     fields = alpha * np.exp(1j * math.pi * (n - 2 * k) / n)
     env = np.zeros((size, 0), dtype=complex)
     return HybridState(n=n, alpha0=float(alpha), amps=amps, fields=fields, env=env)
+
+
+def quadrature_wavefunction(label, quadrature, v, include_phase=True):
+    """<v | coherent label> on the chosen quadrature axis.
+
+    (1/pi)^{1/4} exp(-(v - mean)^2 / 2 + i zeta); with include_phase=False
+    only the real Gaussian envelope is returned (for phase-convention
+    checks -- the envelope fixes every probability).
+    """
+    mean = quadrature_mean(label, quadrature)
+    env = math.pi ** -0.25 * np.exp(-0.5 * (np.asarray(v, dtype=float) - mean) ** 2)
+    if not include_phase:
+        return env + 0j
+    return env * np.exp(1j * _zeta(label, quadrature, v))
 
 
 def conditional_atomic_state(state: HybridState, quadrature, v,

@@ -17,9 +17,9 @@ from hpsim.cavity import CavityParams, reflection_coefficient, reflection_pair, 
     solve_params_for_phase
 from hpsim.homodyne import density_cdf, sample_outcomes
 from hpsim.metrics import closed_form_two_qubit, monte_carlo_estimate, \
-    prepare_state, run_scenario, w_state_success
+    prepare_state, run_scenario
 from oracles import apply_cps, closed_form_final_state, erfc_oracle, \
-    hamming_weights, init_plus_state, steady_state_oracle
+    hamming_weights, init_plus_state, steady_state_oracle, w_state_success
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

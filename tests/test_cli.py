@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+from hpsim.metrics import SWEEP_CSV_COLUMNS
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -99,20 +101,55 @@ def test_simulate_usage_errors_exit_2():
     for args in cases:
         res = run_cli(*args)
         assert res.returncode == 2, args
+    # every branch label coincides: a configuration error, not a failure
+    for args in (("--alpha", "2", "--eta-sq", "0"), ("--alpha", "0"),
+                 ("--alpha", "1e-300")):
+        res = run_cli("simulate", "--scenario", "three_qubit", *args)
+        assert res.returncode == 2, args
+        assert res.stderr.startswith("hpsim: error: "), res.stderr
+        assert res.stderr.endswith("has no resolvable bins\n"), res.stderr
 
 
 def test_simulate_numerical_failure_exits_3():
-    # opaque channel leaves no resolvable bins -> DegenerateRuleError -> 3
-    res = run_cli("simulate", "--scenario", "three_qubit", "--alpha", "2",
-                  "--eta-sq", "0")
-    assert res.returncode == 3
-    assert "numerical failure" in res.stderr
     # the integrand overflows; the integrator stops at the first bad value
     res = run_cli("simulate", "--scenario", "two_qubit", "--alpha", "1e300")
     assert res.returncode == 3
     lines = res.stderr.splitlines()
     assert len(lines) == 1, res.stderr           # no numpy warnings before it
     assert lines[0].startswith("hpsim: numerical failure: non-finite integrand")
+    # with gamma > 0 the environment coherences overflow first
+    res = run_cli("simulate", "--scenario", "two_qubit", "--alpha", "1e300",
+                  "--gamma", "0.2")
+    assert res.returncode == 3
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1, res.stderr
+    assert lines[0].startswith("hpsim: numerical failure: non-finite sector state")
+
+
+def test_simulation_error_maps_to_exit_3(monkeypatch, capsys):
+    from hpsim import cli
+    from hpsim.errors import SimulationError
+
+    def failing_run(*args, **kwargs):
+        raise SimulationError("injected")
+
+    monkeypatch.setattr(cli, "run_scenario", failing_run)
+    code = cli.main(["simulate", "--scenario", "two_qubit", "--alpha", "1"])
+    assert code == 3
+    assert capsys.readouterr().err == "hpsim: numerical failure: injected\n"
+
+
+def test_simulate_empty_bin_reports_null_fidelity():
+    # gamma > 0 contracts the labels away from the Dicke(9,7) bin
+    res = run_cli("simulate", "--scenario", "n_qubit", "--n", "9", "--alpha",
+                  "8", "--gamma", "1")
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout)
+    empty = [c for c in report["classes"] if c["target"] == "Dicke(9,7)"][0]
+    assert empty["success_prob"] < 1e-12
+    assert empty["fidelity"] is None
+    assert all(c["fidelity"] is not None for c in report["classes"]
+               if c["success_prob"] >= 1e-12)
 
 
 def test_simulate_deterministic_bytes():
@@ -176,6 +213,13 @@ def test_sweep_non_finite_inputs_exit_2():
         assert "Traceback" not in res.stderr, args
 
 
+def test_sweep_opaque_channel_writes_header_only():
+    res = run_cli("sweep", "--scenario", "gsum", "--nbar", "1,2",
+                  "--eta-sq", "0")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == ",".join(SWEEP_CSV_COLUMNS) + "\n"
+
+
 def test_sweep_writes_file(tmp_path):
     out = tmp_path / "curves.csv"
     res = run_cli("sweep", "--scenario", "gsum", "--nbar", "2,5",
@@ -198,16 +242,19 @@ def test_density_two_qubit_peaks():
 
 
 def test_density_vacuum_pulse():
-    res = run_cli("density", "--scenario", "two_qubit", "--alpha", "0",
-                  "--points", "201")
-    assert res.returncode == 0
-    lines = res.stdout.strip().split("\n")
-    assert lines[0] == "v,density"
-    rows = [line.split(",") for line in lines[1:]]
-    vs = [float(r[0]) for r in rows]
-    dens = [float(r[1]) for r in rows]
-    assert abs(vs[dens.index(max(dens))]) < 0.05
-    assert abs(max(dens) - math.pi ** -0.5) < 1e-3
+    # no pulse, or an opaque channel: one vacuum Gaussian and no class columns
+    for args in (("--scenario", "two_qubit", "--alpha", "0"),
+                 ("--scenario", "three_qubit", "--alpha", "5", "--eta-sq", "0")):
+        res = run_cli("density", *args, "--points", "201")
+        assert res.returncode == 0, args
+        lines = res.stdout.strip().split("\n")
+        assert lines[0] == "v,density"
+        rows = [line.split(",") for line in lines[1:]]
+        assert all(len(r) == 2 for r in rows)
+        vs = [float(r[0]) for r in rows]
+        dens = [float(r[1]) for r in rows]
+        assert abs(vs[dens.index(max(dens))]) < 0.05
+        assert abs(max(dens) - math.pi ** -0.5) < 1e-3
 
 
 def test_density_three_peaks():

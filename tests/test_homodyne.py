@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -7,12 +8,11 @@ from hpsim.errors import DegenerateRuleError
 from hpsim.homodyne import (build_decision_rule, class_overlap_integrand,
                             density_cdf, density_components,
                             integration_window, outcome_density,
-                            quadrature_mean, quadrature_wavefunction,
-                            sample_outcomes)
+                            quadrature_mean, sample_outcomes)
 from hpsim.metrics import prepare_state, run_scenario
 from oracles import (DegenerateOutcomeError, adaptive_simpson,
                      conditional_atomic_state, dense_state, make_target,
-                     target_at)
+                     quadrature_wavefunction, target_at)
 
 QPI = math.pi ** (-0.25)
 
@@ -190,13 +190,14 @@ def test_classify_examples():
              (rule2, -0.3, 0, "Bell-phi+"),
              (rule3, 0.0, 0, "GHZ(3)")]
     for rule, v, parity, name in cases:
-        cls = rule.class_at(v)
+        cls = rule.classes[rule.class_indices(np.array([v]))[0]]
         assert (cls.parity, target_at(cls, v).name) == (parity, name)
 
 
 def test_classify_merged_class_sets_flag():
     rule = build_decision_rule("n_qubit_P", 3.0, 1.0, n=4)
-    assert target_at(rule.class_at(0.0), 0.0).needs_x_gate
+    cls = rule.classes[rule.class_indices(np.array([0.0]))[0]]
+    assert target_at(cls, 0.0).needs_x_gate
 
 
 # --- sampling --------------------------------------------------------------------
@@ -324,6 +325,6 @@ def test_vectorized_class_lookup_matches_scalar():
     vs = np.linspace(-8, 8, 101)
     vec = rule.class_indices(vs)
     for v, i in zip(vs, vec):
-        assert rule.class_index(float(v)) == i
-    t = rule.thresholds[0]
-    assert rule.class_indices(np.array([t]))[0] == rule.class_index(t)
+        assert bisect_right(rule.thresholds, float(v)) == i
+    for j, t in enumerate(rule.thresholds):           # tie -> upper interval
+        assert rule.class_indices(np.array([t]))[0] == j + 1

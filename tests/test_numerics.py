@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hpsim.errors import SimulationError
-from hpsim.numerics import (erf, erfc, integrate_piecewise, philox_stream,
+from hpsim.numerics import (erfc, integrate_piecewise, philox_stream,
                             standard_normals)
 from oracles import adaptive_simpson, erfc_oracle
 
@@ -46,13 +46,6 @@ def test_erfc_extremes():
     assert erfc(0.0) == 1.0
     assert erfc(30.0) == 0.0
     assert erfc(-30.0) == 2.0
-
-
-def test_erf_basic():
-    assert erf(0.0) == 0.0
-    assert abs(erf(1.0) - (1.0 - erfc(1.0))) < 1e-16
-    assert abs(erf(-1.0) + erf(1.0)) < 1e-16
-    assert abs(erf(0.3) - (1.0 - erfc_oracle(0.3))) < 1e-14
 
 
 def test_adaptive_simpson_gaussian_mass():
