@@ -261,25 +261,38 @@ def _label_state_name(n, ks):
 
 # --- sampling ----------------------------------------------------------------
 
-def sample_outcomes(state: SectorState, quadrature, trials: int, seed) -> np.ndarray:
+def sample_outcomes(state: SectorState, quadrature, trials: int, seed,
+                    start: int = 0, stop: int = None) -> np.ndarray:
     """Draw homodyne outcomes: a branch x uniformly, then N(mean_|x|, 1/2).
 
     Stream layout (fixed for reproducibility): `trials` uniforms pick the
-    branches, then 2*`trials` uniforms feed Box-Muller for the normals.
-    The 2^n branches are equally likely, so the inverse-CDF pick of the
-    uniform u is x = floor(u 2^n), exact for 53-bit uniforms; its weight
-    is the popcount of x.
+    branches, then `trials` uniforms u1 and `trials` uniforms u2 feed
+    Box-Muller for the normals.  Trial t thus reads stream words t,
+    trials + t and 2 trials + t.  Only trials start..stop-1 (default: all)
+    are drawn, from three generators positioned at those words, so the
+    result equals the [start:stop] slice of the full draw and a caller can
+    stream a long run in blocks of bounded memory.  The 2^n branches are
+    equally likely, so the inverse-CDF pick of the uniform u is
+    x = floor(u 2^n), exact for 53-bit uniforms; its weight is the
+    popcount of x.
     """
     _check_quadrature(quadrature)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = philox_stream(seed)
-    branch = (rng.random(trials) * 2.0**state.n).astype(np.int64)
-    weight = np.zeros(trials, dtype=np.int64)
+    stop = trials if stop is None else stop
+    if not 0 <= start < stop <= trials:
+        raise ValueError(f"trial range [{start}, {stop}) is not a non-empty "
+                         f"part of [0, {trials})")
+    size = stop - start
+    uniforms = philox_stream(seed, start).random(size)
+    branch = (uniforms * 2.0**state.n).astype(np.int64)
+    weight = np.zeros(size, dtype=np.int64)
     for i in range(state.n):
         weight += (branch >> i) & 1
     means = quadrature_mean(state.fields, quadrature)[weight]
-    return means + _SIGMA * standard_normals(rng, trials)
+    normals = standard_normals(philox_stream(seed, trials + start), size,
+                               philox_stream(seed, 2 * trials + start))
+    return means + _SIGMA * normals
 
 
 # --- bin overlaps ----------------------------------------------------------------

@@ -142,6 +142,12 @@ def closed_form_two_qubit(alpha: float, eta: float):
 
 # --- Monte Carlo ----------------------------------------------------------------
 
+# Trials per Monte Carlo block.  A block's arrays (outcomes, the (n+1)
+# Gaussians of the density, each bin's overlap terms) are freed before the
+# next one is drawn, so memory does not grow with the trial count.
+MC_BLOCK_TRIALS = 1 << 16
+
+
 def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
                          trials: int, seed) -> list:
     """Sample outcomes, classify, and estimate per-bin probability and fidelity.
@@ -149,27 +155,35 @@ def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
     Probabilities carry binomial standard errors; with trials < 2 the
     stderr is NaN (flagged unreliable).  Bin fidelity averages
     <T(v)|rho(v)|T(v)> over the accepted samples and is NaN for empty bins.
+    The trials are drawn in blocks of MC_BLOCK_TRIALS consecutive stream
+    positions (see sample_outcomes); each block adds to the per-bin hit
+    counts and overlap sums, so the hits do not depend on the block size.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    samples = sample_outcomes(state, rule.quadrature, trials, seed)
-    idx = rule.class_indices(samples)
-    dens = outcome_density(state, rule.quadrature, samples)
+    overlaps = [class_overlap_integrand(state, rule.quadrature, cls)
+                for cls in rule.classes]
+    hits = [0] * len(rule.classes)
+    sums = [0.0] * len(rule.classes)
+    for start in range(0, trials, MC_BLOCK_TRIALS):
+        samples = sample_outcomes(state, rule.quadrature, trials, seed, start,
+                                  min(start + MC_BLOCK_TRIALS, trials))
+        idx = rule.class_indices(samples)
+        dens = outcome_density(state, rule.quadrature, samples)
+        for i, overlap in enumerate(overlaps):
+            mask = idx == i
+            count = int(np.count_nonzero(mask))
+            if count:
+                hits[i] += count
+                sums[i] += float(np.sum(overlap(samples[mask]) / dens[mask]))
     out = []
-    for i, cls in enumerate(rule.classes):
-        mask = idx == i
-        hits = int(np.count_nonzero(mask))
-        phat = hits / trials
+    for cls, hit, total in zip(rule.classes, hits, sums):
+        phat = hit / trials
         if trials >= 2:
             stderr = math.sqrt(phat * (1.0 - phat) / trials)
         else:
             stderr = math.nan
-        if hits:
-            overlaps = class_overlap_integrand(state, rule.quadrature,
-                                               cls)(samples[mask])
-            fbar = float(np.mean(overlaps / dens[mask]))
-        else:
-            fbar = math.nan
+        fbar = total / hit if hit else math.nan
         out.append(ClassResult(parity=cls.parity, target_name=cls.target_name,
                                success_prob=phat, fidelity=fbar,
                                method="monte_carlo", mc_stderr=stderr))

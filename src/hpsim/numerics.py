@@ -189,20 +189,32 @@ def _evaluate(f, v):
 
 # --- seeded sampling -------------------------------------------------------
 
-def philox_stream(seed):
-    """Counter-based Philox4x64 generator for the documented sampling recipe."""
+def philox_stream(seed, word=0):
+    """Counter-based Philox4x64 generator for the documented sampling recipe.
+
+    The generator starts at 64-bit stream word `word` (one word per uniform
+    double).  Each Philox counter step yields four words, so the counter is
+    advanced by word // 4 steps and word % 4 doubles are discarded: any
+    point of the stream is reached in O(1), and a stream drawn in pieces
+    equals the stream drawn at once.
+    """
     seed = int(seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    if word:
+        rng.bit_generator.advance(word // 4)
+        rng.random(word % 4)
+    return rng
 
 
-def standard_normals(rng, size):
-    """Box-Muller (cosine branch) normals from consecutive uniform doubles.
+def standard_normals(rng, size, rng_u2=None):
+    """Box-Muller (cosine branch) normals from uniform doubles.
 
     u1 is mapped to (0, 1] so the log never sees zero.  Exactly two uniforms
-    are consumed per normal, which keeps the stream layout reproducible.
+    are consumed per normal: `size` values u1 from rng, then `size` values
+    u2 from rng_u2, which defaults to rng itself (the consecutive layout).
     """
     u1 = 1.0 - rng.random(size)
-    u2 = rng.random(size)
+    u2 = (rng if rng_u2 is None else rng_u2).random(size)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)

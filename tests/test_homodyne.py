@@ -232,6 +232,9 @@ def test_sampler_rejects_zero_trials():
     st = prepare_state("two_qubit_X", 1.0, 1.0)
     with pytest.raises(ValueError):
         sample_outcomes(st, "X", 0, 1)
+    for start, stop in ((-1, 4), (4, 4), (5, 4), (0, 11)):
+        with pytest.raises(ValueError, match="trial range"):
+            sample_outcomes(st, "X", 10, 1, start, stop)
 
 
 # --- conditional state -------------------------------------------------------------

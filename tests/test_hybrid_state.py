@@ -8,7 +8,7 @@ from hpsim.homodyne import (build_decision_rule, class_overlap_integrand,
                             integration_window, outcome_density,
                             quadrature_mean, sample_outcomes)
 from hpsim.hybrid_state import sector_state
-from hpsim.metrics import prepare_state
+from hpsim.metrics import MC_BLOCK_TRIALS, prepare_state
 from hpsim.numerics import philox_stream, standard_normals
 from oracles import (HybridState, apply_channel_loss, apply_cps,
                      brute_force_sequential_state, closed_form_final_state,
@@ -353,18 +353,25 @@ def test_sector_state_with_two_lossy_reflections():
             dense_state("n_qubit_P", 2.0, 0.64, n=n, pair=pair))
 
 
-@pytest.mark.parametrize("n, seed", [(2, 3), (5, 11), (9, 7), (10, 2024)])
-def test_sampled_weight_matches_dense_inverse_cdf(n, seed):
+@pytest.mark.parametrize("n, seed, trials", [
+    pytest.param(n, seed, 50_000, id=f"{n}-{seed}")
+    for n, seed in [(2, 3), (5, 11), (9, 7), (10, 2024)]]
+    # three full blocks and 5 trials: every block starts mid Philox counter
+    + [(5, 13, 3 * MC_BLOCK_TRIALS + 5)])
+def test_sampled_weight_matches_dense_inverse_cdf(n, seed, trials):
     # distinct labels for every weight, so a different pick shows in the mean
     pair = ReflectionPair(np.exp(0.3j), 0.8 * np.exp(-0.9j))
     sector = sector_state(n, 2.0, 1.0, pair)
     dense = dense_state("n_qubit_P", 2.0, 1.0, n=n, pair=pair)
-    trials = 50_000
     rng = philox_stream(seed)
     cum = np.cumsum(np.abs(dense.amps) ** 2)
     cum[-1] = 1.0
     branch = np.searchsorted(cum, rng.random(trials), side="right")
     want = (quadrature_mean(dense.fields, "P")[branch]
             + standard_normals(rng, trials) / math.sqrt(2.0))
-    got = sample_outcomes(sector, "P", trials, seed)
+    # drawn in the blocks Monte Carlo uses, at their stream positions
+    got = np.concatenate([
+        sample_outcomes(sector, "P", trials, seed, start,
+                        min(start + MC_BLOCK_TRIALS, trials))
+        for start in range(0, trials, MC_BLOCK_TRIALS)])
     assert np.max(np.abs(got - want)) < 1e-13

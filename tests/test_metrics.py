@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,41 @@ def test_monte_carlo_deterministic():
     a = monte_carlo_estimate(run.state, run.rule, 5000, seed=12)
     b = monte_carlo_estimate(run.state, run.rule, 5000, seed=12)
     assert a == b
+
+
+@pytest.mark.parametrize("scenario, alpha, eta_sq, gamma, n, trials", [
+    ("two_qubit_X", 1.5, 0.9, 0.0, None, 1000),     # both bins span blocks
+    ("n_qubit_P", 8.0, 1.0, 1.0, 9, 1000),          # Dicke(9,7) stays empty
+    ("two_qubit_X", 1.0, 1.0, 0.0, None, 1)])       # stderr NaN
+def test_monte_carlo_does_not_depend_on_block_size(monkeypatch, scenario, alpha,
+                                                   eta_sq, gamma, n, trials):
+    run = run_scenario(scenario, alpha, eta_sq, gamma=gamma, n=n)
+    results = []
+    for block in (7, trials + 1):
+        monkeypatch.setattr(metrics, "MC_BLOCK_TRIALS", block)
+        results.append(monte_carlo_estimate(run.state, run.rule, trials, 9))
+    small, whole = ([[getattr(r, f) for r in res]
+                     for f in ("success_prob", "mc_stderr", "fidelity")]
+                    for res in results)
+    assert small[0] == whole[0]                     # identical hit counts
+    assert np.array_equal(small[1], whole[1], equal_nan=True)
+    np.testing.assert_allclose(small[2], whole[2], rtol=0, atol=1e-12)
+    if trials == 1:
+        assert np.isnan(small[1]).all()
+    else:
+        assert np.isnan(small[2]).any() == (n == 9)
+
+
+def test_monte_carlo_memory_does_not_grow_with_trials():
+    # the benchmark's mc_n5 task; holding all 10^6 trials at once takes ~100 MB
+    run = run_scenario("n_qubit_P", 3.0, 0.6667, gamma=0.2, n=5)
+    tracemalloc.start()
+    try:
+        monte_carlo_estimate(run.state, run.rule, 1_000_000, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, peak
 
 
 # --- gamma model ----------------------------------------------------------------------

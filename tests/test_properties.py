@@ -3,7 +3,8 @@
 Configurations are drawn over the whole legal range: every scenario, n over
 its range, alpha log-uniform in [1e-3, 1e3], eta^2 in [0.01, 1] and gamma
 either 0 or log-uniform in [1e-2, 1e3].  Derandomized with no example
-database, so the draws are the same on every run.
+database, so the draws are the same on every run.  The whole file stays
+within a 10 s budget.
 """
 
 import math
@@ -12,8 +13,11 @@ import warnings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpsim.homodyne import SCENARIOS
-from hpsim.metrics import run_scenario
+from hpsim.homodyne import SCENARIOS, build_decision_rule
+from hpsim.metrics import (interval_probability, monte_carlo_estimate,
+                           prepare_state, run_scenario)
+
+MC_TRIALS = 20_000
 
 
 @st.composite
@@ -41,3 +45,20 @@ def test_every_configuration_gives_a_result(config):
         else:
             assert -1e-9 <= res.fidelity <= 1.0 + 1e-9, (res.target_name,
                                                           res.fidelity)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(configurations(), st.integers(0, 2**64 - 1))
+def test_monte_carlo_hits_agree_with_closed_form(config, seed):
+    # normal bound where the binomial variance N p (1 - p) is at least 25
+    scenario, n, alpha, eta_sq, gamma = config
+    rule = build_decision_rule(scenario, alpha, math.sqrt(eta_sq), n=n)
+    state = prepare_state(scenario, alpha, eta_sq, gamma, n)
+    mc = monte_carlo_estimate(state, rule, MC_TRIALS, seed)
+    for cls, res in zip(rule.classes, mc):
+        p = interval_probability(state, rule.quadrature, cls.lo, cls.hi)
+        var = MC_TRIALS * p * (1.0 - p)
+        if var >= 25.0:
+            hits = res.success_prob * MC_TRIALS
+            assert abs(hits - MC_TRIALS * p) <= 5.0 * math.sqrt(var), (
+                res.target_name, hits, MC_TRIALS * p)
