@@ -23,8 +23,10 @@ For gamma = 0 this is a pure phase for both atomic states; for gamma > 0
 the coupled (P1 = 1) reflection contracts, |r1| < 1, and the missing
 amplitude is scattered out of the mode.
 
-All rates are expressed in units of kappa; nothing in the model constrains
-absolute scales.
+All rates are expressed in units of kappa, and the code sets kappa = 1:
+(delta1, delta2, g, kappa, gamma) gives the same r as
+(delta1/kappa, delta2/kappa, g/kappa, 1, gamma/kappa), so kappa only fixes
+the unit.
 """
 
 import cmath
@@ -44,12 +46,9 @@ class CavityParams:
     delta1: float
     delta2: float
     g: float
-    kappa: float = 1.0
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
         if self.g < 0:
             raise ValueError(f"coupling g must be non-negative, got {self.g}")
         if self.gamma < 0:
@@ -87,9 +86,9 @@ def reflection_coefficient(params: CavityParams, p1: int) -> complex:
     if p1 not in (0, 1):
         raise ValueError(f"p1 must be 0 or 1, got {p1}")
     d1 = 1j * params.delta1 + 0.5 * params.gamma
-    num = d1 * (1j * params.delta2 - 0.5 * params.kappa) + p1 * params.g**2
-    den = d1 * (1j * params.delta2 + 0.5 * params.kappa) + p1 * params.g**2
-    if abs(den) < SINGULAR_TOL * params.kappa**2:
+    num = d1 * (1j * params.delta2 - 0.5) + p1 * params.g**2
+    den = d1 * (1j * params.delta2 + 0.5) + p1 * params.g**2
+    if abs(den) < SINGULAR_TOL:
         raise SingularParametersError(
             f"reflection denominator {den!r} is singular for {params}")
     return num / den
@@ -100,21 +99,21 @@ def reflection_pair(params: CavityParams) -> ReflectionPair:
                           reflection_coefficient(params, 1))
 
 
-def solve_params_for_phase(n: int, kappa: float = 1.0) -> CavityParams:
+def solve_params_for_phase(n: int) -> CavityParams:
     """Parameters giving conditional phases +pi/n (atom in |0>) and -pi/n (|1>).
 
     Solved for gamma = 0 under the symmetric-detuning constraint
-    delta1 = delta2 = delta.  arg r0 = pi - 2*atan(2*delta/kappa) fixes
-    delta = (kappa/2) * cot(pi/(2n)); requiring arg r1 = -pi/n then gives
+    delta1 = delta2 = delta.  arg r0 = pi - 2*atan(2*delta) fixes
+    delta = cot(pi/(2n)) / 2; requiring arg r1 = -pi/n then gives
     g^2 = 2*delta^2.  The closed form is re-verified against
     reflection_coefficient before returning.
     """
     if n < 2:
         raise ValueError(f"phase solver needs n >= 2, got {n}")
     cot = 1.0 / math.tan(math.pi / (2 * n))
-    delta = 0.5 * kappa * cot
-    g = kappa * cot / math.sqrt(2.0)
-    params = CavityParams(delta1=delta, delta2=delta, g=g, kappa=kappa)
+    delta = 0.5 * cot
+    g = cot / math.sqrt(2.0)
+    params = CavityParams(delta1=delta, delta2=delta, g=g)
     target = math.pi / n
     pair = reflection_pair(params)
     if abs(pair.phi0 - target) > 1e-9 or abs(pair.phi1 + target) > 1e-9:

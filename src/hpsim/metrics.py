@@ -130,7 +130,7 @@ def closed_form_two_qubit(alpha: float, eta: float):
     erfc reflection identity), and
     F = erfc(-sqrt2 eta alpha) / [erfc(sqrt2 eta alpha) + erfc(-sqrt2 eta alpha)].
     """
-    if alpha < 0:
+    if not alpha >= 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")

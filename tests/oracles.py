@@ -3,13 +3,14 @@
 These deliberately share no code with the package: erfc comes from a
 Maclaurin series for small arguments and a Lentz-evaluated continued
 fraction for large ones, and Gaussian bin masses are assembled from that
-oracle.  The cavity reflection is re-derived by a direct 2x2 steady-state
-solve and by RK4 relaxation of the equations of motion; quadrature is the
-classic recursive, one-point-at-a-time adaptive Simpson that the package's
-level-by-level integrator must reproduce.  Agreement between package and
-oracle is therefore a dual-route check, not a tautology.  Named target
-states are built by enumerating qubit subsets, not from the package's
-decision-rule supports.
+oracle; the coefficients of the package's Weideman erfc are regenerated
+here from Weideman's FFT construction.  The cavity reflection is re-derived
+by a direct 2x2 steady-state solve and by RK4 relaxation of the equations
+of motion; quadrature is the classic recursive, one-point-at-a-time
+adaptive Simpson that the package's level-by-level integrator must
+reproduce.  Agreement between package and oracle is therefore a
+dual-route check, not a tautology.  Named target states are built by
+enumerating qubit subsets, not from the package's decision-rule supports.
 
 The dense 2^n branch state (one amplitude, pulse label and row of
 environment labels per bitstring, with the per-branch Gram matrix of the
@@ -79,6 +80,22 @@ def erfc_oracle(x: float) -> float:
     if x < -2.0:
         return 2.0 - erfc_lentz(-x)
     return erfc_series(x)
+
+
+def weideman_coefficients(n: int):
+    """Coefficients of Weideman's erfc polynomial p, highest power first.
+
+    The FFT of f(t) = exp(-t^2) (L^2 + t^2) sampled at t = L tan(theta/2),
+    theta = k pi / M for k = -M+1 .. M-1 (with f = 0 at k = -M), M = 2n and
+    L = sqrt(n / sqrt(2)) (J. A. C. Weideman, SIAM J. Numer. Anal. 31, 1497
+    (1994)).
+    """
+    m = 2 * n
+    big_l = math.sqrt(n / math.sqrt(2.0))
+    t = big_l * np.tan(np.arange(-m + 1, m) * np.pi / m / 2.0)
+    f = np.concatenate([[0.0], np.exp(-t * t) * (big_l**2 + t * t)])
+    a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * m)
+    return a[n:0:-1]
 
 
 def gauss_bin_mass(mean: float, lo: float, hi: float) -> float:
@@ -168,7 +185,7 @@ def steady_state_oracle(params: CavityParams, p1: int) -> complex:
     """
     if p1 not in (0, 1):
         raise ValueError(f"p1 must be 0 or 1, got {p1}")
-    k = params.kappa
+    k = 1.0                                    # kappa, the unit of every rate
     ca = -(1j * params.delta2 + 0.5 * k)       # a <- a
     cs = -(1j * params.delta1 + 0.5 * params.gamma)  # sigma <- sigma
     drive = -math.sqrt(k)
@@ -197,7 +214,7 @@ def rk4_relaxation(params: CavityParams, p1: int, dt: float = 0.01,
     used in tests to triangulate both closed form and oracle.  Raises
     OracleFailureError if the state has not settled within the horizon.
     """
-    k = params.kappa
+    k = 1.0  # kappa
     ca = -(1j * params.delta2 + 0.5 * k)
     cs = -(1j * params.delta1 + 0.5 * params.gamma)
     g = params.g

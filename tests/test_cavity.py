@@ -136,8 +136,6 @@ def test_singular_denominator_raises():
 
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
-        CavityParams(0.5, 0.5, 1.0, kappa=0.0)
-    with pytest.raises(ValueError):
         CavityParams(0.5, 0.5, -1.0)
     with pytest.raises(ValueError):
         CavityParams(0.5, 0.5, 1.0, gamma=-0.1)

@@ -132,6 +132,9 @@ def test_two_qubit_fidelity_limits():
     assert run.results[1].fidelity > 1.0 - 1e-6
     ps, f = closed_form_two_qubit(0.0, 1.0)
     assert ps == 0.5 and f == 0.5
+    assert closed_form_two_qubit(math.inf, 1.0) == (0.5, 1.0)
+    with pytest.raises(ValueError):
+        closed_form_two_qubit(math.nan, 1.0)
 
 
 def test_gsum_fidelity():

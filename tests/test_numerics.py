@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from hpsim import numerics
 from hpsim.errors import SimulationError
 from hpsim.numerics import (erfc, integrate_piecewise, philox_stream,
                             standard_normals)
-from oracles import adaptive_simpson, erfc_oracle
+from oracles import adaptive_simpson, erfc_oracle, weideman_coefficients
 
 
 def test_erfc_against_dual_method_oracle():
@@ -22,7 +23,8 @@ def test_erfc_against_dual_method_oracle():
 
 
 def test_erfc_against_stdlib():
-    xs = np.linspace(-10.0, 10.0, 801)
+    # up to the underflow cut at 26.543, where the tail is subnormal
+    xs = np.linspace(-26.5, 26.5, 2121)
     for x in xs:
         ref = math.erfc(float(x))
         assert abs(erfc(float(x)) - ref) <= 1e-13 * max(abs(ref), 1e-280)
@@ -46,6 +48,18 @@ def test_erfc_extremes():
     assert erfc(0.0) == 1.0
     assert erfc(30.0) == 0.0
     assert erfc(-30.0) == 2.0
+    assert erfc(math.inf) == 0.0
+    assert erfc(-math.inf) == 2.0
+    assert math.isnan(erfc(math.nan))
+    vec = erfc(np.array([math.nan, -math.inf, 0.0, math.inf]))
+    assert np.isnan(vec[0]) and list(vec[1:]) == [2.0, 1.0, 0.0]
+
+
+def test_erfc_coefficients_regenerate():
+    # the literal constants are Weideman's FFT construction at N = 40
+    want = weideman_coefficients(40)
+    assert len(numerics._WEIDEMAN) == 40
+    assert np.max(np.abs(np.array(numerics._WEIDEMAN) - want)) < 1e-14
 
 
 def test_adaptive_simpson_gaussian_mass():
