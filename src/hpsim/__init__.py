@@ -11,11 +11,12 @@ adaptive quadrature, and cross-checks them by seeded Monte Carlo sampling.
 
 Quadrature is adaptive Simpson refined level by level
 (numerics.integrate_piecewise), with integrands that take arrays of
-outcomes.  It is not yet replaced by erfc + Gauss-Legendre because the
-benchmark's stored reference outputs carry Simpson's own error, up to
-1.4e-9, beyond their 1e-9 gate (notes/decisions.md).  Independent
-cross-check routes, the dense 2^n branch state among them, live in
-tests/oracles.py.
+outcomes.  It is not yet replaced by closed forms (erfc for the bin
+probabilities, the Faddeeva function w(z) from the same Weideman formula
+for the fidelity numerators) because the benchmark's stored reference
+outputs carry Simpson's own error, up to 1.4e-9, beyond their 1e-9 gate
+(notes/decisions.md).  Independent cross-check routes, the dense 2^n
+branch state among them, live in tests/oracles.py.
 
 A result that does not exist is decided once per level: a pulse that
 resolves no bins raises DegenerateRuleError (a ValueError, exit 2 at the

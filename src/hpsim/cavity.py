@@ -49,10 +49,15 @@ class CavityParams:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.g < 0:
-            raise ValueError(f"coupling g must be non-negative, got {self.g}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
+        if not 0 <= self.g < math.inf:
+            raise ValueError(
+                f"coupling g must be finite and non-negative, got {self.g}")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(
+                f"gamma must be finite and non-negative, got {self.gamma}")
+        if not (math.isfinite(self.delta1) and math.isfinite(self.delta2)):
+            raise ValueError(f"detunings must be finite, got delta1="
+                             f"{self.delta1}, delta2={self.delta2}")
 
     def with_gamma(self, gamma: float) -> "CavityParams":
         return replace(self, gamma=gamma)

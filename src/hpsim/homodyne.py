@@ -19,7 +19,7 @@ state.  Ties at a threshold go to the upper interval.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,12 +79,12 @@ def quadrature_mean(label, quadrature):
     return math.sqrt(2.0) * part
 
 
-def _zeta(label, quadrature, v):
-    a = np.abs(np.asarray(label, dtype=complex))
-    theta = np.angle(np.asarray(label, dtype=complex))
+def _zeta_coefficients(label, quadrature):
+    """(slope, offset) of the linear zeta(v) = slope v + offset of label f:
+    X axis (Im f, -2 Re f Im f), P axis (-2 sqrt2 Re f, 2 Re f Im f)."""
     if quadrature == "X":
-        return a * np.sin(theta) * (v - 2.0 * a * np.cos(theta))
-    return -2.0 * a * np.cos(theta) * (math.sqrt(2.0) * v - a * np.sin(theta))
+        return label.imag, -2.0 * label.real * label.imag
+    return -2.0 * math.sqrt(2.0) * label.real, 2.0 * label.real * label.imag
 
 
 def outcome_density(state: SectorState, quadrature, v):
@@ -136,7 +136,7 @@ class OutcomeClass:
     weights: tuple
     size: int                   # sum of C(n, k) over the weights
     phase_signs: tuple          # per weight, in {-1, 0, +1}
-    zeta_at: object = field(repr=False, default=None)   # callable v -> zeta
+    zeta_coefficients: tuple = (0.0, 0.0)   # first label's (slope, offset)
     needs_x_gate: bool = False
 
 
@@ -173,8 +173,8 @@ def build_decision_rule(scenario, alpha, eta=1.0, n=None) -> DecisionRule:
     resolves no bins and raises DegenerateRuleError, a ValueError.
     """
     scenario, n, axis = resolve_scenario(scenario, n)
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be non-negative, got {alpha}")
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
 
@@ -228,13 +228,13 @@ def _outcome_class(lo, hi, n, axis, ws, labels, tol) -> OutcomeClass:
     parity = residues[0] if len(residues) == 1 else "|".join(map(str, residues))
     needs_x = any(math.sqrt(2.0) * abs(labels[k].real - first.real) > tol
                   for k in order)
-    zeta_at = (lambda v: _zeta(first, axis, v)) if two_labels else None
+    zeta = _zeta_coefficients(first, axis) if two_labels else (0.0, 0.0)
     return OutcomeClass(
         lo=lo, hi=hi, parity=parity,
         target_name=_target_name(n, axis, order, sign), n=n,
         weights=weights, size=sum(math.comb(n, k) for k in weights),
         phase_signs=tuple(sign[k] if two_labels else 0 for k in weights),
-        zeta_at=zeta_at, needs_x_gate=needs_x)
+        zeta_coefficients=zeta, needs_x_gate=needs_x)
 
 
 def _target_name(n, axis, order, sign):
@@ -310,16 +310,17 @@ def class_overlap_integrand(state: SectorState, quadrature, cls: OutcomeClass):
     ks = list(cls.weights)
     fields = state.fields[ks]
     coherence = state.coherence[np.ix_(ks, ks)] / cls.size
-    signs = np.array(cls.phase_signs, dtype=float)
     means = quadrature_mean(fields, quadrature)
+    # weight k's phase is its own zeta minus s_k times the bin's; the
+    # offsets overflow near alpha = 1e300, which the integrator reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope, offset = (np.array(_zeta_coefficients(fields, quadrature))
+                         - np.outer(cls.zeta_coefficients, cls.phase_signs))
 
     def overlap(v):
-        varr = np.asarray(v, dtype=float)
-        envl = _QUART_PI * np.exp(-0.5 * (varr[:, None] - means[None, :]) ** 2)
-        phase = _zeta(fields[None, :], quadrature, varr[:, None])
-        if cls.zeta_at is not None:
-            phase -= signs * cls.zeta_at(varr)[:, None]
-        w = envl * np.exp(1j * phase)
+        varr = np.asarray(v, dtype=float)[:, None]
+        envl = _QUART_PI * np.exp(-0.5 * (varr - means[None, :]) ** 2)
+        w = envl * np.exp(1j * (slope * varr + offset))
         # w G w^dag row by row, reusing w for its conjugate
         wg = w @ coherence
         np.conj(w, out=w)

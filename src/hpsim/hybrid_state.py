@@ -60,8 +60,9 @@ def sector_state(n: int, alpha: float, eta: float, pair) -> SectorState:
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if isinstance(alpha, complex) or alpha < 0:
-        raise ValueError(f"alpha must be real and non-negative, got {alpha!r}")
+    if isinstance(alpha, complex) or not 0 <= alpha < math.inf:
+        raise ValueError(
+            f"alpha must be real, finite and non-negative, got {alpha!r}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     loss = [max(0.0, 1.0 - abs(r) ** 2) for r in (pair.r0, pair.r1)]

@@ -61,25 +61,21 @@ class SweepPoint:
     results: tuple
 
 
-def _clip_to_window(state, rule, lo, hi):
-    wlo, whi = integration_window(state, rule.quadrature)
-    return max(lo, wlo), min(hi, whi)
-
-
-def _segment_points(state, rule, lo, hi):
-    means = quadrature_mean(state.fields, rule.quadrature)
-    inner = sorted({float(m) for m in means if lo < m < hi})
-    return [lo] + inner + [hi]
+def _bin_breakpoints(state: SectorState, quadrature, cls) -> list:
+    """The bin cut to the integration window and split at the branch means
+    inside it; [] when the bin lies outside the window."""
+    wlo, whi = integration_window(state, quadrature)
+    lo, hi = max(cls.lo, wlo), min(cls.hi, whi)
+    if hi <= lo:
+        return []
+    means = quadrature_mean(state.fields, quadrature)
+    return [lo] + sorted({float(m) for m in means if lo < m < hi}) + [hi]
 
 
 def success_probability(state: SectorState, rule: DecisionRule,
                         index: int) -> float:
     """Outcome density integrated over one bin (adaptive Simpson, tol 1e-9)."""
-    cls = rule.classes[index]
-    lo, hi = _clip_to_window(state, rule, cls.lo, cls.hi)
-    if hi <= lo:
-        return 0.0
-    pts = _segment_points(state, rule, lo, hi)
+    pts = _bin_breakpoints(state, rule.quadrature, rule.classes[index])
     return integrate_piecewise(
         lambda v: outcome_density(state, rule.quadrature, v), pts, QUAD_TOL)
 
@@ -92,22 +88,19 @@ def interval_probability(state: SectorState, quadrature, lo, hi) -> float:
 
 
 def fidelity(state: SectorState, rule: DecisionRule, index: int,
-             success_prob: float = None) -> float:
+             success_prob: float) -> float:
     """Average fidelity of the bin's conditional state with its target.
 
-    NaN when the bin's success probability is below 1e-12: an empty bin
-    has no conditional state (Monte Carlo reports an empty bin the same way).
+    NaN when `success_prob`, the bin's probability, is below 1e-12: an
+    empty bin has no conditional state (Monte Carlo reports it the same way).
     """
-    cls = rule.classes[index]
-    ps = (success_probability(state, rule, index)
-          if success_prob is None else success_prob)
-    if ps < 1e-12:
+    if success_prob < 1e-12:
         return math.nan
-    lo, hi = _clip_to_window(state, rule, cls.lo, cls.hi)
-    pts = _segment_points(state, rule, lo, hi)
+    cls = rule.classes[index]
     num = integrate_piecewise(class_overlap_integrand(state, rule.quadrature, cls),
-                              pts, QUAD_TOL)
-    return num / ps
+                              _bin_breakpoints(state, rule.quadrature, cls),
+                              QUAD_TOL)
+    return num / success_prob
 
 
 def evaluate_classes(state: SectorState, rule: DecisionRule) -> list:

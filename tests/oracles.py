@@ -15,8 +15,10 @@ enumerating qubit subsets, not from the package's decision-rule supports.
 The dense 2^n branch state (one amplitude, pulse label and row of
 environment labels per bitstring, with the per-branch Gram matrix of the
 environment overlaps) is the reference for the package's weight-sector
-state.  It shares only the cavity reflection, the quadrature mean and zeta
-phase, and the decision rule's per-weight target phases with the package.
+state.  It shares only the cavity reflection, the quadrature mean, and the
+decision rule's per-weight target phase signs with the package.  Its zeta
+phase is the quoted polar form in a = |f| and theta = arg f (zeta_polar),
+not the package's (slope, offset) pair.
 """
 
 import math
@@ -27,7 +29,7 @@ import numpy as np
 
 from hpsim.cavity import CavityParams, reflection_pair, solve_params_for_phase
 from hpsim.errors import OracleFailureError, SimulationError
-from hpsim.homodyne import _zeta, quadrature_mean, resolve_scenario
+from hpsim.homodyne import quadrature_mean, resolve_scenario
 
 
 def erfc_series(x: float) -> float:
@@ -463,6 +465,19 @@ def closed_form_final_state(n: int, alpha: float) -> HybridState:
     return HybridState(n=n, alpha0=float(alpha), amps=amps, fields=fields, env=env)
 
 
+def zeta_polar(label, quadrature, v):
+    """The homodyne phase zeta(v) of label f = a e^{i theta}, quoted form.
+
+    X axis: a sin(theta) (v - 2 a cos(theta)); P axis:
+    -2 a cos(theta) (sqrt(2) v - a sin(theta)).
+    """
+    a = np.abs(np.asarray(label, dtype=complex))
+    theta = np.angle(np.asarray(label, dtype=complex))
+    if quadrature == "X":
+        return a * np.sin(theta) * (v - 2.0 * a * np.cos(theta))
+    return -2.0 * a * np.cos(theta) * (math.sqrt(2.0) * v - a * np.sin(theta))
+
+
 def quadrature_wavefunction(label, quadrature, v, include_phase=True):
     """<v | coherent label> on the chosen quadrature axis.
 
@@ -474,7 +489,7 @@ def quadrature_wavefunction(label, quadrature, v, include_phase=True):
     env = math.pi ** -0.25 * np.exp(-0.5 * (np.asarray(v, dtype=float) - mean) ** 2)
     if not include_phase:
         return env + 0j
-    return env * np.exp(1j * _zeta(label, quadrature, v))
+    return env * np.exp(1j * zeta_polar(label, quadrature, v))
 
 
 def conditional_atomic_state(state: HybridState, quadrature, v,
@@ -517,15 +532,23 @@ class TargetState:
         self.amps.flags.writeable = False
 
 
-def target_at(cls, v) -> TargetState:
+def target_at(rule, cls, v) -> TargetState:
     """A decision-rule bin's target at outcome v as a dense 2^n vector.
 
     Uniform over the strings of the bin's weights; weight k carries
-    e^{i s_k zeta(v)} with s_k its phase sign.
+    e^{i s_k zeta(v)} with s_k its phase sign.  zeta is the polar form of
+    the bin's first label eta alpha e^{i (1 - 2k/n) pi}, k first in
+    (k mod n, k) order, rebuilt from the rule's alpha and eta; a bin whose
+    signs are all 0 has no phase.
     """
     weights = hamming_weights(cls.n)
     amps = np.zeros(2**cls.n, dtype=complex)
-    zeta = 0.0 if cls.zeta_at is None else float(cls.zeta_at(np.array([v]))[0])
+    zeta = 0.0
+    if any(cls.phase_signs):
+        k = min(cls.weights, key=lambda k: (k % cls.n, k))
+        t = (1.0 - 2.0 * k / cls.n) * math.pi
+        label = rule.eta * rule.alpha * complex(math.cos(t), math.sin(t))
+        zeta = float(zeta_polar(label, rule.quadrature, v))
     for k, sign in zip(cls.weights, cls.phase_signs):
         amps[weights == k] = np.exp(1j * sign * zeta)
     amps /= math.sqrt(np.count_nonzero(amps))

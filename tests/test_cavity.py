@@ -7,6 +7,7 @@ import pytest
 from hpsim.cavity import (CavityParams, reflection_coefficient, reflection_pair,
                           solve_params_for_phase)
 from hpsim.errors import SingularParametersError
+from hpsim.metrics import run_scenario
 from oracles import rk4_relaxation, steady_state_oracle
 
 
@@ -139,6 +140,14 @@ def test_invalid_params_rejected():
         CavityParams(0.5, 0.5, -1.0)
     with pytest.raises(ValueError):
         CavityParams(0.5, 0.5, 1.0, gamma=-0.1)
+    # non-finite rates are bad inputs, not numerical failures
+    nan, inf = math.nan, math.inf
+    for args in ((0.5, 0.5, nan), (0.5, 0.5, inf), (0.5, 0.5, 1.0, inf),
+                 (0.5, 0.5, 1.0, nan), (inf, 0.5, 1.0), (0.5, nan, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            CavityParams(*args)
+    with pytest.raises(ValueError, match="finite"):
+        run_scenario("gsum", 1.0, 1.0, gamma=math.nan)
     with pytest.raises(ValueError):
         reflection_coefficient(CavityParams(0.5, 0.5, 1.0), 2)
 

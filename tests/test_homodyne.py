@@ -1,18 +1,19 @@
 import math
+import pickle
 from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from hpsim.errors import DegenerateRuleError
-from hpsim.homodyne import (build_decision_rule, class_overlap_integrand,
-                            density_cdf, density_components,
-                            integration_window, outcome_density,
-                            quadrature_mean, sample_outcomes)
+from hpsim.homodyne import (_zeta_coefficients, build_decision_rule,
+                            class_overlap_integrand, density_cdf,
+                            density_components, integration_window,
+                            outcome_density, quadrature_mean, sample_outcomes)
 from hpsim.metrics import prepare_state, run_scenario
 from oracles import (DegenerateOutcomeError, adaptive_simpson,
                      conditional_atomic_state, dense_state, make_target,
-                     quadrature_wavefunction, target_at)
+                     quadrature_wavefunction, target_at, zeta_polar)
 
 QPI = math.pi ** (-0.25)
 
@@ -50,6 +51,24 @@ def test_phase_formulas_match_quoted_forms():
     pp = quadrature_wavefunction(label, "P", v)
     assert abs(np.angle(px) - math.remainder(zx, 2 * math.pi)) < 1e-12
     assert abs(np.angle(pp) - math.remainder(zp, 2 * math.pi)) < 1e-12
+    # the package's (slope, offset) pair against the oracle's polar form,
+    # relative to the size a (|v| + a) of zeta's terms (a near-real label
+    # has a sin(theta) ~ 0, rounded differently by the two forms): seeded
+    # random labels, the lossy sector fields, and the label above
+    rng = np.random.default_rng(20240)
+    labels = [rng.uniform(0, 10, 200)
+              * np.exp(1j * rng.uniform(-np.pi, np.pi, 200)),
+              prepare_state("gsum_X", 2.0, 2 / 3, 0.2).fields,
+              prepare_state("n_qubit_P", 2.0, 2 / 3, 0.2, n=7).fields,
+              np.array([label])]
+    vs = np.linspace(-6.0, 6.0, 13)[:, None]
+    for quad in ("X", "P"):
+        for labs in labels:
+            slope, offset = _zeta_coefficients(labs, quad)
+            got = slope * vs + offset
+            want = zeta_polar(labs, quad, vs)
+            scale = np.abs(labs) * (np.abs(vs) + np.abs(labs))
+            assert np.all(np.abs(got - want) <= 1e-12 * scale), quad
 
 
 def test_envelope_only_mode_drops_phase():
@@ -180,6 +199,23 @@ def test_rule_degenerate_cases():
         build_decision_rule("n_qubit_P", 1.0, 1.0)       # missing n
     with pytest.raises(ValueError):
         build_decision_rule("n_qubit_P", 1.0, 1.0, n=21)
+    for alpha in (math.inf, math.nan):           # not a numerical failure
+        with pytest.raises(ValueError, match="finite"):
+            build_decision_rule("two_qubit", alpha)
+    with pytest.raises(ValueError, match="finite"):
+        run_scenario("gsum", math.inf, 1.0)
+    for alpha in (math.inf, math.nan):           # the state alone, likewise
+        with pytest.raises(ValueError, match="finite"):
+            prepare_state("gsum", alpha, 1.0)
+
+
+@pytest.mark.parametrize("scenario, n", [
+    ("two_qubit", None), ("three_qubit", None), ("gsum", None)]
+    + [("n_qubit", n) for n in (5, 6, 8, 20)])
+def test_rules_are_values(scenario, n):
+    rule = build_decision_rule(scenario, 3.0, 0.8, n=n)
+    assert rule == build_decision_rule(scenario, 3.0, 0.8, n=n)
+    assert pickle.loads(pickle.dumps(rule)) == rule
 
 
 def test_classify_examples():
@@ -191,13 +227,13 @@ def test_classify_examples():
              (rule3, 0.0, 0, "GHZ(3)")]
     for rule, v, parity, name in cases:
         cls = rule.classes[rule.class_indices(np.array([v]))[0]]
-        assert (cls.parity, target_at(cls, v).name) == (parity, name)
+        assert (cls.parity, target_at(rule, cls, v).name) == (parity, name)
 
 
 def test_classify_merged_class_sets_flag():
     rule = build_decision_rule("n_qubit_P", 3.0, 1.0, n=4)
     cls = rule.classes[rule.class_indices(np.array([0.0]))[0]]
-    assert target_at(cls, 0.0).needs_x_gate
+    assert target_at(rule, cls, 0.0).needs_x_gate
 
 
 # --- sampling --------------------------------------------------------------------
@@ -303,7 +339,7 @@ def test_target_overlap_density_matches_dense_route():
     got = class_overlap_integrand(run.state, "P", cls)(vs)
     for v, g in zip(vs, got):
         dense = conditional_atomic_state(dense_st, "P", v)
-        t = target_at(cls, v)
+        t = target_at(run.rule, cls, v)
         want = np.real(t.amps.conj() @ dense @ t.amps) * outcome_density(
             run.state, "P", v)
         assert abs(g - want) < 1e-12

@@ -339,7 +339,7 @@ def test_sector_state_matches_dense_oracle(scenario, n, gamma):
         for cls in rule.classes:
             got = class_overlap_integrand(sector, rule.quadrature, cls)(vs)
             for v, rho, g in zip(vs, rhos, got):
-                t = target_at(cls, v).amps
+                t = target_at(rule, cls, v).amps
                 want = np.real(t.conj() @ rho @ t)
                 assert abs(g - want) <= 1e-12, (alpha, cls.target_name, v)
 

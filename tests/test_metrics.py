@@ -9,11 +9,10 @@ from hpsim import metrics
 from hpsim.homodyne import (build_decision_rule, class_overlap_integrand,
                             outcome_density)
 from hpsim.metrics import (QUAD_TOL, SWEEP_CSV_COLUMNS, ClassResult,
-                           _clip_to_window, _segment_points,
-                           closed_form_two_qubit, fidelity, interval_probability,
-                           monte_carlo_estimate, prepare_state, run_scenario,
-                           success_probability, sweep, sweep_rows,
-                           write_sweep_csv)
+                           _bin_breakpoints, closed_form_two_qubit, fidelity,
+                           interval_probability, monte_carlo_estimate,
+                           prepare_state, run_scenario, success_probability,
+                           sweep, sweep_rows, write_sweep_csv)
 from hpsim.numerics import integrate_piecewise
 from oracles import (erfc_oracle, gauss_bin_mass, integrate_piecewise_recursive,
                      mixture_bin_mass, w_state_success)
@@ -57,8 +56,7 @@ def test_level_by_level_integration_matches_recursive_oracle(scenario, n):
             rule = build_decision_rule(scenario, alpha, ETA23, n=n)
             density = lambda v: outcome_density(state, rule.quadrature, v)
             for cls in rule.classes:
-                lo, hi = _clip_to_window(state, rule, cls.lo, cls.hi)
-                pts = _segment_points(state, rule, lo, hi)
+                pts = _bin_breakpoints(state, rule.quadrature, cls)
                 overlap = class_overlap_integrand(state, rule.quadrature, cls)
                 for f in (density, overlap):
                     level = _Counted(f)
