@@ -30,7 +30,7 @@ MODEL_VERSION = (f"hpsim {__version__}; reflection=steady-state-v1; "
 # canonical scenario names, then their short aliases
 SCENARIO_CHOICES = tuple(SCENARIOS) + tuple(row[1] for row in SCENARIOS.values())
 
-MAX_RANGE_POINTS = 10**6    # start:stop:step ranges; the figures use 41
+MAX_RANGE_POINTS = 10**6    # ranges and density grids; the figures use 41
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -215,8 +215,8 @@ def cmd_sweep(args) -> int:
 def cmd_density(args) -> int:
     scenario, n, quadrature = _validate_common(args)
     alpha = _resolve_alpha(args)
-    if args.points < 2:
-        raise UsageError("--points must be at least 2")
+    if not 2 <= args.points <= MAX_RANGE_POINTS:
+        raise UsageError(f"--points must lie in 2..{MAX_RANGE_POINTS}")
 
     from .homodyne import build_decision_rule, integration_window, outcome_density
     from .metrics import prepare_state

@@ -27,7 +27,6 @@ from .errors import DegenerateRuleError
 from .hybrid_state import SectorState
 from .numerics import erfc, philox_stream, standard_normals
 
-_QUART_PI = math.pi ** (-0.25)
 _SIGMA = 1.0 / math.sqrt(2.0)      # quadrature standard deviation
 WINDOW_SIGMAS = 8.0                # integration window half-width, in sigmas
 
@@ -96,8 +95,10 @@ def outcome_density(state: SectorState, quadrature, v):
     """
     _check_quadrature(quadrature)
     means = quadrature_mean(state.fields, quadrature)
-    varr = np.atleast_1d(np.asarray(v, dtype=float))
-    dens = state.probs @ np.exp(-(varr[None, :] - means[:, None]) ** 2)
+    # the (n+1) x len(v) Gaussians e^{-(v - m_k)^2}, in one array
+    gauss = np.subtract.outer(means, np.atleast_1d(np.asarray(v, dtype=float)))
+    np.negative(np.square(gauss, out=gauss), out=gauss)
+    dens = state.probs @ np.exp(gauss, out=gauss)
     dens /= math.sqrt(math.pi)
     return float(dens[0]) if np.ndim(v) == 0 else dens
 
@@ -157,8 +158,13 @@ class DecisionRule:
             raise ValueError("thresholds must be strictly increasing")
 
     def class_indices(self, v: np.ndarray) -> np.ndarray:
-        """Vectorized class lookup; ties go to the upper interval."""
-        return np.searchsorted(np.asarray(self.thresholds), v, side="right")
+        """Vectorized class lookup: how many thresholds v reaches (v >= t, so
+        ties go up, as searchsorted side="right"); NaN reaches none: class 0."""
+        v = np.asarray(v)
+        idx = np.zeros(v.shape, np.min_scalar_type(len(self.thresholds)))
+        for t in self.thresholds:
+            idx += v >= t
+        return idx
 
 
 def build_decision_rule(scenario, alpha, eta=1.0, n=None) -> DecisionRule:
@@ -304,28 +310,36 @@ def class_overlap_integrand(state: SectorState, quadrature, cls: OutcomeClass):
     integrating this over the bin and dividing by the bin probability gives
     the class fidelity.  Target and state are uniform within a weight, so
     the overlap is sum_kk' W_k G_kk' conj(W_k') over the bin's weights with
-    W_k(v) = conj(T_k(v)) <v|f_k> and T_k = e^{+-i zeta(v)} / sqrt(size).
+    W_k(v) = conj(T_k(v)) <v|f_k> = e_k(v) e^{i phi_k(v)}, phi_k linear in v.
+    With H_kk' = G_kk' + conj(G_k'k) that is, in real arithmetic,
+    sum_k G_kk e_k^2 + sum_{k<k'} e_k e_k' |H_kk'| cos(phi_k - phi_k' + arg
+    H_kk'): no trig for a one-weight bin, one cosine per outcome for two.
     The returned callable takes a 1-D array of outcomes.
     """
     ks = list(cls.weights)
     fields = state.fields[ks]
-    coherence = state.coherence[np.ix_(ks, ks)] / cls.size
+    coherence = state.coherence[ks][:, ks] / (cls.size * math.sqrt(math.pi))
     means = quadrature_mean(fields, quadrature)
+    diag = coherence.diagonal().real
+    i, j = np.nonzero(~np.tri(len(ks), dtype=bool))     # the pairs k < k'
+    pair = coherence[i, j] + coherence[j, i].conj()
     # weight k's phase is its own zeta minus s_k times the bin's; the
     # offsets overflow near alpha = 1e300, which the integrator reports
     with np.errstate(over="ignore", invalid="ignore"):
         slope, offset = (np.array(_zeta_coefficients(fields, quadrature))
                          - np.outer(cls.zeta_coefficients, cls.phase_signs))
+        dslope = slope[i] - slope[j]
+        dphase = offset[i] - offset[j] + np.angle(pair)
 
     def overlap(v):
-        varr = np.asarray(v, dtype=float)[:, None]
-        envl = _QUART_PI * np.exp(-0.5 * (varr - means[None, :]) ** 2)
-        w = envl * np.exp(1j * (slope * varr + offset))
-        # w G w^dag row by row, reusing w for its conjugate
-        wg = w @ coherence
-        np.conj(w, out=w)
-        wg *= w
-        return wg.real.sum(1)
+        varr = np.asarray(v, dtype=float)
+        envl = np.exp(-0.5 * np.subtract.outer(varr, means) ** 2)
+        total = np.einsum("bk,bk,k->b", envl, envl, diag)
+        if len(i):
+            phase = np.cos(np.multiply.outer(varr, dslope) + dphase)
+            total += np.einsum("bp,bp,bp,p->b", envl[:, i], envl[:, j], phase,
+                               np.abs(pair))
+        return total
 
     return overlap
 

@@ -48,7 +48,8 @@ class ClassResult:
     success_prob: float
     fidelity: float
     method: str                     # closed_form | quadrature | monte_carlo
-    mc_stderr: float = None
+    mc_stderr: float = None         # binomial stderr of success_prob (MC)
+    fidelity_stderr: float = None   # standard error of the MC fidelity mean
 
 
 @dataclass(frozen=True)
@@ -145,12 +146,12 @@ def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
                          trials: int, seed) -> list:
     """Sample outcomes, classify, and estimate per-bin probability and fidelity.
 
-    Probabilities carry binomial standard errors; with trials < 2 the
-    stderr is NaN (flagged unreliable).  Bin fidelity averages
-    <T(v)|rho(v)|T(v)> over the accepted samples and is NaN for empty bins.
-    The trials are drawn in blocks of MC_BLOCK_TRIALS consecutive stream
-    positions (see sample_outcomes); each block adds to the per-bin hit
-    counts and overlap sums, so the hits do not depend on the block size.
+    Probabilities carry binomial standard errors (NaN with trials < 2).
+    Bin fidelity averages <T(v)|rho(v)|T(v)> / density over the bin's
+    samples (NaN if empty); fidelity_stderr is the mean's standard error
+    (NaN below two hits).  Trials come in blocks of MC_BLOCK_TRIALS stream
+    positions (see sample_outcomes); each adds to the per-bin hits, sums and
+    squared deviations, so the hits do not depend on the block size.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -158,28 +159,38 @@ def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
                 for cls in rule.classes]
     hits = [0] * len(rule.classes)
     sums = [0.0] * len(rule.classes)
+    squares = [0.0] * len(rule.classes)    # summed squared deviations
     for start in range(0, trials, MC_BLOCK_TRIALS):
         samples = sample_outcomes(state, rule.quadrature, trials, seed, start,
                                   min(start + MC_BLOCK_TRIALS, trials))
-        idx = rule.class_indices(samples)
         dens = outcome_density(state, rule.quadrature, samples)
-        for i, overlap in enumerate(overlaps):
-            mask = idx == i
-            count = int(np.count_nonzero(mask))
-            if count:
-                hits[i] += count
-                sums[i] += float(np.sum(overlap(samples[mask]) / dens[mask]))
+        # one stable sort: each bin's samples become a slice, in draw order
+        idx = rule.class_indices(samples)
+        order = np.argsort(idx, kind="stable")
+        samples, dens = samples[order], dens[order]
+        lo = 0
+        for i, hi in enumerate(np.cumsum(np.bincount(
+                idx, minlength=len(rule.classes))).tolist()):
+            if hi > lo:
+                ratio = overlaps[i](samples[lo:hi]) / dens[lo:hi]
+                n0, n1, total = hits[i], hi - lo, float(np.sum(ratio))
+                dev = ratio - total / n1
+                # Chan et al.'s pairwise update of the squared deviations
+                shift = total / n1 - sums[i] / n0 if n0 else 0.0
+                squares[i] += float(dev @ dev) + shift**2 * n0 * n1 / (n0 + n1)
+                hits[i], sums[i] = n0 + n1, sums[i] + total
+            lo = hi
     out = []
-    for cls, hit, total in zip(rule.classes, hits, sums):
+    for cls, hit, total, square in zip(rule.classes, hits, sums, squares):
         phat = hit / trials
-        if trials >= 2:
-            stderr = math.sqrt(phat * (1.0 - phat) / trials)
-        else:
-            stderr = math.nan
+        stderr = (math.sqrt(phat * (1.0 - phat) / trials) if trials >= 2
+                  else math.nan)
         fbar = total / hit if hit else math.nan
+        fse = math.sqrt(square / (hit - 1) / hit) if hit >= 2 else math.nan
         out.append(ClassResult(parity=cls.parity, target_name=cls.target_name,
                                success_prob=phat, fidelity=fbar,
-                               method="monte_carlo", mc_stderr=stderr))
+                               method="monte_carlo", mc_stderr=stderr,
+                               fidelity_stderr=fse))
     return out
 
 

@@ -19,6 +19,12 @@ state.  It shares only the cavity reflection, the quadrature mean, and the
 decision rule's per-weight target phase signs with the package.  Its zeta
 phase is the quoted polar form in a = |f| and theta = arg f (zeta_polar),
 not the package's (slope, offset) pair.
+
+The Monte Carlo scoring forms the package replaced are kept at the end:
+the bin overlap as the complex quadratic form w G w^dag, the outcome
+density as one broadcast expression, and the scoring loop with one boolean
+mask per bin and a searchsorted lookup.  They share the sampler, the
+sector state and the per-label zeta coefficients with the package.
 """
 
 import math
@@ -29,7 +35,8 @@ import numpy as np
 
 from hpsim.cavity import CavityParams, reflection_pair, solve_params_for_phase
 from hpsim.errors import OracleFailureError, SimulationError
-from hpsim.homodyne import quadrature_mean, resolve_scenario
+from hpsim.homodyne import (_zeta_coefficients, quadrature_mean,
+                            resolve_scenario, sample_outcomes)
 
 
 def erfc_series(x: float) -> float:
@@ -554,3 +561,70 @@ def target_at(rule, cls, v) -> TargetState:
     amps /= math.sqrt(np.count_nonzero(amps))
     return TargetState(cls.target_name, cls.n, amps,
                        needs_x_gate=cls.needs_x_gate)
+
+
+# --- replaced Monte Carlo scoring forms ---------------------------------------
+
+def complex_overlap_integrand(state, quadrature, cls):
+    """v -> <T(v)| rho~(v) |T(v)> of one bin as sum_kk' W_k G_kk' conj(W_k').
+
+    W_k(v) = pi^{-1/4} e^{-(v - m_k)^2 / 2} e^{i phi_k(v)} is built as a
+    complex array per outcome, with phi_k = zeta_k - s_k zeta_bin linear in
+    v.
+    """
+    ks = list(cls.weights)
+    fields = state.fields[ks]
+    coherence = state.coherence[np.ix_(ks, ks)] / cls.size
+    means = quadrature_mean(fields, quadrature)
+    slope, offset = (np.array(_zeta_coefficients(fields, quadrature))
+                     - np.outer(cls.zeta_coefficients, cls.phase_signs))
+
+    def overlap(v):
+        varr = np.asarray(v, dtype=float)[:, None]
+        envl = math.pi ** -0.25 * np.exp(-0.5 * (varr - means[None, :]) ** 2)
+        w = envl * np.exp(1j * (slope * varr + offset))
+        return ((w @ coherence) * w.conj()).real.sum(1)
+
+    return overlap
+
+
+def overlap_scale(state, quadrature, cls, v):
+    """sum_kk' |G_kk'| e_k(v) e_k'(v) / size, the size of the overlap's terms."""
+    ks = list(cls.weights)
+    means = quadrature_mean(state.fields[ks], quadrature)
+    envl = math.pi ** -0.25 * np.exp(
+        -0.5 * (np.asarray(v, dtype=float)[:, None] - means[None, :]) ** 2)
+    mags = np.abs(state.coherence[np.ix_(ks, ks)]) / cls.size
+    return np.einsum("bk,kl,bl->b", envl, mags, envl)
+
+
+def mixture_density(state, quadrature, v):
+    """sum_k p_k e^{-(v - m_k)^2} / sqrt(pi) as one broadcast expression."""
+    means = quadrature_mean(state.fields, quadrature)
+    varr = np.asarray(v, dtype=float)
+    return (state.probs @ np.exp(-(varr[None, :] - means[:, None]) ** 2)
+            / math.sqrt(math.pi))
+
+
+def monte_carlo_masks(state, rule, trials, seed):
+    """[(hits, mean, standard error of the mean)] of the overlap/density
+    ratios per bin, one boolean mask each.
+
+    All trials are drawn at once and classified with searchsorted (ties to
+    the upper bin); each bin's ratios are gathered through its mask, and
+    the standard error is numpy's two-pass standard deviation over them.
+    The mean is NaN for an empty bin, the standard error below two hits.
+    """
+    samples = sample_outcomes(state, rule.quadrature, trials, seed)
+    idx = np.searchsorted(np.asarray(rule.thresholds), samples, side="right")
+    dens = mixture_density(state, rule.quadrature, samples)
+    out = []
+    for i, cls in enumerate(rule.classes):
+        mask = idx == i
+        hits = int(np.count_nonzero(mask))
+        ratio = (complex_overlap_integrand(state, rule.quadrature, cls)(
+            samples[mask]) / dens[mask])
+        out.append((hits, float(np.sum(ratio)) / hits if hits else math.nan,
+                    float(np.std(ratio, ddof=1)) / math.sqrt(hits)
+                    if hits >= 2 else math.nan))
+    return out

@@ -76,6 +76,9 @@ def test_simulate_with_trials_adds_monte_carlo():
     assert len(mc) == 2
     assert all(c["method"] == "monte_carlo" for c in mc)
     assert all(c["mc_stderr"] > 0 for c in mc)
+    # the fidelity standard error stays in the library: the report keeps
+    # its key set
+    assert all(set(c) == set(report["classes"][0]) for c in mc)
 
 
 def test_simulate_usage_errors_exit_2():
@@ -285,6 +288,17 @@ def test_density_non_finite_inputs_exit_2():
     for args in cases:
         res = run_cli("density", "--scenario", "two_qubit", *args)
         assert res.returncode == 2, args
+
+
+def test_density_points_capped_exit_2():
+    # refused before any grid is built; 10^6 + 1 points would be 10^6 rows
+    for points in ("1", str(10**6 + 1)):
+        res = run_cli("density", "--scenario", "two_qubit", "--alpha", "1",
+                      "--points", points)
+        assert res.returncode == 2, points
+        assert res.stderr == ("hpsim: error: --points must lie in "
+                              "2..1000000\n"), res.stderr
+        assert res.stdout == ""
 
 
 def test_seed_out_of_range_exits_2():

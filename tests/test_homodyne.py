@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from hpsim.errors import DegenerateRuleError
-from hpsim.homodyne import (_zeta_coefficients, build_decision_rule,
+from hpsim.homodyne import (SCENARIOS, _zeta_coefficients,
+                            build_decision_rule,
                             class_overlap_integrand, density_cdf,
                             density_components, integration_window,
-                            outcome_density, quadrature_mean, sample_outcomes)
+                            outcome_density, quadrature_mean,
+                            resolve_scenario, sample_outcomes)
 from hpsim.metrics import prepare_state, run_scenario
 from oracles import (DegenerateOutcomeError, adaptive_simpson,
-                     conditional_atomic_state, dense_state, make_target,
+                     complex_overlap_integrand, conditional_atomic_state,
+                     dense_state, make_target, mixture_density, overlap_scale,
                      quadrature_wavefunction, target_at, zeta_polar)
 
 QPI = math.pi ** (-0.25)
@@ -367,3 +370,50 @@ def test_vectorized_class_lookup_matches_scalar():
         assert bisect_right(rule.thresholds, float(v)) == i
     for j, t in enumerate(rule.thresholds):           # tie -> upper interval
         assert rule.class_indices(np.array([t]))[0] == j + 1
+
+
+def test_class_indices_match_searchsorted():
+    rng = np.random.default_rng(41)
+    configs = [(name, None) for name, row in SCENARIOS.items()
+               if row[2] == row[3]] + [("n_qubit_P", n) for n in range(2, 21)]
+    for scenario, n in configs:
+        rule = build_decision_rule(scenario, 3.0, 0.9, n=n)
+        t = np.asarray(rule.thresholds)    # empty for n_qubit_P at n = 2
+        lo, hi = (t[0], t[-1]) if len(t) else (0.0, 0.0)
+        vs = np.concatenate([rng.uniform(lo - 3.0, hi + 3.0, 1000), t,
+                             np.nextafter(t, -np.inf), np.nextafter(t, np.inf)])
+        got = rule.class_indices(vs)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, np.searchsorted(t, vs, side="right"))
+        # NaN compares false with every threshold: the lowest class
+        assert rule.class_indices(np.array([np.nan]))[0] == 0
+
+
+def test_outcome_density_matches_broadcast_form():
+    for scenario, n in (("gsum_X", None), ("n_qubit_P", 6)):
+        st = prepare_state(scenario, 2.5, 0.8, 0.2, n)
+        axis = resolve_scenario(scenario, n)[2]
+        vs = np.linspace(*integration_window(st, axis), 2001)
+        assert np.array_equal(outcome_density(st, axis, vs),
+                              mixture_density(st, axis, vs))
+
+
+@pytest.mark.parametrize("scenario, n", [
+    ("two_qubit_X", None), ("three_qubit_P", None), ("gsum_X", None),
+    ("n_qubit_P", 5), ("n_qubit_P", 6), ("n_qubit_P", 12)])
+def test_real_overlap_matches_complex_form(scenario, n):
+    # n = 6 has three-weight bins; gsum and gamma > 0 give two-label phases
+    for alpha in (0.5, 3.0, 20.0):
+        for gamma in (0.0, 0.2, 0.5, 1e3):
+            st = prepare_state(scenario, alpha, 0.8, gamma, n)
+            rule = build_decision_rule(scenario, alpha, math.sqrt(0.8), n=n)
+            vs = np.linspace(*integration_window(st, rule.quadrature), 2001)
+            for cls in rule.classes:
+                got = class_overlap_integrand(st, rule.quadrature, cls)(vs)
+                want = complex_overlap_integrand(st, rule.quadrature, cls)(vs)
+                # relative to the terms' size; the floor covers the tails,
+                # where both forms fall to subnormal numbers
+                bound = (1e-12 * overlap_scale(st, rule.quadrature, cls, vs)
+                         + np.finfo(float).tiny)
+                assert np.all(np.abs(got - want) <= bound), (
+                    alpha, gamma, cls.target_name)

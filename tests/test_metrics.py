@@ -15,7 +15,7 @@ from hpsim.metrics import (QUAD_TOL, SWEEP_CSV_COLUMNS, ClassResult,
                            sweep, sweep_rows, write_sweep_csv)
 from hpsim.numerics import integrate_piecewise
 from oracles import (erfc_oracle, gauss_bin_mass, integrate_piecewise_recursive,
-                     mixture_bin_mass, w_state_success)
+                     mixture_bin_mass, monte_carlo_masks, w_state_success)
 
 ETA23 = math.sqrt(2 / 3)
 
@@ -236,6 +236,9 @@ def test_monte_carlo_two_qubit():
         assert est.method == "monte_carlo"
         assert abs(est.success_prob - quad.success_prob) <= 3 * est.mc_stderr
         assert abs(est.fidelity - quad.fidelity) < 0.01
+        assert 0 < est.fidelity_stderr < 1e-3
+        assert abs(est.fidelity - quad.fidelity) <= 5 * est.fidelity_stderr
+        assert quad.fidelity_stderr is None         # Monte Carlo only
 
 
 def test_monte_carlo_three_qubit_within_4_sigma():
@@ -249,6 +252,7 @@ def test_monte_carlo_single_trial_flagged():
     run = two_qubit_run(1.0, 1.0)
     mc = monte_carlo_estimate(run.state, run.rule, 1, seed=5)
     assert all(math.isnan(r.mc_stderr) for r in mc)
+    assert all(math.isnan(r.fidelity_stderr) for r in mc)
     with pytest.raises(ValueError):
         monte_carlo_estimate(run.state, run.rule, 0, seed=5)
 
@@ -281,6 +285,32 @@ def test_monte_carlo_does_not_depend_on_block_size(monkeypatch, scenario, alpha,
         assert np.isnan(small[1]).all()
     else:
         assert np.isnan(small[2]).any() == (n == 9)
+
+
+@pytest.mark.parametrize("scenario, alpha, eta_sq, gamma, n", [
+    ("two_qubit_X", 1.5, 0.9, 0.0, None),
+    ("three_qubit_P", 3.0, 0.6667, 0.2, None),
+    ("gsum_X", 1.7, 0.6667, 0.2, None),         # two-label bins
+    ("n_qubit_P", 2.0, 0.8, 0.5, 6),            # three-weight bins
+    ("n_qubit_P", 8.0, 1.0, 1.0, 9)])           # Dicke(9,7) stays empty
+def test_monte_carlo_matches_per_bin_mask_loop(monkeypatch, scenario, alpha,
+                                               eta_sq, gamma, n):
+    # One stable sort scores the same samples in the same order as one
+    # boolean mask per bin with searchsorted classification, and the
+    # fidelity standard error merged block by block matches numpy's over
+    # all of a bin's ratios at once.
+    trials = 3000
+    run = run_scenario(scenario, alpha, eta_sq, gamma=gamma, n=n)
+    hits, fids, errs = zip(*monte_carlo_masks(run.state, run.rule, trials, 5))
+    for block in (7, metrics.MC_BLOCK_TRIALS):
+        monkeypatch.setattr(metrics, "MC_BLOCK_TRIALS", block)
+        got = monte_carlo_estimate(run.state, run.rule, trials, 5)
+        assert [round(r.success_prob * trials) for r in got] == list(hits)
+        np.testing.assert_allclose([r.fidelity for r in got], fids,
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose([r.fidelity_stderr for r in got], errs,
+                                   rtol=1e-9, atol=1e-15)
+    assert (0 in hits) == (n == 9)
 
 
 def test_monte_carlo_memory_does_not_grow_with_trials():

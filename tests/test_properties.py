@@ -62,3 +62,22 @@ def test_monte_carlo_hits_agree_with_closed_form(config, seed):
             hits = res.success_prob * MC_TRIALS
             assert abs(hits - MC_TRIALS * p) <= 5.0 * math.sqrt(var), (
                 res.target_name, hits, MC_TRIALS * p)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(configurations(), st.integers(0, 2**64 - 1))
+def test_monte_carlo_fidelity_within_its_standard_error(config, seed):
+    # The MC fidelity is the mean of ratios r in [0, 1] over a bin's hits h.
+    # A normal bound holds where h >= 100 and, as for the hit counts, the
+    # Bernoulli variance h F (1 - F) is at least 25: where 1 - F comes from
+    # outcomes that h draws rarely reach (a neighbour's far tail), the
+    # sample misses them and its standard error cannot see them.
+    scenario, n, alpha, eta_sq, gamma = config
+    run = run_scenario(scenario, alpha, eta_sq, gamma=gamma, n=n,
+                       trials=MC_TRIALS, seed=seed)
+    for quad, mc in zip(run.results, run.mc_results):
+        hits = mc.success_prob * MC_TRIALS
+        if hits >= 100 and hits * quad.fidelity * (1.0 - quad.fidelity) >= 25:
+            assert abs(mc.fidelity - quad.fidelity) <= (
+                5.0 * mc.fidelity_stderr + 1e-8), (
+                mc.target_name, mc.fidelity, quad.fidelity, mc.fidelity_stderr)
