@@ -9,12 +9,13 @@ joint state per weight sector (hybrid_state.SectorState: n + 1 labels and an
 the nodes), evaluates bin probabilities and fidelities in closed form and by
 adaptive quadrature, and cross-checks them by seeded Monte Carlo sampling.
 
-Quadrature is adaptive Simpson refined level by level
-(numerics.integrate_piecewise), with integrands that take arrays of
-outcomes.  It is not yet replaced by closed forms (erfc for the bin
-probabilities, the Faddeeva function w(z) from the same Weideman formula
-for the fidelity numerators) because the benchmark's stored reference
-outputs carry Simpson's own error, up to 1.4e-9, beyond their 1e-9 gate
+Quadrature is adaptive Simpson refining a batch of integrals level by
+level (numerics.integrate_piecewise: all bin probabilities of a state, then
+all its fidelity numerators), one array call per integrand per level.  It
+is not yet replaced by closed forms (erfc for the bin probabilities, the
+Faddeeva function w(z) from the same Weideman formula for the fidelity
+numerators) because the benchmark's stored reference outputs carry
+Simpson's own error, up to 1.4e-9, beyond their 1e-9 gate
 (notes/decisions.md).  Independent cross-check routes, the dense 2^n
 branch state among them, live in tests/oracles.py.
 

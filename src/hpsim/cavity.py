@@ -38,6 +38,10 @@ from .errors import OracleFailureError, SingularParametersError
 # |denominator| below this times kappa^2 counts as singular (double headroom)
 SINGULAR_TOL = 1e-12
 
+# Largest n of the phase solver: up to 2^53 n is a double, so pi / n is n's
+# own phase and g^2 ~ 2 n^2 / pi^2 < 2e31 (g^2 overflows near n = 3e154).
+MAX_PHASE_N = 2**53
+
 
 @dataclass(frozen=True)
 class CavityParams:
@@ -113,8 +117,8 @@ def solve_params_for_phase(n: int) -> CavityParams:
     g^2 = 2*delta^2.  The closed form is re-verified against
     reflection_coefficient before returning.
     """
-    if n < 2:
-        raise ValueError(f"phase solver needs n >= 2, got {n}")
+    if not 2 <= n <= MAX_PHASE_N:
+        raise ValueError(f"phase solver needs n in 2..2^53, got {n}")
     cot = 1.0 / math.tan(math.pi / (2 * n))
     delta = 0.5 * cot
     g = cot / math.sqrt(2.0)

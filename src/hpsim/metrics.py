@@ -34,6 +34,7 @@ from .hybrid_state import SectorState, sector_state
 from .numerics import erfc, integrate_piecewise
 
 QUAD_TOL = 1e-9
+EMPTY_BIN_P = 1e-12      # a bin below this probability has no fidelity
 
 GAMMA_MODEL_NOTE = (
     "gamma > 0 curves use a reconstructed steady-state reflection model with "
@@ -62,23 +63,34 @@ class SweepPoint:
     results: tuple
 
 
-def _bin_breakpoints(state: SectorState, quadrature, cls) -> list:
-    """The bin cut to the integration window and split at the branch means
-    inside it; [] when the bin lies outside the window."""
-    wlo, whi = integration_window(state, quadrature)
-    lo, hi = max(cls.lo, wlo), min(cls.hi, whi)
-    if hi <= lo:
-        return []
-    means = quadrature_mean(state.fields, quadrature)
-    return [lo] + sorted({float(m) for m in means if lo < m < hi}) + [hi]
+def _bin_breakpoints(state: SectorState, rule: DecisionRule) -> list:
+    """Per bin: the bin cut to the integration window and split at the
+    branch means inside it; [] for a bin outside the window."""
+    wlo, whi = integration_window(state, rule.quadrature)
+    means = sorted({float(m) for m in quadrature_mean(state.fields,
+                                                      rule.quadrature)})
+    cuts = [(max(cls.lo, wlo), min(cls.hi, whi)) for cls in rule.classes]
+    return [[lo, *(m for m in means if lo < m < hi), hi] if lo < hi else []
+            for lo, hi in cuts]
+
+
+def _probabilities(state: SectorState, rule: DecisionRule, pts) -> list:
+    """One batch: the outcome density over each breakpoint list of pts."""
+    density = lambda v: outcome_density(state, rule.quadrature, v)
+    return integrate_piecewise([(density, p) for p in pts], QUAD_TOL)
+
+
+def _numerators(state: SectorState, rule: DecisionRule, indices, pts) -> list:
+    """One batch: each listed bin's overlap integrand over its breakpoints."""
+    return integrate_piecewise([(class_overlap_integrand(
+        state, rule.quadrature, rule.classes[i]), pts[i]) for i in indices],
+        QUAD_TOL)
 
 
 def success_probability(state: SectorState, rule: DecisionRule,
                         index: int) -> float:
     """Outcome density integrated over one bin (adaptive Simpson, tol 1e-9)."""
-    pts = _bin_breakpoints(state, rule.quadrature, rule.classes[index])
-    return integrate_piecewise(
-        lambda v: outcome_density(state, rule.quadrature, v), pts, QUAD_TOL)
+    return _probabilities(state, rule, [_bin_breakpoints(state, rule)[index]])[0]
 
 
 def interval_probability(state: SectorState, quadrature, lo, hi) -> float:
@@ -92,27 +104,28 @@ def fidelity(state: SectorState, rule: DecisionRule, index: int,
              success_prob: float) -> float:
     """Average fidelity of the bin's conditional state with its target.
 
-    NaN when `success_prob`, the bin's probability, is below 1e-12: an
-    empty bin has no conditional state (Monte Carlo reports it the same way).
+    NaN when `success_prob`, the bin's probability, is below EMPTY_BIN_P:
+    an empty bin has no conditional state (Monte Carlo reports it alike).
     """
-    if success_prob < 1e-12:
+    if success_prob < EMPTY_BIN_P:
         return math.nan
-    cls = rule.classes[index]
-    num = integrate_piecewise(class_overlap_integrand(state, rule.quadrature, cls),
-                              _bin_breakpoints(state, rule.quadrature, cls),
-                              QUAD_TOL)
-    return num / success_prob
+    return _numerators(state, rule, [index],
+                       _bin_breakpoints(state, rule))[0] / success_prob
 
 
 def evaluate_classes(state: SectorState, rule: DecisionRule) -> list:
-    """Quadrature ClassResult for every bin of the rule."""
-    out = []
-    for i, cls in enumerate(rule.classes):
-        ps = success_probability(state, rule, i)
-        f = fidelity(state, rule, i, success_prob=ps)
-        out.append(ClassResult(parity=cls.parity, target_name=cls.target_name,
-                               success_prob=ps, fidelity=f, method="quadrature"))
-    return out
+    """Quadrature ClassResult for every bin of the rule, in two batched
+    integrations: every bin's probability, then the fidelity numerators of
+    the bins that are not empty."""
+    pts = _bin_breakpoints(state, rule)
+    probs = _probabilities(state, rule, pts)
+    full = [i for i, ps in enumerate(probs) if ps >= EMPTY_BIN_P]
+    nums = dict(zip(full, _numerators(state, rule, full, pts)))
+    return [ClassResult(parity=cls.parity, target_name=cls.target_name,
+                        success_prob=ps,
+                        fidelity=nums[i] / ps if i in nums else math.nan,
+                        method="quadrature")
+            for i, (cls, ps) in enumerate(zip(rule.classes, probs))]
 
 
 # --- closed forms --------------------------------------------------------------

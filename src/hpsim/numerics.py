@@ -79,58 +79,78 @@ def erfc(x):
 _MAX_DEPTH = 48        # refinement levels below each initial segment
 
 
-def integrate_piecewise(f, breakpoints, tol=1e-9):
-    """Integrate f over consecutive [b_i, b_i+1] segments, sharing the tolerance.
+def integrate_piecewise(integrals, tol=1e-9):
+    """Integrate each (f, breakpoints) pair of a batch by adaptive Simpson.
 
-    Adaptive Simpson: each segment gets tol / (number of segments); a
-    panel is accepted when its two half-panel estimates differ from the
+    An integral's segments [b_i, b_i+1] get tol / (its segment count) each.
+    A panel is accepted when its two half-panel estimates differ from the
     whole by |delta| <= 15 tol (or at depth _MAX_DEPTH) and contributes the
-    Richardson-extrapolated sum, otherwise both halves are refined with
-    half the tolerance.  The refinement runs level by level: f receives
-    every pending point of one level as a single 1-D array and must return
-    an array of the same shape.  Splitting at known structure points (peak
-    centers, thresholds) keeps the refinement cheap on multi-peak
-    integrands.  Raises SimulationError at the first non-finite value of f.
+    Richardson-extrapolated sum; otherwise both halves are refined with
+    half the tolerance.  The batch is refined level by level (the level is
+    every panel's depth): each distinct f gets all pending points of its
+    integrals on a level as one 1-D array and returns an array of that
+    shape.  A panel's decision reads only its own five points, so an
+    integral accepts the same panels in a batch as alone.  Splitting at
+    structure points (peak centers, thresholds) keeps multi-peak integrands
+    cheap.  Returns the math.fsum of each integral's accepted panels (0.0
+    for none); SimulationError at the first non-finite value.
     """
-    pts = sorted(breakpoints)
-    a = np.array(pts[:-1], dtype=float)
-    b = np.array(pts[1:], dtype=float)
-    tol = tol / max(1, len(a))
-    a, b = a[a != b], b[a != b]
-    if not a.size:
-        return 0.0
-    fa, fm, fb = np.split(_evaluate(f, np.concatenate([a, 0.5 * (a + b), b])), 3)
+    integrals = list(integrals)
+    fs = {}                     # id -> (index, f) of each distinct callable
+    panels = []                 # (a, b, tol, owner integral, callable index)
+    for i, (f, breakpoints) in enumerate(integrals):
+        pts = sorted(breakpoints)
+        k = fs.setdefault(id(f), (len(fs), f))[0]
+        panels += [(lo, hi, tol / max(1, len(pts) - 1), i, k)
+                   for lo, hi in zip(pts[:-1], pts[1:]) if lo != hi]
+    if not panels:
+        return [0.0] * len(integrals)
+    fs = [f for _, f in fs.values()]
+    a, b, tol, owner, which = np.array(panels, dtype=float).T
+    fa, fm, fb = _evaluate(fs, which, np.concatenate(
+        [a, 0.5 * (a + b), b])).reshape(3, -1)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    accepted = []
+    # one column per open panel; the two indices ride along as exact floats
+    frontier = np.array([a, b, fa, fm, fb, whole, tol, owner, which])
+    values, owners = [], []
     for depth in range(_MAX_DEPTH, -1, -1):
+        a, b, fa, fm, fb, whole, tol, owner, which = frontier
         m = 0.5 * (a + b)
-        flm, frm = np.split(
-            _evaluate(f, np.concatenate([0.5 * (a + m), 0.5 * (m + b)])), 2)
+        flm, frm = _evaluate(fs, which, np.concatenate(
+            [0.5 * (a + m), 0.5 * (m + b)])).reshape(2, -1)
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
         done = (np.abs(delta) <= 15.0 * tol) | (depth == 0)
         # Richardson extrapolation of the two half-panel estimates
-        accepted.append((left + right + delta / 15.0)[done])
+        values.append((left + right + delta / 15.0)[done])
+        owners.append(owner[done])
         go = ~done
         if not go.any():
             break
-        a, b = np.concatenate([a[go], m[go]]), np.concatenate([m[go], b[go]])
-        fa, fm, fb = (np.concatenate([fa[go], fm[go]]),
-                      np.concatenate([flm[go], frm[go]]),
-                      np.concatenate([fm[go], fb[go]]))
-        whole = np.concatenate([left[go], right[go]])
-        tol *= 0.5
-    return math.fsum(np.concatenate(accepted))
+        tol = 0.5 * tol         # both halves of each open panel, left first
+        frontier = np.concatenate(
+            [np.array([a, m, fa, flm, fm, left, tol, owner, which])[:, go],
+             np.array([m, b, fm, frm, fb, right, tol, owner, which])[:, go]],
+            axis=1)
+    values, owners = np.concatenate(values), np.concatenate(owners)
+    return [math.fsum(values[owners == i]) for i in range(len(integrals))]
 
 
-def _evaluate(f, v):
-    """f(v) as floats; SimulationError at the first non-finite value."""
+def _evaluate(fs, which, v):
+    """fs[k] on the points of v (blocks of len(which), one point per panel)
+    whose panel has which == k; SimulationError at a non-finite value."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.asarray(f(v), dtype=float)
-    if not np.isfinite(out).all():
-        bad = v[~np.isfinite(out)][0]
-        raise SimulationError(f"non-finite integrand value at v={float(bad)!r}")
+        out = np.empty_like(v)
+        which = np.concatenate([which] * (v.size // which.size))
+        for k, f in enumerate(fs):
+            mine = which == k
+            if mine.any():
+                out[mine] = f(v[mine])
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise SimulationError(
+            f"non-finite integrand value at v={float(v[bad][0])!r}")
     return out
 
 

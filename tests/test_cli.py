@@ -40,6 +40,13 @@ def test_solve_params_three_nodes():
 def test_solve_params_invalid_n_exits_2():
     res = run_cli("solve-params", "--n", "1")
     assert res.returncode == 2
+    # above 2^53 (10^400 overflowed a float with a traceback): one line
+    for n in (2**53 + 1, 10**400):
+        res = run_cli("solve-params", "--n", str(n))
+        assert res.returncode == 2, n
+        assert res.stderr == "hpsim: error: phase solver needs n in 2..2^53, " \
+            f"got {n}\n"
+    assert run_cli("solve-params", "--n", str(2**53)).returncode == 0
 
 
 def test_simulate_two_qubit_report():

@@ -55,17 +55,43 @@ def test_level_by_level_integration_matches_recursive_oracle(scenario, n):
             state = prepare_state(scenario, alpha, 2 / 3, gamma, n)
             rule = build_decision_rule(scenario, alpha, ETA23, n=n)
             density = lambda v: outcome_density(state, rule.quadrature, v)
-            for cls in rule.classes:
-                pts = _bin_breakpoints(state, rule.quadrature, cls)
+            for cls, pts in zip(rule.classes, _bin_breakpoints(state, rule)):
                 overlap = class_overlap_integrand(state, rule.quadrature, cls)
                 for f in (density, overlap):
                     level = _Counted(f)
                     single = _Counted(lambda v: float(f(np.array([v]))[0]))
-                    got = integrate_piecewise(level, pts, QUAD_TOL)
+                    got, = integrate_piecewise([(level, pts)], QUAD_TOL)
                     want = integrate_piecewise_recursive(single, pts, QUAD_TOL)
                     where = (alpha, gamma, cls.target_name)
                     assert abs(got - want) <= 1e-13, where
                     assert level.points == single.points, where
+
+
+@pytest.mark.parametrize("scenario, n, empty", [
+    ("two_qubit_X", None, None), ("three_qubit_P", None, None),
+    ("gsum_X", None, None), ("n_qubit_P", 2, None),
+    ("n_qubit_P", 5, "Dicke(5,4)"), ("n_qubit_P", 6, None),
+    ("n_qubit_P", 13, "Dicke(13,10)"), ("n_qubit_P", 20, "Dicke(20,15)")])
+def test_evaluate_classes_matches_per_bin_integrals(scenario, n, empty):
+    # the two batched passes (every bin's P, then every non-empty bin's
+    # numerator) give each bin's own success_probability and fidelity; at
+    # alpha = 100, gamma = 0.2 the bin `empty` has P < 1e-12 and F = NaN
+    undefined = set()
+    for alpha in (1.5, 3.0, 100.0):
+        for gamma in (0.0, 0.2):
+            state = prepare_state(scenario, alpha, 0.6667, gamma, n)
+            rule = build_decision_rule(scenario, alpha, math.sqrt(0.6667), n=n)
+            for i, res in enumerate(metrics.evaluate_classes(state, rule)):
+                where = (alpha, gamma, res.target_name)
+                ps = success_probability(state, rule, i)
+                f = fidelity(state, rule, i, success_prob=ps)
+                assert abs(res.success_prob - ps) <= 1e-14, where
+                if math.isnan(f):
+                    assert ps < 1e-12 and math.isnan(res.fidelity), where
+                    undefined.add(where)
+                else:
+                    assert abs(res.fidelity - f) <= 1e-14, where
+    assert undefined == ({(100.0, 0.2, empty)} if empty else set())
 
 
 # --- success probability ---------------------------------------------------------

@@ -7,7 +7,8 @@ from hpsim import numerics
 from hpsim.errors import SimulationError
 from hpsim.numerics import (erfc, integrate_piecewise, philox_stream,
                             standard_normals)
-from oracles import adaptive_simpson, erfc_oracle, weideman_coefficients
+from oracles import (adaptive_simpson, erfc_oracle, integrate_piecewise_recursive,
+                     weideman_coefficients)
 
 
 def test_erfc_against_dual_method_oracle():
@@ -78,7 +79,7 @@ def test_adaptive_simpson_empty_interval():
 def test_integrate_piecewise_matches_single_interval():
     f = lambda v: np.exp(-(v - 0.5) ** 2)
     whole = adaptive_simpson(f, -6.0, 6.0, 1e-10)
-    split = integrate_piecewise(f, [-6.0, -1.0, 0.5, 6.0], 1e-10)
+    split, = integrate_piecewise([(f, [-6.0, -1.0, 0.5, 6.0])], 1e-10)
     assert abs(whole - split) < 1e-9
 
 
@@ -92,8 +93,99 @@ def test_integrate_piecewise_stops_at_first_non_finite_value():
             return np.where((v > 0.6) & (v < 0.65), bad, np.exp(-v * v))
 
         with pytest.raises(SimulationError, match="non-finite integrand"):
-            integrate_piecewise(f, [0.0, 1.0])
+            integrate_piecewise([(f, [0.0, 1.0])])
         assert sizes == [3, 2, 4]
+
+
+class _Counted:
+    """Integrand wrapper that counts its calls and the points it is asked for."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+        self.points = 0
+
+    def __call__(self, v):
+        self.calls += 1
+        self.points += np.size(v)
+        return self.f(v)
+
+
+_GAUSS = lambda v: np.exp(-(v - 0.3) ** 2)
+_LORENTZ = lambda v: 1.0 / (1.0 + 4.0 * v * v)
+_WAVE = lambda v: np.cos(3.0 * v) * np.exp(-0.25 * v * v)
+
+
+def test_batched_integrals_equal_each_integral_alone():
+    # elementwise integrands: bitwise equal values and equal point counts,
+    # with one callable shared by two integrals of the batch
+    jobs = [(_GAUSS, [-6.0, 0.3, 6.0]), (_LORENTZ, [-3.0, -1.0, 0.0, 2.0]),
+            (_GAUSS, [0.0, 1.5]), (_WAVE, [-8.0, 8.0])]
+    alone = []
+    for f, pts in jobs:
+        counted = _Counted(f)
+        alone.append((integrate_piecewise([(counted, pts)], 1e-10)[0],
+                      counted.points))
+    counted = {id(f): _Counted(f) for f, _ in jobs}
+    got = integrate_piecewise([(counted[id(f)], pts) for f, pts in jobs], 1e-10)
+    assert got == [value for value, _ in alone]
+    assert counted[id(_GAUSS)].points == alone[0][1] + alone[2][1]
+    assert counted[id(_LORENTZ)].points == alone[1][1]
+    assert counted[id(_WAVE)].points == alone[3][1]
+
+
+def test_batch_with_empty_breakpoint_lists():
+    alone = _Counted(_GAUSS)
+    want, = integrate_piecewise([(alone, [0.0, 1.0])])
+    f = _Counted(_GAUSS)
+    assert integrate_piecewise([(f, []), (f, [1.0]), (f, [2.0, 2.0]),
+                                (f, [0.0, 1.0])]) == [0.0, 0.0, 0.0, want]
+    assert (f.calls, f.points) == (alone.calls, alone.points)
+    assert integrate_piecewise([(f, []), (f, [3.0])]) == [0.0, 0.0]
+    assert integrate_piecewise([]) == []
+    assert f.calls == alone.calls          # nothing to integrate: no call
+
+
+def test_batched_integrals_keep_their_own_tolerance():
+    # tol is split over each integral's own segments: one segment gets tol,
+    # each of four gets tol / 4, as in the recursive oracle
+    one, four = [-4.0, 4.0], [-4.0, -1.0, 0.3, 2.0, 4.0]
+    tol = 1e-7
+    f1, f4 = _Counted(_GAUSS), _Counted(_GAUSS)
+    got = integrate_piecewise([(f1, one), (f4, four)], tol)
+    for pts, counted, value in ((one, f1, got[0]), (four, f4, got[1])):
+        scalar = _Counted(lambda v: float(_GAUSS(np.array([v]))[0]))
+        want = integrate_piecewise_recursive(scalar, pts, tol)
+        assert abs(value - want) <= 1e-13
+        assert counted.points == scalar.points
+    # the split matters: four segments at tol each would stop sooner
+    loose = _Counted(lambda v: float(_GAUSS(np.array([v]))[0]))
+    integrate_piecewise_recursive(loose, four, 4 * tol)
+    assert loose.points < f4.points
+
+
+def test_shared_callable_costs_one_call_per_level():
+    calls = []
+    for pts in ([-6.0, 6.0], [0.0, 0.1]):
+        f = _Counted(_WAVE)
+        integrate_piecewise([(f, pts)])
+        calls.append(f.calls)
+    assert calls[0] != calls[1]
+    shared, other = _Counted(_WAVE), _Counted(_LORENTZ)
+    integrate_piecewise([(shared, [-6.0, 6.0]), (other, [0.0, 1.0]),
+                         (shared, [0.0, 0.1])])
+    assert shared.calls == max(calls)
+    lone = _Counted(_LORENTZ)
+    integrate_piecewise([(lone, [0.0, 1.0])])
+    assert other.calls == lone.calls
+
+
+def test_non_finite_value_in_one_integral_of_a_batch():
+    nan_near_2 = lambda v: np.where(np.abs(v - 2.5) < 0.01, np.nan, _GAUSS(v))
+    with pytest.raises(SimulationError, match=r"v=2\.5"):
+        integrate_piecewise([(_GAUSS, [0.0, 1.0]), (nan_near_2, [2.0, 3.0])])
+    with pytest.raises(SimulationError, match=r"v=2\.5"):
+        integrate_piecewise([(nan_near_2, [0.0, 1.0]), (nan_near_2, [2.0, 3.0])])
 
 
 def test_philox_stream_is_deterministic():
