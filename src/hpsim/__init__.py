@@ -28,8 +28,8 @@ __version__ = "0.1.0"
 
 from .cavity import (CavityParams, ReflectionPair, reflection_coefficient,
                      reflection_pair, solve_params_for_phase)
-from .errors import (DegenerateRuleError, OracleFailureError,
-                     SimulationError, SingularParametersError)
+from .errors import (DegenerateRuleError, SimulationError,
+                     SingularParametersError)
 from .homodyne import (SCENARIOS, DecisionRule, OutcomeClass,
                        build_decision_rule, outcome_density, resolve_scenario,
                        sample_outcomes)

@@ -204,7 +204,7 @@ def cmd_sweep(args) -> int:
         raise UsageError("--gamma values must be non-negative")
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
-    points = sweep(scenario, nbars, gammas, args.eta_sq, n=n, jobs=args.jobs)
+    points = sweep(scenario, nbars, gammas, args.eta_sq, n=n)
     import io
     buf = io.StringIO()
     write_sweep_csv(points, buf)
@@ -283,7 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list or start:stop:step range of <n> = alpha^2")
     sw.add_argument("--gamma", default="0",
                     help="comma list of gamma/kappa values")
-    sw.add_argument("--jobs", type=int, default=1)
+    sw.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility (at least 1); sweeps "
+                         "run in one process")
     sw.set_defaults(func=cmd_sweep)
 
     dn = sub.add_parser("density", parents=[common],

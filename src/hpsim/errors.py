@@ -2,9 +2,11 @@
 
 Everything derived from SimulationError is a *numerical* failure (the inputs
 were legal but the computation could not produce a value); the CLI maps these
-to exit code 3.  ValueError, DegenerateRuleError included, is a contract
-violation on the inputs themselves (exit code 2 at the CLI).  A bin whose
-success probability vanishes is not an error: its fidelity is NaN.
+to exit code 3.  The package raises it for a singular cavity denominator
+(SingularParametersError) and for a non-finite sector state or integrand.
+ValueError, DegenerateRuleError included, is a contract violation on the
+inputs themselves (exit code 2 at the CLI).  A bin whose success probability
+vanishes is not an error: its fidelity is NaN.
 """
 
 
@@ -14,10 +16,6 @@ class SimulationError(Exception):
 
 class SingularParametersError(SimulationError):
     """Cavity parameters drive the reflection denominator (numerically) to zero."""
-
-
-class OracleFailureError(SimulationError):
-    """A self-check or reference solver could not produce a consistent value."""
 
 
 class DegenerateRuleError(ValueError):

@@ -18,8 +18,6 @@ every report; it is a model choice, not a calibrated device curve.
 """
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +95,7 @@ def interval_probability(state: SectorState, quadrature, lo, hi) -> float:
     """Closed-form bin mass through erfc (dual route to success_probability)."""
     hi_cdf = 1.0 if hi == math.inf else density_cdf(state, quadrature, hi)
     lo_cdf = 0.0 if lo == -math.inf else density_cdf(state, quadrature, lo)
-    return hi_cdf - lo_cdf
+    return float(hi_cdf - lo_cdf)
 
 
 def fidelity(state: SectorState, rule: DecisionRule, index: int,
@@ -255,36 +253,30 @@ def run_scenario(scenario: str, alpha: float, eta_sq: float,
 
 # --- parameter sweeps --------------------------------------------------------------
 
-def _sweep_point(args) -> SweepPoint:
-    scenario, nbar, gamma, eta_sq, n = args
-    alpha = math.sqrt(nbar)
-    try:
-        results = run_scenario(scenario, alpha, eta_sq, gamma=gamma, n=n).results
-    except DegenerateRuleError:
-        results = ()            # the pulse resolves no bins: the point has no rows
-    return SweepPoint(scenario=scenario, mean_photon_number=nbar, alpha=alpha,
-                      gamma_over_kappa=gamma, eta_sq=eta_sq, results=results)
-
-
 def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float,
-          n=None, jobs: int = 1) -> list:
+          n=None) -> list:
     """Quadrature results over a (mean photon number) x (gamma) grid.
 
-    Points are independent work items; with jobs > 1 they are evaluated in
-    a process pool of at most min(jobs, points, CPUs) workers and merged by
-    index, so the output order (and content) does not depend on the job
-    count.
+    Points run in order in this process, gamma fastest.  A point whose
+    pulse resolves no bins (DegenerateRuleError) has no rows.
     """
-    nbars = list(mean_photon_numbers)
+    nbars = [float(nbar) for nbar in mean_photon_numbers]
     if not nbars:
         raise ValueError("mean photon number range is empty")
-    configs = [(scenario, float(nbar), float(g), float(eta_sq), n)
-               for nbar in nbars for g in gammas]
-    workers = min(jobs, len(configs), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_point, configs))
-    return [_sweep_point(c) for c in configs]
+    eta_sq = float(eta_sq)
+    points = []
+    for nbar in nbars:
+        alpha = math.sqrt(nbar)
+        for gamma in map(float, gammas):
+            try:
+                results = run_scenario(scenario, alpha, eta_sq, gamma=gamma,
+                                       n=n).results
+            except DegenerateRuleError:
+                results = ()
+            points.append(SweepPoint(
+                scenario=scenario, mean_photon_number=nbar, alpha=alpha,
+                gamma_over_kappa=gamma, eta_sq=eta_sq, results=results))
+    return points
 
 
 SWEEP_CSV_COLUMNS = ("scenario", "mean_photon_number", "alpha",

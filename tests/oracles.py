@@ -34,9 +34,13 @@ from itertools import combinations
 import numpy as np
 
 from hpsim.cavity import CavityParams, reflection_pair, solve_params_for_phase
-from hpsim.errors import OracleFailureError, SimulationError
+from hpsim.errors import SimulationError
 from hpsim.homodyne import (_zeta_coefficients, quadrature_mean,
                             resolve_scenario, sample_outcomes)
+
+
+class OracleFailureError(SimulationError):
+    """A reference solver could not produce a consistent value."""
 
 
 def erfc_series(x: float) -> float:

@@ -95,7 +95,7 @@ def test_rk4_relaxation_triangulates_oracle():
             assert abs(slow - fast) < 1e-6
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", [*range(2, 21), 10**3, 10**6, 2**53])
 def test_phase_solver_hits_target(n):
     params = solve_params_for_phase(n)
     pair = reflection_pair(params)

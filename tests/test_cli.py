@@ -193,8 +193,28 @@ def test_sweep_csv_and_determinism():
     assert len(lines) == 1 + 3 * 2 * 2 + 1
     b = run_cli(*args)
     assert a.stdout == b.stdout
-    par = run_cli(*args, "--jobs", "2")
-    assert par.stdout == a.stdout
+    for jobs in ("2", "8"):
+        assert run_cli(*args, "--jobs", jobs).stdout == a.stdout, jobs
+
+
+def test_sweep_jobs_below_one_exits_2():
+    for jobs in ("0", "-3"):
+        res = run_cli("sweep", "--scenario", "two_qubit", "--nbar", "1",
+                      "--jobs", jobs)
+        assert res.returncode == 2, jobs
+        assert res.stderr == "hpsim: error: --jobs must be at least 1\n", jobs
+
+
+def test_cli_import_starts_no_process_machinery():
+    # sweeps run in one process, so the CLI must not pay for a pool's imports
+    code = ("import sys, hpsim.cli; print(sorted(m for m in sys.modules if "
+            "m.startswith(('concurrent.futures', 'multiprocessing'))))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 def test_sweep_empty_range_exits_2():
