@@ -10,8 +10,9 @@ the nodes), evaluates bin probabilities and fidelities in closed form and by
 adaptive quadrature, and cross-checks them by seeded Monte Carlo sampling.
 
 Quadrature is adaptive Simpson refining a batch of integrals level by
-level (numerics.integrate_piecewise: all bin probabilities of a state, then
-all its fidelity numerators), one array call per integrand per level.  It
+level (numerics.integrate_piecewise, called once per state by
+metrics.evaluate_classes: every bin's probability and every bin's fidelity
+numerator), one array call per integrand per level.  It
 is not yet replaced by closed forms (erfc for the bin probabilities, the
 Faddeeva function w(z) from the same Weideman formula for the fidelity
 numerators) because the benchmark's stored reference outputs carry
@@ -35,8 +36,8 @@ from .homodyne import (SCENARIOS, DecisionRule, OutcomeClass,
                        sample_outcomes)
 from .hybrid_state import SectorState, sector_state
 from .metrics import (ClassResult, ScenarioRun, SweepPoint,
-                      closed_form_two_qubit, fidelity, monte_carlo_estimate,
-                      run_scenario, success_probability, sweep, write_sweep_csv)
+                      closed_form_two_qubit, monte_carlo_estimate,
+                      run_scenario, sweep, write_sweep_csv)
 from .numerics import erfc
 
 __all__ = [name for name in dir() if not name.startswith("_")]

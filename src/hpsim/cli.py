@@ -64,6 +64,11 @@ def _resolve_alpha(args):
     if args.alpha is not None:
         if not (math.isfinite(args.alpha) and args.alpha >= 0):
             raise UsageError("--alpha must be finite and non-negative")
+        # the --nbar range: alpha**2 itself raises OverflowError above it
+        bound = math.sqrt(sys.float_info.max)
+        if args.alpha > bound:
+            raise UsageError(f"--alpha must be at most {bound!r}, where the "
+                             "mean photon number alpha^2 stops being finite")
         return float(args.alpha)
     if args.nbar is not None:
         if not (math.isfinite(args.nbar) and args.nbar >= 0):
@@ -233,8 +238,12 @@ def cmd_density(args) -> int:
     classes = rule.classes if rule is not None else ()
     lo, hi = integration_window(state, quadrature)
     grid = np.linspace(lo, hi, args.points)
-    total = outcome_density(state, quadrature, grid)
-    comps = density_components(state, rule, grid) if rule is not None else []
+    # near the alpha bound (v - mean)^2 overflows far from a peak, to a
+    # Gaussian of exactly 0
+    with np.errstate(over="ignore"):
+        total = outcome_density(state, quadrature, grid)
+        comps = ([] if rule is None
+                 else density_components(state, rule, grid))
 
     import csv
     import io

@@ -46,7 +46,7 @@ class ClassResult:
     target_name: str
     success_prob: float
     fidelity: float
-    method: str                     # closed_form | quadrature | monte_carlo
+    method: str                     # quadrature | monte_carlo
     mc_stderr: float = None         # binomial stderr of success_prob (MC)
     fidelity_stderr: float = None   # standard error of the MC fidelity mean
 
@@ -72,58 +72,33 @@ def _bin_breakpoints(state: SectorState, rule: DecisionRule) -> list:
             for lo, hi in cuts]
 
 
-def _probabilities(state: SectorState, rule: DecisionRule, pts) -> list:
-    """One batch: the outcome density over each breakpoint list of pts."""
-    density = lambda v: outcome_density(state, rule.quadrature, v)
-    return integrate_piecewise([(density, p) for p in pts], QUAD_TOL)
-
-
-def _numerators(state: SectorState, rule: DecisionRule, indices, pts) -> list:
-    """One batch: each listed bin's overlap integrand over its breakpoints."""
-    return integrate_piecewise([(class_overlap_integrand(
-        state, rule.quadrature, rule.classes[i]), pts[i]) for i in indices],
-        QUAD_TOL)
-
-
-def success_probability(state: SectorState, rule: DecisionRule,
-                        index: int) -> float:
-    """Outcome density integrated over one bin (adaptive Simpson, tol 1e-9)."""
-    return _probabilities(state, rule, [_bin_breakpoints(state, rule)[index]])[0]
-
-
 def interval_probability(state: SectorState, quadrature, lo, hi) -> float:
-    """Closed-form bin mass through erfc (dual route to success_probability)."""
+    """Closed-form bin mass through erfc (dual route to the quadrature P)."""
     hi_cdf = 1.0 if hi == math.inf else density_cdf(state, quadrature, hi)
     lo_cdf = 0.0 if lo == -math.inf else density_cdf(state, quadrature, lo)
     return float(hi_cdf - lo_cdf)
 
 
-def fidelity(state: SectorState, rule: DecisionRule, index: int,
-             success_prob: float) -> float:
-    """Average fidelity of the bin's conditional state with its target.
-
-    NaN when `success_prob`, the bin's probability, is below EMPTY_BIN_P:
-    an empty bin has no conditional state (Monte Carlo reports it alike).
-    """
-    if success_prob < EMPTY_BIN_P:
-        return math.nan
-    return _numerators(state, rule, [index],
-                       _bin_breakpoints(state, rule))[0] / success_prob
-
-
 def evaluate_classes(state: SectorState, rule: DecisionRule) -> list:
-    """Quadrature ClassResult for every bin of the rule, in two batched
-    integrations: every bin's probability, then the fidelity numerators of
-    the bins that are not empty."""
+    """Quadrature ClassResult for every bin of the rule, from one batched
+    integration: each bin's probability (the outcome density) and fidelity
+    numerator (its overlap integrand) over the bin's breakpoints.
+
+    A bin with probability below EMPTY_BIN_P has no conditional state and
+    reports fidelity NaN (Monte Carlo reports it alike).
+    """
     pts = _bin_breakpoints(state, rule)
-    probs = _probabilities(state, rule, pts)
-    full = [i for i, ps in enumerate(probs) if ps >= EMPTY_BIN_P]
-    nums = dict(zip(full, _numerators(state, rule, full, pts)))
+    density = lambda v: outcome_density(state, rule.quadrature, v)
+    overlaps = [class_overlap_integrand(state, rule.quadrature, cls)
+                for cls in rule.classes]
+    values = integrate_piecewise([(density, p) for p in pts]
+                                 + list(zip(overlaps, pts)), QUAD_TOL)
+    probs, nums = values[:len(pts)], values[len(pts):]
     return [ClassResult(parity=cls.parity, target_name=cls.target_name,
                         success_prob=ps,
-                        fidelity=nums[i] / ps if i in nums else math.nan,
+                        fidelity=num / ps if ps >= EMPTY_BIN_P else math.nan,
                         method="quadrature")
-            for i, (cls, ps) in enumerate(zip(rule.classes, probs))]
+            for cls, ps, num in zip(rule.classes, probs, nums)]
 
 
 # --- closed forms --------------------------------------------------------------
@@ -261,13 +236,16 @@ def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float,
     pulse resolves no bins (DegenerateRuleError) has no rows.
     """
     nbars = [float(nbar) for nbar in mean_photon_numbers]
+    gammas = [float(gamma) for gamma in gammas]
     if not nbars:
         raise ValueError("mean photon number range is empty")
+    if not gammas:
+        raise ValueError("gamma range is empty")
     eta_sq = float(eta_sq)
     points = []
     for nbar in nbars:
         alpha = math.sqrt(nbar)
-        for gamma in map(float, gammas):
+        for gamma in gammas:
             try:
                 results = run_scenario(scenario, alpha, eta_sq, gamma=gamma,
                                        n=n).results

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from hpsim.metrics import SWEEP_CSV_COLUMNS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -121,19 +123,40 @@ def test_simulate_usage_errors_exit_2():
 
 
 def test_simulate_numerical_failure_exits_3():
-    # the integrand overflows; the integrator stops at the first bad value
-    res = run_cli("simulate", "--scenario", "two_qubit", "--alpha", "1e300")
-    assert res.returncode == 3
-    lines = res.stderr.splitlines()
-    assert len(lines) == 1, res.stderr           # no numpy warnings before it
-    assert lines[0].startswith("hpsim: numerical failure: non-finite integrand")
-    # with gamma > 0 the environment coherences overflow first
-    res = run_cli("simulate", "--scenario", "two_qubit", "--alpha", "1e300",
+    # with gamma > 0 the environment coherences overflow
+    res = run_cli("simulate", "--scenario", "three_qubit", "--alpha", "1e10",
                   "--gamma", "0.2")
     assert res.returncode == 3
     lines = res.stderr.splitlines()
-    assert len(lines) == 1, res.stderr
+    assert len(lines) == 1, res.stderr           # no numpy warnings before it
     assert lines[0].startswith("hpsim: numerical failure: non-finite sector state")
+    # at gamma = 0 only an alpha above the CLI's bound overflows the
+    # integrand; the integrator stops at the first bad value
+    from hpsim.errors import SimulationError
+    from hpsim.metrics import run_scenario
+    with pytest.raises(SimulationError, match="non-finite integrand"):
+        run_scenario("two_qubit_X", 1e300, 1.0)
+
+
+def test_alpha_with_infinite_square_exits_2():
+    # alpha**2, the mean photon number, overflows above sqrt(float max)
+    bound = repr(math.sqrt(sys.float_info.max))
+    for command in ("simulate", "density"):
+        for alpha in ("1.4e154", "1e300"):
+            res = run_cli(command, "--scenario", "two_qubit", "--alpha", alpha)
+            assert res.returncode == 2, (command, alpha)
+            assert res.stderr == (f"hpsim: error: --alpha must be at most "
+                                  f"{bound}, where the mean photon number "
+                                  f"alpha^2 stops being finite\n"), res.stderr
+            assert res.stdout == ""
+        # the bound itself runs; a squared distance that overflows gives a
+        # Gaussian of exactly 0, with no numpy warning
+        extra = ("--points", "11") if command == "density" else ()
+        for alpha in (bound, "1e154"):
+            res = run_cli(command, "--scenario", "two_qubit", "--alpha", alpha,
+                          *extra)
+            assert res.returncode == 0, (command, alpha, res.stderr)
+            assert res.stderr == "", (command, alpha)
 
 
 def test_simulation_error_maps_to_exit_3(monkeypatch, capsys):
@@ -304,6 +327,25 @@ def test_density_three_peaks():
     assert len(tops) == 3
     assert abs(tops[0] + want) < 0.05 and abs(tops[1]) < 0.05 \
         and abs(tops[2] - want) < 0.05
+
+
+def test_density_quadrature_override():
+    args = ("density", "--scenario", "three_qubit", "--alpha", "2",
+            "--points", "101")
+    plain = run_cli(*args)
+    assert plain.returncode == 0, plain.stderr
+    assert plain.stdout.split("\n")[0].count("class[") == 3  # three P bins
+    # the scenario's own axis (P) is the run without the flag, byte for byte
+    own = run_cli(*args, "--quadrature", "P")
+    assert (own.returncode, own.stdout, own.stderr) == (0, plain.stdout, "")
+    # the other axis has no bins: only the v and density columns
+    other = run_cli(*args, "--quadrature", "X")
+    assert other.returncode == 0, other.stderr
+    lines = other.stdout.strip().split("\n")
+    assert lines[0] == "v,density"
+    assert len(lines) == 102
+    assert all(len(line.split(",")) == 2 for line in lines[1:])
+    assert other.stdout != plain.stdout
 
 
 def test_density_non_finite_inputs_exit_2():

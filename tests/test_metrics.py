@@ -9,10 +9,9 @@ from hpsim import metrics
 from hpsim.homodyne import (build_decision_rule, class_overlap_integrand,
                             outcome_density)
 from hpsim.metrics import (QUAD_TOL, SWEEP_CSV_COLUMNS, ClassResult,
-                           _bin_breakpoints, closed_form_two_qubit, fidelity,
+                           _bin_breakpoints, closed_form_two_qubit,
                            interval_probability, monte_carlo_estimate,
-                           prepare_state, run_scenario, success_probability,
-                           sweep, write_sweep_csv)
+                           prepare_state, run_scenario, sweep, write_sweep_csv)
 from hpsim.numerics import integrate_piecewise
 from oracles import (erfc_oracle, gauss_bin_mass, integrate_piecewise_recursive,
                      mixture_bin_mass, monte_carlo_masks, w_state_success)
@@ -73,24 +72,28 @@ def test_level_by_level_integration_matches_recursive_oracle(scenario, n):
     ("n_qubit_P", 5, "Dicke(5,4)"), ("n_qubit_P", 6, None),
     ("n_qubit_P", 13, "Dicke(13,10)"), ("n_qubit_P", 20, "Dicke(20,15)")])
 def test_evaluate_classes_matches_per_bin_integrals(scenario, n, empty):
-    # the two batched passes (every bin's P, then every non-empty bin's
-    # numerator) give each bin's own success_probability and fidelity; at
-    # alpha = 100, gamma = 0.2 the bin `empty` has P < 1e-12 and F = NaN
+    # the one batched pass (every bin's P and numerator) gives each bin the
+    # P and numerator of its own integrals alone; at alpha = 100,
+    # gamma = 0.2 the bin `empty` has P < 1e-12 and F = NaN
     undefined = set()
     for alpha in (1.5, 3.0, 100.0):
         for gamma in (0.0, 0.2):
             state = prepare_state(scenario, alpha, 0.6667, gamma, n)
             rule = build_decision_rule(scenario, alpha, math.sqrt(0.6667), n=n)
-            for i, res in enumerate(metrics.evaluate_classes(state, rule)):
+            density = lambda v: outcome_density(state, rule.quadrature, v)
+            for cls, pts, res in zip(rule.classes, _bin_breakpoints(state, rule),
+                                     metrics.evaluate_classes(state, rule)):
                 where = (alpha, gamma, res.target_name)
-                ps = success_probability(state, rule, i)
-                f = fidelity(state, rule, i, success_prob=ps)
+                assert res.target_name == cls.target_name, where
+                ps, = integrate_piecewise([(density, pts)], QUAD_TOL)
                 assert abs(res.success_prob - ps) <= 1e-14, where
-                if math.isnan(f):
-                    assert ps < 1e-12 and math.isnan(res.fidelity), where
+                if ps < 1e-12:
+                    assert math.isnan(res.fidelity), where
                     undefined.add(where)
-                else:
-                    assert abs(res.fidelity - f) <= 1e-14, where
+                    continue
+                num, = integrate_piecewise([(class_overlap_integrand(
+                    state, rule.quadrature, cls), pts)], QUAD_TOL)
+                assert abs(res.fidelity - num / ps) <= 1e-14, where
     assert undefined == ({(100.0, 0.2, empty)} if empty else set())
 
 
@@ -125,10 +128,9 @@ def test_gsum_success_probabilities():
 
 def test_success_quadrature_matches_interval_closed_form():
     run = run_scenario("three_qubit_P", 3.0, 0.9)
-    for i, cls in enumerate(run.rule.classes):
-        quad = success_probability(run.state, run.rule, i)
+    for res, cls in zip(run.results, run.rule.classes):
         closed = interval_probability(run.state, "P", cls.lo, cls.hi)
-        assert abs(quad - closed) < 1e-8
+        assert abs(res.success_prob - closed) < 1e-8
 
 
 def test_interval_probability_is_python_float():
@@ -176,11 +178,21 @@ def test_gsum_fidelity():
     assert by_target(run.results, "Gprime(3,1)").fidelity >= 0.99
 
 
-def test_fidelity_undefined_for_empty_class():
-    run = two_qubit_run(2.0, 1.0)
-    rule = build_decision_rule("two_qubit_X", 2.0, 1.0)
-    assert math.isnan(fidelity(run.state, rule, 0, success_prob=0.0))
-    assert math.isnan(fidelity(run.state, rule, 0, success_prob=9e-13))
+def test_fidelity_undefined_for_empty_class(monkeypatch):
+    # with the threshold between the GHZ(3) bin's P (0.25) and the other
+    # two (0.37), only GHZ(3) loses its fidelity; nothing else moves a bit
+    run = run_scenario("three_qubit_P", 3.0, 0.9)
+    probs = sorted(r.success_prob for r in run.results)
+    assert probs[0] < probs[1]
+    monkeypatch.setattr(metrics, "EMPTY_BIN_P", (probs[0] + probs[1]) / 2)
+    for want, got in zip(run.results,
+                         metrics.evaluate_classes(run.state, run.rule)):
+        assert got.success_prob == want.success_prob
+        if want.success_prob == probs[0]:
+            assert want.target_name == "GHZ(3)"
+            assert math.isnan(got.fidelity)
+        else:
+            assert got.fidelity == want.fidelity
 
 
 def test_quadrature_matches_closed_form_across_grid():
@@ -408,6 +420,8 @@ def test_sweep_zero_photon_point_has_no_bins():
 def test_sweep_empty_range_rejected():
     with pytest.raises(ValueError):
         sweep("two_qubit_X", [], [0.0], 1.0)
+    with pytest.raises(ValueError, match="gamma range is empty"):
+        sweep("two_qubit_X", [1.0], [], 1.0)
 
 
 def test_sweep_fidelity_monotone_in_nbar():
