@@ -30,7 +30,7 @@ MODEL_VERSION = (f"hpsim {__version__}; reflection=steady-state-v1; "
 # canonical scenario names, then their short aliases
 SCENARIO_CHOICES = tuple(SCENARIOS) + tuple(row[1] for row in SCENARIOS.values())
 
-MAX_RANGE_POINTS = 10**6    # ranges and density grids; the figures use 41
+MAX_RANGE_POINTS = 10**6    # ranges, sweep grids, density grids; figures: 41
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -180,9 +180,9 @@ def cmd_simulate(args) -> int:
         "gamma_model_note": GAMMA_MODEL_NOTE,
         "config": {
             "scenario": scenario,
-            "n": run.n,
-            "alpha": run.alpha,
-            "mean_photon_number": run.alpha**2,
+            "n": run.rule.n,
+            "alpha": run.rule.alpha,
+            "mean_photon_number": run.rule.alpha**2,
             "eta_sq": run.eta_sq,
             "gamma_over_kappa": run.gamma_over_kappa,
             "quadrature": run.rule.quadrature,
@@ -209,6 +209,9 @@ def cmd_sweep(args) -> int:
         raise UsageError("--gamma values must be non-negative")
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
+    if len(nbars) * len(gammas) > MAX_RANGE_POINTS:
+        raise UsageError(f"sweep grid of {len(nbars)} x {len(gammas)} points "
+                         f"has more than {MAX_RANGE_POINTS} points")
     points = sweep(scenario, nbars, gammas, args.eta_sq, n=n)
     import io
     buf = io.StringIO()
@@ -291,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--nbar", required=True,
                     help="comma list or start:stop:step range of <n> = alpha^2")
     sw.add_argument("--gamma", default="0",
-                    help="comma list of gamma/kappa values")
+                    help="comma list or start:stop:step range of gamma/kappa "
+                         "values")
     sw.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility (at least 1); sweeps "
                          "run in one process")

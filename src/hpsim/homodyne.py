@@ -91,7 +91,7 @@ def outcome_density(state: SectorState, quadrature, v):
 
     Atomic orthogonality kills every cross term, so the density is the
     plain mixture sum_k p_k |<v|f_k>|^2 over the weights; environment
-    labels drop out.
+    labels drop out.  Returns one density per outcome in the array v.
     """
     _check_quadrature(quadrature)
     means = quadrature_mean(state.fields, quadrature)
@@ -100,7 +100,7 @@ def outcome_density(state: SectorState, quadrature, v):
     np.negative(np.square(gauss, out=gauss), out=gauss)
     dens = state.probs @ np.exp(gauss, out=gauss)
     dens /= math.sqrt(math.pi)
-    return float(dens[0]) if np.ndim(v) == 0 else dens
+    return dens
 
 
 def density_cdf(state: SectorState, quadrature, v):
@@ -121,19 +121,18 @@ def integration_window(state: SectorState, quadrature):
 
 @dataclass(frozen=True)
 class OutcomeClass:
-    """One detection bin: interval, parity label, and its target state.
+    """One detection bin: parity label and target state.
 
-    `weights` lists the Hamming weights whose branches feed this bin; the
-    target is uniform over their `size` strings.  It may depend on the
-    measured value through the zeta phase: `phase_signs` gives each weight
-    its e^{+-i zeta(v)} factor (0 for outcome-independent targets).
+    Bin c of a rule spans [thresholds[c-1], thresholds[c]), with -inf and
+    +inf at the two ends.  `weights` lists the Hamming weights whose
+    branches feed this bin; the target is uniform over their `size`
+    strings.  It may depend on the measured value through the zeta phase:
+    `phase_signs` gives each weight its e^{+-i zeta(v)} factor (0 for
+    outcome-independent targets).
     """
 
-    lo: float
-    hi: float
     parity: object              # int for a pure-parity bin, "a|b" if merged
     target_name: str
-    n: int
     weights: tuple
     size: int                   # sum of C(n, k) over the weights
     phase_signs: tuple          # per weight, in {-1, 0, +1}
@@ -206,16 +205,14 @@ def build_decision_rule(scenario, alpha, eta=1.0, n=None) -> DecisionRule:
 
     centers = [g[0] for g in groups]
     thresholds = tuple(0.5 * (c1 + c2) for c1, c2 in zip(centers, centers[1:]))
-    bounds = (-math.inf,) + thresholds + (math.inf,)
-    classes = tuple(
-        _outcome_class(lo, hi, n, axis, ws, labels, tol)
-        for (_, ws), lo, hi in zip(groups, bounds[:-1], bounds[1:]))
+    classes = tuple(_outcome_class(n, axis, ws, labels, tol)
+                    for _, ws in groups)
     return DecisionRule(scenario=scenario, n=n, alpha=float(alpha),
                         eta=float(eta), quadrature=axis,
                         thresholds=thresholds, classes=classes)
 
 
-def _outcome_class(lo, hi, n, axis, ws, labels, tol) -> OutcomeClass:
+def _outcome_class(n, axis, ws, labels, tol) -> OutcomeClass:
     """The bin of the weights `ws`, which share one quadrature mean.
 
     Its target is uniform over the union of the weights' supports.  A bin
@@ -236,8 +233,7 @@ def _outcome_class(lo, hi, n, axis, ws, labels, tol) -> OutcomeClass:
                   for k in order)
     zeta = _zeta_coefficients(first, axis) if two_labels else (0.0, 0.0)
     return OutcomeClass(
-        lo=lo, hi=hi, parity=parity,
-        target_name=_target_name(n, axis, order, sign), n=n,
+        parity=parity, target_name=_target_name(n, axis, order, sign),
         weights=weights, size=sum(math.comb(n, k) for k in weights),
         phase_signs=tuple(sign[k] if two_labels else 0 for k in weights),
         zeta_coefficients=zeta, needs_x_gate=needs_x)

@@ -62,12 +62,13 @@ class SweepPoint:
 
 
 def _bin_breakpoints(state: SectorState, rule: DecisionRule) -> list:
-    """Per bin: the bin cut to the integration window and split at the
-    branch means inside it; [] for a bin outside the window."""
+    """Per bin c: [thresholds[c-1], thresholds[c]) cut to the integration
+    window and split at the branch means inside it; [] outside the window."""
     wlo, whi = integration_window(state, rule.quadrature)
     means = sorted({float(m) for m in quadrature_mean(state.fields,
                                                       rule.quadrature)})
-    cuts = [(max(cls.lo, wlo), min(cls.hi, whi)) for cls in rule.classes]
+    edges = (-math.inf, *rule.thresholds, math.inf)
+    cuts = [(max(lo, wlo), min(hi, whi)) for lo, hi in zip(edges, edges[1:])]
     return [[lo, *(m for m in means if lo < m < hi), hi] if lo < hi else []
             for lo, hi in cuts]
 
@@ -184,13 +185,10 @@ def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
 
 @dataclass(frozen=True)
 class ScenarioRun:
-    scenario: str
-    n: int
-    alpha: float
     eta_sq: float
     gamma_over_kappa: float
     state: SectorState
-    rule: DecisionRule
+    rule: DecisionRule              # holds the scenario, n and alpha
     results: tuple                  # quadrature ClassResults
     mc_results: tuple = ()          # present when trials > 0
 
@@ -215,14 +213,12 @@ def prepare_state(scenario: str, alpha: float, eta_sq: float,
 def run_scenario(scenario: str, alpha: float, eta_sq: float,
                  gamma: float = 0.0, n=None, trials: int = 0,
                  seed=0) -> ScenarioRun:
-    _, nq, _ = resolve_scenario(scenario, n)
-    rule = build_decision_rule(scenario, alpha, math.sqrt(eta_sq), n=nq)
-    state = prepare_state(scenario, alpha, eta_sq, gamma, n)
+    rule = build_decision_rule(scenario, alpha, math.sqrt(eta_sq), n=n)
+    state = prepare_state(rule.scenario, alpha, eta_sq, gamma, rule.n)
     results = tuple(evaluate_classes(state, rule))
     mc = (tuple(monte_carlo_estimate(state, rule, trials, seed))
           if trials > 0 else ())
-    return ScenarioRun(scenario=scenario, n=nq, alpha=float(alpha),
-                       eta_sq=float(eta_sq), gamma_over_kappa=float(gamma),
+    return ScenarioRun(eta_sq=float(eta_sq), gamma_over_kappa=float(gamma),
                        state=state, rule=rule, results=results, mc_results=mc)
 
 
@@ -232,8 +228,9 @@ def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float,
           n=None) -> list:
     """Quadrature results over a (mean photon number) x (gamma) grid.
 
-    Points run in order in this process, gamma fastest.  A point whose
-    pulse resolves no bins (DegenerateRuleError) has no rows.
+    Points run in order in this process, gamma fastest, and carry the
+    canonical scenario name.  A point whose pulse resolves no bins
+    (DegenerateRuleError) has no rows.
     """
     nbars = [float(nbar) for nbar in mean_photon_numbers]
     gammas = [float(gamma) for gamma in gammas]
@@ -241,6 +238,7 @@ def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float,
         raise ValueError("mean photon number range is empty")
     if not gammas:
         raise ValueError("gamma range is empty")
+    scenario, n, _ = resolve_scenario(scenario, n)
     eta_sq = float(eta_sq)
     points = []
     for nbar in nbars:

@@ -175,13 +175,13 @@ def philox_stream(seed, word=0):
     return rng
 
 
-def standard_normals(rng, size, rng_u2=None):
+def standard_normals(rng, size, rng_u2):
     """Box-Muller (cosine branch) normals from uniform doubles.
 
     u1 is mapped to (0, 1] so the log never sees zero.  Exactly two uniforms
     are consumed per normal: `size` values u1 from rng, then `size` values
-    u2 from rng_u2, which defaults to rng itself (the consecutive layout).
+    u2 from rng_u2 (pass rng twice for the consecutive layout).
     """
     u1 = 1.0 - rng.random(size)
-    u2 = (rng if rng_u2 is None else rng_u2).random(size)
+    u2 = rng_u2.random(size)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)

@@ -552,18 +552,19 @@ def target_at(rule, cls, v) -> TargetState:
     (k mod n, k) order, rebuilt from the rule's alpha and eta; a bin whose
     signs are all 0 has no phase.
     """
-    weights = hamming_weights(cls.n)
-    amps = np.zeros(2**cls.n, dtype=complex)
+    n = rule.n
+    weights = hamming_weights(n)
+    amps = np.zeros(2**n, dtype=complex)
     zeta = 0.0
     if any(cls.phase_signs):
-        k = min(cls.weights, key=lambda k: (k % cls.n, k))
-        t = (1.0 - 2.0 * k / cls.n) * math.pi
+        k = min(cls.weights, key=lambda k: (k % n, k))
+        t = (1.0 - 2.0 * k / n) * math.pi
         label = rule.eta * rule.alpha * complex(math.cos(t), math.sin(t))
         zeta = float(zeta_polar(label, rule.quadrature, v))
     for k, sign in zip(cls.weights, cls.phase_signs):
         amps[weights == k] = np.exp(1j * sign * zeta)
     amps /= math.sqrt(np.count_nonzero(amps))
-    return TargetState(cls.target_name, cls.n, amps,
+    return TargetState(cls.target_name, n, amps,
                        needs_x_gate=cls.needs_x_gate)
 
 

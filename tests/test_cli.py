@@ -228,6 +228,28 @@ def test_sweep_jobs_below_one_exits_2():
         assert res.stderr == "hpsim: error: --jobs must be at least 1\n", jobs
 
 
+def test_sweep_grid_above_point_cap_exits_2(monkeypatch, capsys):
+    # each range is within the cap, their product is not: no point may run
+    from hpsim import cli
+
+    class Reached(Exception):
+        pass
+
+    def sweep_reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, "sweep", sweep_reached)
+    code = cli.main(["sweep", "--scenario", "two_qubit", "--nbar", "0:1000:1",
+                     "--gamma", "0:999:1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "hpsim: error: sweep grid of 1001 x 1000 points has more than "
+        "1000000 points\n")
+    with pytest.raises(Reached):
+        cli.main(["sweep", "--scenario", "two_qubit", "--nbar", "0:999:1",
+                  "--gamma", "0:999:1"])
+
+
 def test_cli_import_starts_no_process_machinery():
     # sweeps run in one process, so the CLI must not pay for a pool's imports
     code = ("import sys, hpsim.cli; print(sorted(m for m in sys.modules if "

@@ -87,13 +87,14 @@ def test_outcome_density_two_gaussian_mixture():
     m = math.sqrt(2) * eta * 3.0
     for v in (-4.0, 0.0, 2.5):
         want = 0.5 * (math.exp(-(v - m) ** 2) + math.exp(-(v + m) ** 2)) / math.sqrt(math.pi)
-        assert abs(outcome_density(st, "X", v) - want) < 1e-12
+        assert abs(outcome_density(st, "X", np.array([v]))[0] - want) < 1e-12
 
 
 def test_outcome_density_normalized():
     st = prepare_state("three_qubit_P", 2.0, 0.8)
     lo, hi = integration_window(st, "P")
-    total = adaptive_simpson(lambda v: outcome_density(st, "P", v), lo, hi, 1e-11)
+    total = adaptive_simpson(lambda v: outcome_density(st, "P", np.array([v]))[0],
+                             lo, hi, 1e-11)
     assert abs(total - 1.0) < 1e-10
 
 
@@ -102,16 +103,18 @@ def test_three_qubit_density_peaks_and_weights():
     eta = math.sqrt(2 / 3)
     peak = math.sqrt(2) * eta * 5.0 * math.sin(math.pi / 3)
     # peak heights: weight / sqrt(pi) at the centers (neighbor tails negligible)
-    assert abs(outcome_density(st, "P", 0.0) - 0.25 / math.sqrt(math.pi)) < 1e-10
-    assert abs(outcome_density(st, "P", peak) - 0.375 / math.sqrt(math.pi)) < 1e-10
-    assert abs(outcome_density(st, "P", -peak) - 0.375 / math.sqrt(math.pi)) < 1e-10
+    heights = outcome_density(st, "P", np.array([0.0, peak, -peak]))
+    assert abs(heights[0] - 0.25 / math.sqrt(math.pi)) < 1e-10
+    assert abs(heights[1] - 0.375 / math.sqrt(math.pi)) < 1e-10
+    assert abs(heights[2] - 0.375 / math.sqrt(math.pi)) < 1e-10
 
 
 def test_density_cdf_matches_quadrature():
     st = prepare_state("two_qubit_X", 1.5, 0.9)
     lo, _ = integration_window(st, "X")
     for v in (-1.0, 0.3, 2.0):
-        direct = adaptive_simpson(lambda u: outcome_density(st, "X", u), lo, v, 1e-11)
+        direct = adaptive_simpson(
+            lambda u: outcome_density(st, "X", np.array([u]))[0], lo, v, 1e-11)
         assert abs(density_cdf(st, "X", v) - direct) < 1e-9
 
 
@@ -344,7 +347,7 @@ def test_target_overlap_density_matches_dense_route():
         dense = conditional_atomic_state(dense_st, "P", v)
         t = target_at(run.rule, cls, v)
         want = np.real(t.amps.conj() @ dense @ t.amps) * outcome_density(
-            run.state, "P", v)
+            run.state, "P", np.array([v]))[0]
         assert abs(g - want) < 1e-12
 
 

@@ -368,7 +368,7 @@ def test_sampled_weight_matches_dense_inverse_cdf(n, seed, trials):
     cum[-1] = 1.0
     branch = np.searchsorted(cum, rng.random(trials), side="right")
     want = (quadrature_mean(dense.fields, "P")[branch]
-            + standard_normals(rng, trials) / math.sqrt(2.0))
+            + standard_normals(rng, trials, rng) / math.sqrt(2.0))
     # drawn in the blocks Monte Carlo uses, at their stream positions
     got = np.concatenate([
         sample_outcomes(sector, "P", trials, seed, start,

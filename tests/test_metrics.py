@@ -128,19 +128,21 @@ def test_gsum_success_probabilities():
 
 def test_success_quadrature_matches_interval_closed_form():
     run = run_scenario("three_qubit_P", 3.0, 0.9)
-    for res, cls in zip(run.results, run.rule.classes):
-        closed = interval_probability(run.state, "P", cls.lo, cls.hi)
+    edges = (-math.inf, *run.rule.thresholds, math.inf)
+    for res, lo, hi in zip(run.results, edges, edges[1:]):
+        closed = interval_probability(run.state, "P", lo, hi)
         assert abs(res.success_prob - closed) < 1e-8
 
 
 def test_interval_probability_is_python_float():
     # sweep_rows writes repr(); numpy 2 spells a float64 "np.float64(...)"
     run = run_scenario("three_qubit_P", 3.0, 0.9)
-    classes = run.rule.classes
+    edges = (-math.inf, *run.rule.thresholds, math.inf)
+    bins = list(zip(edges, edges[1:]))
     # the bins include one with finite edges and one with an infinite edge
-    assert {math.isfinite(c.hi - c.lo) for c in classes} == {True, False}
-    for cls in classes:
-        assert type(interval_probability(run.state, "P", cls.lo, cls.hi)) is float
+    assert {math.isfinite(hi - lo) for lo, hi in bins} == {True, False}
+    for lo, hi in bins:
+        assert type(interval_probability(run.state, "P", lo, hi)) is float
 
 
 def test_probability_completeness_every_scenario():
@@ -441,6 +443,25 @@ def test_sweep_csv_format():
     assert "\r" not in buf.getvalue()
     # one row per class result plus header and trailing newline
     assert len(lines) == 1 + 2 + 1
+
+
+def test_sweep_alias_writes_canonical_name():
+    # the rule is the one home of the scenario name, aliases included
+    def csv_bytes(scenario):
+        buf = io.StringIO()
+        write_sweep_csv(sweep(scenario, [2.0], [0.0, 0.2], 0.9), buf)
+        return buf.getvalue().encode("utf-8")
+    got = csv_bytes("gsum")
+    assert got == csv_bytes("gsum_X")
+    assert all(row.startswith(b"gsum_X,") for row in got.splitlines()[1:])
+
+
+def test_run_scenario_alias_matches_canonical():
+    alias = run_scenario("gsum", 2.0, 1.0)
+    canonical = run_scenario("gsum_X", 2.0, 1.0)
+    assert alias.rule == canonical.rule
+    assert alias.rule.scenario == "gsum_X"
+    assert alias.results == canonical.results
 
 
 def test_class_result_equality_supports_comparison():

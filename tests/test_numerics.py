@@ -198,14 +198,16 @@ def test_philox_stream_is_deterministic():
 
 def test_box_muller_normals_moments():
     rng = philox_stream(5)
-    z = standard_normals(rng, 200_000)
+    z = standard_normals(rng, 200_000, rng)
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
 
 
 def test_box_muller_consumes_fixed_stream():
-    # two uniforms per normal, branch-free layout
-    z1 = standard_normals(philox_stream(11), 8)
+    # two uniforms per normal, branch-free layout; one generator passed
+    # twice reads u1 and u2 consecutively
+    rng = philox_stream(11)
+    z1 = standard_normals(rng, 8, rng)
     rng = philox_stream(11)
     u1 = 1.0 - rng.random(8)
     u2 = rng.random(8)

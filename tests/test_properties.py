@@ -55,8 +55,9 @@ def test_monte_carlo_hits_agree_with_closed_form(config, seed):
     rule = build_decision_rule(scenario, alpha, math.sqrt(eta_sq), n=n)
     state = prepare_state(scenario, alpha, eta_sq, gamma, n)
     mc = monte_carlo_estimate(state, rule, MC_TRIALS, seed)
-    for cls, res in zip(rule.classes, mc):
-        p = interval_probability(state, rule.quadrature, cls.lo, cls.hi)
+    edges = (-math.inf, *rule.thresholds, math.inf)
+    for lo, hi, res in zip(edges, edges[1:], mc):
+        p = interval_probability(state, rule.quadrature, lo, hi)
         var = MC_TRIALS * p * (1.0 - p)
         if var >= 25.0:
             hits = res.success_prob * MC_TRIALS
