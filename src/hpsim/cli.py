@@ -1,7 +1,12 @@
 """Command-line front end: solve-params, simulate, sweep, density.
 
 Reports are JSON, curves are CSV; plotting is left to external tools.
-Exit codes: 0 ok, 2 usage/config error, 3 numerical failure.  Outputs are
+Exit codes: 0 ok, 2 usage/config error (including an --out file that
+cannot be written), 3 numerical failure.  The CLI checks only its own flags
+(the --alpha/--nbar route, ranges, caps, --jobs, the seed); the library
+function that takes a run input checks it, so an error line names the
+library parameter (e.g. "gamma must be finite and non-negative, got -0.1").
+Each command returns its text and main() writes it.  Outputs are
 byte-identical across runs with the same flags and seed: the sampler is a
 documented counter-based recipe (see numerics.RNG_ALGORITHM), JSON keys are
 sorted, floats are written with shortest round-trip repr, and no timestamps
@@ -9,6 +14,7 @@ are embedded.
 """
 
 import argparse
+import io
 import json
 import math
 import os
@@ -37,12 +43,8 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         seed = args.seed
     else:
         raw = os.environ.get("HPSIM_DEFAULT_SEED")
@@ -51,30 +53,29 @@ def _resolve_seed(args) -> int:
         try:
             seed = int(raw)
         except ValueError:
-            raise UsageError(f"HPSIM_DEFAULT_SEED is not an integer: {raw!r}")
+            raise ValueError(f"HPSIM_DEFAULT_SEED is not an integer: {raw!r}")
     if not 0 <= seed < 2**64:
-        raise UsageError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return seed
 
 
 def _resolve_alpha(args):
     """--alpha and --nbar are exclusive routes to the pulse amplitude."""
     if args.alpha is not None and args.nbar is not None:
-        raise UsageError("give either --alpha or --nbar, not both")
+        raise ValueError("give either --alpha or --nbar, not both")
     if args.alpha is not None:
-        if not (math.isfinite(args.alpha) and args.alpha >= 0):
-            raise UsageError("--alpha must be finite and non-negative")
-        # the --nbar range: alpha**2 itself raises OverflowError above it
+        # the --nbar range: alpha**2 itself raises OverflowError above it;
+        # the library checks that alpha is finite and non-negative
         bound = math.sqrt(sys.float_info.max)
         if args.alpha > bound:
-            raise UsageError(f"--alpha must be at most {bound!r}, where the "
+            raise ValueError(f"--alpha must be at most {bound!r}, where the "
                              "mean photon number alpha^2 stops being finite")
-        return float(args.alpha)
+        return args.alpha
     if args.nbar is not None:
         if not (math.isfinite(args.nbar) and args.nbar >= 0):
-            raise UsageError("--nbar must be finite and non-negative")
+            raise ValueError("--nbar must be finite and non-negative")
         return math.sqrt(args.nbar)
-    raise UsageError("one of --alpha or --nbar is required")
+    raise ValueError("one of --alpha or --nbar is required")
 
 
 def _parse_float_list(text):
@@ -82,54 +83,27 @@ def _parse_float_list(text):
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise UsageError(f"range must be start:stop:step, got {text!r}")
+            raise ValueError(f"range must be start:stop:step, got {text!r}")
         try:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
-            raise UsageError(f"non-numeric range {text!r}")
+            raise ValueError(f"non-numeric range {text!r}")
         if not all(map(math.isfinite, (start, stop, step))):
-            raise UsageError(f"non-finite range {text!r}")
+            raise ValueError(f"non-finite range {text!r}")
         if step <= 0 or stop < start:
-            raise UsageError(f"empty or descending range {text!r}")
+            raise ValueError(f"empty or descending range {text!r}")
         steps = (stop - start) / step + 1e-9
         if not steps < MAX_RANGE_POINTS:
-            raise UsageError(f"range {text!r} has more than "
+            raise ValueError(f"range {text!r} has more than "
                              f"{MAX_RANGE_POINTS} points")
         return [start + i * step for i in range(int(math.floor(steps)) + 1)]
     try:
         values = [float(p) for p in text.split(",") if p != ""]
     except ValueError:
-        raise UsageError(f"non-numeric list {text!r}")
+        raise ValueError(f"non-numeric list {text!r}")
     if not values:
-        raise UsageError(f"empty list {text!r}")
-    if not all(map(math.isfinite, values)):
-        raise UsageError(f"non-finite value in list {text!r}")
+        raise ValueError(f"empty list {text!r}")
     return values
-
-
-def _open_out(args):
-    if args.out is None or args.out == "-":
-        return sys.stdout, False
-    return open(args.out, "w", encoding="utf-8", newline=""), True
-
-
-def _write_text(args, text):
-    fh, close = _open_out(args)
-    try:
-        fh.write(text)
-    finally:
-        if close:
-            fh.close()
-
-
-def _validate_common(args):
-    """Check the shared flags; (canonical scenario, qubit count, axis)."""
-    if not 0.0 <= args.eta_sq <= 1.0:
-        raise UsageError("--eta-sq must lie in [0, 1]")
-    gamma = getattr(args, "gamma", 0.0)
-    if isinstance(gamma, float) and not (math.isfinite(gamma) and gamma >= 0):
-        raise UsageError("--gamma must be finite and non-negative")
-    return resolve_scenario(args.scenario, args.n)
 
 
 def _num_or_null(x):
@@ -150,9 +124,7 @@ def _class_dict(res):
     }
 
 
-def cmd_solve_params(args) -> int:
-    if args.n < 2:
-        raise UsageError("--n must be at least 2")
+def cmd_solve_params(args) -> str:
     params = solve_params_for_phase(args.n)
     pair = reflection_pair(params)
     lines = [
@@ -162,24 +134,19 @@ def cmd_solve_params(args) -> int:
         f"phi0 = {math.degrees(pair.phi0):+.6f} deg  (target +180/{args.n})",
         f"phi1 = {math.degrees(pair.phi1):+.6f} deg  (target -180/{args.n})",
     ]
-    _write_text(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(args) -> int:
-    scenario, n, _ = _validate_common(args)
+def cmd_simulate(args) -> str:
     alpha = _resolve_alpha(args)
     seed = _resolve_seed(args)
-    if args.trials < 0:
-        raise UsageError("--trials must be non-negative")
-
-    run = run_scenario(scenario, alpha, args.eta_sq, gamma=args.gamma,
-                       n=n, trials=args.trials, seed=seed)
+    run = run_scenario(args.scenario, alpha, args.eta_sq, gamma=args.gamma,
+                       n=args.n, trials=args.trials, seed=seed)
     report = {
         "model_version": MODEL_VERSION,
         "gamma_model_note": GAMMA_MODEL_NOTE,
         "config": {
-            "scenario": scenario,
+            "scenario": run.rule.scenario,
             "n": run.rule.n,
             "alpha": run.rule.alpha,
             "mean_photon_number": run.rule.alpha**2,
@@ -194,37 +161,31 @@ def cmd_simulate(args) -> int:
     }
     if args.trials > 0:
         report["monte_carlo"] = [_class_dict(r) for r in run.mc_results]
-    if scenario == "two_qubit_X":
+    if run.rule.scenario == "two_qubit_X":
         ps, f = closed_form_two_qubit(alpha, math.sqrt(args.eta_sq))
         report["closed_form_two_qubit"] = {"success_prob": ps, "fidelity": f}
-    _write_text(args, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_sweep(args) -> int:
-    scenario, n, _ = _validate_common(args)
+def cmd_sweep(args) -> str:
     nbars = _parse_float_list(args.nbar)
     gammas = _parse_float_list(args.gamma)
-    if any(g < 0 for g in gammas):
-        raise UsageError("--gamma values must be non-negative")
     if args.jobs < 1:
-        raise UsageError("--jobs must be at least 1")
+        raise ValueError("--jobs must be at least 1")
     if len(nbars) * len(gammas) > MAX_RANGE_POINTS:
-        raise UsageError(f"sweep grid of {len(nbars)} x {len(gammas)} points "
+        raise ValueError(f"sweep grid of {len(nbars)} x {len(gammas)} points "
                          f"has more than {MAX_RANGE_POINTS} points")
-    points = sweep(scenario, nbars, gammas, args.eta_sq, n=n)
-    import io
+    points = sweep(args.scenario, nbars, gammas, args.eta_sq, n=args.n)
     buf = io.StringIO()
     write_sweep_csv(points, buf)
-    _write_text(args, buf.getvalue())
-    return EXIT_OK
+    return buf.getvalue()
 
 
-def cmd_density(args) -> int:
-    scenario, n, quadrature = _validate_common(args)
+def cmd_density(args) -> str:
+    scenario, n, quadrature = resolve_scenario(args.scenario, args.n)
     alpha = _resolve_alpha(args)
     if not 2 <= args.points <= MAX_RANGE_POINTS:
-        raise UsageError(f"--points must lie in 2..{MAX_RANGE_POINTS}")
+        raise ValueError(f"--points must lie in 2..{MAX_RANGE_POINTS}")
 
     from .homodyne import build_decision_rule, integration_window, outcome_density
     from .metrics import prepare_state
@@ -249,7 +210,6 @@ def cmd_density(args) -> int:
                  else density_components(state, rule, grid))
 
     import csv
-    import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["v", "density"] + [f"class[{c.parity}]:{c.target_name}"
@@ -258,8 +218,7 @@ def cmd_density(args) -> int:
     for i, v in enumerate(grid):
         writer.writerow([repr(float(v)), repr(float(total[i]))]
                         + [repr(float(comp[i])) for comp in comps])
-    _write_text(args, buf.getvalue())
-    return EXIT_OK
+    return buf.getvalue()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,11 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--eta-sq", type=float, default=1.0)
     common.add_argument("--out", default=None)
 
-    sim = sub.add_parser("simulate", parents=[common],
+    # one pulse and one gamma: simulate and density
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--alpha", type=float, default=None)
+    point.add_argument("--nbar", type=float, default=None)
+    point.add_argument("--gamma", type=float, default=0.0)
+
+    sim = sub.add_parser("simulate", parents=[common, point],
                          help="JSON report of bin probabilities and fidelities")
-    sim.add_argument("--alpha", type=float, default=None)
-    sim.add_argument("--nbar", type=float, default=None)
-    sim.add_argument("--gamma", type=float, default=0.0)
     sim.add_argument("--trials", type=int, default=0)
     sim.add_argument("--seed", type=int, default=None)
     sim.set_defaults(func=cmd_simulate)
@@ -301,11 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "run in one process")
     sw.set_defaults(func=cmd_sweep)
 
-    dn = sub.add_parser("density", parents=[common],
+    dn = sub.add_parser("density", parents=[common, point],
                         help="CSV outcome-density curve with class components")
-    dn.add_argument("--alpha", type=float, default=None)
-    dn.add_argument("--nbar", type=float, default=None)
-    dn.add_argument("--gamma", type=float, default=0.0)
     dn.add_argument("--points", type=int, default=801)
     dn.add_argument("--quadrature", choices=("X", "P"), default=None,
                     help="measure the other axis (class bins then omitted)")
@@ -318,13 +277,24 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (UsageError, ValueError) as exc:
+        text = args.func(args)
+    except ValueError as exc:
         print(f"hpsim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SimulationError as exc:
         print(f"hpsim: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if args.out is None or args.out == "-":
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"hpsim: error: cannot write {args.out}: "
+              f"{exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -93,7 +93,6 @@ def outcome_density(state: SectorState, quadrature, v):
     plain mixture sum_k p_k |<v|f_k>|^2 over the weights; environment
     labels drop out.  Returns one density per outcome in the array v.
     """
-    _check_quadrature(quadrature)
     means = quadrature_mean(state.fields, quadrature)
     # the (n+1) x len(v) Gaussians e^{-(v - m_k)^2}, in one array
     gauss = np.subtract.outer(means, np.atleast_1d(np.asarray(v, dtype=float)))

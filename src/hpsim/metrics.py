@@ -25,7 +25,7 @@ import numpy as np
 from .cavity import reflection_pair, solve_params_for_phase
 from .errors import DegenerateRuleError
 from .homodyne import (DecisionRule, build_decision_rule,
-                       class_overlap_integrand, density_cdf, integration_window,
+                       class_overlap_integrand, integration_window,
                        outcome_density, quadrature_mean, resolve_scenario,
                        sample_outcomes)
 from .hybrid_state import SectorState, sector_state
@@ -71,13 +71,6 @@ def _bin_breakpoints(state: SectorState, rule: DecisionRule) -> list:
     cuts = [(max(lo, wlo), min(hi, whi)) for lo, hi in zip(edges, edges[1:])]
     return [[lo, *(m for m in means if lo < m < hi), hi] if lo < hi else []
             for lo, hi in cuts]
-
-
-def interval_probability(state: SectorState, quadrature, lo, hi) -> float:
-    """Closed-form bin mass through erfc (dual route to the quadrature P)."""
-    hi_cdf = 1.0 if hi == math.inf else density_cdf(state, quadrature, hi)
-    lo_cdf = 0.0 if lo == -math.inf else density_cdf(state, quadrature, lo)
-    return float(hi_cdf - lo_cdf)
 
 
 def evaluate_classes(state: SectorState, rule: DecisionRule) -> list:
@@ -213,6 +206,10 @@ def prepare_state(scenario: str, alpha: float, eta_sq: float,
 def run_scenario(scenario: str, alpha: float, eta_sq: float,
                  gamma: float = 0.0, n=None, trials: int = 0,
                  seed=0) -> ScenarioRun:
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    if not 0.0 <= eta_sq <= 1.0:
+        raise ValueError(f"eta_sq must lie in [0, 1], got {eta_sq}")
     rule = build_decision_rule(scenario, alpha, math.sqrt(eta_sq), n=n)
     state = prepare_state(rule.scenario, alpha, eta_sq, gamma, rule.n)
     results = tuple(evaluate_classes(state, rule))
@@ -229,15 +226,19 @@ def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float,
     """Quadrature results over a (mean photon number) x (gamma) grid.
 
     Points run in order in this process, gamma fastest, and carry the
-    canonical scenario name.  A point whose pulse resolves no bins
-    (DegenerateRuleError) has no rows.
+    canonical scenario name.  Every mean photon number and gamma is checked
+    (finite, non-negative) before the first point runs.  A point whose
+    pulse resolves no bins (DegenerateRuleError) has no rows.
     """
     nbars = [float(nbar) for nbar in mean_photon_numbers]
     gammas = [float(gamma) for gamma in gammas]
-    if not nbars:
-        raise ValueError("mean photon number range is empty")
-    if not gammas:
-        raise ValueError("gamma range is empty")
+    for name, values in (("mean photon number", nbars), ("gamma", gammas)):
+        if not values:
+            raise ValueError(f"{name} range is empty")
+        for x in values:
+            if not 0.0 <= x < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {x}")
     scenario, n, _ = resolve_scenario(scenario, n)
     eta_sq = float(eta_sq)
     points = []

@@ -4,11 +4,13 @@ These deliberately share no code with the package: erfc comes from a
 Maclaurin series for small arguments and a Lentz-evaluated continued
 fraction for large ones, and Gaussian bin masses are assembled from that
 oracle; the coefficients of the package's Weideman erfc are regenerated
-here from Weideman's FFT construction.  The cavity reflection is re-derived
-by a direct 2x2 steady-state solve and by RK4 relaxation of the equations
-of motion; quadrature is the classic recursive, one-point-at-a-time
-adaptive Simpson that the package's level-by-level integrator must
-reproduce.  Agreement between package and oracle is therefore a
+here from Weideman's FFT construction.  interval_probability is the one
+bin-mass route that uses the package's erfc (through density_cdf): it is
+the closed form the quadrature bin probabilities are held to.  The cavity
+reflection is re-derived by a direct 2x2 steady-state solve and by RK4
+relaxation of the equations of motion; quadrature is the classic
+recursive, one-point-at-a-time adaptive Simpson that the package's
+level-by-level integrator must reproduce.  Agreement between package and oracle is therefore a
 dual-route check, not a tautology.  Named target states are built by
 enumerating qubit subsets, not from the package's decision-rule supports.
 
@@ -35,7 +37,7 @@ import numpy as np
 
 from hpsim.cavity import CavityParams, reflection_pair, solve_params_for_phase
 from hpsim.errors import SimulationError
-from hpsim.homodyne import (_zeta_coefficients, quadrature_mean,
+from hpsim.homodyne import (_zeta_coefficients, density_cdf, quadrature_mean,
                             resolve_scenario, sample_outcomes)
 
 
@@ -121,6 +123,14 @@ def gauss_bin_mass(mean: float, lo: float, hi: float) -> float:
 def mixture_bin_mass(weights, means, lo, hi) -> float:
     return float(sum(w * gauss_bin_mass(m, lo, hi)
                      for w, m in zip(weights, means)))
+
+
+def interval_probability(state, quadrature, lo, hi) -> float:
+    """Bin mass from the package's closed-form density_cdf (the erfc route
+    to a bin's probability, against the package's quadrature)."""
+    hi_cdf = 1.0 if hi == math.inf else density_cdf(state, quadrature, hi)
+    lo_cdf = 0.0 if lo == -math.inf else density_cdf(state, quadrature, lo)
+    return float(hi_cdf - lo_cdf)
 
 
 def w_state_success(n: int) -> float:

@@ -40,14 +40,13 @@ def test_solve_params_three_nodes():
 
 
 def test_solve_params_invalid_n_exits_2():
-    res = run_cli("solve-params", "--n", "1")
-    assert res.returncode == 2
-    # above 2^53 (10^400 overflowed a float with a traceback): one line
-    for n in (2**53 + 1, 10**400):
+    # one line from the solver (10^400 overflowed a float with a traceback)
+    for n in (1, 2**53 + 1, 10**400):
         res = run_cli("solve-params", "--n", str(n))
         assert res.returncode == 2, n
         assert res.stderr == "hpsim: error: phase solver needs n in 2..2^53, " \
             f"got {n}\n"
+        assert res.stdout == ""
     assert run_cli("solve-params", "--n", str(2**53)).returncode == 0
 
 
@@ -90,6 +89,14 @@ def test_simulate_with_trials_adds_monte_carlo():
     assert all(set(c) == set(report["classes"][0]) for c in mc)
 
 
+def assert_usage_error(res, args):
+    """Exit 2 with one `hpsim: error: ` line and no output."""
+    assert res.returncode == 2, args
+    assert res.stdout == "", args
+    assert res.stderr.startswith("hpsim: error: "), (args, res.stderr)
+    assert res.stderr.count("\n") == 1, (args, res.stderr)
+
+
 def test_simulate_usage_errors_exit_2():
     cases = [
         ("simulate", "--scenario", "two_qubit"),                       # no amplitude
@@ -100,7 +107,8 @@ def test_simulate_usage_errors_exit_2():
         ("simulate", "--scenario", "n_qubit", "--alpha", "1", "--n", "21"),
         ("simulate", "--scenario", "two_qubit", "--alpha", "1", "--n", "3"),
         ("simulate", "--scenario", "two_qubit", "--alpha", "1", "--gamma", "-0.1"),
-        ("simulate", "--scenario", "bogus", "--alpha", "1"),
+        ("simulate", "--scenario", "two_qubit", "--alpha", "1", "--eta-sq", "-1"),
+        ("simulate", "--scenario", "two_qubit", "--alpha", "1", "--trials", "-1"),
         # non-finite inputs
         ("simulate", "--scenario", "two_qubit", "--alpha", "1", "--gamma", "nan"),
         ("simulate", "--scenario", "two_qubit", "--alpha", "1", "--gamma", "inf"),
@@ -111,8 +119,10 @@ def test_simulate_usage_errors_exit_2():
         ("simulate", "--scenario", "two_qubit", "--alpha", "1", "--eta-sq", "nan"),
     ]
     for args in cases:
-        res = run_cli(*args)
-        assert res.returncode == 2, args
+        assert_usage_error(run_cli(*args), args)
+    # argparse refuses an unknown scenario with its own usage lines
+    assert run_cli("simulate", "--scenario", "bogus", "--alpha", "1"
+                   ).returncode == 2
     # every branch label coincides: a configuration error, not a failure
     for args in (("--alpha", "2", "--eta-sq", "0"), ("--alpha", "0"),
                  ("--alpha", "1e-300")):
@@ -278,14 +288,18 @@ def test_sweep_non_finite_inputs_exit_2():
              ("--nbar", "1,nan"),
              ("--nbar", "1", "--gamma", "0:inf:0.1"),
              ("--nbar", "1", "--eta-sq", "inf"),
+             # negative values, refused before the first point runs
+             ("--nbar=2,-1",),
+             ("--nbar", "1", "--gamma=0,-1"),
+             ("--nbar", "1", "--eta-sq", "-1"),
+             ("--nbar", "1", "--eta-sq", "1.5"),
              # more range points than the cap, refused before any is built
              ("--nbar", "0:1e12:1"),
              ("--nbar", "1", "--gamma", "0:1:1e-7"),
              ("--nbar", "0:1e300:1e-300")]
     for args in cases:
-        res = run_cli("sweep", "--scenario", "two_qubit", *args)
-        assert res.returncode == 2, args
-        assert "Traceback" not in res.stderr, args
+        assert_usage_error(run_cli("sweep", "--scenario", "two_qubit", *args),
+                           args)
 
 
 def test_sweep_opaque_channel_writes_header_only():
@@ -303,6 +317,20 @@ def test_sweep_writes_file(tmp_path):
     text = out.read_text()
     assert text.startswith("scenario,")
     assert "Gprime(3,1)" in text
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # a directory, or a path under a missing one: one line, no traceback
+    from hpsim import cli
+    for out in (tmp_path, tmp_path / "missing" / "x.json"):
+        for argv in (["solve-params", "--n", "3"],
+                     ["simulate", "--scenario", "two_qubit", "--nbar", "3"]):
+            assert cli.main(argv + ["--out", str(out)]) == 2, (argv, out)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"hpsim: error: cannot write {out}: ")
+            assert captured.err.count("\n") == 1, captured.err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_density_two_qubit_peaks():
@@ -375,10 +403,15 @@ def test_density_non_finite_inputs_exit_2():
              ("--alpha", "1", "--gamma", "inf"),
              ("--alpha", "inf"),
              ("--nbar", "nan"),
-             ("--alpha", "1", "--eta-sq", "nan")]
+             ("--alpha", "1", "--eta-sq", "nan"),
+             # negative or out-of-range values
+             ("--alpha", "1", "--gamma", "-0.1"),
+             ("--alpha", "-1"),
+             ("--alpha", "1", "--eta-sq", "-1"),
+             ("--alpha", "1", "--eta-sq", "1.5")]
     for args in cases:
-        res = run_cli("density", "--scenario", "two_qubit", *args)
-        assert res.returncode == 2, args
+        assert_usage_error(run_cli("density", "--scenario", "two_qubit", *args),
+                           args)
 
 
 def test_density_points_capped_exit_2():

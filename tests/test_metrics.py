@@ -10,11 +10,12 @@ from hpsim.homodyne import (build_decision_rule, class_overlap_integrand,
                             outcome_density)
 from hpsim.metrics import (QUAD_TOL, SWEEP_CSV_COLUMNS, ClassResult,
                            _bin_breakpoints, closed_form_two_qubit,
-                           interval_probability, monte_carlo_estimate,
-                           prepare_state, run_scenario, sweep, write_sweep_csv)
+                           monte_carlo_estimate, prepare_state, run_scenario,
+                           sweep, write_sweep_csv)
 from hpsim.numerics import integrate_piecewise
 from oracles import (erfc_oracle, gauss_bin_mass, integrate_piecewise_recursive,
-                     mixture_bin_mass, monte_carlo_masks, w_state_success)
+                     interval_probability, mixture_bin_mass, monte_carlo_masks,
+                     w_state_success)
 
 ETA23 = math.sqrt(2 / 3)
 
@@ -134,15 +135,17 @@ def test_success_quadrature_matches_interval_closed_form():
         assert abs(res.success_prob - closed) < 1e-8
 
 
-def test_interval_probability_is_python_float():
+def test_reported_numbers_are_python_floats():
     # sweep_rows writes repr(); numpy 2 spells a float64 "np.float64(...)"
-    run = run_scenario("three_qubit_P", 3.0, 0.9)
-    edges = (-math.inf, *run.rule.thresholds, math.inf)
-    bins = list(zip(edges, edges[1:]))
-    # the bins include one with finite edges and one with an infinite edge
-    assert {math.isfinite(hi - lo) for lo, hi in bins} == {True, False}
-    for lo, hi in bins:
-        assert type(interval_probability(run.state, "P", lo, hi)) is float
+    run = run_scenario("three_qubit_P", 3.0, 0.9, gamma=0.2, trials=500,
+                       seed=3)
+    results = run.results + run.mc_results
+    results += tuple(r for pt in sweep("gsum", [0.0, 2.0], [0.0, 0.2], 0.9)
+                     for r in pt.results)
+    assert {r.method for r in results} == {"quadrature", "monte_carlo"}
+    for r in results:
+        for x in (r.success_prob, r.fidelity, r.mc_stderr):
+            assert x is None or type(x) is float, (r, x)
 
 
 def test_probability_completeness_every_scenario():
@@ -426,6 +429,23 @@ def test_sweep_empty_range_rejected():
         sweep("two_qubit_X", [1.0], [], 1.0)
 
 
+@pytest.mark.parametrize("nbars, gammas, bad", [
+    ([2.0, -1.0], [0.0], "mean photon number"),
+    ([2.0, math.nan], [0.0], "mean photon number"),
+    ([2.0], [0.0, -1.0], "gamma"),
+    ([2.0], [0.0, math.inf], "gamma"),
+], ids=["negative_nbar", "nan_nbar", "negative_gamma", "inf_gamma"])
+def test_sweep_rejects_bad_values_before_any_point(monkeypatch, nbars, gammas,
+                                                   bad):
+    calls = []
+    monkeypatch.setattr(metrics, "run_scenario",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError,
+                       match=f"^{bad} must be finite and non-negative"):
+        sweep("two_qubit_X", nbars, gammas, 1.0)
+    assert calls == []
+
+
 def test_sweep_fidelity_monotone_in_nbar():
     pts = sweep("two_qubit_X", [1.0, 2.0, 4.0, 9.0], [0.0], 2 / 3)
     fids = [p.results[1].fidelity for p in pts]
@@ -462,6 +482,22 @@ def test_run_scenario_alias_matches_canonical():
     assert alias.rule == canonical.rule
     assert alias.rule.scenario == "gsum_X"
     assert alias.results == canonical.results
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": -1}, "trials must be non-negative, got -1"),
+    ({"eta_sq": -0.5}, "eta_sq must lie in [0, 1], got -0.5"),
+    ({"eta_sq": 1.5}, "eta_sq must lie in [0, 1], got 1.5"),
+], ids=["negative_trials", "eta_sq_below", "eta_sq_above"])
+def test_run_scenario_rejects_bad_inputs_before_work(monkeypatch, kwargs,
+                                                     message):
+    calls = []
+    monkeypatch.setattr(metrics, "build_decision_rule",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError) as err:
+        run_scenario("two_qubit_X", 1.0, **{"eta_sq": 1.0, **kwargs})
+    assert str(err.value) == message
+    assert calls == []
 
 
 def test_class_result_equality_supports_comparison():
