@@ -42,6 +42,11 @@ SINGULAR_TOL = 1e-12
 # own phase and g^2 ~ 2 n^2 / pi^2 < 2e31 (g^2 overflows near n = 3e154).
 MAX_PHASE_N = 2**53
 
+# Largest gamma/kappa.  From 1e16 on r1 equals its gamma -> inf limit r0 to
+# rounding, so a larger gamma gives no new result (notes/decisions.md); near
+# 5e307 the numerator of reflection_coefficient overflows.
+MAX_GAMMA = 1e16
+
 
 @dataclass(frozen=True)
 class CavityParams:
@@ -56,9 +61,9 @@ class CavityParams:
         if not 0 <= self.g < math.inf:
             raise ValueError(
                 f"coupling g must be finite and non-negative, got {self.g}")
-        if not 0 <= self.gamma < math.inf:
-            raise ValueError(
-                f"gamma must be finite and non-negative, got {self.gamma}")
+        if not 0 <= self.gamma <= MAX_GAMMA:
+            raise ValueError(f"gamma must be finite and non-negative, "
+                             f"at most {MAX_GAMMA:g}, got {self.gamma}")
         if not (math.isfinite(self.delta1) and math.isfinite(self.delta2)):
             raise ValueError(f"detunings must be finite, got delta1="
                              f"{self.delta1}, delta2={self.delta2}")

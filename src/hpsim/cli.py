@@ -5,7 +5,11 @@ Exit codes: 0 ok, 2 usage/config error (including an --out file that
 cannot be written), 3 numerical failure.  The CLI checks only its own flags
 (the --alpha/--nbar route, ranges, caps, --jobs, the seed); the library
 function that takes a run input checks it, so an error line names the
-library parameter (e.g. "gamma must be finite and non-negative, got -0.1").
+library parameter (e.g. "gamma must be finite and non-negative, at most
+1e+16, got -0.1").  Those checks bound alpha (hybrid_state.MAX_ALPHA), gamma
+(cavity.MAX_GAMMA) and trials (metrics.MAX_TRIALS), and within the bounds
+no input reaches a SimulationError: exit 3 is kept for library failures
+(see errors.py).
 Each command returns its text and main() writes it.  Outputs are
 byte-identical across runs with the same flags and seed: the sampler is a
 documented counter-based recipe (see numerics.RNG_ALGORITHM), JSON keys are
@@ -64,13 +68,7 @@ def _resolve_alpha(args):
     if args.alpha is not None and args.nbar is not None:
         raise ValueError("give either --alpha or --nbar, not both")
     if args.alpha is not None:
-        # the --nbar range: alpha**2 itself raises OverflowError above it;
-        # the library checks that alpha is finite and non-negative
-        bound = math.sqrt(sys.float_info.max)
-        if args.alpha > bound:
-            raise ValueError(f"--alpha must be at most {bound!r}, where the "
-                             "mean photon number alpha^2 stops being finite")
-        return args.alpha
+        return args.alpha   # the library bounds it (hybrid_state.MAX_ALPHA)
     if args.nbar is not None:
         if not (math.isfinite(args.nbar) and args.nbar >= 0):
             raise ValueError("--nbar must be finite and non-negative")
@@ -202,12 +200,8 @@ def cmd_density(args) -> str:
     classes = rule.classes if rule is not None else ()
     lo, hi = integration_window(state, quadrature)
     grid = np.linspace(lo, hi, args.points)
-    # near the alpha bound (v - mean)^2 overflows far from a peak, to a
-    # Gaussian of exactly 0
-    with np.errstate(over="ignore"):
-        total = outcome_density(state, quadrature, grid)
-        comps = ([] if rule is None
-                 else density_components(state, rule, grid))
+    total = outcome_density(state, quadrature, grid)
+    comps = [] if rule is None else density_components(state, rule, grid)
 
     import csv
     buf = io.StringIO()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRuleError
-from .hybrid_state import SectorState
+from .hybrid_state import MAX_ALPHA, SectorState
 from .numerics import erfc, philox_stream, standard_normals
 
 _SIGMA = 1.0 / math.sqrt(2.0)      # quadrature standard deviation
@@ -86,6 +86,13 @@ def _zeta_coefficients(label, quadrature):
     return -2.0 * math.sqrt(2.0) * label.real, 2.0 * label.real * label.imag
 
 
+def _gaussians(means, v):
+    """The (n+1) x len(v) Gaussians e^{-(v - m_k)^2}, built in one array."""
+    gauss = np.subtract.outer(means, np.atleast_1d(np.asarray(v, dtype=float)))
+    np.negative(np.square(gauss, out=gauss), out=gauss)
+    return np.exp(gauss, out=gauss)
+
+
 def outcome_density(state: SectorState, quadrature, v):
     """Probability density of the homodyne outcome.
 
@@ -94,10 +101,7 @@ def outcome_density(state: SectorState, quadrature, v):
     labels drop out.  Returns one density per outcome in the array v.
     """
     means = quadrature_mean(state.fields, quadrature)
-    # the (n+1) x len(v) Gaussians e^{-(v - m_k)^2}, in one array
-    gauss = np.subtract.outer(means, np.atleast_1d(np.asarray(v, dtype=float)))
-    np.negative(np.square(gauss, out=gauss), out=gauss)
-    dens = state.probs @ np.exp(gauss, out=gauss)
+    dens = state.probs @ _gaussians(means, v)
     dens /= math.sqrt(math.pi)
     return dens
 
@@ -177,8 +181,9 @@ def build_decision_rule(scenario, alpha, eta=1.0, n=None) -> DecisionRule:
     resolves no bins and raises DegenerateRuleError, a ValueError.
     """
     scenario, n, axis = resolve_scenario(scenario, n)
-    if not 0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
+    if not 0 <= alpha <= MAX_ALPHA:
+        raise ValueError(f"alpha must be finite and non-negative, "
+                         f"at most {MAX_ALPHA:g}, got {alpha}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
 
@@ -318,13 +323,11 @@ def class_overlap_integrand(state: SectorState, quadrature, cls: OutcomeClass):
     diag = coherence.diagonal().real
     i, j = np.nonzero(~np.tri(len(ks), dtype=bool))     # the pairs k < k'
     pair = coherence[i, j] + coherence[j, i].conj()
-    # weight k's phase is its own zeta minus s_k times the bin's; the
-    # offsets overflow near alpha = 1e300, which the integrator reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        slope, offset = (np.array(_zeta_coefficients(fields, quadrature))
-                         - np.outer(cls.zeta_coefficients, cls.phase_signs))
-        dslope = slope[i] - slope[j]
-        dphase = offset[i] - offset[j] + np.angle(pair)
+    # weight k's phase is its own zeta minus s_k times the bin's
+    slope, offset = (np.array(_zeta_coefficients(fields, quadrature))
+                     - np.outer(cls.zeta_coefficients, cls.phase_signs))
+    dslope = slope[i] - slope[j]
+    dphase = offset[i] - offset[j] + np.angle(pair)
 
     def overlap(v):
         varr = np.asarray(v, dtype=float)
@@ -346,6 +349,6 @@ def density_components(state: SectorState, rule: DecisionRule, v: np.ndarray):
     density is the sum of all components.
     """
     means = quadrature_mean(state.fields, rule.quadrature)
-    gauss = np.exp(-(v[None, :] - means[:, None]) ** 2) / math.sqrt(math.pi)
+    gauss = _gaussians(means, v) / math.sqrt(math.pi)
     return [state.probs[list(cls.weights)] @ gauss[list(cls.weights)]
             for cls in rule.classes]

@@ -31,6 +31,11 @@ from .errors import SimulationError
 
 _UNIT_TOL = 1e-13        # |r|^2 within this of 1 counts as loss-free
 
+# Largest pulse amplitude (mean photon number 1e8).  Labels that are equal in
+# exact arithmetic round apart by about 4.4e-16 alpha, so 1 - F of a merged
+# bin grows as alpha^4: 1.6e-15 at 1e4, 1.3e-7 at 1e6 (notes/decisions.md).
+MAX_ALPHA = 1e4
+
 
 @dataclass(frozen=True)
 class SectorState:
@@ -56,13 +61,14 @@ def sector_state(n: int, alpha: float, eta: float, pair) -> SectorState:
     and moves it to (a + bx, b + by).  When neither reflection is lossy
     beyond _UNIT_TOL the gate records no event (s = 0).  The channel's loss
     label sqrt(1 - eta^2) alpha is the same on every branch, so its factor
-    is 1.  A pulse too large for floating point raises SimulationError.
+    is 1.  A state that floating point cannot carry (an n or a pair
+    beyond what the scenarios use) raises SimulationError.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if isinstance(alpha, complex) or not 0 <= alpha < math.inf:
-        raise ValueError(
-            f"alpha must be real, finite and non-negative, got {alpha!r}")
+    if isinstance(alpha, complex) or not 0 <= alpha <= MAX_ALPHA:
+        raise ValueError(f"alpha must be real, finite and non-negative, "
+                         f"at most {MAX_ALPHA:g}, got {alpha!r}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     loss = [max(0.0, 1.0 - abs(r) ** 2) for r in (pair.r0, pair.r1)]

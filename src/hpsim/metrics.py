@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import reflection_pair, solve_params_for_phase
+from .cavity import MAX_GAMMA, reflection_pair, solve_params_for_phase
 from .errors import DegenerateRuleError
 from .homodyne import (DecisionRule, build_decision_rule,
                        class_overlap_integrand, integration_window,
                        outcome_density, quadrature_mean, resolve_scenario,
                        sample_outcomes)
-from .hybrid_state import SectorState, sector_state
+from .hybrid_state import MAX_ALPHA, SectorState, sector_state
 from .numerics import erfc, integrate_piecewise
 
 QUAD_TOL = 1e-9
@@ -121,6 +121,10 @@ def closed_form_two_qubit(alpha: float, eta: float):
 # next one is drawn, so memory does not grow with the trial count.
 MC_BLOCK_TRIALS = 1 << 16
 
+# Most Monte Carlo trials one run takes: a block costs 11-26 ms on a 2-core
+# machine, so 10^9 trials take 3-7 minutes.
+MAX_TRIALS = 10**9
+
 
 def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
                          trials: int, seed) -> list:
@@ -208,6 +212,8 @@ def run_scenario(scenario: str, alpha: float, eta_sq: float,
                  seed=0) -> ScenarioRun:
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     if not 0.0 <= eta_sq <= 1.0:
         raise ValueError(f"eta_sq must lie in [0, 1], got {eta_sq}")
     rule = build_decision_rule(scenario, alpha, math.sqrt(eta_sq), n=n)
@@ -227,18 +233,23 @@ def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float,
 
     Points run in order in this process, gamma fastest, and carry the
     canonical scenario name.  Every mean photon number and gamma is checked
-    (finite, non-negative) before the first point runs.  A point whose
-    pulse resolves no bins (DegenerateRuleError) has no rows.
+    before the first point runs: the alpha it gives at most MAX_ALPHA, the
+    gamma at most MAX_GAMMA.  A point whose pulse resolves no bins
+    (DegenerateRuleError) has no rows.
     """
     nbars = [float(nbar) for nbar in mean_photon_numbers]
     gammas = [float(gamma) for gamma in gammas]
-    for name, values in (("mean photon number", nbars), ("gamma", gammas)):
+    # nbar is bounded through its square root, the alpha run_scenario takes
+    for name, values, in_range, bound in (
+            ("mean photon number", nbars,
+             lambda x: 0.0 <= x and math.sqrt(x) <= MAX_ALPHA, MAX_ALPHA**2),
+            ("gamma", gammas, lambda x: 0.0 <= x <= MAX_GAMMA, MAX_GAMMA)):
         if not values:
             raise ValueError(f"{name} range is empty")
         for x in values:
-            if not 0.0 <= x < math.inf:
-                raise ValueError(
-                    f"{name} must be finite and non-negative, got {x}")
+            if not in_range(x):
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"at most {bound:g}, got {x}")
     scenario, n, _ = resolve_scenario(scenario, n)
     eta_sq = float(eta_sq)
     points = []

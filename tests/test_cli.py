@@ -6,20 +6,31 @@ import sys
 
 import pytest
 
-from hpsim.metrics import SWEEP_CSV_COLUMNS
+from hpsim import cli
+from hpsim.cavity import MAX_GAMMA
+from hpsim.hybrid_state import MAX_ALPHA
+from hpsim.metrics import MAX_TRIALS, SWEEP_CSV_COLUMNS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_cli(*args, env_extra=None):
-    """Run `python -m hpsim`; a run that hangs fails the test after 120 s."""
+def run_cli(*args, env_extra=None, timeout=120):
+    """Run `python -m hpsim`; a hung run fails the test after `timeout` s."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("HPSIM_DEFAULT_SEED", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "hpsim", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
+def main_in_process(capsys, *args):
+    """Run `cli.main` in this process; the result reads like run_cli's."""
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, out, err)
 
 
 def test_solve_params_two_nodes():
@@ -132,41 +143,75 @@ def test_simulate_usage_errors_exit_2():
         assert res.stderr.endswith("has no resolvable bins\n"), res.stderr
 
 
-def test_simulate_numerical_failure_exits_3():
-    # with gamma > 0 the environment coherences overflow
-    res = run_cli("simulate", "--scenario", "three_qubit", "--alpha", "1e10",
-                  "--gamma", "0.2")
-    assert res.returncode == 3
-    lines = res.stderr.splitlines()
-    assert len(lines) == 1, res.stderr           # no numpy warnings before it
-    assert lines[0].startswith("hpsim: numerical failure: non-finite sector state")
-    # at gamma = 0 only an alpha above the CLI's bound overflows the
-    # integrand; the integrator stops at the first bad value
-    from hpsim.errors import SimulationError
+def test_former_numerical_failures_exit_2(capsys):
+    # both overflowed (exit 3) before alpha and gamma were bounded; now the
+    # library refuses them before any state is built
+    for args in (("three_qubit", "--alpha", "1e10", "--gamma", "0.2"),
+                 ("n_qubit", "--n", "20", "--alpha", "1", "--gamma", "1e308")):
+        assert_usage_error(
+            main_in_process(capsys, "simulate", "--scenario", *args), args)
+    # the integrand overflow near alpha = 1e300 is out of the library's range
     from hpsim.metrics import run_scenario
-    with pytest.raises(SimulationError, match="non-finite integrand"):
+    with pytest.raises(ValueError, match="^alpha must be finite and "
+                                         "non-negative, at most 10000, "):
         run_scenario("two_qubit_X", 1e300, 1.0)
 
 
-def test_alpha_with_infinite_square_exits_2():
-    # alpha**2, the mean photon number, overflows above sqrt(float max)
-    bound = repr(math.sqrt(sys.float_info.max))
-    for command in ("simulate", "density"):
-        for alpha in ("1.4e154", "1e300"):
-            res = run_cli(command, "--scenario", "two_qubit", "--alpha", alpha)
-            assert res.returncode == 2, (command, alpha)
-            assert res.stderr == (f"hpsim: error: --alpha must be at most "
-                                  f"{bound}, where the mean photon number "
-                                  f"alpha^2 stops being finite\n"), res.stderr
-            assert res.stdout == ""
-        # the bound itself runs; a squared distance that overflows gives a
-        # Gaussian of exactly 0, with no numpy warning
-        extra = ("--points", "11") if command == "density" else ()
-        for alpha in (bound, "1e154"):
-            res = run_cli(command, "--scenario", "two_qubit", "--alpha", alpha,
-                          *extra)
-            assert res.returncode == 0, (command, alpha, res.stderr)
-            assert res.stderr == "", (command, alpha)
+def _above(x):
+    return repr(math.nextafter(x, math.inf))
+
+
+def test_input_bounds_run_and_the_next_float_exits_2(capsys):
+    # alpha = MAX_ALPHA (<n> = 1e8) and gamma = MAX_GAMMA run cleanly in
+    # every command; the next float above either exits 2 with one line
+    alpha, nbar, gamma = repr(MAX_ALPHA), repr(MAX_ALPHA**2), repr(MAX_GAMMA)
+    assert (alpha, nbar, gamma) == ("10000.0", "100000000.0", "1e+16")
+    point = {"simulate": (), "density": ("--points", "11")}
+    for command, extra in point.items():
+        for args in (("--alpha", alpha, "--gamma", gamma),
+                     ("--nbar", nbar, "--gamma", gamma)):
+            res = main_in_process(capsys, command, "--scenario", "gsum",
+                                  *args, *extra)
+            assert (res.returncode, res.stderr) == (0, ""), (command, args)
+        for args in (("--alpha", _above(MAX_ALPHA)),
+                     ("--alpha", "1", "--gamma", _above(MAX_GAMMA))):
+            assert_usage_error(main_in_process(
+                capsys, command, "--scenario", "gsum", *args, *extra),
+                (command, args))
+    res = main_in_process(capsys, "sweep", "--scenario", "gsum",
+                          "--nbar", nbar, "--gamma", gamma)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert_usage_error(main_in_process(capsys, "sweep", "--scenario", "gsum",
+                                       "--nbar", "1", "--gamma",
+                                       _above(MAX_GAMMA)), "sweep gamma")
+
+
+def test_simulate_and_sweep_take_the_same_nbar(capsys):
+    # sweep bounds <n> through the alpha = sqrt(<n>) that simulate passes
+    # on: the float above 1e8 still has square root 1e4 and runs in both
+    first_refused = MAX_ALPHA**2
+    while math.sqrt(first_refused) <= MAX_ALPHA:
+        first_refused = math.nextafter(first_refused, math.inf)
+    assert first_refused > math.nextafter(1e8, math.inf)
+    for nbar, code in ((1e8, 0), (math.nextafter(1e8, math.inf), 0),
+                       (first_refused, 2), (1.0000001e8, 2)):
+        for command in ("simulate", "sweep"):
+            res = main_in_process(capsys, command, "--scenario", "two_qubit",
+                                  "--nbar", repr(nbar))
+            assert res.returncode == code, (command, nbar, res.stderr)
+            if code:
+                assert_usage_error(res, (command, nbar))
+
+
+def test_simulate_trials_above_cap_exit_2_at_once():
+    # refused before any trial is drawn; a short timeout fails the test
+    # instead of waiting for minutes of Monte Carlo
+    for trials in (MAX_TRIALS + 1, 10**13):
+        res = run_cli("simulate", "--scenario", "gsum", "--alpha", "2",
+                      "--trials", str(trials), timeout=20)
+        assert_usage_error(res, trials)
+        assert res.stderr == (f"hpsim: error: trials must be at most "
+                              f"{MAX_TRIALS}, got {trials}\n")
 
 
 def test_simulation_error_maps_to_exit_3(monkeypatch, capsys):

@@ -8,10 +8,11 @@ import pytest
 from hpsim import metrics
 from hpsim.homodyne import (build_decision_rule, class_overlap_integrand,
                             outcome_density)
-from hpsim.metrics import (QUAD_TOL, SWEEP_CSV_COLUMNS, ClassResult,
-                           _bin_breakpoints, closed_form_two_qubit,
-                           monte_carlo_estimate, prepare_state, run_scenario,
-                           sweep, write_sweep_csv)
+from hpsim.metrics import (MAX_TRIALS, QUAD_TOL, SWEEP_CSV_COLUMNS,
+                           ClassResult, _bin_breakpoints,
+                           closed_form_two_qubit, monte_carlo_estimate,
+                           prepare_state, run_scenario, sweep,
+                           write_sweep_csv)
 from hpsim.numerics import integrate_piecewise
 from oracles import (erfc_oracle, gauss_bin_mass, integrate_piecewise_recursive,
                      interval_probability, mixture_bin_mass, monte_carlo_masks,
@@ -498,6 +499,25 @@ def test_run_scenario_rejects_bad_inputs_before_work(monkeypatch, kwargs,
         run_scenario("two_qubit_X", 1.0, **{"eta_sq": 1.0, **kwargs})
     assert str(err.value) == message
     assert calls == []
+
+
+def test_run_scenario_takes_trials_up_to_the_cap(monkeypatch):
+    # MAX_TRIALS itself reaches Monte Carlo (stubbed: no trial runs); one
+    # more is refused before any work
+    calls = []
+
+    def record(state, rule, trials, seed):
+        calls.append(trials)
+        return []
+
+    monkeypatch.setattr(metrics, "monte_carlo_estimate", record)
+    run = run_scenario("gsum", 2.0, 1.0, trials=MAX_TRIALS)
+    assert calls == [MAX_TRIALS] and run.mc_results == ()
+    with pytest.raises(ValueError) as err:
+        run_scenario("gsum", 2.0, 1.0, trials=MAX_TRIALS + 1)
+    assert str(err.value) == (f"trials must be at most {MAX_TRIALS}, "
+                              f"got {MAX_TRIALS + 1}")
+    assert calls == [MAX_TRIALS]
 
 
 def test_class_result_equality_supports_comparison():

@@ -1,19 +1,25 @@
 """Property tests: every legal configuration ends in a result.
 
-Configurations are drawn over the whole legal range: every scenario, n over
-its range, alpha log-uniform in [1e-3, 1e3], eta^2 in [0.01, 1] and gamma
-either 0 or log-uniform in [1e-2, 1e3].  Derandomized with no example
-database, so the draws are the same on every run.  The whole file stays
-within a 10 s budget.
+Configurations are drawn over the legal range: every scenario, n over its
+range, alpha log-uniform in [1e-3, MAX_ALPHA], eta^2 in [0.01, 1] and gamma
+either 0 or log-uniform in [1e-2, 1e3].  The command-line property runs
+`cli.main` up to both bounds, MAX_ALPHA and MAX_GAMMA.  Derandomized with
+no example database, so the draws are the same on every run.  The whole
+file stays within a 10 s budget.
 """
 
+import contextlib
+import io
 import math
 import warnings
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hpsim import cli
+from hpsim.cavity import MAX_GAMMA
 from hpsim.homodyne import SCENARIOS, build_decision_rule
+from hpsim.hybrid_state import MAX_ALPHA
 from hpsim.metrics import monte_carlo_estimate, prepare_state, run_scenario
 from oracles import interval_probability
 
@@ -25,7 +31,7 @@ def configurations(draw):
     scenario = draw(st.sampled_from(sorted(SCENARIOS)))
     _, _, n_min, n_max = SCENARIOS[scenario]
     n = draw(st.integers(n_min, n_max))
-    alpha = 10.0 ** draw(st.floats(-3.0, 3.0))
+    alpha = 10.0 ** draw(st.floats(-3.0, math.log10(MAX_ALPHA)))
     eta_sq = draw(st.floats(0.01, 1.0))
     gamma = draw(st.one_of(st.just(0.0),
                            st.floats(-2.0, 3.0).map(lambda e: 10.0 ** e)))
@@ -82,3 +88,47 @@ def test_monte_carlo_fidelity_within_its_standard_error(config, seed):
             assert abs(mc.fidelity - quad.fidelity) <= (
                 5.0 * mc.fidelity_stderr + 1e-8), (
                 mc.target_name, mc.fidelity, quad.fidelity, mc.fidelity_stderr)
+
+
+@st.composite
+def command_lines(draw):
+    scenario = draw(st.sampled_from(sorted(SCENARIOS)))
+    _, _, n_min, n_max = SCENARIOS[scenario]
+    n = draw(st.integers(n_min, n_max))
+    alpha = 10.0 ** draw(st.floats(-3.0, math.log10(MAX_ALPHA)))
+    eta_sq = draw(st.floats(0.0, 1.0, exclude_min=True))
+    gamma = draw(st.one_of(st.just(0.0), st.floats(
+        -2.0, math.log10(MAX_GAMMA)).map(lambda e: 10.0 ** e)))
+    command = draw(st.sampled_from([("simulate", "--trials", "0"),
+                                    ("simulate", "--trials", "3000"),
+                                    ("density", "--points", "51")]))
+    return (*command, "--scenario", scenario, "--n", str(n), "--alpha",
+            repr(alpha), "--eta-sq", repr(eta_sq), "--gamma", repr(gamma))
+
+
+def _at_bounds(command, scenario, n):
+    return (*command, "--scenario", scenario, "--n", str(n), "--alpha",
+            repr(MAX_ALPHA), "--eta-sq", "1.0", "--gamma", repr(MAX_GAMMA))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(command_lines())
+@example(_at_bounds(("simulate", "--trials", "3000"), "gsum_X", 3))
+@example(_at_bounds(("simulate", "--trials", "3000"), "n_qubit_P", 20))
+@example(_at_bounds(("density", "--points", "51"), "three_qubit_P", 3))
+@example(_at_bounds(("density", "--points", "51"), "two_qubit_X", 2))
+def test_every_command_line_exits_0_or_2(argv):
+    # no legal command line reaches exit 3 or a numpy warning; an error is
+    # exactly one line
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(list(argv))
+    err = err.getvalue()
+    assert code in (0, 2), (argv, code, err)
+    if code == 0:
+        assert err == "", (argv, err)
+    else:
+        assert err.startswith("hpsim: error: "), (argv, err)
+        assert err.count("\n") == 1, (argv, err)
