@@ -37,7 +37,7 @@ from .homodyne import (SCENARIOS, DecisionRule, OutcomeClass,
 from .hybrid_state import SectorState, sector_state
 from .metrics import (ClassResult, ScenarioRun, SweepPoint,
                       closed_form_two_qubit, monte_carlo_estimate,
-                      run_scenario, sweep, write_sweep_csv)
+                      run_scenario, sweep)
 from .numerics import erfc
 
 __all__ = [name for name in dir() if not name.startswith("_")]

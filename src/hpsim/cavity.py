@@ -31,7 +31,7 @@ the unit.
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import SingularParametersError
 
@@ -48,6 +48,13 @@ MAX_PHASE_N = 2**53
 MAX_GAMMA = 1e16
 
 
+def check_gamma(gamma):
+    """The one check of a gamma/kappa: 0 <= gamma <= MAX_GAMMA."""
+    if not 0 <= gamma <= MAX_GAMMA:
+        raise ValueError(f"gamma must be finite and non-negative, "
+                         f"at most {MAX_GAMMA:g}, got {gamma}")
+
+
 @dataclass(frozen=True)
 class CavityParams:
     """One atom-cavity node.  delta1/delta2/g/gamma are in units of kappa."""
@@ -61,15 +68,10 @@ class CavityParams:
         if not 0 <= self.g < math.inf:
             raise ValueError(
                 f"coupling g must be finite and non-negative, got {self.g}")
-        if not 0 <= self.gamma <= MAX_GAMMA:
-            raise ValueError(f"gamma must be finite and non-negative, "
-                             f"at most {MAX_GAMMA:g}, got {self.gamma}")
+        check_gamma(self.gamma)
         if not (math.isfinite(self.delta1) and math.isfinite(self.delta2)):
             raise ValueError(f"detunings must be finite, got delta1="
                              f"{self.delta1}, delta2={self.delta2}")
-
-    def with_gamma(self, gamma: float) -> "CavityParams":
-        return replace(self, gamma=gamma)
 
 
 @dataclass(frozen=True)

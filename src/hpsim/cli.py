@@ -1,15 +1,18 @@
 """Command-line front end: solve-params, simulate, sweep, density.
 
 Reports are JSON, curves are CSV; plotting is left to external tools.
+Every output format lives here: the JSON report, and one CSV writer
+(_csv) for the sweep and density curves.
 Exit codes: 0 ok, 2 usage/config error (including an --out file that
 cannot be written), 3 numerical failure.  The CLI checks only its own flags
 (the --alpha/--nbar route, ranges, caps, --jobs, the seed); the library
 function that takes a run input checks it, so an error line names the
 library parameter (e.g. "gamma must be finite and non-negative, at most
-1e+16, got -0.1").  Those checks bound alpha (hybrid_state.MAX_ALPHA), gamma
-(cavity.MAX_GAMMA) and trials (metrics.MAX_TRIALS), and within the bounds
-no input reaches a SimulationError: exit 3 is kept for library failures
-(see errors.py).
+1e+16, got -0.1").  Each bound has one check: alpha
+(hybrid_state.check_alpha), mean photon number (hybrid_state.alpha_for_nbar,
+which --nbar goes through in every command), gamma (cavity.check_gamma) and
+trials (metrics.MAX_TRIALS).  Within the bounds no input reaches a
+SimulationError: exit 3 is kept for library failures (see errors.py).
 Each command returns its text and main() writes it.  Outputs are
 byte-identical across runs with the same flags and seed: the sampler is a
 documented counter-based recipe (see numerics.RNG_ALGORITHM), JSON keys are
@@ -18,6 +21,7 @@ are embedded.
 """
 
 import argparse
+import csv
 import io
 import json
 import math
@@ -30,12 +34,22 @@ from . import __version__
 from .cavity import reflection_pair, solve_params_for_phase
 from .errors import DegenerateRuleError, SimulationError
 from .homodyne import SCENARIOS, density_components, resolve_scenario
-from .metrics import (GAMMA_MODEL_NOTE, closed_form_two_qubit, run_scenario,
-                      sweep, write_sweep_csv)
+from .hybrid_state import alpha_for_nbar
+from .metrics import closed_form_two_qubit, run_scenario, sweep
 from .numerics import RNG_ALGORITHM
 
 MODEL_VERSION = (f"hpsim {__version__}; reflection=steady-state-v1; "
                  f"rng={RNG_ALGORITHM}")
+
+GAMMA_MODEL_NOTE = (
+    "gamma > 0 curves use a reconstructed steady-state reflection model with "
+    "beam-splitter loss bookkeeping (which-path environment labels); they are "
+    "model-dependent, not device-calibrated.")
+
+SWEEP_CSV_COLUMNS = ("scenario", "mean_photon_number", "alpha",
+                     "gamma_over_kappa", "eta_sq", "class_parity",
+                     "target_name", "success_prob", "fidelity", "method",
+                     "mc_stderr")
 
 # canonical scenario names, then their short aliases
 SCENARIO_CHOICES = tuple(SCENARIOS) + tuple(row[1] for row in SCENARIOS.values())
@@ -68,11 +82,9 @@ def _resolve_alpha(args):
     if args.alpha is not None and args.nbar is not None:
         raise ValueError("give either --alpha or --nbar, not both")
     if args.alpha is not None:
-        return args.alpha   # the library bounds it (hybrid_state.MAX_ALPHA)
+        return args.alpha   # the library bounds it (hybrid_state.check_alpha)
     if args.nbar is not None:
-        if not (math.isfinite(args.nbar) and args.nbar >= 0):
-            raise ValueError("--nbar must be finite and non-negative")
-        return math.sqrt(args.nbar)
+        return alpha_for_nbar(args.nbar)
     raise ValueError("one of --alpha or --nbar is required")
 
 
@@ -109,6 +121,15 @@ def _num_or_null(x):
     if x is None or (isinstance(x, float) and math.isnan(x)):
         return None
     return x
+
+
+def _csv(header, rows) -> str:
+    """UTF-8 CSV text with LF line endings and the header row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _class_dict(res):
@@ -174,9 +195,12 @@ def cmd_sweep(args) -> str:
         raise ValueError(f"sweep grid of {len(nbars)} x {len(gammas)} points "
                          f"has more than {MAX_RANGE_POINTS} points")
     points = sweep(args.scenario, nbars, gammas, args.eta_sq, n=args.n)
-    buf = io.StringIO()
-    write_sweep_csv(points, buf)
-    return buf.getvalue()
+    return _csv(SWEEP_CSV_COLUMNS, (
+        [pt.scenario, repr(pt.mean_photon_number), repr(pt.alpha),
+         repr(pt.gamma_over_kappa), repr(pt.eta_sq), str(res.parity),
+         res.target_name, repr(res.success_prob), repr(res.fidelity),
+         res.method, "" if res.mc_stderr is None else repr(res.mc_stderr)]
+        for pt in points for res in pt.results))
 
 
 def cmd_density(args) -> str:
@@ -202,17 +226,11 @@ def cmd_density(args) -> str:
     grid = np.linspace(lo, hi, args.points)
     total = outcome_density(state, quadrature, grid)
     comps = [] if rule is None else density_components(state, rule, grid)
-
-    import csv
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = ["v", "density"] + [f"class[{c.parity}]:{c.target_name}"
                                  for c in classes]
-    writer.writerow(header)
-    for i, v in enumerate(grid):
-        writer.writerow([repr(float(v)), repr(float(total[i]))]
-                        + [repr(float(comp[i])) for comp in comps])
-    return buf.getvalue()
+    return _csv(header, ([repr(float(v)), repr(float(total[i]))]
+                         + [repr(float(comp[i])) for comp in comps]
+                         for i, v in enumerate(grid)))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRuleError
-from .hybrid_state import MAX_ALPHA, SectorState
-from .numerics import erfc, philox_stream, standard_normals
+from .hybrid_state import SectorState, check_alpha
+from .numerics import philox_stream, standard_normals
 
 _SIGMA = 1.0 / math.sqrt(2.0)      # quadrature standard deviation
 WINDOW_SIGMAS = 8.0                # integration window half-width, in sigmas
@@ -106,13 +106,6 @@ def outcome_density(state: SectorState, quadrature, v):
     return dens
 
 
-def density_cdf(state: SectorState, quadrature, v):
-    """P(outcome <= v), closed form through erfc."""
-    means = quadrature_mean(state.fields, quadrature)
-    return 0.5 * (state.probs
-                  @ erfc(np.subtract.outer(means, np.asarray(v, dtype=float))))
-
-
 def integration_window(state: SectorState, quadrature):
     """[min mean - 8 sigma, max mean + 8 sigma]; truncated tails < 1e-14."""
     means = quadrature_mean(state.fields, quadrature)
@@ -181,9 +174,7 @@ def build_decision_rule(scenario, alpha, eta=1.0, n=None) -> DecisionRule:
     resolves no bins and raises DegenerateRuleError, a ValueError.
     """
     scenario, n, axis = resolve_scenario(scenario, n)
-    if not 0 <= alpha <= MAX_ALPHA:
-        raise ValueError(f"alpha must be finite and non-negative, "
-                         f"at most {MAX_ALPHA:g}, got {alpha}")
+    check_alpha(alpha)
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
 

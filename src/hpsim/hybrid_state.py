@@ -37,6 +37,25 @@ _UNIT_TOL = 1e-13        # |r|^2 within this of 1 counts as loss-free
 MAX_ALPHA = 1e4
 
 
+def check_alpha(alpha):
+    """The one check of a pulse amplitude: real, 0 <= alpha <= MAX_ALPHA."""
+    if isinstance(alpha, complex) or not 0 <= alpha <= MAX_ALPHA:
+        raise ValueError(f"alpha must be finite and non-negative, "
+                         f"at most {MAX_ALPHA:g}, got {alpha}")
+
+
+def alpha_for_nbar(nbar) -> float:
+    """sqrt(<n>), the alpha of mean photon number nbar.
+
+    <n> is bounded through its square root, so every nbar whose alpha is at
+    most MAX_ALPHA is taken (a few floats above MAX_ALPHA**2 among them).
+    """
+    if not (0 <= nbar and math.sqrt(nbar) <= MAX_ALPHA):
+        raise ValueError(f"mean photon number must be finite and "
+                         f"non-negative, at most {MAX_ALPHA**2:g}, got {nbar}")
+    return math.sqrt(nbar)
+
+
 @dataclass(frozen=True)
 class SectorState:
     n: int
@@ -66,9 +85,7 @@ def sector_state(n: int, alpha: float, eta: float, pair) -> SectorState:
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if isinstance(alpha, complex) or not 0 <= alpha <= MAX_ALPHA:
-        raise ValueError(f"alpha must be real, finite and non-negative, "
-                         f"at most {MAX_ALPHA:g}, got {alpha!r}")
+    check_alpha(alpha)
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     loss = [max(0.0, 1.0 - abs(r) ** 2) for r in (pair.r0, pair.r1)]

@@ -15,29 +15,27 @@ coupled-state reflection contracts and deposits which-path labels in the
 environment, so fidelities degrade both through reduced bin separation and
 through the Gamma_xy coherence factors.  This reconstruction is flagged in
 every report; it is a model choice, not a calibrated device curve.
+
+The module only computes: its results are dataclasses of Python floats,
+and cli.py writes every report and CSV from them.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cavity import MAX_GAMMA, reflection_pair, solve_params_for_phase
+from .cavity import check_gamma, reflection_pair, solve_params_for_phase
 from .errors import DegenerateRuleError
 from .homodyne import (DecisionRule, build_decision_rule,
                        class_overlap_integrand, integration_window,
                        outcome_density, quadrature_mean, resolve_scenario,
                        sample_outcomes)
-from .hybrid_state import MAX_ALPHA, SectorState, sector_state
+from .hybrid_state import SectorState, alpha_for_nbar, sector_state
 from .numerics import erfc, integrate_piecewise
 
 QUAD_TOL = 1e-9
 EMPTY_BIN_P = 1e-12      # a bin below this probability has no fidelity
-
-GAMMA_MODEL_NOTE = (
-    "gamma > 0 curves use a reconstructed steady-state reflection model with "
-    "beam-splitter loss bookkeeping (which-path environment labels); they are "
-    "model-dependent, not device-calibrated.")
 
 
 @dataclass(frozen=True)
@@ -139,6 +137,8 @@ def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     overlaps = [class_overlap_integrand(state, rule.quadrature, cls)
                 for cls in rule.classes]
     hits = [0] * len(rule.classes)
@@ -203,7 +203,7 @@ def prepare_state(scenario: str, alpha: float, eta_sq: float,
     _, nq, _ = resolve_scenario(scenario, n)
     if not 0.0 <= eta_sq <= 1.0:
         raise ValueError(f"eta_sq must lie in [0, 1], got {eta_sq}")
-    params = solve_params_for_phase(nq).with_gamma(gamma)
+    params = replace(solve_params_for_phase(nq), gamma=gamma)
     return sector_state(nq, alpha, math.sqrt(eta_sq), reflection_pair(params))
 
 
@@ -232,29 +232,23 @@ def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float,
     """Quadrature results over a (mean photon number) x (gamma) grid.
 
     Points run in order in this process, gamma fastest, and carry the
-    canonical scenario name.  Every mean photon number and gamma is checked
-    before the first point runs: the alpha it gives at most MAX_ALPHA, the
-    gamma at most MAX_GAMMA.  A point whose pulse resolves no bins
-    (DegenerateRuleError) has no rows.
+    canonical scenario name.  Every mean photon number (alpha_for_nbar) and
+    gamma (check_gamma) is checked before the first point runs.  A point
+    whose pulse resolves no bins (DegenerateRuleError) has no results.
     """
     nbars = [float(nbar) for nbar in mean_photon_numbers]
     gammas = [float(gamma) for gamma in gammas]
-    # nbar is bounded through its square root, the alpha run_scenario takes
-    for name, values, in_range, bound in (
-            ("mean photon number", nbars,
-             lambda x: 0.0 <= x and math.sqrt(x) <= MAX_ALPHA, MAX_ALPHA**2),
-            ("gamma", gammas, lambda x: 0.0 <= x <= MAX_GAMMA, MAX_GAMMA)):
-        if not values:
-            raise ValueError(f"{name} range is empty")
-        for x in values:
-            if not in_range(x):
-                raise ValueError(f"{name} must be finite and non-negative, "
-                                 f"at most {bound:g}, got {x}")
+    if not nbars:
+        raise ValueError("mean photon number range is empty")
+    alphas = [alpha_for_nbar(nbar) for nbar in nbars]
+    if not gammas:
+        raise ValueError("gamma range is empty")
+    for gamma in gammas:
+        check_gamma(gamma)
     scenario, n, _ = resolve_scenario(scenario, n)
     eta_sq = float(eta_sq)
     points = []
-    for nbar in nbars:
-        alpha = math.sqrt(nbar)
+    for nbar, alpha in zip(nbars, alphas):
         for gamma in gammas:
             try:
                 results = run_scenario(scenario, alpha, eta_sq, gamma=gamma,
@@ -265,32 +259,3 @@ def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float,
                 scenario=scenario, mean_photon_number=nbar, alpha=alpha,
                 gamma_over_kappa=gamma, eta_sq=eta_sq, results=results))
     return points
-
-
-SWEEP_CSV_COLUMNS = ("scenario", "mean_photon_number", "alpha",
-                     "gamma_over_kappa", "eta_sq", "class_parity",
-                     "target_name", "success_prob", "fidelity", "method",
-                     "mc_stderr")
-
-
-def sweep_rows(points) -> list:
-    """Flatten SweepPoints to CSV rows (strings), one row per class result."""
-    rows = []
-    for pt in points:
-        for res in pt.results:
-            rows.append([
-                pt.scenario, repr(pt.mean_photon_number), repr(pt.alpha),
-                repr(pt.gamma_over_kappa), repr(pt.eta_sq), str(res.parity),
-                res.target_name, repr(res.success_prob), repr(res.fidelity),
-                res.method,
-                "" if res.mc_stderr is None else repr(res.mc_stderr),
-            ])
-    return rows
-
-
-def write_sweep_csv(points, fileobj):
-    """UTF-8 CSV with LF line endings and the mandatory header row."""
-    import csv
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_COLUMNS)
-    writer.writerows(sweep_rows(points))

@@ -4,10 +4,10 @@ These deliberately share no code with the package: erfc comes from a
 Maclaurin series for small arguments and a Lentz-evaluated continued
 fraction for large ones, and Gaussian bin masses are assembled from that
 oracle; the coefficients of the package's Weideman erfc are regenerated
-here from Weideman's FFT construction.  interval_probability is the one
-bin-mass route that uses the package's erfc (through density_cdf): it is
-the closed form the quadrature bin probabilities are held to.  The cavity
-reflection is re-derived by a direct 2x2 steady-state solve and by RK4
+here from Weideman's FFT construction.  density_cdf and
+interval_probability are the one bin-mass route that uses the package's
+erfc: it is the closed form the quadrature bin probabilities are held to.
+The cavity reflection is re-derived by a direct 2x2 steady-state solve and by RK4
 relaxation of the equations of motion; quadrature is the classic
 recursive, one-point-at-a-time adaptive Simpson that the package's
 level-by-level integrator must reproduce.  Agreement between package and oracle is therefore a
@@ -30,15 +30,16 @@ sector state and the per-label zeta coefficients with the package.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
 from hpsim.cavity import CavityParams, reflection_pair, solve_params_for_phase
 from hpsim.errors import SimulationError
-from hpsim.homodyne import (_zeta_coefficients, density_cdf, quadrature_mean,
+from hpsim.homodyne import (_zeta_coefficients, quadrature_mean,
                             resolve_scenario, sample_outcomes)
+from hpsim.numerics import erfc
 
 
 class OracleFailureError(SimulationError):
@@ -125,9 +126,16 @@ def mixture_bin_mass(weights, means, lo, hi) -> float:
                      for w, m in zip(weights, means)))
 
 
+def density_cdf(state, quadrature, v):
+    """P(outcome <= v), closed form through the package's erfc."""
+    means = quadrature_mean(state.fields, quadrature)
+    return 0.5 * (state.probs
+                  @ erfc(np.subtract.outer(means, np.asarray(v, dtype=float))))
+
+
 def interval_probability(state, quadrature, lo, hi) -> float:
-    """Bin mass from the package's closed-form density_cdf (the erfc route
-    to a bin's probability, against the package's quadrature)."""
+    """Bin mass from the closed-form density_cdf (the erfc route to a bin's
+    probability, against the package's quadrature)."""
     hi_cdf = 1.0 if hi == math.inf else density_cdf(state, quadrature, hi)
     lo_cdf = 0.0 if lo == -math.inf else density_cdf(state, quadrature, lo)
     return float(hi_cdf - lo_cdf)
@@ -460,7 +468,8 @@ def dense_state(scenario: str, alpha: float, eta_sq: float,
     """
     _, nq, _ = resolve_scenario(scenario, n)
     if pair is None:
-        pair = reflection_pair(solve_params_for_phase(nq).with_gamma(gamma))
+        params = replace(solve_params_for_phase(nq), gamma=gamma)
+        pair = reflection_pair(params)
     state = apply_channel_loss(init_plus_state(nq, alpha), math.sqrt(eta_sq))
     for i in range(nq):
         state = apply_cps(state, i, pair)

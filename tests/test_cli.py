@@ -7,9 +7,11 @@ import sys
 import pytest
 
 from hpsim import cli
-from hpsim.cavity import MAX_GAMMA
-from hpsim.hybrid_state import MAX_ALPHA
-from hpsim.metrics import MAX_TRIALS, SWEEP_CSV_COLUMNS
+from hpsim.cavity import MAX_GAMMA, reflection_pair, solve_params_for_phase
+from hpsim.cli import SWEEP_CSV_COLUMNS
+from hpsim.homodyne import build_decision_rule
+from hpsim.hybrid_state import MAX_ALPHA, sector_state
+from hpsim.metrics import MAX_TRIALS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -201,6 +203,35 @@ def test_simulate_and_sweep_take_the_same_nbar(capsys):
             assert res.returncode == code, (command, nbar, res.stderr)
             if code:
                 assert_usage_error(res, (command, nbar))
+
+
+@pytest.mark.parametrize("nbar", ["1.0000001e8", "-1", "nan"])
+def test_every_command_gives_one_nbar_message(capsys, nbar):
+    # one check (hybrid_state.alpha_for_nbar) for simulate, density and
+    # sweep, naming the value typed
+    line = (f"hpsim: error: mean photon number must be finite and "
+            f"non-negative, at most 1e+08, got {float(nbar)}\n")
+    for command in ("simulate", "density", "sweep"):
+        res = main_in_process(capsys, command, "--scenario", "two_qubit",
+                              "--nbar", nbar)
+        assert (res.returncode, res.stdout, res.stderr) == (2, "", line), \
+            command
+
+
+def test_every_route_gives_one_alpha_message(capsys):
+    # one check (hybrid_state.check_alpha) for the rule and the state
+    line = "alpha must be finite and non-negative, at most 10000, got 100000.0"
+    for command in ("simulate", "density"):
+        res = main_in_process(capsys, command, "--scenario", "two_qubit",
+                              "--alpha", "1e5")
+        assert (res.returncode, res.stdout, res.stderr) == (
+            2, "", f"hpsim: error: {line}\n"), command
+    pair = reflection_pair(solve_params_for_phase(2))
+    for build in (lambda: build_decision_rule("two_qubit", 1e5),
+                  lambda: sector_state(2, 1e5, 1.0, pair)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == line
 
 
 def test_simulate_trials_above_cap_exit_2_at_once():

@@ -7,16 +7,16 @@ import pytest
 
 from hpsim.errors import DegenerateRuleError
 from hpsim.homodyne import (SCENARIOS, _zeta_coefficients,
-                            build_decision_rule,
-                            class_overlap_integrand, density_cdf,
+                            build_decision_rule, class_overlap_integrand,
                             density_components, integration_window,
                             outcome_density, quadrature_mean,
                             resolve_scenario, sample_outcomes)
 from hpsim.metrics import prepare_state, run_scenario
 from oracles import (DegenerateOutcomeError, adaptive_simpson,
                      complex_overlap_integrand, conditional_atomic_state,
-                     dense_state, make_target, mixture_density, overlap_scale,
-                     quadrature_wavefunction, target_at, zeta_polar)
+                     density_cdf, dense_state, make_target, mixture_density,
+                     overlap_scale, quadrature_wavefunction, target_at,
+                     zeta_polar)
 
 QPI = math.pi ** (-0.25)
 

@@ -1,18 +1,17 @@
-import io
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hpsim import metrics
+from hpsim import cli, metrics
 from hpsim.homodyne import (build_decision_rule, class_overlap_integrand,
                             outcome_density)
-from hpsim.metrics import (MAX_TRIALS, QUAD_TOL, SWEEP_CSV_COLUMNS,
-                           ClassResult, _bin_breakpoints,
-                           closed_form_two_qubit, monte_carlo_estimate,
-                           prepare_state, run_scenario, sweep,
-                           write_sweep_csv)
+from hpsim.cli import SWEEP_CSV_COLUMNS
+from hpsim.metrics import (MAX_TRIALS, QUAD_TOL, ClassResult,
+                           _bin_breakpoints, closed_form_two_qubit,
+                           monte_carlo_estimate, prepare_state, run_scenario,
+                           sweep)
 from hpsim.numerics import integrate_piecewise
 from oracles import (erfc_oracle, gauss_bin_mass, integrate_piecewise_recursive,
                      interval_probability, mixture_bin_mass, monte_carlo_masks,
@@ -137,7 +136,7 @@ def test_success_quadrature_matches_interval_closed_form():
 
 
 def test_reported_numbers_are_python_floats():
-    # sweep_rows writes repr(); numpy 2 spells a float64 "np.float64(...)"
+    # cli.cmd_sweep writes repr(); numpy 2 spells a float64 "np.float64(...)"
     run = run_scenario("three_qubit_P", 3.0, 0.9, gamma=0.2, trials=500,
                        seed=3)
     results = run.results + run.mc_results
@@ -454,24 +453,27 @@ def test_sweep_fidelity_monotone_in_nbar():
     assert all(abs(p.results[1].success_prob - 0.5) < 1e-8 for p in pts)
 
 
-def test_sweep_csv_format():
-    pts = sweep("gsum_X", [2.0], [0.0], 0.9)
-    buf = io.StringIO()
-    write_sweep_csv(pts, buf)
-    lines = buf.getvalue().split("\n")
+def sweep_csv(capsys, scenario, nbar, gamma, eta_sq):
+    """The sweep CSV that `cli.main` writes, run in this process."""
+    assert cli.main(["sweep", "--scenario", scenario, "--nbar", nbar,
+                     "--gamma", gamma, "--eta-sq", eta_sq]) == 0
+    return capsys.readouterr().out
+
+
+def test_sweep_csv_format(capsys):
+    text = sweep_csv(capsys, "gsum_X", "2", "0", "0.9")
+    lines = text.split("\n")
     assert lines[0] == ",".join(SWEEP_CSV_COLUMNS)
-    assert buf.getvalue().endswith("\n")
-    assert "\r" not in buf.getvalue()
+    assert text.endswith("\n")
+    assert "\r" not in text
     # one row per class result plus header and trailing newline
     assert len(lines) == 1 + 2 + 1
 
 
-def test_sweep_alias_writes_canonical_name():
+def test_sweep_alias_writes_canonical_name(capsys):
     # the rule is the one home of the scenario name, aliases included
     def csv_bytes(scenario):
-        buf = io.StringIO()
-        write_sweep_csv(sweep(scenario, [2.0], [0.0, 0.2], 0.9), buf)
-        return buf.getvalue().encode("utf-8")
+        return sweep_csv(capsys, scenario, "2", "0,0.2", "0.9").encode("utf-8")
     got = csv_bytes("gsum")
     assert got == csv_bytes("gsum_X")
     assert all(row.startswith(b"gsum_X,") for row in got.splitlines()[1:])
@@ -499,6 +501,25 @@ def test_run_scenario_rejects_bad_inputs_before_work(monkeypatch, kwargs,
         run_scenario("two_qubit_X", 1.0, **{"eta_sq": 1.0, **kwargs})
     assert str(err.value) == message
     assert calls == []
+
+
+def test_monte_carlo_takes_trials_up_to_the_cap(monkeypatch):
+    # MAX_TRIALS reaches the sampler (stubbed: it raises at the first
+    # draw); one more is refused before any draw
+    class Drawn(Exception):
+        pass
+
+    def draw(*args):
+        raise Drawn
+
+    monkeypatch.setattr(metrics, "sample_outcomes", draw)
+    run = run_scenario("gsum", 2.0, 1.0)
+    with pytest.raises(Drawn):
+        monte_carlo_estimate(run.state, run.rule, MAX_TRIALS, 1)
+    with pytest.raises(ValueError) as err:
+        monte_carlo_estimate(run.state, run.rule, MAX_TRIALS + 1, 1)
+    assert str(err.value) == (f"trials must be at most {MAX_TRIALS}, "
+                              f"got {MAX_TRIALS + 1}")
 
 
 def test_run_scenario_takes_trials_up_to_the_cap(monkeypatch):
