@@ -10,9 +10,10 @@ the nodes), evaluates bin probabilities and fidelities in closed form and by
 adaptive quadrature, and cross-checks them by seeded Monte Carlo sampling.
 
 Quadrature is adaptive Simpson refining a batch of integrals level by
-level (numerics.integrate_piecewise, called once per state by
-metrics.evaluate_classes: every bin's probability and every bin's fidelity
-numerator), one array call per integrand per level.  It
+level (numerics.integrate_piecewise, called by metrics.evaluate_classes
+once per block of sweep points, or once for a single run: every bin's
+probability and every bin's fidelity numerator of each state), one array
+call per integrand per level.  It
 is not yet replaced by closed forms (erfc for the bin probabilities, the
 Faddeeva function w(z) from the same Weideman formula for the fidelity
 numerators) because the benchmark's stored reference outputs carry

@@ -22,6 +22,7 @@ and cli.py writes every report and CSV from them.
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -71,26 +72,36 @@ def _bin_breakpoints(state: SectorState, rule: DecisionRule) -> list:
             for lo, hi in cuts]
 
 
-def evaluate_classes(state: SectorState, rule: DecisionRule) -> list:
-    """Quadrature ClassResult for every bin of the rule, from one batched
-    integration: each bin's probability (the outcome density) and fidelity
-    numerator (its overlap integrand) over the bin's breakpoints.
+def evaluate_classes(pairs) -> list:
+    """Quadrature ClassResults for every bin of each (state, rule) pair,
+    one list per pair, from one batched integration: each bin's
+    probability (its state's outcome density) and fidelity numerator (its
+    overlap integrand) over the bin's breakpoints.
 
-    A bin with probability below EMPTY_BIN_P has no conditional state and
+    Every callable belongs to one state and sees the points it would see
+    alone, so a pair's results do not depend on the rest of the batch.  A
+    bin with probability below EMPTY_BIN_P has no conditional state and
     reports fidelity NaN (Monte Carlo reports it alike).
     """
-    pts = _bin_breakpoints(state, rule)
-    density = lambda v: outcome_density(state, rule.quadrature, v)
-    overlaps = [class_overlap_integrand(state, rule.quadrature, cls)
-                for cls in rule.classes]
-    values = integrate_piecewise([(density, p) for p in pts]
-                                 + list(zip(overlaps, pts)), QUAD_TOL)
-    probs, nums = values[:len(pts)], values[len(pts):]
-    return [ClassResult(parity=cls.parity, target_name=cls.target_name,
-                        success_prob=ps,
-                        fidelity=num / ps if ps >= EMPTY_BIN_P else math.nan,
-                        method="quadrature")
-            for cls, ps, num in zip(rule.classes, probs, nums)]
+    integrals = []
+    for state, rule in pairs:
+        pts = _bin_breakpoints(state, rule)
+        density = partial(outcome_density, state, rule.quadrature)
+        overlaps = [class_overlap_integrand(state, rule.quadrature, cls)
+                    for cls in rule.classes]
+        integrals += [(density, p) for p in pts] + list(zip(overlaps, pts))
+    values = integrate_piecewise(integrals, QUAD_TOL)
+    out = []
+    for _, rule in pairs:           # per pair: bin probabilities, numerators
+        size = len(rule.classes)
+        probs, nums = values[:size], values[size:2 * size]
+        values = values[2 * size:]
+        out.append([ClassResult(
+            parity=cls.parity, target_name=cls.target_name, success_prob=ps,
+            fidelity=num / ps if ps >= EMPTY_BIN_P else math.nan,
+            method="quadrature")
+            for cls, ps, num in zip(rule.classes, probs, nums)])
+    return out
 
 
 # --- closed forms --------------------------------------------------------------
@@ -190,6 +201,12 @@ class ScenarioRun:
     mc_results: tuple = ()          # present when trials > 0
 
 
+def check_eta_sq(eta_sq: float) -> None:
+    """ValueError unless the channel transmission eta^2 lies in [0, 1]."""
+    if not 0.0 <= eta_sq <= 1.0:
+        raise ValueError(f"eta_sq must lie in [0, 1], got {eta_sq}")
+
+
 def prepare_state(scenario: str, alpha: float, eta_sq: float,
                   gamma: float = 0.0, n=None) -> SectorState:
     """Initial product state -> lumped channel -> one CPS gate per node.
@@ -201,8 +218,7 @@ def prepare_state(scenario: str, alpha: float, eta_sq: float,
     per gate, where it physically occurs (see sector_state).
     """
     _, nq, _ = resolve_scenario(scenario, n)
-    if not 0.0 <= eta_sq <= 1.0:
-        raise ValueError(f"eta_sq must lie in [0, 1], got {eta_sq}")
+    check_eta_sq(eta_sq)
     params = replace(solve_params_for_phase(nq), gamma=gamma)
     return sector_state(nq, alpha, math.sqrt(eta_sq), reflection_pair(params))
 
@@ -214,27 +230,37 @@ def run_scenario(scenario: str, alpha: float, eta_sq: float,
         raise ValueError(f"trials must be non-negative, got {trials}")
     if trials > MAX_TRIALS:
         raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
-    if not 0.0 <= eta_sq <= 1.0:
-        raise ValueError(f"eta_sq must lie in [0, 1], got {eta_sq}")
+    check_eta_sq(eta_sq)
     rule = build_decision_rule(scenario, alpha, math.sqrt(eta_sq), n=n)
     state = prepare_state(rule.scenario, alpha, eta_sq, gamma, rule.n)
-    results = tuple(evaluate_classes(state, rule))
+    results, = evaluate_classes([(state, rule)])
     mc = (tuple(monte_carlo_estimate(state, rule, trials, seed))
           if trials > 0 else ())
     return ScenarioRun(eta_sq=float(eta_sq), gamma_over_kappa=float(gamma),
-                       state=state, rule=rule, results=results, mc_results=mc)
+                       state=state, rule=rule, results=tuple(results),
+                       mc_results=mc)
 
 
 # --- parameter sweeps --------------------------------------------------------------
+
+# Grid points per sweep block: evaluate_classes integrates a block's states
+# in one batch.  Larger blocks cut the per-level overhead further but grow
+# the integration frontier's peak memory (notes/decisions.md).
+SWEEP_BLOCK_POINTS = 8
+
 
 def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float,
           n=None) -> list:
     """Quadrature results over a (mean photon number) x (gamma) grid.
 
-    Points run in order in this process, gamma fastest, and carry the
-    canonical scenario name.  Every mean photon number (alpha_for_nbar) and
-    gamma (check_gamma) is checked before the first point runs.  A point
-    whose pulse resolves no bins (DegenerateRuleError) has no results.
+    Points come in order, gamma fastest, and carry the canonical scenario
+    name.  Every mean photon number (alpha_for_nbar), gamma (check_gamma)
+    and eta_sq (check_eta_sq) is checked before any work.  The grid runs
+    in blocks of SWEEP_BLOCK_POINTS points: a block's rules (one per alpha)
+    and states are built first, then one evaluate_classes call integrates
+    them all, so each point's results equal run_scenario's bit for bit.  A
+    point whose pulse resolves no bins (DegenerateRuleError) has no
+    results.
     """
     nbars = [float(nbar) for nbar in mean_photon_numbers]
     gammas = [float(gamma) for gamma in gammas]
@@ -246,16 +272,29 @@ def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float,
     for gamma in gammas:
         check_gamma(gamma)
     scenario, n, _ = resolve_scenario(scenario, n)
+    check_eta_sq(eta_sq)
     eta_sq = float(eta_sq)
+    eta = math.sqrt(eta_sq)
+    grid = [(nbar, alpha, gamma)
+            for nbar, alpha in zip(nbars, alphas) for gamma in gammas]
     points = []
-    for nbar, alpha in zip(nbars, alphas):
-        for gamma in gammas:
-            try:
-                results = run_scenario(scenario, alpha, eta_sq, gamma=gamma,
-                                       n=n).results
-            except DegenerateRuleError:
-                results = ()
-            points.append(SweepPoint(
-                scenario=scenario, mean_photon_number=nbar, alpha=alpha,
-                gamma_over_kappa=gamma, eta_sq=eta_sq, results=results))
+    for start in range(0, len(grid), SWEEP_BLOCK_POINTS):
+        block = grid[start:start + SWEEP_BLOCK_POINTS]
+        rules = {}              # per alpha: the rule does not depend on gamma
+        for _, alpha, _ in block:
+            if alpha not in rules:
+                try:
+                    rules[alpha] = build_decision_rule(scenario, alpha, eta,
+                                                       n=n)
+                except DegenerateRuleError:
+                    rules[alpha] = None         # no bins: no results
+        pairs = [(prepare_state(scenario, alpha, eta_sq, gamma, n),
+                  rules[alpha]) if rules[alpha] is not None else None
+                 for _, alpha, gamma in block]
+        results = iter(evaluate_classes([pair for pair in pairs if pair]))
+        points += [SweepPoint(scenario=scenario, mean_photon_number=nbar,
+                              alpha=alpha, gamma_over_kappa=gamma,
+                              eta_sq=eta_sq,
+                              results=tuple(next(results)) if pair else ())
+                   for (nbar, alpha, gamma), pair in zip(block, pairs)]
     return points

@@ -82,8 +82,9 @@ def test_evaluate_classes_matches_per_bin_integrals(scenario, n, empty):
             state = prepare_state(scenario, alpha, 0.6667, gamma, n)
             rule = build_decision_rule(scenario, alpha, math.sqrt(0.6667), n=n)
             density = lambda v: outcome_density(state, rule.quadrature, v)
+            results, = metrics.evaluate_classes([(state, rule)])
             for cls, pts, res in zip(rule.classes, _bin_breakpoints(state, rule),
-                                     metrics.evaluate_classes(state, rule)):
+                                     results):
                 where = (alpha, gamma, res.target_name)
                 assert res.target_name == cls.target_name, where
                 ps, = integrate_piecewise([(density, pts)], QUAD_TOL)
@@ -190,8 +191,8 @@ def test_fidelity_undefined_for_empty_class(monkeypatch):
     probs = sorted(r.success_prob for r in run.results)
     assert probs[0] < probs[1]
     monkeypatch.setattr(metrics, "EMPTY_BIN_P", (probs[0] + probs[1]) / 2)
-    for want, got in zip(run.results,
-                         metrics.evaluate_classes(run.state, run.rule)):
+    results, = metrics.evaluate_classes([(run.state, run.rule)])
+    for want, got in zip(run.results, results):
         assert got.success_prob == want.success_prob
         if want.success_prob == probs[0]:
             assert want.target_name == "GHZ(3)"
@@ -438,12 +439,55 @@ def test_sweep_empty_range_rejected():
 def test_sweep_rejects_bad_values_before_any_point(monkeypatch, nbars, gammas,
                                                    bad):
     calls = []
-    monkeypatch.setattr(metrics, "run_scenario",
+    monkeypatch.setattr(metrics, "prepare_state",
                         lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ValueError,
                        match=f"^{bad} must be finite and non-negative"):
         sweep("two_qubit_X", nbars, gammas, 1.0)
     assert calls == []
+
+
+@pytest.mark.parametrize("eta_sq", [-0.1, math.nan])
+def test_sweep_rejects_bad_eta_sq_before_any_point(monkeypatch, capsys,
+                                                   eta_sq):
+    # run_scenario's message, not the "math domain error" of sqrt(-0.1),
+    # and no rule, state or integral is built first
+    message = f"eta_sq must lie in [0, 1], got {eta_sq}"
+    calls = []
+    for name in ("build_decision_rule", "prepare_state", "evaluate_classes"):
+        monkeypatch.setattr(metrics, name,
+                            lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError) as err:
+        sweep("two_qubit_X", [0.0, 2.0], [0.0, 0.2], eta_sq)
+    assert str(err.value) == message
+    code = cli.main(["sweep", "--scenario", "two_qubit", "--nbar", "0,2",
+                     "--gamma", "0,0.2", "--eta-sq", str(eta_sq)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"hpsim: error: {message}\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("scenario, n", [
+    ("two_qubit_X", None), ("three_qubit_P", None), ("gsum_X", None),
+    ("n_qubit_P", 9), ("n_qubit_P", 20)])
+@pytest.mark.parametrize("block", [5, metrics.SWEEP_BLOCK_POINTS])
+def test_sweep_blocks_equal_run_scenario(monkeypatch, scenario, n, block):
+    # 12 grid points fill no whole number of blocks; <n> = 0 resolves no
+    # bins.  Each point equals its run alone, bit for bit.
+    monkeypatch.setattr(metrics, "SWEEP_BLOCK_POINTS", block)
+    nbars, gammas = [0.0, 1.5, 4.0, 9.0], [0.0, 0.2, 0.5]
+    assert (len(nbars) * len(gammas)) % block
+    points = sweep(scenario, nbars, gammas, 0.6667, n=n)
+    assert [(p.mean_photon_number, p.gamma_over_kappa) for p in points] == [
+        (nbar, gamma) for nbar in nbars for gamma in gammas]
+    for point in points:
+        if point.mean_photon_number == 0.0:
+            assert point.results == ()
+            continue
+        run = run_scenario(scenario, point.alpha, 0.6667,
+                           gamma=point.gamma_over_kappa, n=n)
+        assert point.results == run.results
+        assert point.scenario == run.rule.scenario
 
 
 def test_sweep_fidelity_monotone_in_nbar():

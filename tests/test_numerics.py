@@ -98,16 +98,19 @@ def test_integrate_piecewise_stops_at_first_non_finite_value():
 
 
 class _Counted:
-    """Integrand wrapper that counts its calls and the points it is asked for."""
+    """Integrand wrapper that counts its calls and the points it is asked
+    for, and keeps a copy of every array it is given."""
 
     def __init__(self, f):
         self.f = f
         self.calls = 0
         self.points = 0
+        self.arrays = []
 
     def __call__(self, v):
         self.calls += 1
         self.points += np.size(v)
+        self.arrays.append(np.copy(v))
         return self.f(v)
 
 
@@ -132,6 +135,25 @@ def test_batched_integrals_equal_each_integral_alone():
     assert counted[id(_GAUSS)].points == alone[0][1] + alone[2][1]
     assert counted[id(_LORENTZ)].points == alone[1][1]
     assert counted[id(_WAVE)].points == alone[3][1]
+
+
+def test_batch_gives_each_callable_the_arrays_it_gets_alone():
+    # integrands that are not elementwise (a BLAS sum may round a point
+    # differently in another array) need each call's array unchanged: same
+    # points, same order, whatever else the batch holds
+    def arrays(jobs):
+        recorded = {id(f): _Counted(f) for f, _ in jobs}
+        integrate_piecewise([(recorded[id(f)], pts) for f, pts in jobs])
+        return {id(r.f): r.arrays for r in recorded.values()}
+
+    jobs = [(_GAUSS, [-6.0, 0.3, 6.0]), (_LORENTZ, [-3.0, -1.0, 0.0, 2.0]),
+            (_GAUSS, [0.0, 1.5]), (_WAVE, [-8.0, 8.0]), (_LORENTZ, [5.0, 6.0])]
+    batch = arrays(jobs)
+    for f in (_GAUSS, _LORENTZ, _WAVE):
+        alone = arrays([job for job in jobs if job[0] is f])[id(f)]
+        got = batch[id(f)]
+        assert len(got) == len(alone)
+        assert all(np.array_equal(x, y) for x, y in zip(got, alone))
 
 
 def test_batch_with_empty_breakpoint_lists():
