@@ -12,16 +12,16 @@ adaptive quadrature, and cross-checks them by seeded Monte Carlo sampling.
 Quadrature is adaptive Simpson refining a batch of integrals level by
 level (numerics.integrate_piecewise, called by metrics.evaluate_classes
 once per block of sweep points, or once for a single run: every bin's
-probability and every bin's fidelity numerator of each state), one array
-call per integrand per level.  It
-is not yet replaced by closed forms (erfc for the bin probabilities, the
-Faddeeva function w(z) from the same Weideman formula for the fidelity
-numerators) because the benchmark's stored reference outputs carry
-Simpson's own error, up to 1.4e-9, beyond their 1e-9 gate
-(notes/decisions.md).  Independent cross-check routes, the dense 2^n
-branch state among them, live in tests/oracles.py.
+probability and fidelity numerator of each state) with one array call per
+level for the whole batch (homodyne.integrands: zero-padded tables of
+every density and overlap integrand).  It is not yet replaced by closed
+forms (erfc for the bin probabilities, the Faddeeva function w(z) from the
+same Weideman formula for the fidelity numerators) because the benchmark's
+stored reference outputs carry Simpson's own error, up to 1.4e-9, beyond
+their 1e-9 gate (notes/decisions.md).  Independent cross-check routes, the
+dense 2^n branch state among them, live in tests/oracles.py.
 
-A result that does not exist is decided once per level: a pulse that
+A result that does not exist has one rule per layer: a pulse that
 resolves no bins raises DegenerateRuleError (a ValueError, exit 2 at the
 CLI), and a bin whose success probability vanishes reports fidelity NaN.
 """

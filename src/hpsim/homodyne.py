@@ -20,6 +20,7 @@ state.  Ties at a threshold go to the upper interval.
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -86,24 +87,11 @@ def _zeta_coefficients(label, quadrature):
     return -2.0 * math.sqrt(2.0) * label.real, 2.0 * label.real * label.imag
 
 
-def _gaussians(means, v):
-    """The (n+1) x len(v) Gaussians e^{-(v - m_k)^2}, built in one array."""
-    gauss = np.subtract.outer(means, np.atleast_1d(np.asarray(v, dtype=float)))
-    np.negative(np.square(gauss, out=gauss), out=gauss)
-    return np.exp(gauss, out=gauss)
-
-
 def outcome_density(state: SectorState, quadrature, v):
-    """Probability density of the homodyne outcome.
-
-    Atomic orthogonality kills every cross term, so the density is the
-    plain mixture sum_k p_k |<v|f_k>|^2 over the weights; environment
-    labels drop out.  Returns one density per outcome in the array v.
-    """
-    means = quadrature_mean(state.fields, quadrature)
-    dens = state.probs @ _gaussians(means, v)
-    dens /= math.sqrt(math.pi)
-    return dens
+    """Probability density of the homodyne outcome at each v of an array.
+    Atomic orthogonality kills every cross term, so it is the plain mixture
+    sum_k p_k |<v|f_k>|^2 over the weights; environment labels drop out."""
+    return integrands([density_integrand(state, quadrature)])(v)
 
 
 def integration_window(state: SectorState, quadrature):
@@ -292,10 +280,71 @@ def sample_outcomes(state: SectorState, quadrature, trials: int, seed,
     return means + _SIGMA * normals
 
 
-# --- bin overlaps ----------------------------------------------------------------
+# --- integrands ---------------------------------------------------------------
 
-def class_overlap_integrand(state: SectorState, quadrature, cls: OutcomeClass):
-    """Precompiled v -> <T(v)| rho~(v) |T(v)> for one bin.
+def integrands(rows):
+    """f(v, which=None): integrand which[j] of `rows` at outcome v[j] (1-D
+    arrays), or, with which None, the one row's integrand at every v.
+
+    A row holds three parts: 2 x K mixture means m_k and weights p_k (a
+    density's), 2 x L means m_l and weights d_l and 5 x P pair means m_ip
+    and m_jp, amplitudes A_p, slopes s_p and offsets o_p (an overlap's):
+
+        sum_k p_k e^{-(v - m_k)^2} / sqrt(pi) + sum_l d_l e_l^2
+            + sum_p A_p e_ip e_jp cos(s_p v + o_p),   e = e^{-(v - m)^2 / 2}.
+
+    Rows are zero-padded into one table per part, summed slot after slot
+    (not pairwise), so a point's value has the same bits in any v."""
+    mixture, squares, pairs = tables = [
+        np.zeros((size, max((row[t].shape[1] for row in rows), default=0),
+                  len(rows))) for t, size in enumerate((2, 2, 5))]
+    for i, row in enumerate(rows):
+        for table, part in zip(tables, row):
+            table[:, :part.shape[1], i] = part
+
+    def values(v, which=None):
+        def columns(table):     # gathered one table at a time, for memory
+            return table if which is None else np.take(table, which, 2)
+        v = np.asarray(v, dtype=float)
+        sums = []               # the three sums, added in this order
+        if mixture.shape[1]:
+            sums.append(_gaussian_sum(v, *columns(mixture), -1.0)
+                        / math.sqrt(math.pi))
+        if squares.shape[1]:
+            sums.append(_gaussian_sum(v, *columns(squares), -0.5, True))
+        if pairs.shape[1]:
+            mi, mj, amps, slopes, offsets = columns(pairs)
+            terms = np.exp(-0.5 * (v - mi) ** 2)
+            terms *= np.exp(-0.5 * (v - mj) ** 2)
+            terms *= np.cos(v * slopes + offsets)
+            terms *= amps
+            sums.append(reduce(np.add, terms))
+        return reduce(np.add, sums)
+
+    return values
+
+
+def _gaussian_sum(v, means, coefs, scale, squared=False):
+    """sum_k c_k g_k (or c_k g_k^2), g_k = e^{scale (v - m_k)^2}, in place."""
+    terms = v - means
+    terms *= terms
+    terms *= scale
+    np.exp(terms, out=terms)
+    if squared:
+        terms *= terms
+    terms *= coefs
+    return reduce(np.add, terms)
+
+
+def density_integrand(state: SectorState, quadrature, weights=slice(None)):
+    """integrands row of the outcome density's mixture over `weights`."""
+    return (np.array([quadrature_mean(state.fields, quadrature)[weights],
+                      state.probs[weights]]), np.zeros((2, 0)),
+            np.zeros((5, 0)))
+
+
+def overlap_integrand(state: SectorState, quadrature, cls: OutcomeClass):
+    """integrands row of v -> <T(v)| rho~(v) |T(v)> for one bin.
 
     rho~ is the *unnormalized* conditional state (trace = outcome density);
     integrating this over the bin and dividing by the bin probability gives
@@ -305,41 +354,29 @@ def class_overlap_integrand(state: SectorState, quadrature, cls: OutcomeClass):
     With H_kk' = G_kk' + conj(G_k'k) that is, in real arithmetic,
     sum_k G_kk e_k^2 + sum_{k<k'} e_k e_k' |H_kk'| cos(phi_k - phi_k' + arg
     H_kk'): no trig for a one-weight bin, one cosine per outcome for two.
-    The returned callable takes a 1-D array of outcomes.
     """
     ks = list(cls.weights)
     fields = state.fields[ks]
     coherence = state.coherence[ks][:, ks] / (cls.size * math.sqrt(math.pi))
-    means = quadrature_mean(fields, quadrature)
-    diag = coherence.diagonal().real
     i, j = np.nonzero(~np.tri(len(ks), dtype=bool))     # the pairs k < k'
     pair = coherence[i, j] + coherence[j, i].conj()
     # weight k's phase is its own zeta minus s_k times the bin's
     slope, offset = (np.array(_zeta_coefficients(fields, quadrature))
                      - np.outer(cls.zeta_coefficients, cls.phase_signs))
-    dslope = slope[i] - slope[j]
-    dphase = offset[i] - offset[j] + np.angle(pair)
+    means = quadrature_mean(fields, quadrature)
+    return (np.zeros((2, 0)), np.array([means, coherence.diagonal().real]),
+            np.array([means[i], means[j], np.abs(pair), slope[i] - slope[j],
+                      offset[i] - offset[j] + np.angle(pair)]))
 
-    def overlap(v):
-        varr = np.asarray(v, dtype=float)
-        envl = np.exp(-0.5 * np.subtract.outer(varr, means) ** 2)
-        total = np.einsum("bk,bk,k->b", envl, envl, diag)
-        if len(i):
-            phase = np.cos(np.multiply.outer(varr, dslope) + dphase)
-            total += np.einsum("bp,bp,bp,p->b", envl[:, i], envl[:, j], phase,
-                               np.abs(pair))
-        return total
 
-    return overlap
+def class_overlap_integrand(state: SectorState, quadrature, cls: OutcomeClass):
+    """The bin's overlap_integrand as a callable on 1-D arrays of outcomes."""
+    return integrands([overlap_integrand(state, quadrature, cls)])
 
 
 def density_components(state: SectorState, rule: DecisionRule, v: np.ndarray):
-    """Per-class component densities over a grid (for curve export).
-
-    Component c sums the weight Gaussians that feed class c; the total
-    density is the sum of all components.
-    """
-    means = quadrature_mean(state.fields, rule.quadrature)
-    gauss = _gaussians(means, v) / math.sqrt(math.pi)
-    return [state.probs[list(cls.weights)] @ gauss[list(cls.weights)]
+    """Per-class component densities over a grid (for curve export): the
+    density's mixture over the weights that feed each class."""
+    return [integrands([density_integrand(state, rule.quadrature,
+                                          list(cls.weights))])(v)
             for cls in rule.classes]

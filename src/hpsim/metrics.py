@@ -22,16 +22,15 @@ and cli.py writes every report and CSV from them.
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from .cavity import check_gamma, reflection_pair, solve_params_for_phase
 from .errors import DegenerateRuleError
 from .homodyne import (DecisionRule, build_decision_rule,
-                       class_overlap_integrand, integration_window,
-                       outcome_density, quadrature_mean, resolve_scenario,
-                       sample_outcomes)
+                       class_overlap_integrand, density_integrand, integrands,
+                       integration_window, outcome_density, overlap_integrand,
+                       quadrature_mean, resolve_scenario, sample_outcomes)
 from .hybrid_state import SectorState, alpha_for_nbar, sector_state
 from .numerics import erfc, integrate_piecewise
 
@@ -74,34 +73,24 @@ def _bin_breakpoints(state: SectorState, rule: DecisionRule) -> list:
 
 def evaluate_classes(pairs) -> list:
     """Quadrature ClassResults for every bin of each (state, rule) pair,
-    one list per pair, from one batched integration: each bin's
-    probability (its state's outcome density) and fidelity numerator (its
-    overlap integrand) over the bin's breakpoints.
-
-    Every callable belongs to one state and sees the points it would see
-    alone, so a pair's results do not depend on the rest of the batch.  A
-    bin with probability below EMPTY_BIN_P has no conditional state and
-    reports fidelity NaN (Monte Carlo reports it alike).
-    """
-    integrals = []
+    one list per pair, from one integration of one homodyne.integrands
+    batch: each bin's probability (its state's density) and fidelity
+    numerator (its overlap) over the bin's breakpoints.  The integrand is
+    elementwise and a panel's decision reads only its own points, so a
+    pair's results do not depend on the rest of the batch.  A bin with
+    P < EMPTY_BIN_P reports fidelity NaN (Monte Carlo reports it alike)."""
+    rows, breakpoints = [], []
     for state, rule in pairs:
-        pts = _bin_breakpoints(state, rule)
-        density = partial(outcome_density, state, rule.quadrature)
-        overlaps = [class_overlap_integrand(state, rule.quadrature, cls)
-                    for cls in rule.classes]
-        integrals += [(density, p) for p in pts] + list(zip(overlaps, pts))
-    values = integrate_piecewise(integrals, QUAD_TOL)
-    out = []
-    for _, rule in pairs:           # per pair: bin probabilities, numerators
-        size = len(rule.classes)
-        probs, nums = values[:size], values[size:2 * size]
-        values = values[2 * size:]
-        out.append([ClassResult(
-            parity=cls.parity, target_name=cls.target_name, success_prob=ps,
-            fidelity=num / ps if ps >= EMPTY_BIN_P else math.nan,
-            method="quadrature")
-            for cls, ps, num in zip(rule.classes, probs, nums)])
-    return out
+        density = density_integrand(state, rule.quadrature)
+        for cls, pts in zip(rule.classes, _bin_breakpoints(state, rule)):
+            rows += [density, overlap_integrand(state, rule.quadrature, cls)]
+            breakpoints += [pts, pts]
+    values = iter(integrate_piecewise(integrands(rows), breakpoints, QUAD_TOL))
+    return [[ClassResult(parity=cls.parity, target_name=cls.target_name,
+                         success_prob=ps, method="quadrature",
+                         fidelity=num / ps if ps >= EMPTY_BIN_P else math.nan)
+             for cls, ps, num in zip(rule.classes, values, values)]
+            for _, rule in pairs]
 
 
 # --- closed forms --------------------------------------------------------------

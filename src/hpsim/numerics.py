@@ -79,41 +79,29 @@ def erfc(x):
 _MAX_DEPTH = 48        # refinement levels below each initial segment
 
 
-def integrate_piecewise(integrals, tol=1e-9):
-    """Integrate each (f, breakpoints) pair of a batch by adaptive Simpson.
+def integrate_piecewise(f, breakpoints, tol=1e-9):
+    """Adaptive Simpson for a batch of integrals of one integrand.
 
-    An integral's segments [b_i, b_i+1] get tol / (its segment count) each.
-    A panel is accepted when its two half-panel estimates differ from the
-    whole by |delta| <= 15 tol (or at depth _MAX_DEPTH) and contributes the
-    Richardson-extrapolated sum; otherwise both halves are refined with
-    half the tolerance.  The batch is refined level by level (the level is
-    every panel's depth): each distinct f gets all pending points of its
-    integrals on a level as one 1-D array, the array it would get in a
-    batch of its own integrals, and returns an array of that shape.  A
-    panel's decision reads only its own five points, so an integral
-    accepts the same panels in a batch as alone.  Splitting at
-    structure points (peak centers, thresholds) keeps multi-peak integrands
-    cheap.  Returns the math.fsum of each integral's accepted panels (0.0
-    for none); SimulationError at the first non-finite value.
+    f(v, which) returns integral which[j]'s integrand at v[j] for 1-D
+    arrays, elementwise; integral i runs over breakpoints[i], each of its
+    segments with tol / (its segment count).  A panel is accepted when its
+    halves differ from the whole by |delta| <= 15 tol (or at depth
+    _MAX_DEPTH) and gives the Richardson sum; otherwise both halves go on
+    with half the tolerance.  The batch is refined level by level, one
+    call of f per level on every pending point; a panel's decision reads
+    only its own five points, so an integral accepts the same panels in a
+    batch as alone.  Returns the math.fsum of each integral's accepted
+    panels (0.0 for none); SimulationError at the first non-finite value.
     """
-    integrals = list(integrals)
-    fs = {}                     # id -> (index, f) of each distinct callable
-    panels = []                 # (callable index, a, b, tol, owner integral)
-    for i, (f, breakpoints) in enumerate(integrals):
-        pts = sorted(breakpoints)
-        k = fs.setdefault(id(f), (len(fs), f))[0]
-        panels += [(k, lo, hi, tol / max(1, len(pts) - 1), i)
+    panels = []                 # (a, b, tol, owner integral)
+    for i, pts in enumerate(breakpoints):
+        pts = sorted(pts)
+        panels += [(lo, hi, tol / max(1, len(pts) - 1), i)
                    for lo, hi in zip(pts[:-1], pts[1:]) if lo != hi]
     if not panels:
-        return [0.0] * len(integrals)
-    fs = [f for _, f in fs.values()]
-    # Each callable's panels stay one contiguous run of the frontier, in
-    # the order they would have alone: the stable sort keeps batch order,
-    # and every level puts a run's open left halves before its right ones.
-    panels.sort(key=lambda panel: panel[0])
-    which, a, b, tol, owner = np.array(panels, dtype=float).T
-    runs = np.bincount(which.astype(np.intp), minlength=len(fs))
-    fa, fm, fb = _evaluate(fs, runs, a, 0.5 * (a + b), b)
+        return [0.0] * len(breakpoints)
+    a, b, tol, owner = np.array(panels, dtype=float).T
+    fa, fm, fb = _evaluate(f, owner, a, 0.5 * (a + b), b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     # one column per open panel; the owner index rides along as an exact float
     frontier = np.array([a, b, fa, fm, fb, whole, tol, owner])
@@ -121,7 +109,7 @@ def integrate_piecewise(integrals, tol=1e-9):
     for depth in range(_MAX_DEPTH, -1, -1):
         a, b, fa, fm, fb, whole, tol, owner = frontier
         m = 0.5 * (a + b)
-        flm, frm = _evaluate(fs, runs, 0.5 * (a + m), 0.5 * (m + b))
+        flm, frm = _evaluate(f, owner, 0.5 * (a + m), 0.5 * (m + b))
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
@@ -133,38 +121,24 @@ def integrate_piecewise(integrals, tol=1e-9):
         if not go.any():
             break
         tol = 0.5 * tol
-        # run k's kept[k] open panels become 2 kept[k] columns, left halves
-        # first: the open panel of rank r among all lands at r plus the
-        # open panels of the runs before k, its right half kept[k] further
-        opened = np.zeros(go.size + 1, np.intp)
-        go.cumsum(out=opened[1:])
-        ends = runs.cumsum()
-        before = opened[ends - runs]
-        kept = opened[ends] - before
-        lpos = before.repeat(kept) + np.arange(opened[-1])
-        rpos = lpos + kept.repeat(kept)
-        frontier = np.empty((8, 2 * lpos.size))
-        for row, lo, hi in zip(frontier, [a, m, fa, flm, fm, left, tol, owner],
-                               [m, b, fm, frm, fb, right, tol, owner]):
-            row[lpos], row[rpos] = lo[go], hi[go]
-        runs = 2 * kept
-    values, owners = np.concatenate(values), np.concatenate(owners)
-    return [math.fsum(values[owners == i]) for i in range(len(integrals))]
+        # the open panels' left halves, then their right halves
+        frontier = np.concatenate(
+            [np.array([a, m, fa, flm, fm, left, tol, owner])[:, go],
+             np.array([m, b, fm, frm, fb, right, tol, owner])[:, go]], axis=1)
+    # one stable sort: each integral's accepted panels become a slice
+    owners = np.concatenate(owners).astype(np.intp)
+    order = np.argsort(owners, kind="stable")
+    values = np.concatenate(values)[order].tolist()
+    ends = np.bincount(owners, minlength=len(breakpoints)).cumsum().tolist()
+    return [math.fsum(values[lo:hi]) for lo, hi in zip([0] + ends, ends)]
 
 
-def _evaluate(fs, runs, *xs):
-    """fs evaluated on the columns of xs, one output row per x.  The
-    columns come in runs, runs[k] of them for fs[k]; fs[k] gets its run of
-    every x, x after x, as one 1-D array.  SimulationError at a non-finite
-    value."""
-    out = np.empty((len(xs), xs[0].size))
+def _evaluate(f, owner, *xs):
+    """f on the points of xs in one call, one output row per x; owner holds
+    each column's integral index.  SimulationError at a non-finite value."""
+    which = np.tile(owner.astype(np.intp), len(xs))
     with np.errstate(over="ignore", invalid="ignore"):
-        lo = 0
-        for f, hi in zip(fs, runs.cumsum().tolist()):
-            if hi > lo:
-                out[:, lo:hi] = f(np.concatenate(
-                    [x[lo:hi] for x in xs])).reshape(len(xs), -1)
-            lo = hi
+        out = f(np.concatenate(xs), which).reshape(len(xs), -1)
     bad = ~np.isfinite(out)
     if bad.any():
         raise SimulationError(

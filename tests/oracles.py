@@ -623,11 +623,12 @@ def overlap_scale(state, quadrature, cls, v):
 
 
 def mixture_density(state, quadrature, v):
-    """sum_k p_k e^{-(v - m_k)^2} / sqrt(pi) as one broadcast expression."""
+    """sum_k p_k e^{-(v - m_k)^2} / sqrt(pi) as one broadcast expression,
+    summed over k in order (a row sum, not BLAS)."""
     means = quadrature_mean(state.fields, quadrature)
     varr = np.asarray(v, dtype=float)
-    return (state.probs @ np.exp(-(varr[None, :] - means[:, None]) ** 2)
-            / math.sqrt(math.pi))
+    gauss = np.exp(-(varr[None, :] - means[:, None]) ** 2)
+    return (state.probs[:, None] * gauss).sum(axis=0) / math.sqrt(math.pi)
 
 
 def monte_carlo_masks(state, rule, trials, seed):

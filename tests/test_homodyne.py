@@ -8,8 +8,9 @@ import pytest
 from hpsim.errors import DegenerateRuleError
 from hpsim.homodyne import (SCENARIOS, _zeta_coefficients,
                             build_decision_rule, class_overlap_integrand,
-                            density_components, integration_window,
-                            outcome_density, quadrature_mean,
+                            density_components, density_integrand,
+                            integrands, integration_window, outcome_density,
+                            overlap_integrand, quadrature_mean,
                             resolve_scenario, sample_outcomes)
 from hpsim.metrics import prepare_state, run_scenario
 from oracles import (DegenerateOutcomeError, adaptive_simpson,
@@ -399,6 +400,37 @@ def test_outcome_density_matches_broadcast_form():
         vs = np.linspace(*integration_window(st, axis), 2001)
         assert np.array_equal(outcome_density(st, axis, vs),
                               mixture_density(st, axis, vs))
+
+
+def test_integrand_point_has_the_same_bits_in_any_array():
+    # a point's density or overlap alone, in a reversed array and inside
+    # one mixed batch of every integrand: the same bits (a BLAS weight sum
+    # may round a point differently in another array).  n = 20 sums 21
+    # weights; n = 6 has three-weight bins; gsum has two-label phases.
+    rows, single, grids = [], [], []
+    for scenario, n in (("gsum_X", None), ("n_qubit_P", 6), ("n_qubit_P", 20)):
+        st = prepare_state(scenario, 2.5, 0.8, 0.2, n)
+        rule = build_decision_rule(scenario, 2.5, math.sqrt(0.8), n=n)
+        axis = rule.quadrature
+        vs = np.linspace(*integration_window(st, axis), 37)
+        rows += [density_integrand(st, axis)] + [
+            overlap_integrand(st, axis, cls) for cls in rule.classes]
+        single += [lambda v, st=st, axis=axis: outcome_density(st, axis, v)]
+        single += [class_overlap_integrand(st, axis, cls)
+                   for cls in rule.classes]
+        grids += [vs] * (1 + len(rule.classes))
+    batch = integrands(rows)
+    which = np.repeat(np.arange(len(rows)), [vs.size for vs in grids])
+    order = np.random.default_rng(7).permutation(which.size)
+    mixed = np.empty(which.size)
+    mixed[order] = batch(np.concatenate(grids)[order], which[order])
+    lo = 0
+    for f, vs in zip(single, grids):
+        alone = np.array([f(vs[j:j + 1])[0] for j in range(vs.size)])
+        assert np.array_equal(f(vs), alone)
+        assert np.array_equal(f(vs[::-1].copy())[::-1], alone)
+        assert np.array_equal(mixed[lo:lo + vs.size], alone)
+        lo += vs.size
 
 
 @pytest.mark.parametrize("scenario, n", [

@@ -60,7 +60,8 @@ def test_level_by_level_integration_matches_recursive_oracle(scenario, n):
                 for f in (density, overlap):
                     level = _Counted(f)
                     single = _Counted(lambda v: float(f(np.array([v]))[0]))
-                    got, = integrate_piecewise([(level, pts)], QUAD_TOL)
+                    got, = integrate_piecewise(lambda v, which: level(v),
+                                               [pts], QUAD_TOL)
                     want = integrate_piecewise_recursive(single, pts, QUAD_TOL)
                     where = (alpha, gamma, cls.target_name)
                     assert abs(got - want) <= 1e-13, where
@@ -87,14 +88,16 @@ def test_evaluate_classes_matches_per_bin_integrals(scenario, n, empty):
                                      results):
                 where = (alpha, gamma, res.target_name)
                 assert res.target_name == cls.target_name, where
-                ps, = integrate_piecewise([(density, pts)], QUAD_TOL)
+                ps, = integrate_piecewise(lambda v, which: density(v), [pts],
+                                          QUAD_TOL)
                 assert abs(res.success_prob - ps) <= 1e-14, where
                 if ps < 1e-12:
                     assert math.isnan(res.fidelity), where
                     undefined.add(where)
                     continue
-                num, = integrate_piecewise([(class_overlap_integrand(
-                    state, rule.quadrature, cls), pts)], QUAD_TOL)
+                overlap = class_overlap_integrand(state, rule.quadrature, cls)
+                num, = integrate_piecewise(lambda v, which: overlap(v), [pts],
+                                           QUAD_TOL)
                 assert abs(res.fidelity - num / ps) <= 1e-14, where
     assert undefined == ({(100.0, 0.2, empty)} if empty else set())
 
@@ -469,11 +472,12 @@ def test_sweep_rejects_bad_eta_sq_before_any_point(monkeypatch, capsys,
 
 @pytest.mark.parametrize("scenario, n", [
     ("two_qubit_X", None), ("three_qubit_P", None), ("gsum_X", None),
-    ("n_qubit_P", 9), ("n_qubit_P", 20)])
+    ("n_qubit_P", 6), ("n_qubit_P", 9), ("n_qubit_P", 20)])
 @pytest.mark.parametrize("block", [5, metrics.SWEEP_BLOCK_POINTS])
 def test_sweep_blocks_equal_run_scenario(monkeypatch, scenario, n, block):
     # 12 grid points fill no whole number of blocks; <n> = 0 resolves no
-    # bins.  Each point equals its run alone, bit for bit.
+    # bins; n = 6 has three-weight bins.  Each point equals its run alone,
+    # bit for bit, at gamma = 0 and gamma > 0.
     monkeypatch.setattr(metrics, "SWEEP_BLOCK_POINTS", block)
     nbars, gammas = [0.0, 1.5, 4.0, 9.0], [0.0, 0.2, 0.5]
     assert (len(nbars) * len(gammas)) % block

@@ -76,10 +76,28 @@ def test_adaptive_simpson_empty_interval():
     assert adaptive_simpson(lambda v: 1.0, 2.0, 2.0) == 0.0
 
 
+def _one(f):
+    """f(v) as the integrand of every integral of a batch."""
+    return lambda v, which: f(v)
+
+
+def _per_integral(fs):
+    """The batch integrand whose integral i is fs[i] (fs[i] gets its
+    points in the order they come)."""
+    def f(v, which):
+        out = np.empty(v.size)
+        for i, g in enumerate(fs):
+            mine = which == i
+            if mine.any():
+                out[mine] = g(v[mine])
+        return out
+    return f
+
+
 def test_integrate_piecewise_matches_single_interval():
     f = lambda v: np.exp(-(v - 0.5) ** 2)
     whole = adaptive_simpson(f, -6.0, 6.0, 1e-10)
-    split, = integrate_piecewise([(f, [-6.0, -1.0, 0.5, 6.0])], 1e-10)
+    split, = integrate_piecewise(_one(f), [[-6.0, -1.0, 0.5, 6.0]], 1e-10)
     assert abs(whole - split) < 1e-9
 
 
@@ -88,30 +106,33 @@ def test_integrate_piecewise_stops_at_first_non_finite_value():
     for bad in (np.nan, np.inf):
         sizes = []
 
-        def f(v):
+        def f(v, which):
             sizes.append(v.size)
             return np.where((v > 0.6) & (v < 0.65), bad, np.exp(-v * v))
 
         with pytest.raises(SimulationError, match="non-finite integrand"):
-            integrate_piecewise([(f, [0.0, 1.0])])
+            integrate_piecewise(f, [[0.0, 1.0]])
         assert sizes == [3, 2, 4]
 
 
 class _Counted:
-    """Integrand wrapper that counts its calls and the points it is asked
-    for, and keeps a copy of every array it is given."""
+    """Batch integrand wrapper that counts its calls, the points it is
+    asked for and the points of each integral."""
 
     def __init__(self, f):
         self.f = f
         self.calls = 0
         self.points = 0
-        self.arrays = []
+        self.owners = np.zeros(0, np.intp)
 
-    def __call__(self, v):
+    def __call__(self, v, which):
         self.calls += 1
         self.points += np.size(v)
-        self.arrays.append(np.copy(v))
-        return self.f(v)
+        self.owners = np.concatenate([self.owners, which])
+        return self.f(v, which)
+
+    def points_of(self, integral):
+        return int(np.count_nonzero(self.owners == integral))
 
 
 _GAUSS = lambda v: np.exp(-(v - 0.3) ** 2)
@@ -121,50 +142,30 @@ _WAVE = lambda v: np.cos(3.0 * v) * np.exp(-0.25 * v * v)
 
 def test_batched_integrals_equal_each_integral_alone():
     # elementwise integrands: bitwise equal values and equal point counts,
-    # with one callable shared by two integrals of the batch
+    # with one integrand shared by two integrals of the batch
     jobs = [(_GAUSS, [-6.0, 0.3, 6.0]), (_LORENTZ, [-3.0, -1.0, 0.0, 2.0]),
             (_GAUSS, [0.0, 1.5]), (_WAVE, [-8.0, 8.0])]
     alone = []
     for f, pts in jobs:
-        counted = _Counted(f)
-        alone.append((integrate_piecewise([(counted, pts)], 1e-10)[0],
+        counted = _Counted(_one(f))
+        alone.append((integrate_piecewise(counted, [pts], 1e-10)[0],
                       counted.points))
-    counted = {id(f): _Counted(f) for f, _ in jobs}
-    got = integrate_piecewise([(counted[id(f)], pts) for f, pts in jobs], 1e-10)
+    counted = _Counted(_per_integral([f for f, _ in jobs]))
+    got = integrate_piecewise(counted, [pts for _, pts in jobs], 1e-10)
     assert got == [value for value, _ in alone]
-    assert counted[id(_GAUSS)].points == alone[0][1] + alone[2][1]
-    assert counted[id(_LORENTZ)].points == alone[1][1]
-    assert counted[id(_WAVE)].points == alone[3][1]
-
-
-def test_batch_gives_each_callable_the_arrays_it_gets_alone():
-    # integrands that are not elementwise (a BLAS sum may round a point
-    # differently in another array) need each call's array unchanged: same
-    # points, same order, whatever else the batch holds
-    def arrays(jobs):
-        recorded = {id(f): _Counted(f) for f, _ in jobs}
-        integrate_piecewise([(recorded[id(f)], pts) for f, pts in jobs])
-        return {id(r.f): r.arrays for r in recorded.values()}
-
-    jobs = [(_GAUSS, [-6.0, 0.3, 6.0]), (_LORENTZ, [-3.0, -1.0, 0.0, 2.0]),
-            (_GAUSS, [0.0, 1.5]), (_WAVE, [-8.0, 8.0]), (_LORENTZ, [5.0, 6.0])]
-    batch = arrays(jobs)
-    for f in (_GAUSS, _LORENTZ, _WAVE):
-        alone = arrays([job for job in jobs if job[0] is f])[id(f)]
-        got = batch[id(f)]
-        assert len(got) == len(alone)
-        assert all(np.array_equal(x, y) for x, y in zip(got, alone))
+    assert [counted.points_of(i) for i in range(len(jobs))] == [
+        points for _, points in alone]
 
 
 def test_batch_with_empty_breakpoint_lists():
-    alone = _Counted(_GAUSS)
-    want, = integrate_piecewise([(alone, [0.0, 1.0])])
-    f = _Counted(_GAUSS)
-    assert integrate_piecewise([(f, []), (f, [1.0]), (f, [2.0, 2.0]),
-                                (f, [0.0, 1.0])]) == [0.0, 0.0, 0.0, want]
+    alone = _Counted(_one(_GAUSS))
+    want, = integrate_piecewise(alone, [[0.0, 1.0]])
+    f = _Counted(_one(_GAUSS))
+    assert integrate_piecewise(f, [[], [1.0], [2.0, 2.0], [0.0, 1.0]]) == [
+        0.0, 0.0, 0.0, want]
     assert (f.calls, f.points) == (alone.calls, alone.points)
-    assert integrate_piecewise([(f, []), (f, [3.0])]) == [0.0, 0.0]
-    assert integrate_piecewise([]) == []
+    assert integrate_piecewise(f, [[], [3.0]]) == [0.0, 0.0]
+    assert integrate_piecewise(f, []) == []
     assert f.calls == alone.calls          # nothing to integrate: no call
 
 
@@ -173,41 +174,49 @@ def test_batched_integrals_keep_their_own_tolerance():
     # each of four gets tol / 4, as in the recursive oracle
     one, four = [-4.0, 4.0], [-4.0, -1.0, 0.3, 2.0, 4.0]
     tol = 1e-7
-    f1, f4 = _Counted(_GAUSS), _Counted(_GAUSS)
-    got = integrate_piecewise([(f1, one), (f4, four)], tol)
-    for pts, counted, value in ((one, f1, got[0]), (four, f4, got[1])):
-        scalar = _Counted(lambda v: float(_GAUSS(np.array([v]))[0]))
-        want = integrate_piecewise_recursive(scalar, pts, tol)
+    f = _Counted(_one(_GAUSS))
+    got = integrate_piecewise(f, [one, four], tol)
+    for i, (pts, value) in enumerate(((one, got[0]), (four, got[1]))):
+        scalar = []
+        want = integrate_piecewise_recursive(_scalar_gauss(scalar), pts, tol)
         assert abs(value - want) <= 1e-13
-        assert counted.points == scalar.points
+        assert f.points_of(i) == len(scalar)
     # the split matters: four segments at tol each would stop sooner
-    loose = _Counted(lambda v: float(_GAUSS(np.array([v]))[0]))
-    integrate_piecewise_recursive(loose, four, 4 * tol)
-    assert loose.points < f4.points
+    loose = []
+    integrate_piecewise_recursive(_scalar_gauss(loose), four, 4 * tol)
+    assert len(loose) < f.points_of(1)
+
+
+def _scalar_gauss(points):
+    """_GAUSS on one float, recording each point in `points`."""
+    def f(v):
+        points.append(v)
+        return float(_GAUSS(np.array([v]))[0])
+    return f
 
 
 def test_shared_callable_costs_one_call_per_level():
+    # the batch's one integrand is called once per level: as often as for
+    # the integral alone that refines deepest
+    jobs = [(_WAVE, [-6.0, 6.0]), (_LORENTZ, [0.0, 1.0]), (_WAVE, [0.0, 0.1])]
     calls = []
-    for pts in ([-6.0, 6.0], [0.0, 0.1]):
-        f = _Counted(_WAVE)
-        integrate_piecewise([(f, pts)])
-        calls.append(f.calls)
-    assert calls[0] != calls[1]
-    shared, other = _Counted(_WAVE), _Counted(_LORENTZ)
-    integrate_piecewise([(shared, [-6.0, 6.0]), (other, [0.0, 1.0]),
-                         (shared, [0.0, 0.1])])
+    for f, pts in jobs:
+        counted = _Counted(_one(f))
+        integrate_piecewise(counted, [pts])
+        calls.append(counted.calls)
+    assert calls[0] != calls[2]
+    shared = _Counted(_per_integral([f for f, _ in jobs]))
+    integrate_piecewise(shared, [pts for _, pts in jobs])
     assert shared.calls == max(calls)
-    lone = _Counted(_LORENTZ)
-    integrate_piecewise([(lone, [0.0, 1.0])])
-    assert other.calls == lone.calls
 
 
 def test_non_finite_value_in_one_integral_of_a_batch():
     nan_near_2 = lambda v: np.where(np.abs(v - 2.5) < 0.01, np.nan, _GAUSS(v))
     with pytest.raises(SimulationError, match=r"v=2\.5"):
-        integrate_piecewise([(_GAUSS, [0.0, 1.0]), (nan_near_2, [2.0, 3.0])])
+        integrate_piecewise(_per_integral([_GAUSS, nan_near_2]),
+                            [[0.0, 1.0], [2.0, 3.0]])
     with pytest.raises(SimulationError, match=r"v=2\.5"):
-        integrate_piecewise([(nan_near_2, [0.0, 1.0]), (nan_near_2, [2.0, 3.0])])
+        integrate_piecewise(_one(nan_near_2), [[0.0, 1.0], [2.0, 3.0]])
 
 
 def test_philox_stream_is_deterministic():
