@@ -5,14 +5,15 @@ Every output format lives here: the JSON report, and one CSV writer
 (_csv) for the sweep and density curves.
 Exit codes: 0 ok, 2 usage/config error (including an --out file that
 cannot be written), 3 numerical failure.  The CLI checks only its own flags
-(the --alpha/--nbar route, ranges, caps, --jobs, the seed); the library
-function that takes a run input checks it, so an error line names the
-library parameter (e.g. "gamma must be finite and non-negative, at most
+(the --alpha/--nbar route, ranges, caps, --jobs, the seed's source); the
+library function that takes a run input checks it, so an error line names
+the library parameter (e.g. "gamma must be finite and non-negative, at most
 1e+16, got -0.1").  Each bound has one check: alpha
 (hybrid_state.check_alpha), mean photon number (hybrid_state.alpha_for_nbar,
-which --nbar goes through in every command), gamma (cavity.check_gamma) and
-trials (metrics.MAX_TRIALS).  Within the bounds no input reaches a
-SimulationError: exit 3 is kept for library failures (see errors.py).
+which --nbar goes through in every command), gamma (cavity.check_gamma),
+trials (metrics.MAX_TRIALS) and the seed (numerics.check_seed).  Within the
+bounds no input reaches a SimulationError: exit 3 is kept for library
+failures (see errors.py).
 Each command returns its text and main() writes it.  Outputs are
 byte-identical across runs with the same flags and seed: the sampler is a
 documented counter-based recipe (see numerics.RNG_ALGORITHM), JSON keys are
@@ -36,7 +37,7 @@ from .errors import DegenerateRuleError, SimulationError
 from .homodyne import SCENARIOS, density_components, resolve_scenario
 from .hybrid_state import alpha_for_nbar
 from .metrics import closed_form_two_qubit, run_scenario, sweep
-from .numerics import RNG_ALGORITHM
+from .numerics import RNG_ALGORITHM, check_seed
 
 MODEL_VERSION = (f"hpsim {__version__}; reflection=steady-state-v1; "
                  f"rng={RNG_ALGORITHM}")
@@ -62,19 +63,14 @@ EXIT_NUMERICAL = 3
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        raw = os.environ.get("HPSIM_DEFAULT_SEED")
-        if raw is None:
-            return 0
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get("HPSIM_DEFAULT_SEED", "0")
         try:
             seed = int(raw)
         except ValueError:
             raise ValueError(f"HPSIM_DEFAULT_SEED is not an integer: {raw!r}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
+    return check_seed(seed)
 
 
 def _resolve_alpha(args):

@@ -25,7 +25,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DegenerateRuleError
-from .hybrid_state import SectorState, check_alpha
+from .hybrid_state import SectorState, check_alpha, check_eta
 from .numerics import philox_stream, standard_normals
 
 _SIGMA = 1.0 / math.sqrt(2.0)      # quadrature standard deviation
@@ -163,8 +163,7 @@ def build_decision_rule(scenario, alpha, eta=1.0, n=None) -> DecisionRule:
     """
     scenario, n, axis = resolve_scenario(scenario, n)
     check_alpha(alpha)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    check_eta(eta)
 
     a = eta * alpha
     thetas = [(1.0 - 2.0 * k / n) * math.pi for k in range(n + 1)]
@@ -286,18 +285,18 @@ def integrands(rows):
     """f(v, which=None): integrand which[j] of `rows` at outcome v[j] (1-D
     arrays), or, with which None, the one row's integrand at every v.
 
-    A row holds three parts: 2 x K mixture means m_k and weights p_k (a
-    density's), 2 x L means m_l and weights d_l and 5 x P pair means m_ip
-    and m_jp, amplitudes A_p, slopes s_p and offsets o_p (an overlap's):
+    A row holds two parts: 2 x K weight means m_k and coefficients c_k (a
+    density's mixture, an overlap's diagonal) and 5 x P pair means m_ip and
+    m_jp, amplitudes A_p, slopes s_p and offsets o_p (an overlap's):
 
-        sum_k p_k e^{-(v - m_k)^2} / sqrt(pi) + sum_l d_l e_l^2
-            + sum_p A_p e_ip e_jp cos(s_p v + o_p),   e = e^{-(v - m)^2 / 2}.
+        [sum_k c_k e^{-(v - m_k)^2} + sum_p A_p cos(s_p v + o_p)
+            e^{-((v - m_ip)^2 + (v - m_jp)^2) / 2}] / sqrt(pi).
 
     Rows are zero-padded into one table per part, summed slot after slot
     (not pairwise), so a point's value has the same bits in any v."""
-    mixture, squares, pairs = tables = [
+    weights, pairs = tables = [
         np.zeros((size, max((row[t].shape[1] for row in rows), default=0),
-                  len(rows))) for t, size in enumerate((2, 2, 5))]
+                  len(rows))) for t, size in enumerate((2, 5))]
     for i, row in enumerate(rows):
         for table, part in zip(tables, row):
             table[:, :part.shape[1], i] = part
@@ -306,32 +305,24 @@ def integrands(rows):
         def columns(table):     # gathered one table at a time, for memory
             return table if which is None else np.take(table, which, 2)
         v = np.asarray(v, dtype=float)
-        sums = []               # the three sums, added in this order
-        if mixture.shape[1]:
-            sums.append(_gaussian_sum(v, *columns(mixture), -1.0)
-                        / math.sqrt(math.pi))
-        if squares.shape[1]:
-            sums.append(_gaussian_sum(v, *columns(squares), -0.5, True))
+        total = _gaussian_sum(v, *columns(weights))
         if pairs.shape[1]:
             mi, mj, amps, slopes, offsets = columns(pairs)
-            terms = np.exp(-0.5 * (v - mi) ** 2)
-            terms *= np.exp(-0.5 * (v - mj) ** 2)
+            terms = np.exp(-0.5 * ((v - mi) ** 2 + (v - mj) ** 2))
             terms *= np.cos(v * slopes + offsets)
             terms *= amps
-            sums.append(reduce(np.add, terms))
-        return reduce(np.add, sums)
+            total += reduce(np.add, terms)
+        return total / math.sqrt(math.pi)
 
     return values
 
 
-def _gaussian_sum(v, means, coefs, scale, squared=False):
-    """sum_k c_k g_k (or c_k g_k^2), g_k = e^{scale (v - m_k)^2}, in place."""
+def _gaussian_sum(v, means, coefs):
+    """sum_k c_k e^{-(v - m_k)^2}, in place, slot after slot."""
     terms = v - means
     terms *= terms
-    terms *= scale
+    np.negative(terms, out=terms)
     np.exp(terms, out=terms)
-    if squared:
-        terms *= terms
     terms *= coefs
     return reduce(np.add, terms)
 
@@ -339,8 +330,7 @@ def _gaussian_sum(v, means, coefs, scale, squared=False):
 def density_integrand(state: SectorState, quadrature, weights=slice(None)):
     """integrands row of the outcome density's mixture over `weights`."""
     return (np.array([quadrature_mean(state.fields, quadrature)[weights],
-                      state.probs[weights]]), np.zeros((2, 0)),
-            np.zeros((5, 0)))
+                      state.probs[weights]]), np.zeros((5, 0)))
 
 
 def overlap_integrand(state: SectorState, quadrature, cls: OutcomeClass):
@@ -351,20 +341,20 @@ def overlap_integrand(state: SectorState, quadrature, cls: OutcomeClass):
     the class fidelity.  Target and state are uniform within a weight, so
     the overlap is sum_kk' W_k G_kk' conj(W_k') over the bin's weights with
     W_k(v) = conj(T_k(v)) <v|f_k> = e_k(v) e^{i phi_k(v)}, phi_k linear in v.
-    With H_kk' = G_kk' + conj(G_k'k) that is, in real arithmetic,
-    sum_k G_kk e_k^2 + sum_{k<k'} e_k e_k' |H_kk'| cos(phi_k - phi_k' + arg
-    H_kk'): no trig for a one-weight bin, one cosine per outcome for two.
+    With H_kk' = G_kk' + conj(G_k'k) that is, in real arithmetic, weight
+    terms sum_k G_kk e_k^2 and pair terms sum_{k<k'} e_k e_k' |H_kk'|
+    cos(phi_k - phi_k' + arg H_kk'): no trig for a one-weight bin.
     """
     ks = list(cls.weights)
     fields = state.fields[ks]
-    coherence = state.coherence[ks][:, ks] / (cls.size * math.sqrt(math.pi))
+    coherence = state.coherence[ks][:, ks] / cls.size
     i, j = np.nonzero(~np.tri(len(ks), dtype=bool))     # the pairs k < k'
     pair = coherence[i, j] + coherence[j, i].conj()
     # weight k's phase is its own zeta minus s_k times the bin's
     slope, offset = (np.array(_zeta_coefficients(fields, quadrature))
                      - np.outer(cls.zeta_coefficients, cls.phase_signs))
     means = quadrature_mean(fields, quadrature)
-    return (np.zeros((2, 0)), np.array([means, coherence.diagonal().real]),
+    return (np.array([means, coherence.diagonal().real]),
             np.array([means[i], means[j], np.abs(pair), slope[i] - slope[j],
                       offset[i] - offset[j] + np.angle(pair)]))
 

@@ -44,6 +44,12 @@ def check_alpha(alpha):
                          f"at most {MAX_ALPHA:g}, got {alpha}")
 
 
+def check_eta(eta):
+    """The one check of a channel amplitude transmission: 0 <= eta <= 1."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+
+
 def alpha_for_nbar(nbar) -> float:
     """sqrt(<n>), the alpha of mean photon number nbar.
 
@@ -86,8 +92,7 @@ def sector_state(n: int, alpha: float, eta: float, pair) -> SectorState:
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     check_alpha(alpha)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    check_eta(eta)
     loss = [max(0.0, 1.0 - abs(r) ** 2) for r in (pair.r0, pair.r1)]
     s = np.sqrt(loss) if max(loss) > _UNIT_TOL else np.zeros(2)
     f = np.array([eta * alpha], dtype=complex)

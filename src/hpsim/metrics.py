@@ -31,8 +31,9 @@ from .homodyne import (DecisionRule, build_decision_rule,
                        class_overlap_integrand, density_integrand, integrands,
                        integration_window, outcome_density, overlap_integrand,
                        quadrature_mean, resolve_scenario, sample_outcomes)
-from .hybrid_state import SectorState, alpha_for_nbar, sector_state
-from .numerics import erfc, integrate_piecewise
+from .hybrid_state import (SectorState, alpha_for_nbar, check_alpha,
+                           check_eta, sector_state)
+from .numerics import check_seed, erfc, integrate_piecewise
 
 QUAD_TOL = 1e-9
 EMPTY_BIN_P = 1e-12      # a bin below this probability has no fidelity
@@ -102,10 +103,8 @@ def closed_form_two_qubit(alpha: float, eta: float):
     erfc reflection identity), and
     F = erfc(-sqrt2 eta alpha) / [erfc(sqrt2 eta alpha) + erfc(-sqrt2 eta alpha)].
     """
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be non-negative, got {alpha}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    check_alpha(alpha)
+    check_eta(eta)
     s = math.sqrt(2.0) * eta * alpha
     hi = erfc(-s)
     lo = erfc(s)
@@ -135,6 +134,7 @@ def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
     positions (see sample_outcomes); each adds to the per-bin hits, sums and
     squared deviations, so the hits do not depend on the block size.
     """
+    check_seed(seed)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if trials > MAX_TRIALS:
@@ -215,6 +215,7 @@ def prepare_state(scenario: str, alpha: float, eta_sq: float,
 def run_scenario(scenario: str, alpha: float, eta_sq: float,
                  gamma: float = 0.0, n=None, trials: int = 0,
                  seed=0) -> ScenarioRun:
+    check_seed(seed)
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     if trials > MAX_TRIALS:

@@ -148,6 +148,14 @@ def _evaluate(f, owner, *xs):
 
 # --- seeded sampling -------------------------------------------------------
 
+def check_seed(seed) -> int:
+    """The one check of a sampling seed: int(seed) in [0, 2^64)."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
 def philox_stream(seed, word=0):
     """Counter-based Philox4x64 generator for the documented sampling recipe.
 
@@ -157,9 +165,7 @@ def philox_stream(seed, word=0):
     point of the stream is reached in O(1), and a stream drawn in pieces
     equals the stream drawn at once.
     """
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    seed = check_seed(seed)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     if word:
         rng.bit_generator.advance(word // 4)

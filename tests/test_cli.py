@@ -11,7 +11,7 @@ from hpsim.cavity import MAX_GAMMA, reflection_pair, solve_params_for_phase
 from hpsim.cli import SWEEP_CSV_COLUMNS
 from hpsim.homodyne import build_decision_rule
 from hpsim.hybrid_state import MAX_ALPHA, sector_state
-from hpsim.metrics import MAX_TRIALS
+from hpsim.metrics import MAX_TRIALS, closed_form_two_qubit
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -219,7 +219,8 @@ def test_every_command_gives_one_nbar_message(capsys, nbar):
 
 
 def test_every_route_gives_one_alpha_message(capsys):
-    # one check (hybrid_state.check_alpha) for the rule and the state
+    # one check (hybrid_state.check_alpha) for the rule, the state and the
+    # closed form
     line = "alpha must be finite and non-negative, at most 10000, got 100000.0"
     for command in ("simulate", "density"):
         res = main_in_process(capsys, command, "--scenario", "two_qubit",
@@ -228,7 +229,8 @@ def test_every_route_gives_one_alpha_message(capsys):
             2, "", f"hpsim: error: {line}\n"), command
     pair = reflection_pair(solve_params_for_phase(2))
     for build in (lambda: build_decision_rule("two_qubit", 1e5),
-                  lambda: sector_state(2, 1e5, 1.0, pair)):
+                  lambda: sector_state(2, 1e5, 1.0, pair),
+                  lambda: closed_form_two_qubit(1e5, 1.0)):
         with pytest.raises(ValueError) as err:
             build()
         assert str(err.value) == line

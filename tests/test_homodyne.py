@@ -438,7 +438,9 @@ def test_integrand_point_has_the_same_bits_in_any_array():
     ("n_qubit_P", 5), ("n_qubit_P", 6), ("n_qubit_P", 12)])
 def test_real_overlap_matches_complex_form(scenario, n):
     # n = 6 has three-weight bins; gsum and gamma > 0 give two-label phases
-    for alpha in (0.5, 3.0, 20.0):
+    # alpha up to MAX_ALPHA: a pair written as one Gaussian at the midpoint
+    # of its means fails from 1e3
+    for alpha in (0.5, 3.0, 20.0, 100.0, 1e3, 1e4):
         for gamma in (0.0, 0.2, 0.5, 1e3):
             st = prepare_state(scenario, alpha, 0.8, gamma, n)
             rule = build_decision_rule(scenario, alpha, math.sqrt(0.8), n=n)

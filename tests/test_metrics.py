@@ -12,6 +12,7 @@ from hpsim.metrics import (MAX_TRIALS, QUAD_TOL, ClassResult,
                            _bin_breakpoints, closed_form_two_qubit,
                            monte_carlo_estimate, prepare_state, run_scenario,
                            sweep)
+from hpsim.hybrid_state import MAX_ALPHA
 from hpsim.numerics import integrate_piecewise
 from oracles import (erfc_oracle, gauss_bin_mass, integrate_piecewise_recursive,
                      interval_probability, mixture_bin_mass, monte_carlo_masks,
@@ -177,9 +178,10 @@ def test_two_qubit_fidelity_limits():
     assert run.results[1].fidelity > 1.0 - 1e-6
     ps, f = closed_form_two_qubit(0.0, 1.0)
     assert ps == 0.5 and f == 0.5
-    assert closed_form_two_qubit(math.inf, 1.0) == (0.5, 1.0)
-    with pytest.raises(ValueError):
-        closed_form_two_qubit(math.nan, 1.0)
+    assert closed_form_two_qubit(MAX_ALPHA, 1.0) == (0.5, 1.0)
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            closed_form_two_qubit(alpha, 1.0)
 
 
 def test_gsum_fidelity():
@@ -539,7 +541,12 @@ def test_run_scenario_alias_matches_canonical():
     ({"trials": -1}, "trials must be non-negative, got -1"),
     ({"eta_sq": -0.5}, "eta_sq must lie in [0, 1], got -0.5"),
     ({"eta_sq": 1.5}, "eta_sq must lie in [0, 1], got 1.5"),
-], ids=["negative_trials", "eta_sq_below", "eta_sq_above"])
+    ({"trials": 1, "seed": -1},
+     "seed must be an unsigned 64-bit integer, got -1"),
+    ({"seed": 2**64},
+     f"seed must be an unsigned 64-bit integer, got {2**64}"),
+], ids=["negative_trials", "eta_sq_below", "eta_sq_above", "negative_seed",
+        "seed_above_64_bits"])
 def test_run_scenario_rejects_bad_inputs_before_work(monkeypatch, kwargs,
                                                      message):
     calls = []
@@ -548,6 +555,20 @@ def test_run_scenario_rejects_bad_inputs_before_work(monkeypatch, kwargs,
     with pytest.raises(ValueError) as err:
         run_scenario("two_qubit_X", 1.0, **{"eta_sq": 1.0, **kwargs})
     assert str(err.value) == message
+    assert calls == []
+
+
+def test_monte_carlo_checks_the_seed_before_work(monkeypatch):
+    # no bin's overlap row is built for a seed the sampler would refuse
+    run = run_scenario("gsum", 2.0, 1.0)
+    calls = []
+    monkeypatch.setattr(metrics, "class_overlap_integrand",
+                        lambda *args: calls.append(args))
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError) as err:
+            monte_carlo_estimate(run.state, run.rule, 10, seed)
+        assert str(err.value) == ("seed must be an unsigned 64-bit integer, "
+                                  f"got {seed}")
     assert calls == []
 
 
