@@ -9,17 +9,11 @@ joint state per weight sector (hybrid_state.SectorState: n + 1 labels and an
 the nodes), evaluates bin probabilities and fidelities in closed form and by
 adaptive quadrature, and cross-checks them by seeded Monte Carlo sampling.
 
-Quadrature is adaptive Simpson refining a batch of integrals level by
-level (numerics.integrate_piecewise, called by metrics.evaluate_classes
-once per block of sweep points, or once for a single run: every bin's
-probability and fidelity numerator of each state) with one array call per
-level for the whole batch (homodyne.integrands: zero-padded tables of
-every density and overlap integrand).  It is not yet replaced by closed
-forms (erfc for the bin probabilities, the Faddeeva function w(z) from the
-same Weideman formula for the fidelity numerators) because the benchmark's
-stored reference outputs carry Simpson's own error, up to 1.4e-9, beyond
-their 1e-9 gate (notes/decisions.md).  Independent cross-check routes, the
-dense 2^n branch state among them, live in tests/oracles.py.
+Quadrature is adaptive Simpson over a batch of integrals, one integrand
+call per level (numerics.integrate_piecewise, homodyne.integrands); a sweep
+builds the states and integrand rows of a block of points in one array pass
+each.  Closed forms wait on re-made references (notes/decisions.md).
+Cross-check routes, the dense 2^n state among them, are in tests/oracles.py.
 
 A result that does not exist has one rule per layer: a pulse that
 resolves no bins raises DegenerateRuleError (a ValueError, exit 2 at the
@@ -33,9 +27,9 @@ from .cavity import (CavityParams, ReflectionPair, reflection_coefficient,
 from .errors import (DegenerateRuleError, SimulationError,
                      SingularParametersError)
 from .homodyne import (SCENARIOS, DecisionRule, OutcomeClass,
-                       build_decision_rule, outcome_density, resolve_scenario,
-                       sample_outcomes)
-from .hybrid_state import SectorState, sector_state
+                       build_decision_rule, integrand_rows, outcome_density,
+                       resolve_scenario, sample_outcomes)
+from .hybrid_state import SectorState, sector_state, sector_states
 from .metrics import (ClassResult, ScenarioRun, SweepPoint,
                       closed_form_two_qubit, monte_carlo_estimate,
                       run_scenario, sweep)

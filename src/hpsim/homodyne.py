@@ -21,6 +21,7 @@ state.  Ties at a threshold go to the upper interval.
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -258,7 +259,7 @@ def sample_outcomes(state: SectorState, quadrature, trials: int, seed,
     stream a long run in blocks of bounded memory.  The 2^n branches are
     equally likely, so the inverse-CDF pick of the uniform u is
     x = floor(u 2^n), exact for 53-bit uniforms; its weight is the
-    popcount of x.
+    popcount of x, read byte by byte from a 256-entry table.
     """
     _check_quadrature(quadrature)
     if trials < 1:
@@ -270,9 +271,8 @@ def sample_outcomes(state: SectorState, quadrature, trials: int, seed,
     size = stop - start
     uniforms = philox_stream(seed, start).random(size)
     branch = (uniforms * 2.0**state.n).astype(np.int64)
-    weight = np.zeros(size, dtype=np.int64)
-    for i in range(state.n):
-        weight += (branch >> i) & 1
+    ones = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], 1).sum(1, np.uint8)
+    weight = sum(ones[(branch >> shift) & 255] for shift in range(0, state.n, 8))
     means = quadrature_mean(state.fields, quadrature)[weight]
     normals = standard_normals(philox_stream(seed, trials + start), size,
                                philox_stream(seed, 2 * trials + start))
@@ -327,36 +327,63 @@ def _gaussian_sum(v, means, coefs):
     return reduce(np.add, terms)
 
 
-def density_integrand(state: SectorState, quadrature, weights=slice(None)):
-    """integrands row of the outcome density's mixture over `weights`."""
-    return (np.array([quadrature_mean(state.fields, quadrature)[weights],
-                      state.probs[weights]]), np.zeros((5, 0)))
+def density_integrand(state: SectorState, quadrature, weights=None):
+    """integrands row of the density's mixture over a tuple of weights."""
+    parts = [weights or tuple(range(state.n + 1))]
+    return integrand_rows([(state, quadrature, parts)])[0]
 
 
 def overlap_integrand(state: SectorState, quadrature, cls: OutcomeClass):
-    """integrands row of v -> <T(v)| rho~(v) |T(v)> for one bin.
+    """integrands row of v -> <T(v)| rho~(v) |T(v)> for one bin."""
+    return integrand_rows([(state, quadrature, [cls])])[0]
 
-    rho~ is the *unnormalized* conditional state (trace = outcome density);
-    integrating this over the bin and dividing by the bin probability gives
-    the class fidelity.  Target and state are uniform within a weight, so
-    the overlap is sum_kk' W_k G_kk' conj(W_k') over the bin's weights with
-    W_k(v) = conj(T_k(v)) <v|f_k> = e_k(v) e^{i phi_k(v)}, phi_k linear in v.
-    With H_kk' = G_kk' + conj(G_k'k) that is, in real arithmetic, weight
-    terms sum_k G_kk e_k^2 and pair terms sum_{k<k'} e_k e_k' |H_kk'|
-    cos(phi_k - phi_k' + arg H_kk'): no trig for a one-weight bin.
-    """
-    ks = list(cls.weights)
-    fields = state.fields[ks]
-    coherence = state.coherence[ks][:, ks] / cls.size
-    i, j = np.nonzero(~np.tri(len(ks), dtype=bool))     # the pairs k < k'
-    pair = coherence[i, j] + coherence[j, i].conj()
-    # weight k's phase is its own zeta minus s_k times the bin's
-    slope, offset = (np.array(_zeta_coefficients(fields, quadrature))
-                     - np.outer(cls.zeta_coefficients, cls.phase_signs))
-    means = quadrature_mean(fields, quadrature)
-    return (np.array([means, coherence.diagonal().real]),
-            np.array([means[i], means[j], np.abs(pair), slope[i] - slope[j],
-                      offset[i] - offset[j] + np.angle(pair)]))
+
+def integrand_rows(specs):
+    """integrands rows of (state, quadrature, parts) specs, one per part in
+    order: overlap_integrand's for an OutcomeClass, else density_integrand's
+    over a tuple of weights.  Target and state are uniform within a weight,
+    so a bin's <T(v)| rho~(v) |T(v)> is sum_kk' W_k G_kk' conj(W_k'), W_k(v)
+    = conj(T_k(v)) <v|f_k> = e_k(v) e^{i phi_k(v)} (phi_k linear in v): with
+    H_kk' = G_kk' + conj(G_k'k), weight terms sum_k G_kk e_k^2 and pair terms
+    sum_{k<k'} e_k e_k' |H_kk'| cos(phi_k - phi_k' + arg H_kk').  Slots are
+    gathered from the states laid end to end, so the numpy calls do not
+    grow with the rows, and meet their row's own elementwise operations, so
+    the bits do not depend on the batch."""
+    if not specs:
+        return []
+    arrays, slots, pairs, spans, lo, g0 = [], [], [], [], 0, 0
+    for state, quadrature, parts in specs:
+        _check_quadrature(quadrature)
+        arrays.append((state.fields, state.probs, state.coherence.ravel()))
+        for part in parts:
+            overlap = isinstance(part, OutcomeClass)
+            cls = part if overlap else OutcomeClass(None, "", part, 1,
+                                                    (0,) * len(part))
+            (z0, z1), w0, p0 = cls.zeta_coefficients, len(slots), len(pairs)
+            slots += [(lo + k, g0 + k * (state.n + 2), cls.size, z0 * sign,
+                       z1 * sign, quadrature == "X", overlap)
+                      for k, sign in zip(cls.weights, cls.phase_signs)]
+            pairs += [(w0 + a, w0 + b, g0 + ka * (state.n + 1) + kb,
+                       g0 + kb * (state.n + 1) + ka) for (a, ka), (b, kb) in
+                      combinations(enumerate(cls.weights) if overlap else (), 2)]
+            spans.append((w0, len(slots), p0, len(pairs)))
+        lo, g0 = lo + state.n + 1, g0 + (state.n + 1) ** 2
+    labels, probs, coherence = map(np.concatenate, zip(*arrays))
+    at, diag, size, s0, s1, x, overlap = np.array(slots, dtype=float).T
+    at, diag = at.astype(int), diag.astype(int)
+    a, b, gij, gji = np.array(pairs, dtype=int).reshape(-1, 4).T
+    f = labels[at]
+    means = np.where(x, quadrature_mean(f, "X"), quadrature_mean(f, "P"))
+    # each weight's phase is its own zeta minus s_k times the bin's
+    slope, offset = (np.where(x, _zeta_coefficients(f, "X"),
+                              _zeta_coefficients(f, "P")) - np.array([s0, s1]))
+    pair = coherence[gij] / size[a] + (coherence[gji] / size[a]).conj()
+    weight_table = np.array([means, np.where(
+        overlap, (coherence[diag] / size).real, probs[at])])
+    pair_table = np.array([means[a], means[b], np.abs(pair), slope[a] - slope[b],
+                           offset[a] - offset[b] + np.angle(pair)])
+    return [(weight_table[:, w0:w1], pair_table[:, p0:p1])
+            for w0, w1, p0, p1 in spans]
 
 
 def class_overlap_integrand(state: SectorState, quadrature, cls: OutcomeClass):
@@ -368,5 +395,5 @@ def density_components(state: SectorState, rule: DecisionRule, v: np.ndarray):
     """Per-class component densities over a grid (for curve export): the
     density's mixture over the weights that feed each class."""
     return [integrands([density_integrand(state, rule.quadrature,
-                                          list(cls.weights))])(v)
+                                          cls.weights)])(v)
             for cls in rule.classes]

@@ -75,7 +75,13 @@ class SectorState:
 
 
 def sector_state(n: int, alpha: float, eta: float, pair) -> SectorState:
-    """Pulse |alpha>, qubits in |+>, channel eta, then one CPS gate per node.
+    """The sector_states of one (alpha, eta, pair) point."""
+    return sector_states(n, [(alpha, eta, pair)])[0]
+
+
+def sector_states(n: int, points) -> list:
+    """The SectorState of each (alpha, eta, pair) point: pulse |alpha>,
+    qubits in |+>, channel eta, then one CPS gate per node.
 
     G comes from one dynamic program over the nodes whose state (a, b)
     counts the 1-bits seen so far in x and in y.  Before gate j a branch
@@ -86,30 +92,39 @@ def sector_state(n: int, alpha: float, eta: float, pair) -> SectorState:
     and moves it to (a + bx, b + by).  When neither reflection is lossy
     beyond _UNIT_TOL the gate records no event (s = 0).  The channel's loss
     label sqrt(1 - eta^2) alpha is the same on every branch, so its factor
-    is 1.  A state that floating point cannot carry (an n or a pair
-    beyond what the scenarios use) raises SimulationError.
+    is 1.  Points share a leading axis (points x n^2 entries of G: pass
+    bounded blocks), and a point's loss and new top label are Python scalar
+    arithmetic, which numpy's array loops round differently, so its bits do
+    not depend on the batch.  A non-finite state raises SimulationError.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    check_alpha(alpha)
-    check_eta(eta)
-    loss = [max(0.0, 1.0 - abs(r) ** 2) for r in (pair.r0, pair.r1)]
-    s = np.sqrt(loss) if max(loss) > _UNIT_TOL else np.zeros(2)
-    f = np.array([eta * alpha], dtype=complex)
-    d = np.ones((1, 1), dtype=complex)
+    for alpha, eta, _ in points:
+        check_alpha(alpha)
+        check_eta(eta)
+    losses = [[max(0.0, 1.0 - abs(r) ** 2) for r in (pair.r0, pair.r1)]
+              for _, _, pair in points]
+    s = np.sqrt([loss if max(loss) > _UNIT_TOL else [0.0, 0.0]
+                 for loss in losses]).reshape(-1, 2, 1)     # s[point, bit]
+    r0 = np.array([pair.r0 for _, _, pair in points], dtype=complex)[:, None]
+    f = np.array([eta * alpha for alpha, eta, _ in points], complex)[:, None]
+    d = np.ones((len(points), 1, 1), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, n + 1):
-            e = np.outer(s, f)                      # e[bit, a]
-            half = 0.5 * np.abs(e) ** 2
-            # step[bx, by, a, b]: the (a, b) entry times <e_y|e_x>
-            step = d * np.exp(e[:, None, :, None] * e.conj()[None, :, None, :]
-                              - half[:, None, :, None] - half[None, :, None, :])
-            d = np.zeros((m + 1, m + 1), dtype=complex)
-            for bx in (0, 1):
-                for by in (0, 1):
-                    d[bx:bx + m, by:by + m] += step[bx, by]
-            f = np.append(f * pair.r0, f[-1] * pair.r1)
-    if not (np.isfinite(f).all() and np.isfinite(d).all()):
-        raise SimulationError(f"non-finite sector state at alpha={alpha!r}")
+            x = s[..., None, None] * f[:, None, None, :, None]  # e_x; y: conj e_y
+            hx = 0.5 * np.abs(x) ** 2
+            y, hy = x.conj().transpose(0, 2, 1, 4, 3), hx.transpose(0, 2, 1, 4, 3)
+            # step[point, bx, by, a, b]: the (a, b) entry times <e_y|e_x>
+            step = d[:, None, None] * np.exp(x * y - hx - hy)
+            d = np.zeros((len(points), m + 1, m + 1), dtype=complex)
+            for bx, by in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                d[:, bx:bx + m, by:by + m] += step[:, bx, by]
+            top = [row[-1] * pair.r1 for row, (_, _, pair) in zip(f, points)]
+            f = np.concatenate([f * r0, np.array(top, complex)[:, None]], 1)
+    bad = ~(np.isfinite(f).all(1) & np.isfinite(d).all((1, 2)))
+    if bad.any():
+        raise SimulationError(f"non-finite sector state at "
+                              f"alpha={points[int(np.argmax(bad))][0]!r}")
     probs = np.array([math.comb(n, k) for k in range(n + 1)]) / 2.0**n
-    return SectorState(n=n, probs=probs, fields=f, coherence=d / 2.0**n)
+    return [SectorState(n=n, probs=probs, fields=fp, coherence=dp)
+            for fp, dp in zip(f, d / 2.0**n)]

@@ -28,11 +28,11 @@ import numpy as np
 from .cavity import check_gamma, reflection_pair, solve_params_for_phase
 from .errors import DegenerateRuleError
 from .homodyne import (DecisionRule, build_decision_rule,
-                       class_overlap_integrand, density_integrand, integrands,
-                       integration_window, outcome_density, overlap_integrand,
-                       quadrature_mean, resolve_scenario, sample_outcomes)
+                       class_overlap_integrand, integrand_rows, integrands,
+                       integration_window, outcome_density, quadrature_mean,
+                       resolve_scenario, sample_outcomes)
 from .hybrid_state import (SectorState, alpha_for_nbar, check_alpha,
-                           check_eta, sector_state)
+                           check_eta, sector_state, sector_states)
 from .numerics import check_seed, erfc, integrate_piecewise
 
 QUAD_TOL = 1e-9
@@ -64,8 +64,7 @@ def _bin_breakpoints(state: SectorState, rule: DecisionRule) -> list:
     """Per bin c: [thresholds[c-1], thresholds[c]) cut to the integration
     window and split at the branch means inside it; [] outside the window."""
     wlo, whi = integration_window(state, rule.quadrature)
-    means = sorted({float(m) for m in quadrature_mean(state.fields,
-                                                      rule.quadrature)})
+    means = sorted(set(quadrature_mean(state.fields, rule.quadrature).tolist()))
     edges = (-math.inf, *rule.thresholds, math.inf)
     cuts = [(max(lo, wlo), min(hi, whi)) for lo, hi in zip(edges, edges[1:])]
     return [[lo, *(m for m in means if lo < m < hi), hi] if lo < hi else []
@@ -73,18 +72,20 @@ def _bin_breakpoints(state: SectorState, rule: DecisionRule) -> list:
 
 
 def evaluate_classes(pairs) -> list:
-    """Quadrature ClassResults for every bin of each (state, rule) pair,
-    one list per pair, from one integration of one homodyne.integrands
-    batch: each bin's probability (its state's density) and fidelity
-    numerator (its overlap) over the bin's breakpoints.  The integrand is
-    elementwise and a panel's decision reads only its own points, so a
-    pair's results do not depend on the rest of the batch.  A bin with
-    P < EMPTY_BIN_P reports fidelity NaN (Monte Carlo reports it alike)."""
+    """Quadrature ClassResults for every bin of each (state, rule) pair, one
+    list per pair, from one integration of one integrand_rows batch: each
+    bin's probability (its state's density) and fidelity numerator (its
+    overlap) over the bin's breakpoints.  Rows are elementwise and a panel's
+    decision reads only its own points, so a pair's results do not depend
+    on the batch.  A bin with P < EMPTY_BIN_P reports fidelity NaN."""
+    built = iter(integrand_rows(
+        [(state, rule.quadrature, [tuple(range(state.n + 1)), *rule.classes])
+         for state, rule in pairs]))
     rows, breakpoints = [], []
     for state, rule in pairs:
-        density = density_integrand(state, rule.quadrature)
-        for cls, pts in zip(rule.classes, _bin_breakpoints(state, rule)):
-            rows += [density, overlap_integrand(state, rule.quadrature, cls)]
+        density = next(built)
+        for pts in _bin_breakpoints(state, rule):
+            rows += [density, next(built)]
             breakpoints += [pts, pts]
     values = iter(integrate_piecewise(integrands(rows), breakpoints, QUAD_TOL))
     return [[ClassResult(parity=cls.parity, target_name=cls.target_name,
@@ -233,9 +234,9 @@ def run_scenario(scenario: str, alpha: float, eta_sq: float,
 
 # --- parameter sweeps --------------------------------------------------------------
 
-# Grid points per sweep block: evaluate_classes integrates a block's states
-# in one batch.  Larger blocks cut the per-level overhead further but grow
-# the integration frontier's peak memory (notes/decisions.md).
+# Grid points per sweep block: one sector_states and one evaluate_classes
+# batch each.  Larger blocks cut per-call overhead but grow the integration
+# frontier and G (points x n^2) in memory (notes/decisions.md).
 SWEEP_BLOCK_POINTS = 8
 
 
@@ -245,12 +246,12 @@ def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float,
 
     Points come in order, gamma fastest, and carry the canonical scenario
     name.  Every mean photon number (alpha_for_nbar), gamma (check_gamma)
-    and eta_sq (check_eta_sq) is checked before any work.  The grid runs
-    in blocks of SWEEP_BLOCK_POINTS points: a block's rules (one per alpha)
-    and states are built first, then one evaluate_classes call integrates
-    them all, so each point's results equal run_scenario's bit for bit.  A
-    point whose pulse resolves no bins (DegenerateRuleError) has no
-    results.
+    and eta_sq (check_eta_sq) is checked before any work.  The phases are
+    solved once, each gamma's reflection pair made once.  The grid runs in
+    blocks of SWEEP_BLOCK_POINTS points: a block's rules (one per alpha),
+    then its states in one sector_states call, then one evaluate_classes
+    call, so each point's results equal run_scenario's bit for bit.  A
+    point whose pulse resolves no bins (DegenerateRuleError) has none.
     """
     nbars = [float(nbar) for nbar in mean_photon_numbers]
     gammas = [float(gamma) for gamma in gammas]
@@ -265,6 +266,9 @@ def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float,
     check_eta_sq(eta_sq)
     eta_sq = float(eta_sq)
     eta = math.sqrt(eta_sq)
+    params = solve_params_for_phase(n)
+    reflections = {gamma: reflection_pair(replace(params, gamma=gamma))
+                   for gamma in dict.fromkeys(gammas)}
     grid = [(nbar, alpha, gamma)
             for nbar, alpha in zip(nbars, alphas) for gamma in gammas]
     points = []
@@ -274,17 +278,15 @@ def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float,
         for _, alpha, _ in block:
             if alpha not in rules:
                 try:
-                    rules[alpha] = build_decision_rule(scenario, alpha, eta,
-                                                       n=n)
+                    rules[alpha] = build_decision_rule(scenario, alpha, eta, n=n)
                 except DegenerateRuleError:
                     rules[alpha] = None         # no bins: no results
-        pairs = [(prepare_state(scenario, alpha, eta_sq, gamma, n),
-                  rules[alpha]) if rules[alpha] is not None else None
-                 for _, alpha, gamma in block]
-        results = iter(evaluate_classes([pair for pair in pairs if pair]))
+        live = [(alpha, gamma) for _, alpha, gamma in block if rules[alpha]]
+        states = sector_states(n, [(a, eta, reflections[g]) for a, g in live])
+        results = iter(evaluate_classes(
+            [(state, rules[a]) for state, (a, _) in zip(states, live)]))
         points += [SweepPoint(scenario=scenario, mean_photon_number=nbar,
-                              alpha=alpha, gamma_over_kappa=gamma,
-                              eta_sq=eta_sq,
-                              results=tuple(next(results)) if pair else ())
-                   for (nbar, alpha, gamma), pair in zip(block, pairs)]
+                              alpha=alpha, gamma_over_kappa=gamma, eta_sq=eta_sq,
+                              results=tuple(next(results)) if rules[alpha] else ())
+                   for nbar, alpha, gamma in block]
     return points

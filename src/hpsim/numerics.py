@@ -14,6 +14,8 @@ streams exactly; see RNG_ALGORITHM.
 """
 
 import math
+import numbers
+import operator
 
 import numpy as np
 
@@ -149,11 +151,11 @@ def _evaluate(f, owner, *xs):
 # --- seeded sampling -------------------------------------------------------
 
 def check_seed(seed) -> int:
-    """The one check of a sampling seed: int(seed) in [0, 2^64)."""
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
+    """The one check of a sampling seed: an integer, not a bool, in [0, 2^64)."""
+    integral = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
+    if not (integral and 0 <= operator.index(seed) < 2**64):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
+    return operator.index(seed)
 
 
 def philox_stream(seed, word=0):

@@ -22,11 +22,14 @@ decision rule's per-weight target phase signs with the package.  Its zeta
 phase is the quoted polar form in a = |f| and theta = arg f (zeta_polar),
 not the package's (slope, offset) pair.
 
-The Monte Carlo scoring forms the package replaced are kept at the end:
+The Monte Carlo scoring forms the package replaced are kept near the end:
 the bin overlap as the complex quadratic form w G w^dag, the outcome
 density as one broadcast expression, and the scoring loop with one boolean
 mask per bin and a searchsorted lookup.  They share the sampler, the
-sector state and the per-label zeta coefficients with the package.
+sector state and the per-label zeta coefficients with the package.  Last
+come the per-point forms of the state's dynamic program and of each bin's
+integrand row, which the package now builds for a whole batch at once and
+must reproduce bit for bit.
 """
 
 import math
@@ -653,3 +656,55 @@ def monte_carlo_masks(state, rule, trials, seed):
                     float(np.std(ratio, ddof=1)) / math.sqrt(hits)
                     if hits >= 2 else math.nan))
     return out
+
+
+# --- per-point routes the batched ones reproduce bit for bit ----------------
+
+def same_bits(got, want):
+    """Equal shapes, np.array_equal and equal bytes (so 0.0 for -0.0 fails)."""
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.ascontiguousarray(got).tobytes() == want.tobytes())
+
+
+def sector_state_per_point(n, alpha, eta, pair):
+    """The weight-sector state of one point, as one dynamic program of its
+    own: the form hybrid_state.sector_states had before it took a batch."""
+    loss = [max(0.0, 1.0 - abs(r) ** 2) for r in (pair.r0, pair.r1)]
+    s = np.sqrt(loss) if max(loss) > 1e-13 else np.zeros(2)
+    f = np.array([eta * alpha], dtype=complex)
+    d = np.ones((1, 1), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, n + 1):
+            e = np.outer(s, f)                      # e[bit, a]
+            half = 0.5 * np.abs(e) ** 2
+            step = d * np.exp(e[:, None, :, None] * e.conj()[None, :, None, :]
+                              - half[:, None, :, None] - half[None, :, None, :])
+            d = np.zeros((m + 1, m + 1), dtype=complex)
+            for bx in (0, 1):
+                for by in (0, 1):
+                    d[bx:bx + m, by:by + m] += step[bx, by]
+            f = np.append(f * pair.r0, f[-1] * pair.r1)
+    return f, d / 2.0**n
+
+
+def density_row_per_bin(state, quadrature, weights):
+    """The density's integrands row over `weights`, from its own arrays."""
+    ks = list(weights)
+    return (np.array([quadrature_mean(state.fields, quadrature)[ks],
+                      state.probs[ks]]), np.zeros((5, 0)))
+
+
+def overlap_row_per_bin(state, quadrature, cls):
+    """One bin's overlap integrands row from its own small arrays: the form
+    homodyne.overlap_integrand had before rows were built in batches."""
+    ks = list(cls.weights)
+    fields = state.fields[ks]
+    coherence = state.coherence[ks][:, ks] / cls.size
+    i, j = np.nonzero(~np.tri(len(ks), dtype=bool))     # the pairs k < k'
+    pair = coherence[i, j] + coherence[j, i].conj()
+    slope, offset = (np.array(_zeta_coefficients(fields, quadrature))
+                     - np.outer(cls.zeta_coefficients, cls.phase_signs))
+    means = quadrature_mean(fields, quadrature)
+    return (np.array([means, coherence.diagonal().real]),
+            np.array([means[i], means[j], np.abs(pair), slope[i] - slope[j],
+                      offset[i] - offset[j] + np.angle(pair)]))

@@ -6,18 +6,20 @@ import numpy as np
 import pytest
 
 from hpsim.errors import DegenerateRuleError
-from hpsim.homodyne import (SCENARIOS, _zeta_coefficients,
+from hpsim.homodyne import (SCENARIOS, OutcomeClass, _zeta_coefficients,
                             build_decision_rule, class_overlap_integrand,
                             density_components, density_integrand,
-                            integrands, integration_window, outcome_density,
-                            overlap_integrand, quadrature_mean,
+                            integrand_rows, integrands, integration_window,
+                            outcome_density, overlap_integrand, quadrature_mean,
                             resolve_scenario, sample_outcomes)
+from hpsim.hybrid_state import MAX_ALPHA
 from hpsim.metrics import prepare_state, run_scenario
 from oracles import (DegenerateOutcomeError, adaptive_simpson,
                      complex_overlap_integrand, conditional_atomic_state,
-                     density_cdf, dense_state, make_target, mixture_density,
-                     overlap_scale, quadrature_wavefunction, target_at,
-                     zeta_polar)
+                     density_cdf, density_row_per_bin, dense_state,
+                     make_target, mixture_density, overlap_row_per_bin,
+                     overlap_scale, quadrature_wavefunction, same_bits,
+                     target_at, zeta_polar)
 
 QPI = math.pi ** (-0.25)
 
@@ -454,3 +456,45 @@ def test_real_overlap_matches_complex_form(scenario, n):
                          + np.finfo(float).tiny)
                 assert np.all(np.abs(got - want) <= bound), (
                     alpha, gamma, cls.target_name)
+
+
+def test_batched_rows_equal_per_bin_rows():
+    # every scenario; n_qubit_P n in {2, 5, 9, 13, 20}; alpha up to
+    # MAX_ALPHA and gamma from lossless to nearly opaque.  States of
+    # different n and axes share mixed batches of one to five; each row,
+    # a full density, a bin's overlap or a bin's own density, must have
+    # the bits of its row built alone.
+    specs = []
+    for scenario, n in [("two_qubit_X", None), ("three_qubit_P", None),
+                        ("gsum_X", None)] + [("n_qubit_P", n)
+                                             for n in (2, 5, 9, 13, 20)]:
+        for alpha in (0.3, 3.0, 50.0, MAX_ALPHA):
+            try:
+                rule = build_decision_rule(scenario, alpha, 0.8, n=n)
+            except DegenerateRuleError:
+                continue
+            for gamma in (0.0, 0.2, 1e3):
+                st = prepare_state(scenario, alpha, 0.64, gamma, n)
+                q = rule.quadrature
+                parts = [tuple(range(st.n + 1))]
+                want = [density_row_per_bin(st, q, parts[0])]
+                for cls in rule.classes:
+                    parts += [cls, cls.weights]
+                    want += [overlap_row_per_bin(st, q, cls),
+                             density_row_per_bin(st, q, cls.weights)]
+                specs.append(((st, q, parts), want))
+    rng = np.random.default_rng(5)
+    order = rng.permutation(len(specs))
+    cuts = np.cumsum(rng.integers(1, 6, size=len(specs)))
+    for batch in np.split(order, cuts[cuts < len(specs)]):
+        rows = integrand_rows([specs[i][0] for i in batch])
+        want = [row for i in batch for row in specs[i][1]]
+        assert len(rows) == len(want)
+        for got, row in zip(rows, want):
+            assert same_bits(got[0], row[0]) and same_bits(got[1], row[1])
+    for (st, q, parts), want in specs:          # the batch-of-one routes
+        for part, row in zip(parts, want):
+            got = (overlap_integrand(st, q, part)
+                   if isinstance(part, OutcomeClass)
+                   else density_integrand(st, q, part))
+            assert same_bits(got[0], row[0]) and same_bits(got[1], row[1])

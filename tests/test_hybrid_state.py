@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from hpsim.cavity import ReflectionPair, reflection_pair, solve_params_for_phase
 from hpsim.homodyne import (build_decision_rule, class_overlap_integrand,
                             integration_window, outcome_density,
                             quadrature_mean, sample_outcomes)
-from hpsim.hybrid_state import sector_state
+from hpsim.hybrid_state import MAX_ALPHA, sector_state, sector_states
 from hpsim.metrics import MC_BLOCK_TRIALS, prepare_state
 from hpsim.numerics import philox_stream, standard_normals
 from oracles import (HybridState, apply_channel_loss, apply_cps,
                      brute_force_sequential_state, closed_form_final_state,
                      conditional_atomic_state, dense_state, env_overlap_matrix,
-                     hamming_weights, init_plus_state, make_target, target_at)
+                     hamming_weights, init_plus_state, make_target, same_bits,
+                     sector_state_per_point, target_at)
 
 PAIR_I = ReflectionPair(1j, -1j)
 
@@ -357,7 +359,9 @@ def test_sector_state_with_two_lossy_reflections():
     pytest.param(n, seed, 50_000, id=f"{n}-{seed}")
     for n, seed in [(2, 3), (5, 11), (9, 7), (10, 2024)]]
     # three full blocks and 5 trials: every block starts mid Philox counter
-    + [(5, 13, 3 * MC_BLOCK_TRIALS + 5)])
+    + [(5, 13, 3 * MC_BLOCK_TRIALS + 5)]
+    # the popcount reads a partial third byte
+    + [pytest.param(17, 5, 50_000, id="17-5")])
 def test_sampled_weight_matches_dense_inverse_cdf(n, seed, trials):
     # distinct labels for every weight, so a different pick shows in the mean
     pair = ReflectionPair(np.exp(0.3j), 0.8 * np.exp(-0.9j))
@@ -375,3 +379,24 @@ def test_sampled_weight_matches_dense_inverse_cdf(n, seed, trials):
                         min(start + MC_BLOCK_TRIALS, trials))
         for start in range(0, trials, MC_BLOCK_TRIALS)])
     assert np.max(np.abs(got - want)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 13, 20])
+def test_batched_states_equal_per_point_states(n):
+    # every scenario's n (2 and 3) and n_qubit_P's range; alpha up to
+    # MAX_ALPHA, gamma from lossless to nearly opaque, two channels; mixed
+    # batches of 1 to 8 points must give each point its own run's bits
+    params = solve_params_for_phase(n)
+    points = [(alpha, math.sqrt(eta_sq),
+               reflection_pair(replace(params, gamma=gamma)))
+              for alpha in (0.3, 3.0, 50.0, MAX_ALPHA)
+              for gamma in (0.0, 0.2, 1e3) for eta_sq in (1.0, 0.6667)]
+    rng = np.random.default_rng(n)
+    order = rng.permutation(len(points))
+    cuts = np.cumsum(rng.integers(1, 9, size=len(points)))
+    for batch in np.split(order, cuts[cuts < len(points)]):
+        chosen = [points[i] for i in batch]
+        for state, point in zip(sector_states(n, chosen), chosen):
+            fields, coherence = sector_state_per_point(n, *point)
+            assert same_bits(state.fields, fields), point
+            assert same_bits(state.coherence, coherence), point

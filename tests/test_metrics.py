@@ -444,8 +444,9 @@ def test_sweep_empty_range_rejected():
 def test_sweep_rejects_bad_values_before_any_point(monkeypatch, nbars, gammas,
                                                    bad):
     calls = []
-    monkeypatch.setattr(metrics, "prepare_state",
-                        lambda *args, **kwargs: calls.append(args))
+    for name in ("prepare_state", "sector_states"):
+        monkeypatch.setattr(metrics, name,
+                            lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ValueError,
                        match=f"^{bad} must be finite and non-negative"):
         sweep("two_qubit_X", nbars, gammas, 1.0)
@@ -459,7 +460,8 @@ def test_sweep_rejects_bad_eta_sq_before_any_point(monkeypatch, capsys,
     # and no rule, state or integral is built first
     message = f"eta_sq must lie in [0, 1], got {eta_sq}"
     calls = []
-    for name in ("build_decision_rule", "prepare_state", "evaluate_classes"):
+    for name in ("build_decision_rule", "prepare_state", "sector_states",
+                 "evaluate_classes"):
         monkeypatch.setattr(metrics, name,
                             lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ValueError) as err:
@@ -494,6 +496,26 @@ def test_sweep_blocks_equal_run_scenario(monkeypatch, scenario, n, block):
                            gamma=point.gamma_over_kappa, n=n)
         assert point.results == run.results
         assert point.scenario == run.rule.scenario
+
+
+def test_sweep_builds_states_one_block_at_a_time(monkeypatch):
+    # a whole grid at once would hold points x n^2 entries of G; the
+    # phases are solved once per sweep and each distinct gamma's pair once.
+    # The first blocks hold only <n> = 0 points: empty batches.
+    calls = {"sector_states": [], "solve_params_for_phase": [],
+             "reflection_pair": []}
+    for name, log in calls.items():
+        real = getattr(metrics, name)
+        monkeypatch.setattr(metrics, name, lambda *args, real=real, log=log:
+                            log.append(args) or real(*args))
+    block = metrics.SWEEP_BLOCK_POINTS
+    nbars, gammas = [0.0] * block + [0.5, 2.0, 9.0], [0.0, 0.2, 0.5, 0.2]
+    points = sweep("n_qubit_P", nbars, gammas, 0.6667, n=9)
+    built = [len(args[1]) for args in calls["sector_states"]]
+    assert max(built) <= block and built[0] == 0
+    assert sum(built) == 12 == sum(bool(p.results) for p in points)
+    assert len(calls["solve_params_for_phase"]) == 1
+    assert len(calls["reflection_pair"]) == 3
 
 
 def test_sweep_fidelity_monotone_in_nbar():
@@ -545,8 +567,10 @@ def test_run_scenario_alias_matches_canonical():
      "seed must be an unsigned 64-bit integer, got -1"),
     ({"seed": 2**64},
      f"seed must be an unsigned 64-bit integer, got {2**64}"),
+    ({"trials": 1000, "seed": 1.9},
+     "seed must be an unsigned 64-bit integer, got 1.9"),
 ], ids=["negative_trials", "eta_sq_below", "eta_sq_above", "negative_seed",
-        "seed_above_64_bits"])
+        "seed_above_64_bits", "float_seed"])
 def test_run_scenario_rejects_bad_inputs_before_work(monkeypatch, kwargs,
                                                      message):
     calls = []

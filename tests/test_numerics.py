@@ -249,9 +249,22 @@ def test_box_muller_consumes_fixed_stream():
 def test_philox_seed_range_enforced():
     philox_stream(0)
     philox_stream(2**64 - 1)
+    philox_stream(np.uint64(2**64 - 1))         # numpy integers pass
+    assert numerics.check_seed(np.int32(7)) == 7
     for bad in (-1, 2**64):
         try:
             philox_stream(bad)
             assert False, "out-of-range seed accepted"
         except ValueError:
             pass
+
+
+@pytest.mark.parametrize("bad", [1.9, "7", True, math.inf],
+                         ids=["float", "string", "bool", "inf"])
+def test_seed_must_be_an_integer(bad):
+    # not truncated to another seed's stream, not parsed, not an OverflowError
+    with pytest.raises(ValueError) as err:
+        numerics.check_seed(bad)
+    assert str(err.value) == f"seed must be an unsigned 64-bit integer, got {bad}"
+    with pytest.raises(ValueError):
+        philox_stream(bad)
