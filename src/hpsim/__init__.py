@@ -10,9 +10,9 @@ the nodes), evaluates bin probabilities and fidelities in closed form and by
 adaptive quadrature, and cross-checks them by seeded Monte Carlo sampling.
 
 Quadrature is adaptive Simpson over a batch of integrals, one integrand
-call per level (numerics.integrate_piecewise, homodyne.integrands); a sweep
-builds the states and integrand rows of a block of points in one array pass
-each.  Closed forms wait on re-made references (notes/decisions.md).
+call per level (numerics.integrate_piecewise); one homodyne.integrands call
+builds a batch's integrands, and a sweep builds a block's states in one
+array pass.  Closed forms wait on re-made references (notes/decisions.md).
 Cross-check routes, the dense 2^n state among them, are in tests/oracles.py.
 
 A result that does not exist has one rule per layer: a pulse that
@@ -27,9 +27,9 @@ from .cavity import (CavityParams, ReflectionPair, reflection_coefficient,
 from .errors import (DegenerateRuleError, SimulationError,
                      SingularParametersError)
 from .homodyne import (SCENARIOS, DecisionRule, OutcomeClass,
-                       build_decision_rule, integrand_rows, outcome_density,
+                       build_decision_rule, integrands, outcome_density,
                        resolve_scenario, sample_outcomes)
-from .hybrid_state import SectorState, sector_state, sector_states
+from .hybrid_state import SectorState, sector_states
 from .metrics import (ClassResult, ScenarioRun, SweepPoint,
                       closed_form_two_qubit, monte_carlo_estimate,
                       run_scenario, sweep)

@@ -92,7 +92,7 @@ def outcome_density(state: SectorState, quadrature, v):
     """Probability density of the homodyne outcome at each v of an array.
     Atomic orthogonality kills every cross term, so it is the plain mixture
     sum_k p_k |<v|f_k>|^2 over the weights; environment labels drop out."""
-    return integrands([density_integrand(state, quadrature)])(v)
+    return integrands([(state, quadrature, [tuple(range(state.n + 1))])])(v)
 
 
 def integration_window(state: SectorState, quadrature):
@@ -281,25 +281,59 @@ def sample_outcomes(state: SectorState, quadrature, trials: int, seed,
 
 # --- integrands ---------------------------------------------------------------
 
-def integrands(rows):
-    """f(v, which=None): integrand which[j] of `rows` at outcome v[j] (1-D
-    arrays), or, with which None, the one row's integrand at every v.
+def integrands(specs):
+    """f(v, which=None): integrand which[j] of the (state, quadrature,
+    parts) specs at outcome v[j] (1-D arrays), or, with which None, the one
+    integrand at every v.  One integrand per part, in order: a bin's
+    <T(v)| rho~(v) |T(v)> for an OutcomeClass, else the density's mixture
+    over a tuple of weights.  Target and state are uniform within a weight,
+    so with W_k(v) = conj(T_k(v)) <v|f_k> = e_k(v) e^{i phi_k(v)} (phi_k
+    linear in v) and H_kk' = G_kk' + conj(G_k'k) each is
 
-    A row holds two parts: 2 x K weight means m_k and coefficients c_k (a
-    density's mixture, an overlap's diagonal) and 5 x P pair means m_ip and
-    m_jp, amplitudes A_p, slopes s_p and offsets o_p (an overlap's):
+        [sum_k c_k e^{-(v - m_k)^2} + sum_{k<k'} A_kk' cos(s_kk' v + o_kk')
+            e^{-((v - m_k)^2 + (v - m_k')^2) / 2}] / sqrt(pi),
 
-        [sum_k c_k e^{-(v - m_k)^2} + sum_p A_p cos(s_p v + o_p)
-            e^{-((v - m_ip)^2 + (v - m_jp)^2) / 2}] / sqrt(pi).
-
-    Rows are zero-padded into one table per part, summed slot after slot
-    (not pairwise), so a point's value has the same bits in any v."""
-    weights, pairs = tables = [
-        np.zeros((size, max((row[t].shape[1] for row in rows), default=0),
-                  len(rows))) for t, size in enumerate((2, 5))]
-    for i, row in enumerate(rows):
-        for table, part in zip(tables, row):
-            table[:, :part.shape[1], i] = part
+    c_k = G_kk / size (p_k for a density, which has no pairs), A_kk' =
+    |H_kk'| / size and s v + o = phi_k - phi_k' + arg H_kk'.  Each term is
+    scattered straight into a zero-padded table, at its integrand's column
+    and its slot.  Terms are gathered from the states laid end to end, so
+    the numpy calls do not grow with the batch, and summed slot after slot
+    (not pairwise), so a point's value has the same bits in any v or batch."""
+    arrays, slots, pairs, count, lo, g0 = [], [], [], 0, 0, 0
+    for state, quadrature, parts in specs:
+        _check_quadrature(quadrature)
+        arrays.append((state.fields, state.probs, state.coherence.ravel()))
+        n1 = state.n + 1
+        for row, part in enumerate(parts, count):
+            overlap = isinstance(part, OutcomeClass)
+            cls = part if overlap else OutcomeClass(None, "", part, 1,
+                                                    (0,) * len(part))
+            (z0, z1), w0 = cls.zeta_coefficients, len(slots)
+            slots += [(row, slot, lo + k, g0 + k * (n1 + 1), cls.size,
+                       z0 * sign, z1 * sign, quadrature == "X", overlap)
+                      for slot, (k, sign) in
+                      enumerate(zip(cls.weights, cls.phase_signs))]
+            pairs += [(row, slot, w0 + a, w0 + b, g0 + ka * n1 + kb,
+                       g0 + kb * n1 + ka) for slot, ((a, ka), (b, kb)) in
+                      enumerate(combinations(enumerate(cls.weights), 2)
+                                if overlap else ())]
+        lo, g0, count = lo + n1, g0 + n1 * n1, count + len(parts)
+    labels, probs, coherence = map(np.concatenate, zip(*arrays))
+    row, slot, at, diag, size, s0, s1, x, overlap = np.array(slots, float).T
+    row, slot, at, diag = (c.astype(int) for c in (row, slot, at, diag))
+    prow, pslot, a, b, gij, gji = np.array(pairs, dtype=int).reshape(-1, 6).T
+    f = labels[at]
+    means = np.where(x, quadrature_mean(f, "X"), quadrature_mean(f, "P"))
+    # each weight's phase is its own zeta minus s_k times the bin's
+    slope, offset = (np.where(x, _zeta_coefficients(f, "X"),
+                              _zeta_coefficients(f, "P")) - np.array([s0, s1]))
+    pair = coherence[gij] / size[a] + (coherence[gji] / size[a]).conj()
+    weights = np.zeros((2, slot.max() + 1, count))
+    weights[:, slot, row] = [means, np.where(
+        overlap, (coherence[diag] / size).real, probs[at])]
+    pairs = np.zeros((5, pslot.max(initial=-1) + 1, count))
+    pairs[:, pslot, prow] = [means[a], means[b], np.abs(pair), slope[a] - slope[b],
+                             offset[a] - offset[b] + np.angle(pair)]
 
     def values(v, which=None):
         def columns(table):     # gathered one table at a time, for memory
@@ -327,73 +361,13 @@ def _gaussian_sum(v, means, coefs):
     return reduce(np.add, terms)
 
 
-def density_integrand(state: SectorState, quadrature, weights=None):
-    """integrands row of the density's mixture over a tuple of weights."""
-    parts = [weights or tuple(range(state.n + 1))]
-    return integrand_rows([(state, quadrature, parts)])[0]
-
-
-def overlap_integrand(state: SectorState, quadrature, cls: OutcomeClass):
-    """integrands row of v -> <T(v)| rho~(v) |T(v)> for one bin."""
-    return integrand_rows([(state, quadrature, [cls])])[0]
-
-
-def integrand_rows(specs):
-    """integrands rows of (state, quadrature, parts) specs, one per part in
-    order: overlap_integrand's for an OutcomeClass, else density_integrand's
-    over a tuple of weights.  Target and state are uniform within a weight,
-    so a bin's <T(v)| rho~(v) |T(v)> is sum_kk' W_k G_kk' conj(W_k'), W_k(v)
-    = conj(T_k(v)) <v|f_k> = e_k(v) e^{i phi_k(v)} (phi_k linear in v): with
-    H_kk' = G_kk' + conj(G_k'k), weight terms sum_k G_kk e_k^2 and pair terms
-    sum_{k<k'} e_k e_k' |H_kk'| cos(phi_k - phi_k' + arg H_kk').  Slots are
-    gathered from the states laid end to end, so the numpy calls do not
-    grow with the rows, and meet their row's own elementwise operations, so
-    the bits do not depend on the batch."""
-    if not specs:
-        return []
-    arrays, slots, pairs, spans, lo, g0 = [], [], [], [], 0, 0
-    for state, quadrature, parts in specs:
-        _check_quadrature(quadrature)
-        arrays.append((state.fields, state.probs, state.coherence.ravel()))
-        for part in parts:
-            overlap = isinstance(part, OutcomeClass)
-            cls = part if overlap else OutcomeClass(None, "", part, 1,
-                                                    (0,) * len(part))
-            (z0, z1), w0, p0 = cls.zeta_coefficients, len(slots), len(pairs)
-            slots += [(lo + k, g0 + k * (state.n + 2), cls.size, z0 * sign,
-                       z1 * sign, quadrature == "X", overlap)
-                      for k, sign in zip(cls.weights, cls.phase_signs)]
-            pairs += [(w0 + a, w0 + b, g0 + ka * (state.n + 1) + kb,
-                       g0 + kb * (state.n + 1) + ka) for (a, ka), (b, kb) in
-                      combinations(enumerate(cls.weights) if overlap else (), 2)]
-            spans.append((w0, len(slots), p0, len(pairs)))
-        lo, g0 = lo + state.n + 1, g0 + (state.n + 1) ** 2
-    labels, probs, coherence = map(np.concatenate, zip(*arrays))
-    at, diag, size, s0, s1, x, overlap = np.array(slots, dtype=float).T
-    at, diag = at.astype(int), diag.astype(int)
-    a, b, gij, gji = np.array(pairs, dtype=int).reshape(-1, 4).T
-    f = labels[at]
-    means = np.where(x, quadrature_mean(f, "X"), quadrature_mean(f, "P"))
-    # each weight's phase is its own zeta minus s_k times the bin's
-    slope, offset = (np.where(x, _zeta_coefficients(f, "X"),
-                              _zeta_coefficients(f, "P")) - np.array([s0, s1]))
-    pair = coherence[gij] / size[a] + (coherence[gji] / size[a]).conj()
-    weight_table = np.array([means, np.where(
-        overlap, (coherence[diag] / size).real, probs[at])])
-    pair_table = np.array([means[a], means[b], np.abs(pair), slope[a] - slope[b],
-                           offset[a] - offset[b] + np.angle(pair)])
-    return [(weight_table[:, w0:w1], pair_table[:, p0:p1])
-            for w0, w1, p0, p1 in spans]
-
-
 def class_overlap_integrand(state: SectorState, quadrature, cls: OutcomeClass):
-    """The bin's overlap_integrand as a callable on 1-D arrays of outcomes."""
-    return integrands([overlap_integrand(state, quadrature, cls)])
+    """The bin's overlap integrand as a callable on 1-D arrays of outcomes."""
+    return integrands([(state, quadrature, [cls])])
 
 
 def density_components(state: SectorState, rule: DecisionRule, v: np.ndarray):
     """Per-class component densities over a grid (for curve export): the
     density's mixture over the weights that feed each class."""
-    return [integrands([density_integrand(state, rule.quadrature,
-                                          cls.weights)])(v)
+    return [integrands([(state, rule.quadrature, [cls.weights])])(v)
             for cls in rule.classes]

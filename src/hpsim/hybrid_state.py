@@ -74,11 +74,6 @@ class SectorState:
             a.flags.writeable = False
 
 
-def sector_state(n: int, alpha: float, eta: float, pair) -> SectorState:
-    """The sector_states of one (alpha, eta, pair) point."""
-    return sector_states(n, [(alpha, eta, pair)])[0]
-
-
 def sector_states(n: int, points) -> list:
     """The SectorState of each (alpha, eta, pair) point: pulse |alpha>,
     qubits in |+>, channel eta, then one CPS gate per node.

@@ -21,6 +21,7 @@ and cli.py writes every report and CSV from them.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,11 +29,11 @@ import numpy as np
 from .cavity import check_gamma, reflection_pair, solve_params_for_phase
 from .errors import DegenerateRuleError
 from .homodyne import (DecisionRule, build_decision_rule,
-                       class_overlap_integrand, integrand_rows, integrands,
-                       integration_window, outcome_density, quadrature_mean,
-                       resolve_scenario, sample_outcomes)
+                       class_overlap_integrand, integrands, integration_window,
+                       outcome_density, quadrature_mean, resolve_scenario,
+                       sample_outcomes)
 from .hybrid_state import (SectorState, alpha_for_nbar, check_alpha,
-                           check_eta, sector_state, sector_states)
+                           check_eta, sector_states)
 from .numerics import check_seed, erfc, integrate_piecewise
 
 QUAD_TOL = 1e-9
@@ -73,26 +74,37 @@ def _bin_breakpoints(state: SectorState, rule: DecisionRule) -> list:
 
 def evaluate_classes(pairs) -> list:
     """Quadrature ClassResults for every bin of each (state, rule) pair, one
-    list per pair, from one integration of one integrand_rows batch: each
-    bin's probability (its state's density) and fidelity numerator (its
-    overlap) over the bin's breakpoints.  Rows are elementwise and a panel's
-    decision reads only its own points, so a pair's results do not depend
-    on the batch.  A bin with P < EMPTY_BIN_P reports fidelity NaN."""
-    built = iter(integrand_rows(
-        [(state, rule.quadrature, [tuple(range(state.n + 1)), *rule.classes])
-         for state, rule in pairs]))
-    rows, breakpoints = [], []
+    list per pair, from one integration of one integrands batch: each bin's
+    probability (its state's one density) and fidelity numerator (its
+    overlap) over the bin's breakpoints.  Integrands are elementwise and a
+    panel's decision reads only its own points, so a pair's results do not
+    depend on the batch.  A bin with P < EMPTY_BIN_P reports fidelity NaN."""
     for state, rule in pairs:
-        density = next(built)
-        for pts in _bin_breakpoints(state, rule):
-            rows += [density, next(built)]
+        _check_same_n(state, rule)
+    if not pairs:
+        return []
+    f = integrands([(state, rule.quadrature,
+                     [tuple(range(state.n + 1)), *rule.classes])
+                    for state, rule in pairs])
+    index, breakpoints, density = [], [], 0
+    for state, rule in pairs:
+        for c, pts in enumerate(_bin_breakpoints(state, rule), density + 1):
+            index += [density, c]
             breakpoints += [pts, pts]
-    values = iter(integrate_piecewise(integrands(rows), breakpoints, QUAD_TOL))
+        density += 1 + len(rule.classes)
+    index = np.array(index)
+    values = iter(integrate_piecewise(lambda v, which: f(v, index[which]),
+                                      breakpoints, QUAD_TOL))
     return [[ClassResult(parity=cls.parity, target_name=cls.target_name,
                          success_prob=ps, method="quadrature",
                          fidelity=num / ps if ps >= EMPTY_BIN_P else math.nan)
              for cls, ps, num in zip(rule.classes, values, values)]
             for _, rule in pairs]
+
+
+def _check_same_n(state: SectorState, rule: DecisionRule) -> None:
+    if state.n != rule.n:
+        raise ValueError(f"state has n={state.n} but rule has n={rule.n}")
 
 
 # --- closed forms --------------------------------------------------------------
@@ -124,6 +136,16 @@ MC_BLOCK_TRIALS = 1 << 16
 MAX_TRIALS = 10**9
 
 
+def check_trials(trials) -> None:
+    """The one check of a trial count: an integer, not a bool, 0..MAX_TRIALS."""
+    if not isinstance(trials, numbers.Integral) or isinstance(trials, bool):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
+
+
 def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
                          trials: int, seed) -> list:
     """Sample outcomes, classify, and estimate per-bin probability and fidelity.
@@ -135,11 +157,11 @@ def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
     positions (see sample_outcomes); each adds to the per-bin hits, sums and
     squared deviations, so the hits do not depend on the block size.
     """
-    check_seed(seed)
+    check_trials(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if trials > MAX_TRIALS:
-        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
+    check_seed(seed)
+    _check_same_n(state, rule)
     overlaps = [class_overlap_integrand(state, rule.quadrature, cls)
                 for cls in rule.classes]
     hits = [0] * len(rule.classes)
@@ -205,22 +227,19 @@ def prepare_state(scenario: str, alpha: float, eta_sq: float,
     node: a single lumped loss must not imprint gate phases on the
     environment, or it would carry which-path information the lumped model
     is not supposed to have.  Node absorption under gamma > 0 is recorded
-    per gate, where it physically occurs (see sector_state).
+    per gate, where it physically occurs (see sector_states).
     """
     _, nq, _ = resolve_scenario(scenario, n)
     check_eta_sq(eta_sq)
-    params = replace(solve_params_for_phase(nq), gamma=gamma)
-    return sector_state(nq, alpha, math.sqrt(eta_sq), reflection_pair(params))
+    pair = reflection_pair(replace(solve_params_for_phase(nq), gamma=gamma))
+    return sector_states(nq, [(alpha, math.sqrt(eta_sq), pair)])[0]
 
 
 def run_scenario(scenario: str, alpha: float, eta_sq: float,
                  gamma: float = 0.0, n=None, trials: int = 0,
                  seed=0) -> ScenarioRun:
+    check_trials(trials)
     check_seed(seed)
-    if trials < 0:
-        raise ValueError(f"trials must be non-negative, got {trials}")
-    if trials > MAX_TRIALS:
-        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     check_eta_sq(eta_sq)
     rule = build_decision_rule(scenario, alpha, math.sqrt(eta_sq), n=n)
     state = prepare_state(rule.scenario, alpha, eta_sq, gamma, rule.n)

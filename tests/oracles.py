@@ -34,6 +34,7 @@ must reproduce bit for bit.
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -708,3 +709,17 @@ def overlap_row_per_bin(state, quadrature, cls):
     return (np.array([means, coherence.diagonal().real]),
             np.array([means[i], means[j], np.abs(pair), slope[i] - slope[j],
                       offset[i] - offset[j] + np.angle(pair)]))
+
+
+def row_values_per_bin(row, v):
+    """An integrand row's value at each v of a 1-D array, from the row
+    alone: its weight terms, then its pair terms, each summed slot after
+    slot, the order homodyne.integrands sums its zero-padded tables in."""
+    (means, coefs), pairs = row
+    total = reduce(np.add, [c * np.exp(-((v - m) * (v - m)))
+                            for m, c in zip(means, coefs)])
+    if pairs.shape[1]:
+        total = total + reduce(np.add, [
+            a * (np.exp(-0.5 * ((v - mi) ** 2 + (v - mj) ** 2))
+                 * np.cos(v * s + o)) for mi, mj, a, s, o in pairs.T])
+    return total / math.sqrt(math.pi)

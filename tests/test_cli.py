@@ -10,7 +10,7 @@ from hpsim import cli
 from hpsim.cavity import MAX_GAMMA, reflection_pair, solve_params_for_phase
 from hpsim.cli import SWEEP_CSV_COLUMNS
 from hpsim.homodyne import build_decision_rule
-from hpsim.hybrid_state import MAX_ALPHA, sector_state
+from hpsim.hybrid_state import MAX_ALPHA, sector_states
 from hpsim.metrics import MAX_TRIALS, closed_form_two_qubit
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -229,7 +229,7 @@ def test_every_route_gives_one_alpha_message(capsys):
             2, "", f"hpsim: error: {line}\n"), command
     pair = reflection_pair(solve_params_for_phase(2))
     for build in (lambda: build_decision_rule("two_qubit", 1e5),
-                  lambda: sector_state(2, 1e5, 1.0, pair),
+                  lambda: sector_states(2, [(1e5, 1.0, pair)])[0],
                   lambda: closed_form_two_qubit(1e5, 1.0)):
         with pytest.raises(ValueError) as err:
             build()

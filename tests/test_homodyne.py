@@ -6,20 +6,19 @@ import numpy as np
 import pytest
 
 from hpsim.errors import DegenerateRuleError
-from hpsim.homodyne import (SCENARIOS, OutcomeClass, _zeta_coefficients,
+from hpsim.homodyne import (SCENARIOS, _zeta_coefficients,
                             build_decision_rule, class_overlap_integrand,
-                            density_components, density_integrand,
-                            integrand_rows, integrands, integration_window,
-                            outcome_density, overlap_integrand, quadrature_mean,
-                            resolve_scenario, sample_outcomes)
+                            density_components, integrands, integration_window,
+                            outcome_density, quadrature_mean, resolve_scenario,
+                            sample_outcomes)
 from hpsim.hybrid_state import MAX_ALPHA
 from hpsim.metrics import prepare_state, run_scenario
 from oracles import (DegenerateOutcomeError, adaptive_simpson,
                      complex_overlap_integrand, conditional_atomic_state,
                      density_cdf, density_row_per_bin, dense_state,
                      make_target, mixture_density, overlap_row_per_bin,
-                     overlap_scale, quadrature_wavefunction, same_bits,
-                     target_at, zeta_polar)
+                     overlap_scale, quadrature_wavefunction,
+                     row_values_per_bin, same_bits, target_at, zeta_polar)
 
 QPI = math.pi ** (-0.25)
 
@@ -409,20 +408,19 @@ def test_integrand_point_has_the_same_bits_in_any_array():
     # one mixed batch of every integrand: the same bits (a BLAS weight sum
     # may round a point differently in another array).  n = 20 sums 21
     # weights; n = 6 has three-weight bins; gsum has two-label phases.
-    rows, single, grids = [], [], []
+    specs, single, grids = [], [], []
     for scenario, n in (("gsum_X", None), ("n_qubit_P", 6), ("n_qubit_P", 20)):
         st = prepare_state(scenario, 2.5, 0.8, 0.2, n)
         rule = build_decision_rule(scenario, 2.5, math.sqrt(0.8), n=n)
         axis = rule.quadrature
         vs = np.linspace(*integration_window(st, axis), 37)
-        rows += [density_integrand(st, axis)] + [
-            overlap_integrand(st, axis, cls) for cls in rule.classes]
+        specs.append((st, axis, [tuple(range(st.n + 1)), *rule.classes]))
         single += [lambda v, st=st, axis=axis: outcome_density(st, axis, v)]
         single += [class_overlap_integrand(st, axis, cls)
                    for cls in rule.classes]
         grids += [vs] * (1 + len(rule.classes))
-    batch = integrands(rows)
-    which = np.repeat(np.arange(len(rows)), [vs.size for vs in grids])
+    batch = integrands(specs)
+    which = np.repeat(np.arange(len(grids)), [vs.size for vs in grids])
     order = np.random.default_rng(7).permutation(which.size)
     mixed = np.empty(which.size)
     mixed[order] = batch(np.concatenate(grids)[order], which[order])
@@ -461,9 +459,10 @@ def test_real_overlap_matches_complex_form(scenario, n):
 def test_batched_rows_equal_per_bin_rows():
     # every scenario; n_qubit_P n in {2, 5, 9, 13, 20}; alpha up to
     # MAX_ALPHA and gamma from lossless to nearly opaque.  States of
-    # different n and axes share mixed batches of one to five; each row,
-    # a full density, a bin's overlap or a bin's own density, must have
-    # the bits of its row built alone.
+    # different n and axes share mixed batches of one to five; each
+    # integrand, a full density, a bin's overlap or a bin's own density,
+    # must have at every outcome the bits of its row built alone and
+    # summed in slot order.
     specs = []
     for scenario, n in [("two_qubit_X", None), ("three_qubit_P", None),
                         ("gsum_X", None)] + [("n_qubit_P", n)
@@ -476,25 +475,29 @@ def test_batched_rows_equal_per_bin_rows():
             for gamma in (0.0, 0.2, 1e3):
                 st = prepare_state(scenario, alpha, 0.64, gamma, n)
                 q = rule.quadrature
+                vs = np.linspace(*integration_window(st, q), 11)
                 parts = [tuple(range(st.n + 1))]
                 want = [density_row_per_bin(st, q, parts[0])]
                 for cls in rule.classes:
                     parts += [cls, cls.weights]
                     want += [overlap_row_per_bin(st, q, cls),
                              density_row_per_bin(st, q, cls.weights)]
-                specs.append(((st, q, parts), want))
+                want = [row_values_per_bin(row, vs) for row in want]
+                specs.append(((st, q, parts), rule, vs, want))
     rng = np.random.default_rng(5)
     order = rng.permutation(len(specs))
     cuts = np.cumsum(rng.integers(1, 6, size=len(specs)))
     for batch in np.split(order, cuts[cuts < len(specs)]):
-        rows = integrand_rows([specs[i][0] for i in batch])
-        want = [row for i in batch for row in specs[i][1]]
-        assert len(rows) == len(want)
-        for got, row in zip(rows, want):
-            assert same_bits(got[0], row[0]) and same_bits(got[1], row[1])
-    for (st, q, parts), want in specs:          # the batch-of-one routes
-        for part, row in zip(parts, want):
-            got = (overlap_integrand(st, q, part)
-                   if isinstance(part, OutcomeClass)
-                   else density_integrand(st, q, part))
-            assert same_bits(got[0], row[0]) and same_bits(got[1], row[1])
+        f = integrands([specs[i][0] for i in batch])
+        grids = [specs[i][2] for i in batch for _ in specs[i][3]]
+        which = np.repeat(np.arange(len(grids)), [vs.size for vs in grids])
+        want = np.concatenate([row for i in batch for row in specs[i][3]])
+        assert same_bits(f(np.concatenate(grids), which), want)
+    for (st, q, _), rule, vs, want in specs:    # the batch-of-one routes
+        assert same_bits(outcome_density(st, q, vs), want[0])
+        for cls, overlap, density in zip(rule.classes, want[1::2],
+                                         want[2::2]):
+            assert same_bits(class_overlap_integrand(st, q, cls)(vs), overlap)
+            assert same_bits(integrands([(st, q, [cls.weights])])(vs), density)
+        assert all(same_bits(got, density) for got, density in zip(
+            density_components(st, rule, vs), want[2::2]))

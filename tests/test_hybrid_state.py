@@ -8,7 +8,7 @@ from hpsim.cavity import ReflectionPair, reflection_pair, solve_params_for_phase
 from hpsim.homodyne import (build_decision_rule, class_overlap_integrand,
                             integration_window, outcome_density,
                             quadrature_mean, sample_outcomes)
-from hpsim.hybrid_state import MAX_ALPHA, sector_state, sector_states
+from hpsim.hybrid_state import MAX_ALPHA, sector_states
 from hpsim.metrics import MC_BLOCK_TRIALS, prepare_state
 from hpsim.numerics import philox_stream, standard_normals
 from oracles import (HybridState, apply_channel_loss, apply_cps,
@@ -351,7 +351,7 @@ def test_sector_state_with_two_lossy_reflections():
     pair = ReflectionPair(0.9 * np.exp(0.4j), 0.7 * np.exp(-1.1j))
     for n in (2, 4, 7):
         _assert_sectors_match(
-            sector_state(n, 2.0, 0.8, pair),
+            sector_states(n, [(2.0, 0.8, pair)])[0],
             dense_state("n_qubit_P", 2.0, 0.64, n=n, pair=pair))
 
 
@@ -365,7 +365,7 @@ def test_sector_state_with_two_lossy_reflections():
 def test_sampled_weight_matches_dense_inverse_cdf(n, seed, trials):
     # distinct labels for every weight, so a different pick shows in the mean
     pair = ReflectionPair(np.exp(0.3j), 0.8 * np.exp(-0.9j))
-    sector = sector_state(n, 2.0, 1.0, pair)
+    sector = sector_states(n, [(2.0, 1.0, pair)])[0]
     dense = dense_state("n_qubit_P", 2.0, 1.0, n=n, pair=pair)
     rng = philox_stream(seed)
     cum = np.cumsum(np.abs(dense.amps) ** 2)

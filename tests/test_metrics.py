@@ -10,8 +10,8 @@ from hpsim.homodyne import (build_decision_rule, class_overlap_integrand,
 from hpsim.cli import SWEEP_CSV_COLUMNS
 from hpsim.metrics import (MAX_TRIALS, QUAD_TOL, ClassResult,
                            _bin_breakpoints, closed_form_two_qubit,
-                           monte_carlo_estimate, prepare_state, run_scenario,
-                           sweep)
+                           evaluate_classes, monte_carlo_estimate,
+                           prepare_state, run_scenario, sweep)
 from hpsim.hybrid_state import MAX_ALPHA
 from hpsim.numerics import integrate_piecewise
 from oracles import (erfc_oracle, gauss_bin_mass, integrate_piecewise_recursive,
@@ -632,6 +632,48 @@ def test_run_scenario_takes_trials_up_to_the_cap(monkeypatch):
     assert str(err.value) == (f"trials must be at most {MAX_TRIALS}, "
                               f"got {MAX_TRIALS + 1}")
     assert calls == [MAX_TRIALS]
+
+
+@pytest.mark.parametrize("trials", [1000.0, 2.5, True, "10", math.nan],
+                         ids=["float", "fraction", "bool", "str", "nan"])
+def test_trials_must_be_an_integer(monkeypatch, trials):
+    # refused before the quadrature or any overlap row: a float ran the
+    # quadrature and then failed in range(), nan skipped Monte Carlo and
+    # True ran one trial
+    run = run_scenario("gsum", 2.0, 1.0)
+    calls = []
+    monkeypatch.setattr(metrics, "evaluate_classes",
+                        lambda *args: calls.append(args))
+    monkeypatch.setattr(metrics, "class_overlap_integrand",
+                        lambda *args: calls.append(args))
+    message = f"trials must be an integer, got {trials!r}"
+    with pytest.raises(ValueError) as err:
+        run_scenario("gsum", 2.0, 1.0, trials=trials)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        monte_carlo_estimate(run.state, run.rule, trials, 1)
+    assert str(err.value) == message
+    assert calls == []
+
+
+def test_state_and_rule_of_different_n_are_refused(monkeypatch):
+    # a three-qubit state scored with a two-qubit rule gave confident wrong
+    # numbers; the reverse pair raised IndexError
+    two, three = (run_scenario(s, 2.0, 1.0) for s in ("two_qubit_X",
+                                                       "three_qubit_P"))
+    calls = []
+    monkeypatch.setattr(metrics, "integrands", lambda *args: calls.append(args))
+    monkeypatch.setattr(metrics, "class_overlap_integrand",
+                        lambda *args: calls.append(args))
+    for state, rule in ((three.state, two.rule), (two.state, three.rule)):
+        message = f"state has n={state.n} but rule has n={rule.n}"
+        with pytest.raises(ValueError) as err:
+            evaluate_classes([(two.state, two.rule), (state, rule)])
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            monte_carlo_estimate(state, rule, 100, 1)
+        assert str(err.value) == message
+    assert calls == []
 
 
 def test_class_result_equality_supports_comparison():
