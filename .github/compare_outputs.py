@@ -5,9 +5,10 @@
 Runs the 21 tasks of bench/workloads.py at workload seeds 0 and 4 through
 `hpsim.cli.main`, in one process per tree (PYTHONPATH=BASE_SRC, then
 HEAD_SRC), and prints per task and seed either "identical" or the count
-and largest size of the numbers that moved.  It exits 1 on any difference
-in an exit code, in stderr, in the text around the numbers, or in a Monte
-Carlo `success_prob` (a changed hit count), which must all stay
+and largest size of the numbers that moved; the last line totals the
+moved numbers and names the task of the largest move.  It exits 1 on any
+difference in an exit code, in stderr, in the text around the numbers, or
+in a Monte Carlo `success_prob` (a changed hit count), which must all stay
 byte-identical.  bench/ is only read: no bytecode is written there.
 """
 
@@ -64,19 +65,21 @@ def mc_success_probs(text):
 
 
 def compare(base, head):
-    """(message, fatal) for one task's (exit code, stdout, stderr) pair."""
+    """(message, fatal, sizes of the moved numbers) for one task's
+    (exit code, stdout, stderr) pair."""
     if base == head:
-        return "identical", False
+        return "identical", False, []
     (bcode, bout, berr), (hcode, hout, herr) = base, head
     if bcode != hcode or berr != herr:
-        return f"exit code or stderr differs ({bcode} -> {hcode})", True
+        return f"exit code or stderr differs ({bcode} -> {hcode})", True, []
     if NUMBER.sub("#", bout) != NUMBER.sub("#", hout):
-        return "non-numeric text differs", True
+        return "non-numeric text differs", True, []
     moved = [abs(float(b) - float(h)) for b, h in
              zip(NUMBER.findall(bout), NUMBER.findall(hout)) if b != h]
     fatal = mc_success_probs(bout) != mc_success_probs(hout)
     note = "; Monte Carlo success_prob differs" if fatal else ""
-    return f"{len(moved)} numbers moved, largest by {max(moved):.3g}{note}", fatal
+    message = f"{len(moved)} numbers moved, largest by {max(moved):.3g}{note}"
+    return message, fatal, moved
 
 
 def main(argv):
@@ -86,12 +89,19 @@ def main(argv):
     if base.keys() != head.keys():
         print("the trees ran different task lists")
         return 1
-    failed = 0
+    failed, moved, largest = 0, 0, None     # largest: (size, task)
     for key in base:
-        message, fatal = compare(base[key], head[key])
+        message, fatal, sizes = compare(base[key], head[key])
         failed += fatal
+        moved += len(sizes)
+        if sizes and (largest is None or max(sizes) > largest[0]):
+            largest = max(sizes), key
         print(f"{key}: {message}")
-    print(f"{len(base)} task runs, {failed} with a difference that must not be")
+    total = f"; {moved} numbers moved"
+    if largest:
+        total += f", largest by {largest[0]:.3g} ({largest[1]})"
+    print(f"{len(base)} task runs, {failed} with a difference that must not "
+          f"be{total}")
     return 1 if failed else 0
 
 

@@ -23,6 +23,7 @@ are embedded.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -229,6 +230,7 @@ def cmd_density(args) -> str:
                          for i, v in enumerate(grid)))
 
 
+@functools.cache      # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hpsim",

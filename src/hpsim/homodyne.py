@@ -19,6 +19,7 @@ state.  Ties at a threshold go to the upper interval.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -46,7 +47,8 @@ def resolve_scenario(scenario, n=None):
     """(canonical name, qubit count, quadrature axis) of a scenario or alias.
 
     Raises ValueError for an unknown name, a missing n where the scenario
-    leaves it open, or an n outside the scenario's range.
+    leaves it open, an n that is not an integer (a bool is not one), or an
+    n outside the scenario's range.
     """
     for name, (axis, alias, n_min, n_max) in SCENARIOS.items():
         if scenario in (name, alias):
@@ -59,6 +61,8 @@ def resolve_scenario(scenario, n=None):
             raise ValueError(f"scenario {name} needs an explicit n in "
                              f"{n_min}..{n_max}")
         return name, n_min, axis
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if not n_min <= n <= n_max:
         if n_min == n_max:
             raise ValueError(f"scenario {name} fixes n={n_min}, got n={n}")

@@ -92,8 +92,10 @@ def integrate_piecewise(f, breakpoints, tol=1e-9):
     with half the tolerance.  The batch is refined level by level, one
     call of f per level on every pending point; a panel's decision reads
     only its own five points, so an integral accepts the same panels in a
-    batch as alone.  Returns the math.fsum of each integral's accepted
-    panels (0.0 for none); SimulationError at the first non-finite value.
+    batch as alone.  Each level adds its accepted panels to their
+    integrals' totals, left halves before right halves, so an integral's
+    panels are summed in the same order in a batch as alone.  Returns the
+    totals (0.0 for none); SimulationError at the first non-finite value.
     """
     panels = []                 # (a, b, tol, owner integral)
     for i, pts in enumerate(breakpoints):
@@ -107,7 +109,7 @@ def integrate_piecewise(f, breakpoints, tol=1e-9):
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     # one column per open panel; the owner index rides along as an exact float
     frontier = np.array([a, b, fa, fm, fb, whole, tol, owner])
-    values, owners = [], []
+    totals = np.zeros(len(breakpoints))
     for depth in range(_MAX_DEPTH, -1, -1):
         a, b, fa, fm, fb, whole, tol, owner = frontier
         m = 0.5 * (a + b)
@@ -117,8 +119,9 @@ def integrate_piecewise(f, breakpoints, tol=1e-9):
         delta = left + right - whole
         done = (np.abs(delta) <= 15.0 * tol) | (depth == 0)
         # Richardson extrapolation of the two half-panel estimates
-        values.append((left + right + delta / 15.0)[done])
-        owners.append(owner[done])
+        totals += np.bincount(owner[done].astype(np.intp),
+                              (left + right + delta / 15.0)[done],
+                              len(breakpoints))
         go = ~done
         if not go.any():
             break
@@ -127,12 +130,7 @@ def integrate_piecewise(f, breakpoints, tol=1e-9):
         frontier = np.concatenate(
             [np.array([a, m, fa, flm, fm, left, tol, owner])[:, go],
              np.array([m, b, fm, frm, fb, right, tol, owner])[:, go]], axis=1)
-    # one stable sort: each integral's accepted panels become a slice
-    owners = np.concatenate(owners).astype(np.intp)
-    order = np.argsort(owners, kind="stable")
-    values = np.concatenate(values)[order].tolist()
-    ends = np.bincount(owners, minlength=len(breakpoints)).cumsum().tolist()
-    return [math.fsum(values[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    return totals.tolist()
 
 
 def _evaluate(f, owner, *xs):

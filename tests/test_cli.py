@@ -260,6 +260,25 @@ def test_simulation_error_maps_to_exit_3(monkeypatch, capsys):
     assert capsys.readouterr().err == "hpsim: numerical failure: injected\n"
 
 
+def test_one_parser_serves_every_call(capsys):
+    # main() parses with one cached parser; no call leaves state in it
+    assert cli.build_parser() is cli.build_parser()
+    simulate = ("simulate", "--scenario", "three_qubit", "--alpha", "2",
+                "--trials", "100", "--seed", "5")
+    first = main_in_process(capsys, *simulate)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--scenario", "bogus", "--alpha", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    swept = main_in_process(capsys, "sweep", "--scenario", "two_qubit",
+                            "--nbar", "1,2")
+    second = main_in_process(capsys, *simulate)
+    assert first.returncode == swept.returncode == second.returncode == 0
+    assert swept.stdout.startswith(",".join(SWEEP_CSV_COLUMNS) + "\n")
+    assert first.stdout and second.stdout == first.stdout
+    assert first.stderr == second.stderr == ""
+
+
 def test_simulate_empty_bin_reports_null_fidelity():
     # gamma > 0 contracts the labels away from the Dicke(9,7) bin
     res = run_cli("simulate", "--scenario", "n_qubit", "--n", "9", "--alpha",

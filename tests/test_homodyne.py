@@ -1,6 +1,7 @@
 import math
 import pickle
 from bisect import bisect_right
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hpsim.homodyne import (SCENARIOS, _zeta_coefficients,
                             density_components, integrands, integration_window,
                             outcome_density, quadrature_mean, resolve_scenario,
                             sample_outcomes)
-from hpsim.hybrid_state import MAX_ALPHA
-from hpsim.metrics import prepare_state, run_scenario
+from hpsim.hybrid_state import MAX_ALPHA, sector_states
+from hpsim.metrics import closed_form_two_qubit, prepare_state, run_scenario
 from oracles import (DegenerateOutcomeError, adaptive_simpson,
                      complex_overlap_integrand, conditional_atomic_state,
                      density_cdf, density_row_per_bin, dense_state,
@@ -215,6 +216,33 @@ def test_rule_degenerate_cases():
     for alpha in (math.inf, math.nan):           # the state alone, likewise
         with pytest.raises(ValueError, match="finite"):
             prepare_state("gsum", alpha, 1.0)
+
+
+_RULE3 = build_decision_rule("three_qubit_P", 2.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_decision_rule("two_qubit", 1.0, eta=1.5),
+     "eta must lie in [0, 1], got 1.5"),
+    (lambda: closed_form_two_qubit(1.0, -0.1),
+     "eta must lie in [0, 1], got -0.1"),
+    (lambda: sector_states(0, []), "n must be at least 1, got 0"),
+    (lambda: quadrature_mean(1j, "Y"),
+     "quadrature must be 'X' or 'P', got 'Y'"),
+    (lambda: resolve_scenario("bogus"),
+     f"unknown scenario 'bogus'; choose from {tuple(SCENARIOS)}"),
+    (lambda: replace(_RULE3, thresholds=_RULE3.thresholds[::-1]),
+     "thresholds must be strictly increasing"),
+    (lambda: replace(_RULE3, classes=_RULE3.classes[:-1]),
+     "classes must be one more than thresholds"),
+], ids=["eta", "closed_form_eta", "sector_n", "quadrature", "scenario",
+        "decreasing_thresholds", "missing_class"])
+def test_library_input_checks(call, message):
+    # checks that only library callers reach: the CLI's choices and its own
+    # flag checks stop these inputs before them
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("scenario, n", [

@@ -656,6 +656,27 @@ def test_trials_must_be_an_integer(monkeypatch, trials):
     assert calls == []
 
 
+@pytest.mark.parametrize("scenario, n", [
+    ("n_qubit_P", 5.0), ("two_qubit_X", 2.0), ("n_qubit_P", 5.5),
+    ("n_qubit_P", "5"), ("n_qubit_P", True), ("two_qubit_X", np.float64(2.0)),
+], ids=["float", "fixed_float", "fraction", "str", "bool", "numpy_float"])
+def test_n_must_be_an_integer(monkeypatch, scenario, n):
+    # refused before the phases are solved: a float n failed in range()
+    # after that work, and a str n in the range comparison
+    assert prepare_state("n_qubit_P", 3.0, 0.5, n=np.int64(5)).n == 5
+    calls = []
+    monkeypatch.setattr(metrics, "solve_params_for_phase",
+                        lambda *args: calls.append(args))
+    for call in (lambda: run_scenario(scenario, 3.0, 0.5, n=n),
+                 lambda: sweep(scenario, [9.0], [0.0], 0.5, n=n),
+                 lambda: prepare_state(scenario, 3.0, 0.5, n=n),
+                 lambda: build_decision_rule(scenario, 3.0, n=n)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"n must be an integer, got {n!r}"
+    assert calls == []
+
+
 def test_state_and_rule_of_different_n_are_refused(monkeypatch):
     # a three-qubit state scored with a two-qubit rule gave confident wrong
     # numbers; the reverse pair raised IndexError
