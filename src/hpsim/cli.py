@@ -4,7 +4,8 @@ Reports are JSON, curves are CSV; plotting is left to external tools.
 Every output format lives here: the JSON report, and one CSV writer
 (_csv) for the sweep and density curves.
 Exit codes: 0 ok, 2 usage/config error (including an --out file that
-cannot be written), 3 numerical failure.  The CLI checks only its own flags
+cannot be written), 3 numerical failure; main() returns the code, also
+argparse's for --help and flag errors.  The CLI checks only its own flags
 (the --alpha/--nbar route, ranges, caps, --jobs, the seed's source); the
 library function that takes a run input checks it, so an error line names
 the library parameter (e.g. "gamma must be finite and non-negative, at most
@@ -284,8 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:       # --help (0) or a flag error (2)
+        return exc.code
     try:
         text = args.func(args)
     except ValueError as exc:

@@ -21,7 +21,6 @@ state.  Ties at a threshold go to the upper interval.
 import math
 import numbers
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -32,6 +31,8 @@ from .numerics import philox_stream, standard_normals
 
 _SIGMA = 1.0 / math.sqrt(2.0)      # quadrature standard deviation
 WINDOW_SIGMAS = 8.0                # integration window half-width, in sigmas
+# set bits of each byte value, for the sampler's popcount
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], 1).sum(1, np.uint8)
 
 # Scenario table: name -> (quadrature axis, short alias, smallest n,
 # largest n).  A scenario whose range holds a single n fixes its qubit count.
@@ -96,7 +97,16 @@ def outcome_density(state: SectorState, quadrature, v):
     """Probability density of the homodyne outcome at each v of an array.
     Atomic orthogonality kills every cross term, so it is the plain mixture
     sum_k p_k |<v|f_k>|^2 over the weights; environment labels drop out."""
-    return integrands([(state, quadrature, [tuple(range(state.n + 1))])])(v)
+    return _mixture(state, quadrature, slice(None), v)
+
+
+def _mixture(state: SectorState, quadrature, weights, v):
+    """sum_k p_k e^{-(v - m_k)^2} / sqrt(pi) over the weights k (an index
+    into the state's arrays): the density of integrands, without its
+    tables and with the same bits."""
+    means = quadrature_mean(state.fields[weights], quadrature)
+    return _gaussian_sum(np.asarray(v, dtype=float), means[:, None],
+                         state.probs[weights, None]) / math.sqrt(math.pi)
 
 
 def integration_window(state: SectorState, quadrature):
@@ -148,11 +158,20 @@ class DecisionRule:
     def class_indices(self, v: np.ndarray) -> np.ndarray:
         """Vectorized class lookup: how many thresholds v reaches (v >= t, so
         ties go up, as searchsorted side="right"); NaN reaches none: class 0."""
+        return self.classify(v)[0]
+
+    def classify(self, v: np.ndarray):
+        """(class_indices(v), the number of v in each class), both from one
+        comparison per threshold: a class holds the v that reach its lower
+        threshold less those that reach its upper one."""
         v = np.asarray(v)
         idx = np.zeros(v.shape, np.min_scalar_type(len(self.thresholds)))
+        reach = [v.size]
         for t in self.thresholds:
-            idx += v >= t
-        return idx
+            above = v >= t
+            idx += above
+            reach.append(int(np.count_nonzero(above)))
+        return idx, [a - b for a, b in zip(reach, reach[1:] + [0])]
 
 
 def build_decision_rule(scenario, alpha, eta=1.0, n=None) -> DecisionRule:
@@ -263,7 +282,8 @@ def sample_outcomes(state: SectorState, quadrature, trials: int, seed,
     stream a long run in blocks of bounded memory.  The 2^n branches are
     equally likely, so the inverse-CDF pick of the uniform u is
     x = floor(u 2^n), exact for 53-bit uniforms; its weight is the
-    popcount of x, read byte by byte from a 256-entry table.
+    popcount of x, read byte by byte from a 256-entry table.  Each step
+    works in place where the bits allow it: scaling by 2^n is exact.
     """
     _check_quadrature(quadrature)
     if trials < 1:
@@ -274,13 +294,17 @@ def sample_outcomes(state: SectorState, quadrature, trials: int, seed,
                          f"part of [0, {trials})")
     size = stop - start
     uniforms = philox_stream(seed, start).random(size)
-    branch = (uniforms * 2.0**state.n).astype(np.int64)
-    ones = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], 1).sum(1, np.uint8)
-    weight = sum(ones[(branch >> shift) & 255] for shift in range(0, state.n, 8))
+    uniforms *= 2.0**state.n
+    branch = uniforms.astype(np.int64)
+    weight = _POPCOUNT[branch & 255]
+    for shift in range(8, state.n, 8):
+        weight += _POPCOUNT[(branch >> shift) & 255]
     means = quadrature_mean(state.fields, quadrature)[weight]
     normals = standard_normals(philox_stream(seed, trials + start), size,
                                philox_stream(seed, 2 * trials + start))
-    return means + _SIGMA * normals
+    normals *= _SIGMA
+    normals += means
+    return normals
 
 
 # --- integrands ---------------------------------------------------------------
@@ -346,10 +370,18 @@ def integrands(specs):
         total = _gaussian_sum(v, *columns(weights))
         if pairs.shape[1]:
             mi, mj, amps, slopes, offsets = columns(pairs)
-            terms = np.exp(-0.5 * ((v - mi) ** 2 + (v - mj) ** 2))
-            terms *= np.cos(v * slopes + offsets)
+            terms, other = v - mi, v - mj       # in place from here on
+            terms *= terms
+            other *= other
+            terms += other
+            terms *= -0.5
+            np.exp(terms, out=terms)
+            np.multiply(v, slopes, out=other)
+            other += offsets
+            np.cos(other, out=other)
+            terms *= other
             terms *= amps
-            total += reduce(np.add, terms)
+            total += _sum_rows(terms)
         return total / math.sqrt(math.pi)
 
     return values
@@ -362,7 +394,16 @@ def _gaussian_sum(v, means, coefs):
     np.negative(terms, out=terms)
     np.exp(terms, out=terms)
     terms *= coefs
-    return reduce(np.add, terms)
+    return _sum_rows(terms)
+
+
+def _sum_rows(terms):
+    """terms[0] + terms[1] + ..., added row after row into one new array
+    (not pairwise, and without a temporary per row)."""
+    total = terms[0].copy()
+    for row in terms[1:]:
+        total += row
+    return total
 
 
 def class_overlap_integrand(state: SectorState, quadrature, cls: OutcomeClass):
@@ -373,5 +414,5 @@ def class_overlap_integrand(state: SectorState, quadrature, cls: OutcomeClass):
 def density_components(state: SectorState, rule: DecisionRule, v: np.ndarray):
     """Per-class component densities over a grid (for curve export): the
     density's mixture over the weights that feed each class."""
-    return [integrands([(state, rule.quadrature, [cls.weights])])(v)
+    return [_mixture(state, rule.quadrature, list(cls.weights), v)
             for cls in rule.classes]

@@ -126,13 +126,17 @@ def closed_form_two_qubit(alpha: float, eta: float):
 
 # --- Monte Carlo ----------------------------------------------------------------
 
-# Trials per Monte Carlo block.  A block's arrays (outcomes, the (n+1)
-# Gaussians of the density, each bin's overlap terms) are freed before the
-# next one is drawn, so memory does not grow with the trial count.
+# Trials per Monte Carlo block.  A block holds its outcomes (sorted by bin)
+# and their bin indices, then the (n+1) Gaussians of the density, then one
+# bin's overlap terms at a time; all are freed before the next block is
+# drawn, so memory does not grow with the trial count.  The density's
+# Gaussians are the peak: a run's tracemalloc peak is 4-5 MB for n <= 5 and
+# 13 MB at n = 20.
 MC_BLOCK_TRIALS = 1 << 16
 
-# Most Monte Carlo trials one run takes: a block costs 11-26 ms on a 2-core
-# machine, so 10^9 trials take 3-7 minutes.
+# Most Monte Carlo trials one run takes: a block costs 5-8 ms for n <= 5 and
+# 13-14 ms at n = 20 on one CPU of a 2-core machine, so 10^9 trials (15,259
+# blocks) take 1.5-3.5 minutes.
 MAX_TRIALS = 10**9
 
 
@@ -170,23 +174,23 @@ def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
     for start in range(0, trials, MC_BLOCK_TRIALS):
         samples = sample_outcomes(state, rule.quadrature, trials, seed, start,
                                   min(start + MC_BLOCK_TRIALS, trials))
+        # one stable sort: each bin's samples become a slice, in draw order,
+        # and the density is evaluated on them in that order
+        idx, counts = rule.classify(samples)
+        samples = samples[np.argsort(idx, kind="stable")]
         dens = outcome_density(state, rule.quadrature, samples)
-        # one stable sort: each bin's samples become a slice, in draw order
-        idx = rule.class_indices(samples)
-        order = np.argsort(idx, kind="stable")
-        samples, dens = samples[order], dens[order]
         lo = 0
-        for i, hi in enumerate(np.cumsum(np.bincount(
-                idx, minlength=len(rule.classes))).tolist()):
-            if hi > lo:
+        for i, n1 in enumerate(counts):
+            if n1:
+                hi = lo + n1
                 ratio = overlaps[i](samples[lo:hi]) / dens[lo:hi]
-                n0, n1, total = hits[i], hi - lo, float(np.sum(ratio))
+                n0, total = hits[i], float(np.sum(ratio))
                 dev = ratio - total / n1
                 # Chan et al.'s pairwise update of the squared deviations
                 shift = total / n1 - sums[i] / n0 if n0 else 0.0
                 squares[i] += float(dev @ dev) + shift**2 * n0 * n1 / (n0 + n1)
                 hits[i], sums[i] = n0 + n1, sums[i] + total
-            lo = hi
+            lo += n1
     out = []
     for cls, hit, total, square in zip(rule.classes, hits, sums, squares):
         phat = hit / trials

@@ -178,8 +178,16 @@ def standard_normals(rng, size, rng_u2):
 
     u1 is mapped to (0, 1] so the log never sees zero.  Exactly two uniforms
     are consumed per normal: `size` values u1 from rng, then `size` values
-    u2 from rng_u2 (pass rng twice for the consecutive layout).
+    u2 from rng_u2 (pass rng twice for the consecutive layout).  Each step
+    works in place on the two uniform arrays.
     """
-    u1 = 1.0 - rng.random(size)
+    u1 = rng.random(size)
+    np.subtract(1.0, u1, out=u1)
     u2 = rng_u2.random(size)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1

@@ -29,7 +29,9 @@ mask per bin and a searchsorted lookup.  They share the sampler, the
 sector state and the per-label zeta coefficients with the package.  Last
 come the per-point forms of the state's dynamic program and of each bin's
 integrand row, which the package now builds for a whole batch at once and
-must reproduce bit for bit.
+must reproduce bit for bit, and the Monte Carlo path as it stood before it
+worked in place: the sampler, the Box-Muller normals and the block loop,
+which the package must reproduce byte for byte.
 """
 
 import math
@@ -43,7 +45,8 @@ from hpsim.cavity import CavityParams, reflection_pair, solve_params_for_phase
 from hpsim.errors import SimulationError
 from hpsim.homodyne import (_zeta_coefficients, quadrature_mean,
                             resolve_scenario, sample_outcomes)
-from hpsim.numerics import erfc
+from hpsim.metrics import ClassResult
+from hpsim.numerics import erfc, philox_stream
 
 
 class OracleFailureError(SimulationError):
@@ -723,3 +726,75 @@ def row_values_per_bin(row, v):
             a * (np.exp(-0.5 * ((v - mi) ** 2 + (v - mj) ** 2))
                  * np.cos(v * s + o)) for mi, mj, a, s, o in pairs.T])
     return total / math.sqrt(math.pi)
+
+
+# --- the Monte Carlo path before it worked in place -------------------------
+
+def standard_normals_v1(rng, size, rng_u2):
+    """Box-Muller (cosine branch) normals, one temporary per step: u1 from
+    rng mapped to (0, 1], then u2 from rng_u2."""
+    u1 = 1.0 - rng.random(size)
+    u2 = rng_u2.random(size)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def sample_outcomes_v1(state, quadrature, trials, seed, start=0, stop=None):
+    """Trials start..stop-1 of the documented stream: branch x =
+    floor(u 2^n) from words start.., its weight by a byte popcount table
+    built per call, then mean_|x| + N(0, 1/2) from words trials + start..
+    and 2 trials + start.."""
+    stop = trials if stop is None else stop
+    size = stop - start
+    uniforms = philox_stream(seed, start).random(size)
+    branch = (uniforms * 2.0**state.n).astype(np.int64)
+    ones = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], 1).sum(1, np.uint8)
+    weight = sum(ones[(branch >> shift) & 255] for shift in range(0, state.n, 8))
+    means = quadrature_mean(state.fields, quadrature)[weight]
+    normals = standard_normals_v1(philox_stream(seed, trials + start), size,
+                                  philox_stream(seed, 2 * trials + start))
+    return means + (1.0 / math.sqrt(2.0)) * normals
+
+
+def monte_carlo_blocks(state, rule, trials, seed, block):
+    """Monte Carlo ClassResults from blocks of `block` trials, as the block
+    loop stood with a density evaluated before the sort: per block, the
+    density at every sample, one stable sort by bin, gathers of samples
+    and density, bin ends from bincount and cumsum, and Chan et al.'s
+    update of each bin's squared deviations.  The density and overlaps
+    are the per-bin rows above, which the package's integrands reproduce
+    bit for bit."""
+    q = rule.quadrature
+    density = density_row_per_bin(state, q, range(state.n + 1))
+    overlaps = [overlap_row_per_bin(state, q, cls) for cls in rule.classes]
+    hits = [0] * len(rule.classes)
+    sums = [0.0] * len(rule.classes)
+    squares = [0.0] * len(rule.classes)
+    for start in range(0, trials, block):
+        samples = sample_outcomes_v1(state, q, trials, seed, start,
+                                     min(start + block, trials))
+        dens = row_values_per_bin(density, samples)
+        idx = np.searchsorted(np.asarray(rule.thresholds), samples, side="right")
+        order = np.argsort(idx, kind="stable")
+        samples, dens = samples[order], dens[order]
+        lo = 0
+        for i, hi in enumerate(np.cumsum(np.bincount(
+                idx, minlength=len(rule.classes))).tolist()):
+            if hi > lo:
+                ratio = row_values_per_bin(overlaps[i], samples[lo:hi]) / dens[lo:hi]
+                n0, n1, total = hits[i], hi - lo, float(np.sum(ratio))
+                dev = ratio - total / n1
+                shift = total / n1 - sums[i] / n0 if n0 else 0.0
+                squares[i] += float(dev @ dev) + shift**2 * n0 * n1 / (n0 + n1)
+                hits[i], sums[i] = n0 + n1, sums[i] + total
+            lo = hi
+    out = []
+    for cls, hit, total, square in zip(rule.classes, hits, sums, squares):
+        phat = hit / trials
+        out.append(ClassResult(
+            parity=cls.parity, target_name=cls.target_name, success_prob=phat,
+            fidelity=total / hit if hit else math.nan, method="monte_carlo",
+            mc_stderr=(math.sqrt(phat * (1.0 - phat) / trials) if trials >= 2
+                       else math.nan),
+            fidelity_stderr=(math.sqrt(square / (hit - 1) / hit) if hit >= 2
+                             else math.nan)))
+    return out

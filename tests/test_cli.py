@@ -266,10 +266,14 @@ def test_one_parser_serves_every_call(capsys):
     simulate = ("simulate", "--scenario", "three_qubit", "--alpha", "2",
                 "--trials", "100", "--seed", "5")
     first = main_in_process(capsys, *simulate)
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["simulate", "--scenario", "bogus", "--alpha", "1"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    # a flag error is returned like a command's error, not raised
+    bogus = main_in_process(capsys, "simulate", "--scenario", "bogus",
+                            "--alpha", "1")
+    assert bogus.returncode == 2 and bogus.stdout == ""
+    assert "invalid choice: 'bogus'" in bogus.stderr
+    helped = main_in_process(capsys, "simulate", "--help")
+    assert helped.returncode == 0 and helped.stderr == ""
+    assert helped.stdout.startswith("usage: ")
     swept = main_in_process(capsys, "sweep", "--scenario", "two_qubit",
                             "--nbar", "1,2")
     second = main_in_process(capsys, *simulate)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hpsim.cavity import ReflectionPair
 from hpsim.errors import DegenerateRuleError
 from hpsim.homodyne import (SCENARIOS, _zeta_coefficients,
                             build_decision_rule, class_overlap_integrand,
@@ -19,7 +20,8 @@ from oracles import (DegenerateOutcomeError, adaptive_simpson,
                      density_cdf, density_row_per_bin, dense_state,
                      make_target, mixture_density, overlap_row_per_bin,
                      overlap_scale, quadrature_wavefunction,
-                     row_values_per_bin, same_bits, target_at, zeta_polar)
+                     row_values_per_bin, same_bits, sample_outcomes_v1,
+                     target_at, zeta_polar)
 
 QPI = math.pi ** (-0.25)
 
@@ -300,6 +302,20 @@ def test_sampler_reproducible():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n", [2, 5, 8, 9, 13, 16, 17, 20])
+def test_sampler_equals_frozen_sampler_byte_for_byte(n):
+    # one-, two- and three-byte popcounts; distinct labels for every weight,
+    # so a wrong weight moves the mean; windows cut the 1001 trials (not a
+    # multiple of 4) at both ends and inside a Philox counter step
+    pair = ReflectionPair(np.exp(0.3j), 0.8 * np.exp(-0.9j))
+    st = sector_states(n, [(2.0, 1.0, pair)])[0]
+    for q, seed in (("P", 7), ("X", 2**64 - 1)):
+        for start, stop in ((0, None), (0, 1), (1, 6), (3, 700), (998, 1001),
+                            (1000, 1001)):
+            assert same_bits(sample_outcomes(st, q, 1001, seed, start, stop),
+                             sample_outcomes_v1(st, q, 1001, seed, start, stop))
+
+
 def test_sampler_rejects_zero_trials():
     st = prepare_state("two_qubit_X", 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -418,6 +434,10 @@ def test_class_indices_match_searchsorted():
         got = rule.class_indices(vs)
         assert got.dtype == np.uint8
         assert np.array_equal(got, np.searchsorted(t, vs, side="right"))
+        # classify's counts are the bins' sizes, NaN in the lowest
+        idx, counts = rule.classify(np.append(vs, np.nan))
+        assert np.array_equal(idx[:-1], got)
+        assert counts == np.bincount(idx, minlength=len(t) + 1).tolist()
         # NaN compares false with every threshold: the lowest class
         assert rule.class_indices(np.array([np.nan]))[0] == 0
 

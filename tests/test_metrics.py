@@ -15,8 +15,8 @@ from hpsim.metrics import (MAX_TRIALS, QUAD_TOL, ClassResult,
 from hpsim.hybrid_state import MAX_ALPHA
 from hpsim.numerics import integrate_piecewise
 from oracles import (erfc_oracle, gauss_bin_mass, integrate_piecewise_recursive,
-                     interval_probability, mixture_bin_mass, monte_carlo_masks,
-                     w_state_success)
+                     interval_probability, mixture_bin_mass, monte_carlo_blocks,
+                     monte_carlo_masks, w_state_success)
 
 ETA23 = math.sqrt(2 / 3)
 
@@ -346,12 +346,15 @@ def test_monte_carlo_does_not_depend_on_block_size(monkeypatch, scenario, alpha,
         assert np.isnan(small[2]).any() == (n == 9)
 
 
-@pytest.mark.parametrize("scenario, alpha, eta_sq, gamma, n", [
+MC_CONFIGS = pytest.mark.parametrize("scenario, alpha, eta_sq, gamma, n", [
     ("two_qubit_X", 1.5, 0.9, 0.0, None),
     ("three_qubit_P", 3.0, 0.6667, 0.2, None),
     ("gsum_X", 1.7, 0.6667, 0.2, None),         # two-label bins
     ("n_qubit_P", 2.0, 0.8, 0.5, 6),            # three-weight bins
     ("n_qubit_P", 8.0, 1.0, 1.0, 9)])           # Dicke(9,7) stays empty
+
+
+@MC_CONFIGS
 def test_monte_carlo_matches_per_bin_mask_loop(monkeypatch, scenario, alpha,
                                                eta_sq, gamma, n):
     # One stable sort scores the same samples in the same order as one
@@ -370,6 +373,18 @@ def test_monte_carlo_matches_per_bin_mask_loop(monkeypatch, scenario, alpha,
         np.testing.assert_allclose([r.fidelity_stderr for r in got], errs,
                                    rtol=1e-9, atol=1e-15)
     assert (0 in hits) == (n == 9)
+
+
+@MC_CONFIGS
+def test_monte_carlo_equals_frozen_block_loop(monkeypatch, scenario, alpha,
+                                              eta_sq, gamma, n):
+    # every ClassResult field equal, not close: the in-place sampler and
+    # the sort-first scoring change no bit of the estimate
+    run = run_scenario(scenario, alpha, eta_sq, gamma=gamma, n=n)
+    for block in (7, metrics.MC_BLOCK_TRIALS):
+        monkeypatch.setattr(metrics, "MC_BLOCK_TRIALS", block)
+        assert (monte_carlo_estimate(run.state, run.rule, 3000, 5)
+                == monte_carlo_blocks(run.state, run.rule, 3000, 5, block))
 
 
 def test_monte_carlo_memory_does_not_grow_with_trials():

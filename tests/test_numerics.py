@@ -8,7 +8,7 @@ from hpsim.errors import SimulationError
 from hpsim.numerics import (erfc, integrate_piecewise, philox_stream,
                             standard_normals)
 from oracles import (adaptive_simpson, erfc_oracle, integrate_piecewise_recursive,
-                     weideman_coefficients)
+                     same_bits, standard_normals_v1, weideman_coefficients)
 
 
 def test_erfc_against_dual_method_oracle():
@@ -244,6 +244,18 @@ def test_box_muller_consumes_fixed_stream():
     u2 = rng.random(8)
     z2 = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
     assert np.array_equal(z1, z2)
+
+
+def test_box_muller_equals_frozen_form_byte_for_byte():
+    # u1 is drawn before u2, from one generator and from two
+    def generators(size, two):
+        rng = philox_stream(3, 5)
+        return rng, philox_stream(3, 5 + 2 * size) if two else rng
+    for size in (1, 7, 1001):
+        for two in (False, True):
+            (a, b), (c, d) = generators(size, two), generators(size, two)
+            assert same_bits(standard_normals(a, size, b),
+                             standard_normals_v1(c, size, d))
 
 
 def test_philox_seed_range_enforced():
