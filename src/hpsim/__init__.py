@@ -9,10 +9,11 @@ joint state per weight sector (hybrid_state.SectorState: n + 1 labels and an
 the nodes), evaluates bin probabilities and fidelities in closed form and by
 adaptive quadrature, and cross-checks them by seeded Monte Carlo sampling.
 
-Quadrature is adaptive Simpson over a batch of integrals, one integrand
-call per level (numerics.integrate_piecewise); one homodyne.integrands call
-builds a batch's integrands, and a sweep builds a block's states in one
-array pass.  Closed forms wait on re-made references (notes/decisions.md).
+Quadrature is adaptive Simpson over a batch of integrals, refined level by
+level with each level's points evaluated in fixed-size slices
+(numerics.integrate_piecewise); one homodyne.integrands call builds a
+batch's integrands, and a sweep builds a block's states in one array
+pass.  Closed forms wait on re-made references (notes/decisions.md).
 Cross-check routes, the dense 2^n state among them, are in tests/oracles.py.
 
 A result that does not exist has one rule per layer: a pulse that

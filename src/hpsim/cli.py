@@ -12,8 +12,8 @@ the library parameter (e.g. "gamma must be finite and non-negative, at most
 1e+16, got -0.1").  Each bound has one check: alpha
 (hybrid_state.check_alpha), mean photon number (hybrid_state.alpha_for_nbar,
 which --nbar goes through in every command), gamma (cavity.check_gamma),
-trials (metrics.check_trials) and the seed (numerics.check_seed).  Within the
-bounds no input reaches a SimulationError: exit 3 is kept for library
+trials (numerics.check_trials) and the seed (numerics.check_seed).  Within
+the bounds no input reaches a SimulationError: exit 3 is kept for library
 failures (see errors.py).
 Each command returns its text and main() writes it.  Outputs are
 byte-identical across runs with the same flags and seed: the sampler is a

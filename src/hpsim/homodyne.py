@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DegenerateRuleError
 from .hybrid_state import SectorState, check_alpha, check_eta
-from .numerics import philox_stream, standard_normals
+from .numerics import check_trials, philox_stream, standard_normals
 
 _SIGMA = 1.0 / math.sqrt(2.0)      # quadrature standard deviation
 WINDOW_SIGMAS = 8.0                # integration window half-width, in sigmas
@@ -286,8 +286,7 @@ def sample_outcomes(state: SectorState, quadrature, trials: int, seed,
     works in place where the bits allow it: scaling by 2^n is exact.
     """
     _check_quadrature(quadrature)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_trials(trials, minimum=1)
     stop = trials if stop is None else stop
     if not 0 <= start < stop <= trials:
         raise ValueError(f"trial range [{start}, {stop}) is not a non-empty "

@@ -21,7 +21,6 @@ and cli.py writes every report and CSV from them.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,7 +33,7 @@ from .homodyne import (DecisionRule, build_decision_rule,
                        sample_outcomes)
 from .hybrid_state import (SectorState, alpha_for_nbar, check_alpha,
                            check_eta, sector_states)
-from .numerics import check_seed, erfc, integrate_piecewise
+from .numerics import check_seed, check_trials, erfc, integrate_piecewise
 
 QUAD_TOL = 1e-9
 EMPTY_BIN_P = 1e-12      # a bin below this probability has no fidelity
@@ -134,22 +133,6 @@ def closed_form_two_qubit(alpha: float, eta: float):
 # 13 MB at n = 20.
 MC_BLOCK_TRIALS = 1 << 16
 
-# Most Monte Carlo trials one run takes: a block costs 5-8 ms for n <= 5 and
-# 13-14 ms at n = 20 on one CPU of a 2-core machine, so 10^9 trials (15,259
-# blocks) take 1.5-3.5 minutes.
-MAX_TRIALS = 10**9
-
-
-def check_trials(trials) -> None:
-    """The one check of a trial count: an integer, not a bool, 0..MAX_TRIALS."""
-    if not isinstance(trials, numbers.Integral) or isinstance(trials, bool):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 0:
-        raise ValueError(f"trials must be non-negative, got {trials}")
-    if trials > MAX_TRIALS:
-        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
-
-
 def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
                          trials: int, seed) -> list:
     """Sample outcomes, classify, and estimate per-bin probability and fidelity.
@@ -161,9 +144,7 @@ def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
     positions (see sample_outcomes); each adds to the per-bin hits, sums and
     squared deviations, so the hits do not depend on the block size.
     """
-    check_trials(trials)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_trials(trials, minimum=1)
     check_seed(seed)
     _check_same_n(state, rule)
     overlaps = [class_overlap_integrand(state, rule.quadrature, cls)
@@ -258,9 +239,11 @@ def run_scenario(scenario: str, alpha: float, eta_sq: float,
 # --- parameter sweeps --------------------------------------------------------------
 
 # Grid points per sweep block: one sector_states and one evaluate_classes
-# batch each.  Larger blocks cut per-call overhead but grow the integration
-# frontier and G (points x n^2) in memory (notes/decisions.md).
-SWEEP_BLOCK_POINTS = 8
+# batch each.  Larger blocks cut the per-level overhead of the integration
+# but grow its frontier and G (points x (n+1)^2) in memory; the integrand's
+# own working set is bounded by the integrator's slices, whatever the block
+# (notes/decisions.md, "Sliced Simpson levels and 32-point sweep blocks").
+SWEEP_BLOCK_POINTS = 32
 
 
 def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float,

@@ -79,6 +79,10 @@ def erfc(x):
 # --- adaptive Simpson quadrature ------------------------------------------
 
 _MAX_DEPTH = 48        # refinement levels below each initial segment
+# Most points per integrand call: a level's points reach f in slices of at
+# most this many, so f's working set (homodyne.integrands gathers slots x
+# points columns of its tables) does not grow with the batch.
+_SLICE_POINTS = 2048
 
 
 def integrate_piecewise(f, breakpoints, tol=1e-9):
@@ -89,13 +93,14 @@ def integrate_piecewise(f, breakpoints, tol=1e-9):
     segments with tol / (its segment count).  A panel is accepted when its
     halves differ from the whole by |delta| <= 15 tol (or at depth
     _MAX_DEPTH) and gives the Richardson sum; otherwise both halves go on
-    with half the tolerance.  The batch is refined level by level, one
-    call of f per level on every pending point; a panel's decision reads
-    only its own five points, so an integral accepts the same panels in a
-    batch as alone.  Each level adds its accepted panels to their
-    integrals' totals, left halves before right halves, so an integral's
-    panels are summed in the same order in a batch as alone.  Returns the
-    totals (0.0 for none); SimulationError at the first non-finite value.
+    with half the tolerance.  The batch is refined level by level, every
+    pending point of a level going to f in order, in slices of at most
+    _SLICE_POINTS points; a panel's decision reads only its own five
+    points, so an integral accepts the same panels in a batch as alone.
+    Each level adds its accepted panels to their integrals' totals, left
+    halves before right halves, so an integral's panels are summed in the
+    same order in a batch as alone.  Returns the totals (0.0 for none);
+    SimulationError at the first non-finite value.
     """
     panels = []                 # (a, b, tol, owner integral)
     for i, pts in enumerate(breakpoints):
@@ -105,13 +110,13 @@ def integrate_piecewise(f, breakpoints, tol=1e-9):
     if not panels:
         return [0.0] * len(breakpoints)
     a, b, tol, owner = np.array(panels, dtype=float).T
+    owner = owner.astype(np.intp)
     fa, fm, fb = _evaluate(f, owner, a, 0.5 * (a + b), b)
+    # the frontier: rows a, b, fa, fm, fb, whole, tol and owner hold one
+    # entry per open panel
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    # one column per open panel; the owner index rides along as an exact float
-    frontier = np.array([a, b, fa, fm, fb, whole, tol, owner])
     totals = np.zeros(len(breakpoints))
     for depth in range(_MAX_DEPTH, -1, -1):
-        a, b, fa, fm, fb, whole, tol, owner = frontier
         m = 0.5 * (a + b)
         flm, frm = _evaluate(f, owner, 0.5 * (a + m), 0.5 * (m + b))
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
@@ -119,31 +124,36 @@ def integrate_piecewise(f, breakpoints, tol=1e-9):
         delta = left + right - whole
         done = (np.abs(delta) <= 15.0 * tol) | (depth == 0)
         # Richardson extrapolation of the two half-panel estimates
-        totals += np.bincount(owner[done].astype(np.intp),
-                              (left + right + delta / 15.0)[done],
+        totals += np.bincount(owner[done], (left + right + delta / 15.0)[done],
                               len(breakpoints))
-        go = ~done
-        if not go.any():
+        go = np.flatnonzero(~done)
+        if not go.size:
             break
         tol = 0.5 * tol
         # the open panels' left halves, then their right halves
-        frontier = np.concatenate(
-            [np.array([a, m, fa, flm, fm, left, tol, owner])[:, go],
-             np.array([m, b, fm, frm, fb, right, tol, owner])[:, go]], axis=1)
+        a, b, fa, fm, fb, whole, tol, owner = [
+            np.concatenate((x[go], y[go])) for x, y in
+            ((a, m), (m, b), (fa, fm), (flm, frm), (fm, fb), (left, right),
+             (tol, tol), (owner, owner))]
     return totals.tolist()
 
 
 def _evaluate(f, owner, *xs):
-    """f on the points of xs in one call, one output row per x; owner holds
-    each column's integral index.  SimulationError at a non-finite value."""
-    which = np.tile(owner.astype(np.intp), len(xs))
+    """f on the points of xs, one output row per x; owner holds each
+    column's integral index.  The points go to f in order, in slices of
+    at most _SLICE_POINTS.  SimulationError at the first non-finite value."""
+    v = np.concatenate(xs)
+    which = np.tile(owner, len(xs))
+    out = np.empty_like(v)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = f(np.concatenate(xs), which).reshape(len(xs), -1)
+        for lo in range(0, v.size, _SLICE_POINTS):
+            hi = lo + _SLICE_POINTS
+            out[lo:hi] = f(v[lo:hi], which[lo:hi])
     bad = ~np.isfinite(out)
     if bad.any():
         raise SimulationError(
-            f"non-finite integrand value at v={float(np.array(xs)[bad][0])!r}")
-    return out
+            f"non-finite integrand value at v={float(v[bad][0])!r}")
+    return out.reshape(len(xs), -1)
 
 
 # --- seeded sampling -------------------------------------------------------
@@ -154,6 +164,25 @@ def check_seed(seed) -> int:
     if not (integral and 0 <= operator.index(seed) < 2**64):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     return operator.index(seed)
+
+
+# Most Monte Carlo trials one run takes: a block of metrics.MC_BLOCK_TRIALS
+# costs 5-8 ms for n <= 5 and 13-14 ms at n = 20 on one CPU of a 2-core
+# machine, so 10^9 trials (15,259 blocks) take 1.5-3.5 minutes.
+MAX_TRIALS = 10**9
+
+
+def check_trials(trials, minimum=0) -> None:
+    """The one check of a trial count: an integer, not a bool, in
+    minimum..MAX_TRIALS (minimum 1 where trials are drawn)."""
+    if not isinstance(trials, numbers.Integral) or isinstance(trials, bool):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    if trials < minimum:
+        raise ValueError(f"trials must be >= {minimum}, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
 
 
 def philox_stream(seed, word=0):

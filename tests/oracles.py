@@ -31,7 +31,10 @@ come the per-point forms of the state's dynamic program and of each bin's
 integrand row, which the package now builds for a whole batch at once and
 must reproduce bit for bit, and the Monte Carlo path as it stood before it
 worked in place: the sampler, the Box-Muller normals and the block loop,
-which the package must reproduce byte for byte.
+which the package must reproduce byte for byte.  The level-by-level
+Simpson as it stood with one 8-row frontier array and one integrand call
+per level closes the file: the sliced integrator must give its totals bit
+for bit, from the same points in the same order.
 """
 
 import math
@@ -798,3 +801,55 @@ def monte_carlo_blocks(state, rule, trials, seed, block):
             fidelity_stderr=(math.sqrt(square / (hit - 1) / hit) if hit >= 2
                              else math.nan)))
     return out
+
+
+# --- level-by-level Simpson before its levels were sliced ---------------------
+
+def integrate_piecewise_v1(f, breakpoints, tol=1e-9, max_depth=48):
+    """numerics.integrate_piecewise as it stood with the frontier as one
+    8-row array (a, b, fa, fm, fb, whole, tol, owner as an exact float),
+    one call of f per level on every pending point, left halves before
+    right halves, and each level's accepted panels added with one
+    bincount."""
+    panels = []
+    for i, pts in enumerate(breakpoints):
+        pts = sorted(pts)
+        panels += [(lo, hi, tol / max(1, len(pts) - 1), i)
+                   for lo, hi in zip(pts[:-1], pts[1:]) if lo != hi]
+    if not panels:
+        return [0.0] * len(breakpoints)
+
+    def evaluate(owner, *xs):
+        which = np.tile(owner.astype(np.intp), len(xs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = f(np.concatenate(xs), which).reshape(len(xs), -1)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            raise SimulationError(
+                f"non-finite integrand value at v={float(np.array(xs)[bad][0])!r}")
+        return out
+
+    a, b, tol, owner = np.array(panels, dtype=float).T
+    fa, fm, fb = evaluate(owner, a, 0.5 * (a + b), b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    frontier = np.array([a, b, fa, fm, fb, whole, tol, owner])
+    totals = np.zeros(len(breakpoints))
+    for depth in range(max_depth, -1, -1):
+        a, b, fa, fm, fb, whole, tol, owner = frontier
+        m = 0.5 * (a + b)
+        flm, frm = evaluate(owner, 0.5 * (a + m), 0.5 * (m + b))
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        done = (np.abs(delta) <= 15.0 * tol) | (depth == 0)
+        totals += np.bincount(owner[done].astype(np.intp),
+                              (left + right + delta / 15.0)[done],
+                              len(breakpoints))
+        go = ~done
+        if not go.any():
+            break
+        tol = 0.5 * tol
+        frontier = np.concatenate(
+            [np.array([a, m, fa, flm, fm, left, tol, owner])[:, go],
+             np.array([m, b, fm, frm, fb, right, tol, owner])[:, go]], axis=1)
+    return totals.tolist()

@@ -11,7 +11,8 @@ from hpsim.cavity import MAX_GAMMA, reflection_pair, solve_params_for_phase
 from hpsim.cli import SWEEP_CSV_COLUMNS
 from hpsim.homodyne import build_decision_rule
 from hpsim.hybrid_state import MAX_ALPHA, sector_states
-from hpsim.metrics import MAX_TRIALS, closed_form_two_qubit
+from hpsim.metrics import closed_form_two_qubit
+from hpsim.numerics import MAX_TRIALS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

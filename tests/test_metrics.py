@@ -4,19 +4,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hpsim import cli, metrics
+from hpsim import cli, metrics, numerics
 from hpsim.homodyne import (build_decision_rule, class_overlap_integrand,
-                            outcome_density)
+                            outcome_density, sample_outcomes)
 from hpsim.cli import SWEEP_CSV_COLUMNS
-from hpsim.metrics import (MAX_TRIALS, QUAD_TOL, ClassResult,
-                           _bin_breakpoints, closed_form_two_qubit,
-                           evaluate_classes, monte_carlo_estimate,
-                           prepare_state, run_scenario, sweep)
+from hpsim.metrics import (QUAD_TOL, ClassResult, _bin_breakpoints,
+                           closed_form_two_qubit, evaluate_classes,
+                           monte_carlo_estimate, prepare_state, run_scenario,
+                           sweep)
 from hpsim.hybrid_state import MAX_ALPHA
-from hpsim.numerics import integrate_piecewise
+from hpsim.numerics import MAX_TRIALS, integrate_piecewise
 from oracles import (erfc_oracle, gauss_bin_mass, integrate_piecewise_recursive,
-                     interval_probability, mixture_bin_mass, monte_carlo_blocks,
-                     monte_carlo_masks, w_state_success)
+                     integrate_piecewise_v1, interval_probability,
+                     mixture_bin_mass, monte_carlo_blocks, monte_carlo_masks,
+                     w_state_success)
 
 ETA23 = math.sqrt(2 / 3)
 
@@ -492,13 +493,17 @@ def test_sweep_rejects_bad_eta_sq_before_any_point(monkeypatch, capsys,
 @pytest.mark.parametrize("scenario, n", [
     ("two_qubit_X", None), ("three_qubit_P", None), ("gsum_X", None),
     ("n_qubit_P", 6), ("n_qubit_P", 9), ("n_qubit_P", 20)])
-@pytest.mark.parametrize("block", [5, metrics.SWEEP_BLOCK_POINTS])
+@pytest.mark.parametrize("block", [5, 8, metrics.SWEEP_BLOCK_POINTS])
 def test_sweep_blocks_equal_run_scenario(monkeypatch, scenario, n, block):
-    # 12 grid points fill no whole number of blocks; <n> = 0 resolves no
-    # bins; n = 6 has three-weight bins.  Each point equals its run alone,
-    # bit for bit, at gamma = 0 and gamma > 0.
+    # 39 grid points fill no whole number of blocks and more than one of
+    # each size; <n> = 0 resolves no bins; n = 6 has three-weight bins.
+    # Each point equals its run alone, bit for bit, at gamma = 0 and
+    # gamma > 0.
     monkeypatch.setattr(metrics, "SWEEP_BLOCK_POINTS", block)
-    nbars, gammas = [0.0, 1.5, 4.0, 9.0], [0.0, 0.2, 0.5]
+    nbars = [0.0, 1.5, 4.0, 9.0, 0.25, 0.5, 1.0, 2.0, 2.5, 3.0, 6.0, 12.0,
+             25.0]
+    gammas = [0.0, 0.2, 0.5]
+    assert len(nbars) * len(gammas) > block
     assert (len(nbars) * len(gammas)) % block
     points = sweep(scenario, nbars, gammas, 0.6667, n=n)
     assert [(p.mean_photon_number, p.gamma_over_kappa) for p in points] == [
@@ -511,6 +516,17 @@ def test_sweep_blocks_equal_run_scenario(monkeypatch, scenario, n, block):
                            gamma=point.gamma_over_kappa, n=n)
         assert point.results == run.results
         assert point.scenario == run.rule.scenario
+
+
+@pytest.mark.parametrize("scenario, n", [
+    ("two_qubit_X", None), ("gsum_X", None), ("n_qubit_P", 9)])
+def test_sweep_equals_frozen_integrator(monkeypatch, scenario, n):
+    # a default block's batch, with its table columns and padded slots,
+    # integrates to the frozen 8-row frontier's numbers bit for bit
+    nbars, gammas = [0.25 * i for i in range(1, 14)], [0.0, 0.2, 0.5]
+    got = sweep(scenario, nbars, gammas, 0.6667, n=n)
+    monkeypatch.setattr(metrics, "integrate_piecewise", integrate_piecewise_v1)
+    assert got == sweep(scenario, nbars, gammas, 0.6667, n=n)
 
 
 def test_sweep_builds_states_one_block_at_a_time(monkeypatch):
@@ -531,6 +547,31 @@ def test_sweep_builds_states_one_block_at_a_time(monkeypatch):
     assert sum(built) == 12 == sum(bool(p.results) for p in points)
     assert len(calls["solve_params_for_phase"]) == 1
     assert len(calls["reflection_pair"]) == 3
+
+
+def test_fig4b_sweep_memory_is_bounded(monkeypatch):
+    # the fig4b sweep at the default block: no integrand call gets more
+    # than one slice of points, and the traced heap peak stays under a
+    # budget that the same block without slices exceeds (1.94 MB measured,
+    # 3.33 MB unsliced; notes/decisions.md, "Sliced Simpson levels and
+    # 32-point sweep blocks")
+    sizes = []
+    real = metrics.integrands
+
+    def spy(specs):
+        f = real(specs)
+        return lambda v, which=None: sizes.append(np.size(v)) or f(v, which)
+
+    monkeypatch.setattr(metrics, "integrands", spy)
+    nbars, gammas = [0.25 * i for i in range(41)], [0.0, 0.2, 0.5]
+    tracemalloc.start()
+    try:
+        sweep("two_qubit", nbars, gammas, 0.6667)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(sizes) == numerics._SLICE_POINTS
+    assert peak < 2.6e6, peak
 
 
 def test_sweep_fidelity_monotone_in_nbar():
@@ -647,6 +688,23 @@ def test_run_scenario_takes_trials_up_to_the_cap(monkeypatch):
     assert str(err.value) == (f"trials must be at most {MAX_TRIALS}, "
                               f"got {MAX_TRIALS + 1}")
     assert calls == [MAX_TRIALS]
+
+
+def test_sampler_and_monte_carlo_share_one_trials_rule():
+    # both draw at least one trial and refuse a count with the same message
+    run = run_scenario("gsum", 2.0, 1.0)
+    for trials, message in (
+            (0, "trials must be >= 1, got 0"),
+            (-3, "trials must be non-negative, got -3"),
+            (MAX_TRIALS + 1,
+             f"trials must be at most {MAX_TRIALS}, got {MAX_TRIALS + 1}"),
+            (2.0, "trials must be an integer, got 2.0")):
+        for draw in (
+                lambda: monte_carlo_estimate(run.state, run.rule, trials, 1),
+                lambda: sample_outcomes(run.state, "X", trials, 1)):
+            with pytest.raises(ValueError) as err:
+                draw()
+            assert str(err.value) == message
 
 
 @pytest.mark.parametrize("trials", [1000.0, 2.5, True, "10", math.nan],

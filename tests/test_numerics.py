@@ -8,7 +8,8 @@ from hpsim.errors import SimulationError
 from hpsim.numerics import (erfc, integrate_piecewise, philox_stream,
                             standard_normals)
 from oracles import (adaptive_simpson, erfc_oracle, integrate_piecewise_recursive,
-                     same_bits, standard_normals_v1, weideman_coefficients)
+                     integrate_piecewise_v1, same_bits, standard_normals_v1,
+                     weideman_coefficients)
 
 
 def test_erfc_against_dual_method_oracle():
@@ -117,18 +118,21 @@ def test_integrate_piecewise_stops_at_first_non_finite_value():
 
 class _Counted:
     """Batch integrand wrapper that counts its calls, the points it is
-    asked for and the points of each integral."""
+    asked for and the points of each integral, and keeps every call's
+    points in order."""
 
     def __init__(self, f):
         self.f = f
         self.calls = 0
         self.points = 0
         self.owners = np.zeros(0, np.intp)
+        self.seen = []
 
     def __call__(self, v, which):
         self.calls += 1
         self.points += np.size(v)
         self.owners = np.concatenate([self.owners, which])
+        self.seen.append(np.copy(v))
         return self.f(v, which)
 
     def points_of(self, integral):
@@ -210,13 +214,43 @@ def test_shared_callable_costs_one_call_per_level():
     assert shared.calls == max(calls)
 
 
-def test_non_finite_value_in_one_integral_of_a_batch():
+@pytest.mark.parametrize("size", [None, 1, 7])
+def test_sliced_levels_equal_frozen_frontier(monkeypatch, size):
+    # 1-D frontier rows, levels in slices of the default size, of 1 or of
+    # 7 points: the frozen 8-row frontier's totals bit for bit, from the
+    # same points of the same integrals in the same order
+    if size:
+        monkeypatch.setattr(numerics, "_SLICE_POINTS", size)
+    jobs = [(_GAUSS, [-6.0, 0.3, 6.0]), (_LORENTZ, [-3.0, -1.0, 0.0, 2.0]),
+            (_WAVE, [-8.0, 8.0]), (_GAUSS, []), (_WAVE, [0.0, 0.1])]
+    for tol in (1e-6, 1e-10, 1e-13):
+        got, want = (_Counted(_per_integral([f for f, _ in jobs]))
+                     for _ in range(2))
+        assert integrate_piecewise(got, [p for _, p in jobs], tol) == (
+            integrate_piecewise_v1(want, [p for _, p in jobs], tol))
+        assert np.array_equal(np.concatenate(got.seen),
+                              np.concatenate(want.seen))
+        assert np.array_equal(got.owners, want.owners)
+        assert max(map(len, got.seen)) <= numerics._SLICE_POINTS
+        assert size is None or size < max(map(len, want.seen))
+
+
+def test_non_finite_value_in_one_integral_of_a_batch(monkeypatch):
+    # the message names the first non-finite point in level order, in
+    # slices of any size
     nan_near_2 = lambda v: np.where(np.abs(v - 2.5) < 0.01, np.nan, _GAUSS(v))
-    with pytest.raises(SimulationError, match=r"v=2\.5"):
-        integrate_piecewise(_per_integral([_GAUSS, nan_near_2]),
-                            [[0.0, 1.0], [2.0, 3.0]])
-    with pytest.raises(SimulationError, match=r"v=2\.5"):
-        integrate_piecewise(_one(nan_near_2), [[0.0, 1.0], [2.0, 3.0]])
+    # non-finite at 2.5 (a midpoint) and at 3.0 (an end, later in level
+    # order, and in another slice of 1 point)
+    two_bad = lambda v: np.where(np.abs(v - 3.0) < 0.01, np.inf, nan_near_2(v))
+    for size in (numerics._SLICE_POINTS, 1, 7):
+        monkeypatch.setattr(numerics, "_SLICE_POINTS", size)
+        with pytest.raises(SimulationError, match=r"v=2\.5"):
+            integrate_piecewise(_per_integral([_GAUSS, nan_near_2]),
+                                [[0.0, 1.0], [2.0, 3.0]])
+        with pytest.raises(SimulationError, match=r"v=2\.5"):
+            integrate_piecewise(_one(nan_near_2), [[0.0, 1.0], [2.0, 3.0]])
+        with pytest.raises(SimulationError, match=r"v=2\.5\b"):
+            integrate_piecewise(_one(two_bad), [[0.0, 1.0], [2.0, 3.0]])
 
 
 def test_philox_stream_is_deterministic():
