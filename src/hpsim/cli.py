@@ -165,8 +165,8 @@ def cmd_simulate(args) -> str:
         "config": {
             "scenario": run.rule.scenario,
             "n": run.rule.n,
-            "alpha": run.rule.alpha,
-            "mean_photon_number": run.rule.alpha**2,
+            "alpha": run.alpha,
+            "mean_photon_number": run.alpha**2,
             "eta_sq": run.eta_sq,
             "gamma_over_kappa": run.gamma_over_kappa,
             "quadrature": run.rule.quadrature,
@@ -179,7 +179,7 @@ def cmd_simulate(args) -> str:
     if args.trials > 0:
         report["monte_carlo"] = [_class_dict(r) for r in run.mc_results]
     if run.rule.scenario == "two_qubit_X":
-        ps, f = closed_form_two_qubit(alpha, math.sqrt(args.eta_sq))
+        ps, f = closed_form_two_qubit(run.rule.amplitude)
         report["closed_form_two_qubit"] = {"success_prob": ps, "fidelity": f}
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
@@ -208,11 +208,12 @@ def cmd_density(args) -> str:
         raise ValueError(f"--points must lie in 2..{MAX_RANGE_POINTS}")
 
     from .homodyne import build_decision_rule, integration_window, outcome_density
-    from .metrics import prepare_state
+    from .metrics import prepare_state, pulse_amplitude
 
     state = prepare_state(scenario, alpha, args.eta_sq, gamma=args.gamma, n=n)
     try:
-        rule = build_decision_rule(scenario, alpha, math.sqrt(args.eta_sq), n=n)
+        rule = build_decision_rule(scenario, pulse_amplitude(alpha, args.eta_sq),
+                                   n=n)
     except DegenerateRuleError:
         rule = None             # the pulse resolves no bins: no class columns
     if args.quadrature is not None and args.quadrature != quadrature:

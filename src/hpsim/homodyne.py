@@ -26,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateRuleError
-from .hybrid_state import SectorState, check_alpha, check_eta
+from .hybrid_state import SectorState, check_alpha
 from .numerics import check_trials, philox_stream, standard_normals
 
 _SIGMA = 1.0 / math.sqrt(2.0)      # quadrature standard deviation
@@ -143,8 +143,7 @@ class OutcomeClass:
 class DecisionRule:
     scenario: str
     n: int
-    alpha: float
-    eta: float
+    amplitude: float            # a = eta alpha, the pulse at the first node
     quadrature: str
     thresholds: tuple
     classes: tuple
@@ -155,15 +154,12 @@ class DecisionRule:
         if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise ValueError("thresholds must be strictly increasing")
 
-    def class_indices(self, v: np.ndarray) -> np.ndarray:
-        """Vectorized class lookup: how many thresholds v reaches (v >= t, so
-        ties go up, as searchsorted side="right"); NaN reaches none: class 0."""
-        return self.classify(v)[0]
-
     def classify(self, v: np.ndarray):
-        """(class_indices(v), the number of v in each class), both from one
-        comparison per threshold: a class holds the v that reach its lower
-        threshold less those that reach its upper one."""
+        """(each v's class index, the number of v in each class), both from
+        one comparison per threshold.  The index counts the thresholds v
+        reaches (v >= t, so ties go up, as searchsorted side="right"; NaN
+        reaches none: class 0), and a class holds the v that reach its
+        lower threshold less those that reach its upper one."""
         v = np.asarray(v)
         idx = np.zeros(v.shape, np.min_scalar_type(len(self.thresholds)))
         reach = [v.size]
@@ -174,22 +170,20 @@ class DecisionRule:
         return idx, [a - b for a, b in zip(reach, reach[1:] + [0])]
 
 
-def build_decision_rule(scenario, alpha, eta=1.0, n=None) -> DecisionRule:
-    """Thresholds and class map for one measurement scenario.
+def build_decision_rule(scenario, a, n=None) -> DecisionRule:
+    """Thresholds and class map for one measurement scenario and pulse
+    amplitude a (eta alpha: the detector is assumed to know the channel).
 
-    Bin centers are the eta-scaled branch means sqrt(2) eta alpha cos/sin
-    of the weight-k pulse labels eta alpha e^{i(1 - 2k/n) pi} (the detector
-    is assumed to know the channel transmission); thresholds sit at
-    midpoints of adjacent centers.  Every group of weights whose means
-    coincide becomes one bin (see _outcome_class).  A pulse whose labels
-    all coincide within the grouping tolerance (eta alpha = 0 among them)
-    resolves no bins and raises DegenerateRuleError, a ValueError.
+    Bin centers are the branch means sqrt(2) a cos/sin of the weight-k
+    pulse labels a e^{i(1 - 2k/n) pi}; thresholds sit at midpoints of
+    adjacent centers.  Every group of weights whose means coincide becomes
+    one bin (see _outcome_class).  A pulse whose labels all coincide within
+    the grouping tolerance (a = 0 among them) resolves no bins and raises
+    DegenerateRuleError, a ValueError.
     """
     scenario, n, axis = resolve_scenario(scenario, n)
-    check_alpha(alpha)
-    check_eta(eta)
+    check_alpha(a)
 
-    a = eta * alpha
     thetas = [(1.0 - 2.0 * k / n) * math.pi for k in range(n + 1)]
     labels = [a * complex(math.cos(t), math.sin(t)) for t in thetas]
     trig = math.cos if axis == "X" else math.sin
@@ -198,10 +192,9 @@ def build_decision_rule(scenario, alpha, eta=1.0, n=None) -> DecisionRule:
     tol = 1e-9 * max(1.0, math.sqrt(2.0) * a)
     if all(abs(lab - labels[0]) <= tol for lab in labels):
         raise DegenerateRuleError(
-            f"scenario {scenario} with alpha={alpha}, eta={eta} has no "
-            "resolvable bins")
+            f"scenario {scenario} with amplitude a={a} has no resolvable bins")
 
-    # group weights by (eta-scaled) mean
+    # group weights by mean
     groups = []   # list of (center, [weights])
     for k in sorted(range(n + 1), key=lambda k: means[k]):
         if groups and abs(means[k] - groups[-1][0]) <= tol:
@@ -213,9 +206,8 @@ def build_decision_rule(scenario, alpha, eta=1.0, n=None) -> DecisionRule:
     thresholds = tuple(0.5 * (c1 + c2) for c1, c2 in zip(centers, centers[1:]))
     classes = tuple(_outcome_class(n, axis, ws, labels, tol)
                     for _, ws in groups)
-    return DecisionRule(scenario=scenario, n=n, alpha=float(alpha),
-                        eta=float(eta), quadrature=axis,
-                        thresholds=thresholds, classes=classes)
+    return DecisionRule(scenario=scenario, n=n, amplitude=float(a),
+                        quadrature=axis, thresholds=thresholds, classes=classes)
 
 
 def _outcome_class(n, axis, ws, labels, tol) -> OutcomeClass:

@@ -8,10 +8,11 @@ has the branch form
 where x runs over all n-bit strings, f_x is the coherent label of the pulse
 and e_xj the coherent labels deposited in one environment mode per loss
 event.  Each gate multiplies the pulse by r0 or r1, so every branch of
-Hamming weight k carries the same label eta alpha r0^(n-k) r1^k, and
-homodyne detection sees only the n + 1 weights.  Tracing the environments
-out multiplies atomic coherences by Gamma_xy = prod_j <e_yj|e_xj>; only
-their weight-sector sums
+Hamming weight k carries the same label a r0^(n-k) r1^k, a = eta alpha
+(metrics.pulse_amplitude: the lumped input loss only rescales the pulse),
+and homodyne detection sees only the n + 1 weights.  Tracing the
+environments out multiplies atomic coherences by Gamma_xy =
+prod_j <e_yj|e_xj>; only their weight-sector sums
 
     G_kk' = 2^-n sum_{|x|=k, |y|=k'} Gamma_xy
 
@@ -44,12 +45,6 @@ def check_alpha(alpha):
                          f"at most {MAX_ALPHA:g}, got {alpha}")
 
 
-def check_eta(eta):
-    """The one check of a channel amplitude transmission: 0 <= eta <= 1."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-
-
 def alpha_for_nbar(nbar) -> float:
     """sqrt(<n>), the alpha of mean photon number nbar.
 
@@ -75,46 +70,44 @@ class SectorState:
 
 
 def sector_states(n: int, points) -> list:
-    """The SectorState of each (alpha, eta, pair) point: pulse |alpha>,
-    qubits in |+>, channel eta, then one CPS gate per node.
+    """The SectorState of each (a, pair) point: pulse |a> at the first
+    node, qubits in |+>, then one CPS gate per node.
 
-    G comes from one dynamic program over the nodes whose state (a, b)
+    G comes from one dynamic program over the nodes whose state (u, w)
     counts the 1-bits seen so far in x and in y.  Before gate j a branch
-    with a ones carries the incident label f_j(a) = eta alpha r0^(j-a) r1^a,
-    and the gate scatters s_bit f_j(a) into a fresh environment mode, with
+    with u ones carries the incident label f_j(u) = a r0^(j-u) r1^u, and
+    the gate scatters s_bit f_j(u) into a fresh environment mode, with
     s_bit = sqrt(1 - |r_bit|^2).  A bit pair (bx, by) therefore multiplies
-    the (a, b) entry by <e_y|e_x> = exp(e_x conj(e_y) - |e_x|^2/2 - |e_y|^2/2)
-    and moves it to (a + bx, b + by).  When neither reflection is lossy
-    beyond _UNIT_TOL the gate records no event (s = 0).  The channel's loss
-    label sqrt(1 - eta^2) alpha is the same on every branch, so its factor
-    is 1.  Points share a leading axis (points x n^2 entries of G: pass
-    bounded blocks), and a point's loss and new top label are Python scalar
-    arithmetic, which numpy's array loops round differently, so its bits do
-    not depend on the batch.  A non-finite state raises SimulationError.
+    the (u, w) entry by <e_y|e_x> = exp(e_x conj(e_y) - |e_x|^2/2 - |e_y|^2/2)
+    and moves it to (u + bx, w + by).  When neither reflection is lossy
+    beyond _UNIT_TOL the gate records no event (s = 0).  Points share a
+    leading axis (points x n^2 entries of G: pass bounded blocks), and a
+    point's loss and new top label are Python scalar arithmetic, which
+    numpy's array loops round differently, so its bits do not depend on
+    the batch.  A non-finite state raises SimulationError.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    for alpha, eta, _ in points:
-        check_alpha(alpha)
-        check_eta(eta)
+    for a, _ in points:
+        check_alpha(a)
     losses = [[max(0.0, 1.0 - abs(r) ** 2) for r in (pair.r0, pair.r1)]
-              for _, _, pair in points]
+              for _, pair in points]
     s = np.sqrt([loss if max(loss) > _UNIT_TOL else [0.0, 0.0]
                  for loss in losses]).reshape(-1, 2, 1)     # s[point, bit]
-    r0 = np.array([pair.r0 for _, _, pair in points], dtype=complex)[:, None]
-    f = np.array([eta * alpha for alpha, eta, _ in points], complex)[:, None]
+    r0 = np.array([pair.r0 for _, pair in points], dtype=complex)[:, None]
+    f = np.array([a for a, _ in points], complex)[:, None]
     d = np.ones((len(points), 1, 1), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, n + 1):
             x = s[..., None, None] * f[:, None, None, :, None]  # e_x; y: conj e_y
             hx = 0.5 * np.abs(x) ** 2
             y, hy = x.conj().transpose(0, 2, 1, 4, 3), hx.transpose(0, 2, 1, 4, 3)
-            # step[point, bx, by, a, b]: the (a, b) entry times <e_y|e_x>
+            # step[point, bx, by, u, w]: the (u, w) entry times <e_y|e_x>
             step = d[:, None, None] * np.exp(x * y - hx - hy)
             d = np.zeros((len(points), m + 1, m + 1), dtype=complex)
             for bx, by in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 d[:, bx:bx + m, by:by + m] += step[:, bx, by]
-            top = [row[-1] * pair.r1 for row, (_, _, pair) in zip(f, points)]
+            top = [row[-1] * pair.r1 for row, (_, pair) in zip(f, points)]
             f = np.concatenate([f * r0, np.array(top, complex)[:, None]], 1)
     bad = ~(np.isfinite(f).all(1) & np.isfinite(d).all((1, 2)))
     if bad.any():

@@ -32,7 +32,7 @@ from .homodyne import (DecisionRule, build_decision_rule,
                        outcome_density, quadrature_mean, resolve_scenario,
                        sample_outcomes)
 from .hybrid_state import (SectorState, alpha_for_nbar, check_alpha,
-                           check_eta, sector_states)
+                           sector_states)
 from .numerics import check_seed, check_trials, erfc, integrate_piecewise
 
 QUAD_TOL = 1e-9
@@ -108,16 +108,15 @@ def _check_same_n(state: SectorState, rule: DecisionRule) -> None:
 
 # --- closed forms --------------------------------------------------------------
 
-def closed_form_two_qubit(alpha: float, eta: float):
-    """(P_s, F) of the odd-parity Bell bin for the two-node scheme.
+def closed_form_two_qubit(a: float):
+    """(P_s, F) of the odd-parity Bell bin for the two-node scheme at pulse
+    amplitude a (eta alpha, see pulse_amplitude).
 
-    P_s = [erfc(sqrt2 eta alpha) + erfc(-sqrt2 eta alpha)] / 4  (= 1/2 by the
-    erfc reflection identity), and
-    F = erfc(-sqrt2 eta alpha) / [erfc(sqrt2 eta alpha) + erfc(-sqrt2 eta alpha)].
+    P_s = [erfc(sqrt2 a) + erfc(-sqrt2 a)] / 4  (= 1/2 by the erfc
+    reflection identity), and F = erfc(-sqrt2 a) / [erfc(sqrt2 a) + erfc(-sqrt2 a)].
     """
-    check_alpha(alpha)
-    check_eta(eta)
-    s = math.sqrt(2.0) * eta * alpha
+    check_alpha(a)
+    s = math.sqrt(2.0) * a
     hi = erfc(-s)
     lo = erfc(s)
     return (hi + lo) / 4.0, hi / (hi + lo)
@@ -190,10 +189,11 @@ def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
 
 @dataclass(frozen=True)
 class ScenarioRun:
+    alpha: float
     eta_sq: float
     gamma_over_kappa: float
     state: SectorState
-    rule: DecisionRule              # holds the scenario, n and alpha
+    rule: DecisionRule              # holds the scenario, n and a = eta alpha
     results: tuple                  # quadrature ClassResults
     mc_results: tuple = ()          # present when trials > 0
 
@@ -202,6 +202,15 @@ def check_eta_sq(eta_sq: float) -> None:
     """ValueError unless the channel transmission eta^2 lies in [0, 1]."""
     if not 0.0 <= eta_sq <= 1.0:
         raise ValueError(f"eta_sq must lie in [0, 1], got {eta_sq}")
+
+
+def pulse_amplitude(alpha: float, eta_sq: float) -> float:
+    """a = eta alpha, the pulse at the first node, after the eta^2 and alpha
+    checks: the lumped input loss only rescales the pulse, and this is the
+    one place eta is formed (notes/decisions.md, "One pulse amplitude")."""
+    check_eta_sq(eta_sq)
+    check_alpha(alpha)
+    return math.sqrt(eta_sq) * alpha
 
 
 def prepare_state(scenario: str, alpha: float, eta_sq: float,
@@ -217,7 +226,7 @@ def prepare_state(scenario: str, alpha: float, eta_sq: float,
     _, nq, _ = resolve_scenario(scenario, n)
     check_eta_sq(eta_sq)
     pair = reflection_pair(replace(solve_params_for_phase(nq), gamma=gamma))
-    return sector_states(nq, [(alpha, math.sqrt(eta_sq), pair)])[0]
+    return sector_states(nq, [(pulse_amplitude(alpha, eta_sq), pair)])[0]
 
 
 def run_scenario(scenario: str, alpha: float, eta_sq: float,
@@ -226,14 +235,15 @@ def run_scenario(scenario: str, alpha: float, eta_sq: float,
     check_trials(trials)
     check_seed(seed)
     check_eta_sq(eta_sq)
-    rule = build_decision_rule(scenario, alpha, math.sqrt(eta_sq), n=n)
-    state = prepare_state(rule.scenario, alpha, eta_sq, gamma, rule.n)
+    scenario, n, _ = resolve_scenario(scenario, n)
+    rule = build_decision_rule(scenario, pulse_amplitude(alpha, eta_sq), n=n)
+    state = prepare_state(scenario, alpha, eta_sq, gamma, n)
     results, = evaluate_classes([(state, rule)])
     mc = (tuple(monte_carlo_estimate(state, rule, trials, seed))
           if trials > 0 else ())
-    return ScenarioRun(eta_sq=float(eta_sq), gamma_over_kappa=float(gamma),
-                       state=state, rule=rule, results=tuple(results),
-                       mc_results=mc)
+    return ScenarioRun(alpha=float(alpha), eta_sq=float(eta_sq),
+                       gamma_over_kappa=float(gamma), state=state, rule=rule,
+                       results=tuple(results), mc_results=mc)
 
 
 # --- parameter sweeps --------------------------------------------------------------
@@ -252,9 +262,9 @@ def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float,
 
     Points come in order, gamma fastest, and carry the canonical scenario
     name.  Every mean photon number (alpha_for_nbar), gamma (check_gamma)
-    and eta_sq (check_eta_sq) is checked before any work.  The phases are
+    and eta_sq (pulse_amplitude) is checked before any work.  The phases are
     solved once, each gamma's reflection pair made once.  The grid runs in
-    blocks of SWEEP_BLOCK_POINTS points: a block's rules (one per alpha),
+    blocks of SWEEP_BLOCK_POINTS points: a block's rules (one per a),
     then its states in one sector_states call, then one evaluate_classes
     call, so each point's results equal run_scenario's bit for bit.  A
     point whose pulse resolves no bins (DegenerateRuleError) has none.
@@ -269,30 +279,29 @@ def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float,
     for gamma in gammas:
         check_gamma(gamma)
     scenario, n, _ = resolve_scenario(scenario, n)
-    check_eta_sq(eta_sq)
+    amplitudes = [pulse_amplitude(alpha, eta_sq) for alpha in alphas]
     eta_sq = float(eta_sq)
-    eta = math.sqrt(eta_sq)
     params = solve_params_for_phase(n)
     reflections = {gamma: reflection_pair(replace(params, gamma=gamma))
                    for gamma in dict.fromkeys(gammas)}
-    grid = [(nbar, alpha, gamma)
-            for nbar, alpha in zip(nbars, alphas) for gamma in gammas]
+    grid = [(nbar, alpha, a, gamma) for nbar, alpha, a
+            in zip(nbars, alphas, amplitudes) for gamma in gammas]
     points = []
     for start in range(0, len(grid), SWEEP_BLOCK_POINTS):
         block = grid[start:start + SWEEP_BLOCK_POINTS]
-        rules = {}              # per alpha: the rule does not depend on gamma
-        for _, alpha, _ in block:
-            if alpha not in rules:
+        rules = {}              # per a: the rule does not depend on gamma
+        for _, _, a, _ in block:
+            if a not in rules:
                 try:
-                    rules[alpha] = build_decision_rule(scenario, alpha, eta, n=n)
+                    rules[a] = build_decision_rule(scenario, a, n=n)
                 except DegenerateRuleError:
-                    rules[alpha] = None         # no bins: no results
-        live = [(alpha, gamma) for _, alpha, gamma in block if rules[alpha]]
-        states = sector_states(n, [(a, eta, reflections[g]) for a, g in live])
+                    rules[a] = None             # no bins: no results
+        live = [(a, gamma) for _, _, a, gamma in block if rules[a]]
+        states = sector_states(n, [(a, reflections[g]) for a, g in live])
         results = iter(evaluate_classes(
             [(state, rules[a]) for state, (a, _) in zip(states, live)]))
         points += [SweepPoint(scenario=scenario, mean_photon_number=nbar,
                               alpha=alpha, gamma_over_kappa=gamma, eta_sq=eta_sq,
-                              results=tuple(next(results)) if rules[alpha] else ())
-                   for nbar, alpha, gamma in block]
+                              results=tuple(next(results)) if rules[a] else ())
+                   for nbar, alpha, a, gamma in block]
     return points

@@ -577,9 +577,9 @@ def target_at(rule, cls, v) -> TargetState:
 
     Uniform over the strings of the bin's weights; weight k carries
     e^{i s_k zeta(v)} with s_k its phase sign.  zeta is the polar form of
-    the bin's first label eta alpha e^{i (1 - 2k/n) pi}, k first in
-    (k mod n, k) order, rebuilt from the rule's alpha and eta; a bin whose
-    signs are all 0 has no phase.
+    the bin's first label a e^{i (1 - 2k/n) pi}, k first in (k mod n, k)
+    order, rebuilt from the rule's amplitude a; a bin whose signs are all 0
+    has no phase.
     """
     n = rule.n
     weights = hamming_weights(n)
@@ -588,7 +588,7 @@ def target_at(rule, cls, v) -> TargetState:
     if any(cls.phase_signs):
         k = min(cls.weights, key=lambda k: (k % n, k))
         t = (1.0 - 2.0 * k / n) * math.pi
-        label = rule.eta * rule.alpha * complex(math.cos(t), math.sin(t))
+        label = rule.amplitude * complex(math.cos(t), math.sin(t))
         zeta = float(zeta_polar(label, rule.quadrature, v))
     for k, sign in zip(cls.weights, cls.phase_signs):
         amps[weights == k] = np.exp(1j * sign * zeta)

@@ -72,16 +72,16 @@ def test_c02_closed_form_vs_steady_state_oracle():
 
 
 def test_c03_two_qubit_closed_forms():
-    ps_exact = all(closed_form_two_qubit(a, e)[0] == 0.5
+    ps_exact = all(closed_form_two_qubit(e * a)[0] == 0.5
                    for a in (0.0, 0.7, math.sqrt(3), 4.0)
                    for e in (1.0, math.sqrt(2 / 3), 0.4))
-    _, f_anchor = closed_form_two_qubit(math.sqrt(3), math.sqrt(2 / 3))
+    _, f_anchor = closed_form_two_qubit(math.sqrt(2 / 3) * math.sqrt(3))
     anchor_ok = abs(f_anchor - 0.997661) <= 1e-5
     worst = 0.0
     for alpha in (0.3, 1.0, math.sqrt(3), 3.0, 6.0):
         for eta_sq in (1.0, 2 / 3, 1 / 3):
             run = run_scenario("two_qubit_X", alpha, eta_sq)
-            ps, f = closed_form_two_qubit(alpha, math.sqrt(eta_sq))
+            ps, f = closed_form_two_qubit(math.sqrt(eta_sq) * alpha)
             worst = max(worst, abs(run.results[1].success_prob - ps),
                         abs(run.results[1].fidelity - f))
     ok = report("C3 two-qubit closed form",

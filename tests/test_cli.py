@@ -11,7 +11,8 @@ from hpsim.cavity import MAX_GAMMA, reflection_pair, solve_params_for_phase
 from hpsim.cli import SWEEP_CSV_COLUMNS
 from hpsim.homodyne import build_decision_rule
 from hpsim.hybrid_state import MAX_ALPHA, sector_states
-from hpsim.metrics import closed_form_two_qubit
+from hpsim.metrics import (closed_form_two_qubit, pulse_amplitude,
+                           run_scenario, sweep)
 from hpsim.numerics import MAX_TRIALS
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -220,8 +221,8 @@ def test_every_command_gives_one_nbar_message(capsys, nbar):
 
 
 def test_every_route_gives_one_alpha_message(capsys):
-    # one check (hybrid_state.check_alpha) for the rule, the state and the
-    # closed form
+    # one check (hybrid_state.check_alpha) for the pulse amplitude, the
+    # rule, the state and the closed form
     line = "alpha must be finite and non-negative, at most 10000, got 100000.0"
     for command in ("simulate", "density"):
         res = main_in_process(capsys, command, "--scenario", "two_qubit",
@@ -230,11 +231,58 @@ def test_every_route_gives_one_alpha_message(capsys):
             2, "", f"hpsim: error: {line}\n"), command
     pair = reflection_pair(solve_params_for_phase(2))
     for build in (lambda: build_decision_rule("two_qubit", 1e5),
-                  lambda: sector_states(2, [(1e5, 1.0, pair)])[0],
-                  lambda: closed_form_two_qubit(1e5, 1.0)):
+                  lambda: sector_states(2, [(1e5, pair)])[0],
+                  lambda: closed_form_two_qubit(1e5),
+                  lambda: pulse_amplitude(1e5, 1.0)):
         with pytest.raises(ValueError) as err:
             build()
         assert str(err.value) == line
+
+
+BAD_INPUT_MESSAGES = {
+    "eta_sq": "eta_sq must lie in [0, 1], got 1.5",
+    "n": "scenario n_qubit_P takes n in 2..20, got n=21",
+    "alpha": "alpha must be finite and non-negative, at most 10000, got -1.0",
+    "nbar": "mean photon number must be finite and non-negative, at most "
+            "1e+08, got -1.0",
+}
+
+
+@pytest.mark.parametrize("route, firsts", [
+    ("run_scenario", ("eta_sq", "n", "eta_sq")),
+    ("sweep", ("nbar", "nbar", "n")),
+    ("simulate --alpha", ("eta_sq", "n", "eta_sq")),
+    ("simulate --nbar", ("nbar", "nbar", "eta_sq")),
+    ("density --alpha", ("eta_sq", "n", "n")),
+    ("density --nbar", ("nbar", "n", "n"))])
+def test_which_input_error_comes_first(capsys, route, firsts):
+    # two bad inputs at once: the message is the first check's.  The order
+    # is trials, seed, eta_sq, scenario/n, alpha in run_scenario; <n>,
+    # gamma, scenario/n, eta_sq in sweep; the --alpha/--nbar route (with
+    # --nbar's range) and then run_scenario's in simulate; and scenario/n,
+    # the route, --points, eta_sq, alpha's range in density.  A sweep's
+    # pulse is its <n>, so its bad alpha is a bad <n>.
+    pairs = (("eta_sq", "alpha"), ("n", "alpha"), ("eta_sq", "n"))
+    for bad, first in zip(pairs, firsts):
+        eta_sq = 1.5 if "eta_sq" in bad else 0.5
+        n = 21 if "n" in bad else 5
+        pulse = -1.0 if "alpha" in bad else 4.0
+        if route == "run_scenario":
+            with pytest.raises(ValueError) as err:
+                run_scenario("n_qubit_P", pulse, eta_sq, n=n)
+            got = str(err.value)
+        elif route == "sweep":
+            with pytest.raises(ValueError) as err:
+                sweep("n_qubit_P", [pulse], [0.0], eta_sq, n=n)
+            got = str(err.value)
+        else:
+            command, flag = route.split()
+            res = main_in_process(capsys, command, "--scenario", "n_qubit",
+                                  "--n", str(n), flag, str(pulse),
+                                  "--eta-sq", str(eta_sq))
+            assert (res.returncode, res.stdout) == (2, ""), (route, bad)
+            got = res.stderr.removeprefix("hpsim: error: ").rstrip("\n")
+        assert got == BAD_INPUT_MESSAGES[first], (route, bad)
 
 
 def test_simulate_trials_above_cap_exit_2_at_once():

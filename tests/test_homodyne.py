@@ -14,7 +14,8 @@ from hpsim.homodyne import (SCENARIOS, _zeta_coefficients,
                             outcome_density, quadrature_mean, resolve_scenario,
                             sample_outcomes)
 from hpsim.hybrid_state import MAX_ALPHA, sector_states
-from hpsim.metrics import closed_form_two_qubit, prepare_state, run_scenario
+from hpsim.metrics import (closed_form_two_qubit, prepare_state,
+                           pulse_amplitude, run_scenario)
 from oracles import (DegenerateOutcomeError, adaptive_simpson,
                      complex_overlap_integrand, conditional_atomic_state,
                      density_cdf, density_row_per_bin, dense_state,
@@ -126,7 +127,7 @@ def test_density_cdf_matches_quadrature():
 # --- decision rules ------------------------------------------------------------
 
 def test_two_qubit_rule():
-    rule = build_decision_rule("two_qubit_X", 2.0, 1.0)
+    rule = build_decision_rule("two_qubit_X", 2.0)
     assert rule.quadrature == "X"
     assert rule.thresholds == (0.0,)
     lower, upper = rule.classes
@@ -135,7 +136,7 @@ def test_two_qubit_rule():
 
 
 def test_three_qubit_rule_midpoints():
-    rule = build_decision_rule("three_qubit_P", 5.0, 1.0)
+    rule = build_decision_rule("three_qubit_P", 5.0)
     want = math.sqrt(6) * 5.0 / 4.0
     assert np.allclose(rule.thresholds, (-want, want))
     names = [c.target_name for c in rule.classes]
@@ -145,12 +146,12 @@ def test_three_qubit_rule_midpoints():
 
 def test_three_qubit_rule_eta_scaled():
     eta = math.sqrt(2 / 3)
-    rule = build_decision_rule("three_qubit_P", 5.0, eta)
+    rule = build_decision_rule("three_qubit_P", eta * 5.0)
     assert abs(rule.thresholds[1] - math.sqrt(6) * eta * 5.0 / 4.0) < 1e-12
 
 
 def test_gsum_rule_midpoint():
-    rule = build_decision_rule("gsum_X", 3.0, 1.0)
+    rule = build_decision_rule("gsum_X", 3.0)
     assert len(rule.thresholds) == 1
     assert abs(rule.thresholds[0] + math.sqrt(2) * 3.0 / 4.0) < 1e-12
     assert rule.classes[0].target_name == "GHZ(3)"
@@ -159,14 +160,14 @@ def test_gsum_rule_midpoint():
 
 
 def test_n_qubit_rule_five():
-    rule = build_decision_rule("n_qubit_P", 6.0, 1.0, n=5)
+    rule = build_decision_rule("n_qubit_P", 6.0, n=5)
     assert len(rule.thresholds) == 4
     names = [c.target_name for c in rule.classes]
     assert names == ["Dicke(5,4)", "Dicke(5,3)", "GHZ(5)", "Dicke(5,2)", "W(5)"]
 
 
 def test_n_qubit_rule_merges_balanced_dicke():
-    rule = build_decision_rule("n_qubit_P", 3.0, 1.0, n=4)
+    rule = build_decision_rule("n_qubit_P", 3.0, n=4)
     merged = [c for c in rule.classes if c.needs_x_gate]
     assert len(merged) == 1
     assert merged[0].weights == (0, 2, 4)
@@ -176,7 +177,7 @@ def test_n_qubit_rule_merges_balanced_dicke():
 
 def test_n_qubit_rule_six_pairs_mirror_weights():
     # on P, weights k and j share a mean when k + j = n/2 or 3n/2
-    rule = build_decision_rule("n_qubit_P", 3.0, 1.0, n=6)
+    rule = build_decision_rule("n_qubit_P", 3.0, n=6)
     assert [c.parity for c in rule.classes] == ["4|5", "0|3", "1|2"]
     assert [c.target_name for c in rule.classes] == [
         "Dicke(6,4)|Dicke(6,5)", "GHZ(6)|Dicke(6,3)", "W(6)|Dicke(6,2)"]
@@ -189,7 +190,7 @@ def test_n_qubit_rule_six_pairs_mirror_weights():
 
 def test_rule_every_n_and_pipeline_invariants():
     for n in range(2, 21):
-        rule = build_decision_rule("n_qubit_P", 3.0, 0.8, n=n)
+        rule = build_decision_rule("n_qubit_P", 0.8 * 3.0, n=n)
         covered = sorted(k for c in rule.classes for k in c.weights)
         assert covered == list(range(n + 1)), n
         assert sum(c.size for c in rule.classes) == 2**n, n
@@ -201,15 +202,15 @@ def test_rule_every_n_and_pipeline_invariants():
 
 def test_rule_degenerate_cases():
     with pytest.raises(DegenerateRuleError):
-        build_decision_rule("three_qubit_P", 4.0, 0.0)   # opaque channel
+        build_decision_rule("three_qubit_P", 0.0 * 4.0)   # opaque channel
     with pytest.raises(DegenerateRuleError):
-        build_decision_rule("n_qubit_P", 4.0, 0.0, n=2)
+        build_decision_rule("n_qubit_P", 0.0 * 4.0, n=2)
     with pytest.raises(ValueError):
-        build_decision_rule("two_qubit_X", 0.0, 1.0)
+        build_decision_rule("two_qubit_X", 0.0)
     with pytest.raises(ValueError):
-        build_decision_rule("n_qubit_P", 1.0, 1.0)       # missing n
+        build_decision_rule("n_qubit_P", 1.0)            # missing n
     with pytest.raises(ValueError):
-        build_decision_rule("n_qubit_P", 1.0, 1.0, n=21)
+        build_decision_rule("n_qubit_P", 1.0, n=21)
     for alpha in (math.inf, math.nan):           # not a numerical failure
         with pytest.raises(ValueError, match="finite"):
             build_decision_rule("two_qubit", alpha)
@@ -224,10 +225,12 @@ _RULE3 = build_decision_rule("three_qubit_P", 2.0)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: build_decision_rule("two_qubit", 1.0, eta=1.5),
-     "eta must lie in [0, 1], got 1.5"),
-    (lambda: closed_form_two_qubit(1.0, -0.1),
-     "eta must lie in [0, 1], got -0.1"),
+    # a rule's and the closed form's eta come from pulse_amplitude, the
+    # one home of the eta^2 check
+    (lambda: build_decision_rule("two_qubit", pulse_amplitude(1.0, 1.5)),
+     "eta_sq must lie in [0, 1], got 1.5"),
+    (lambda: closed_form_two_qubit(pulse_amplitude(1.0, -0.1)),
+     "eta_sq must lie in [0, 1], got -0.1"),
     (lambda: sector_states(0, []), "n must be at least 1, got 0"),
     (lambda: quadrature_mean(1j, "Y"),
      "quadrature must be 'X' or 'P', got 'Y'"),
@@ -251,26 +254,26 @@ def test_library_input_checks(call, message):
     ("two_qubit", None), ("three_qubit", None), ("gsum", None)]
     + [("n_qubit", n) for n in (5, 6, 8, 20)])
 def test_rules_are_values(scenario, n):
-    rule = build_decision_rule(scenario, 3.0, 0.8, n=n)
-    assert rule == build_decision_rule(scenario, 3.0, 0.8, n=n)
+    rule = build_decision_rule(scenario, 0.8 * 3.0, n=n)
+    assert rule == build_decision_rule(scenario, 0.8 * 3.0, n=n)
     assert pickle.loads(pickle.dumps(rule)) == rule
 
 
 def test_classify_examples():
-    rule2 = build_decision_rule("two_qubit_X", 2.0, 1.0)
-    rule3 = build_decision_rule("three_qubit_P", 5.0, 1.0)
+    rule2 = build_decision_rule("two_qubit_X", 2.0)
+    rule3 = build_decision_rule("three_qubit_P", 5.0)
     cases = [(rule2, 0.7, 1, "Bell-psi+"),
              (rule2, 0.0, 1, "Bell-psi+"),                # tie -> upper interval
              (rule2, -0.3, 0, "Bell-phi+"),
              (rule3, 0.0, 0, "GHZ(3)")]
     for rule, v, parity, name in cases:
-        cls = rule.classes[rule.class_indices(np.array([v]))[0]]
+        cls = rule.classes[rule.classify(np.array([v]))[0][0]]
         assert (cls.parity, target_at(rule, cls, v).name) == (parity, name)
 
 
 def test_classify_merged_class_sets_flag():
-    rule = build_decision_rule("n_qubit_P", 3.0, 1.0, n=4)
-    cls = rule.classes[rule.class_indices(np.array([0.0]))[0]]
+    rule = build_decision_rule("n_qubit_P", 3.0, n=4)
+    cls = rule.classes[rule.classify(np.array([0.0]))[0][0]]
     assert target_at(rule, cls, 0.0).needs_x_gate
 
 
@@ -308,7 +311,7 @@ def test_sampler_equals_frozen_sampler_byte_for_byte(n):
     # so a wrong weight moves the mean; windows cut the 1001 trials (not a
     # multiple of 4) at both ends and inside a Philox counter step
     pair = ReflectionPair(np.exp(0.3j), 0.8 * np.exp(-0.9j))
-    st = sector_states(n, [(2.0, 1.0, pair)])[0]
+    st = sector_states(n, [(2.0, pair)])[0]
     for q, seed in (("P", 7), ("X", 2**64 - 1)):
         for start, stop in ((0, None), (0, 1), (1, 6), (3, 700), (998, 1001),
                             (1000, 1001)):
@@ -412,13 +415,13 @@ def test_conditional_state_dense_cap():
 
 
 def test_vectorized_class_lookup_matches_scalar():
-    rule = build_decision_rule("three_qubit_P", 4.0, 0.8)
+    rule = build_decision_rule("three_qubit_P", 0.8 * 4.0)
     vs = np.linspace(-8, 8, 101)
-    vec = rule.class_indices(vs)
+    vec = rule.classify(vs)[0]
     for v, i in zip(vs, vec):
         assert bisect_right(rule.thresholds, float(v)) == i
     for j, t in enumerate(rule.thresholds):           # tie -> upper interval
-        assert rule.class_indices(np.array([t]))[0] == j + 1
+        assert rule.classify(np.array([t]))[0][0] == j + 1
 
 
 def test_class_indices_match_searchsorted():
@@ -426,12 +429,12 @@ def test_class_indices_match_searchsorted():
     configs = [(name, None) for name, row in SCENARIOS.items()
                if row[2] == row[3]] + [("n_qubit_P", n) for n in range(2, 21)]
     for scenario, n in configs:
-        rule = build_decision_rule(scenario, 3.0, 0.9, n=n)
+        rule = build_decision_rule(scenario, 0.9 * 3.0, n=n)
         t = np.asarray(rule.thresholds)    # empty for n_qubit_P at n = 2
         lo, hi = (t[0], t[-1]) if len(t) else (0.0, 0.0)
         vs = np.concatenate([rng.uniform(lo - 3.0, hi + 3.0, 1000), t,
                              np.nextafter(t, -np.inf), np.nextafter(t, np.inf)])
-        got = rule.class_indices(vs)
+        got = rule.classify(vs)[0]
         assert got.dtype == np.uint8
         assert np.array_equal(got, np.searchsorted(t, vs, side="right"))
         # classify's counts are the bins' sizes, NaN in the lowest
@@ -439,7 +442,7 @@ def test_class_indices_match_searchsorted():
         assert np.array_equal(idx[:-1], got)
         assert counts == np.bincount(idx, minlength=len(t) + 1).tolist()
         # NaN compares false with every threshold: the lowest class
-        assert rule.class_indices(np.array([np.nan]))[0] == 0
+        assert rule.classify(np.array([np.nan]))[0][0] == 0
 
 
 def test_outcome_density_matches_broadcast_form():
@@ -459,7 +462,7 @@ def test_integrand_point_has_the_same_bits_in_any_array():
     specs, single, grids = [], [], []
     for scenario, n in (("gsum_X", None), ("n_qubit_P", 6), ("n_qubit_P", 20)):
         st = prepare_state(scenario, 2.5, 0.8, 0.2, n)
-        rule = build_decision_rule(scenario, 2.5, math.sqrt(0.8), n=n)
+        rule = build_decision_rule(scenario, math.sqrt(0.8) * 2.5, n=n)
         axis = rule.quadrature
         vs = np.linspace(*integration_window(st, axis), 37)
         specs.append((st, axis, [tuple(range(st.n + 1)), *rule.classes]))
@@ -491,7 +494,7 @@ def test_real_overlap_matches_complex_form(scenario, n):
     for alpha in (0.5, 3.0, 20.0, 100.0, 1e3, 1e4):
         for gamma in (0.0, 0.2, 0.5, 1e3):
             st = prepare_state(scenario, alpha, 0.8, gamma, n)
-            rule = build_decision_rule(scenario, alpha, math.sqrt(0.8), n=n)
+            rule = build_decision_rule(scenario, math.sqrt(0.8) * alpha, n=n)
             vs = np.linspace(*integration_window(st, rule.quadrature), 2001)
             for cls in rule.classes:
                 got = class_overlap_integrand(st, rule.quadrature, cls)(vs)
@@ -517,7 +520,7 @@ def test_batched_rows_equal_per_bin_rows():
                                              for n in (2, 5, 9, 13, 20)]:
         for alpha in (0.3, 3.0, 50.0, MAX_ALPHA):
             try:
-                rule = build_decision_rule(scenario, alpha, 0.8, n=n)
+                rule = build_decision_rule(scenario, 0.8 * alpha, n=n)
             except DegenerateRuleError:
                 continue
             for gamma in (0.0, 0.2, 1e3):

@@ -328,7 +328,7 @@ def test_sector_state_matches_dense_oracle(scenario, n, gamma):
         sector = prepare_state(scenario, alpha, 2 / 3, gamma, n)
         dense = dense_state(scenario, alpha, 2 / 3, gamma, n)
         _assert_sectors_match(sector, dense)
-        rule = build_decision_rule(scenario, alpha, math.sqrt(2 / 3), n=n)
+        rule = build_decision_rule(scenario, math.sqrt(2 / 3) * alpha, n=n)
         lo, hi = integration_window(sector, rule.quadrature)
         vs = np.linspace(lo + 5.0, hi - 5.0, 7)
         dens = outcome_density(sector, rule.quadrature, vs)
@@ -351,7 +351,7 @@ def test_sector_state_with_two_lossy_reflections():
     pair = ReflectionPair(0.9 * np.exp(0.4j), 0.7 * np.exp(-1.1j))
     for n in (2, 4, 7):
         _assert_sectors_match(
-            sector_states(n, [(2.0, 0.8, pair)])[0],
+            sector_states(n, [(0.8 * 2.0, pair)])[0],
             dense_state("n_qubit_P", 2.0, 0.64, n=n, pair=pair))
 
 
@@ -365,7 +365,7 @@ def test_sector_state_with_two_lossy_reflections():
 def test_sampled_weight_matches_dense_inverse_cdf(n, seed, trials):
     # distinct labels for every weight, so a different pick shows in the mean
     pair = ReflectionPair(np.exp(0.3j), 0.8 * np.exp(-0.9j))
-    sector = sector_states(n, [(2.0, 1.0, pair)])[0]
+    sector = sector_states(n, [(2.0, pair)])[0]
     dense = dense_state("n_qubit_P", 2.0, 1.0, n=n, pair=pair)
     rng = philox_stream(seed)
     cum = np.cumsum(np.abs(dense.amps) ** 2)
@@ -385,7 +385,8 @@ def test_sampled_weight_matches_dense_inverse_cdf(n, seed, trials):
 def test_batched_states_equal_per_point_states(n):
     # every scenario's n (2 and 3) and n_qubit_P's range; alpha up to
     # MAX_ALPHA, gamma from lossless to nearly opaque, two channels; mixed
-    # batches of 1 to 8 points must give each point its own run's bits
+    # batches of 1 to 8 points must give each point its own run's bits; the
+    # frozen per-point form keeps its (alpha, eta) signature
     params = solve_params_for_phase(n)
     points = [(alpha, math.sqrt(eta_sq),
                reflection_pair(replace(params, gamma=gamma)))
@@ -396,7 +397,9 @@ def test_batched_states_equal_per_point_states(n):
     cuts = np.cumsum(rng.integers(1, 9, size=len(points)))
     for batch in np.split(order, cuts[cuts < len(points)]):
         chosen = [points[i] for i in batch]
-        for state, point in zip(sector_states(n, chosen), chosen):
+        states = sector_states(n, [(eta * alpha, pair)
+                                   for alpha, eta, pair in chosen])
+        for state, point in zip(states, chosen):
             fields, coherence = sector_state_per_point(n, *point)
             assert same_bits(state.fields, fields), point
             assert same_bits(state.coherence, coherence), point

@@ -55,7 +55,7 @@ def test_level_by_level_integration_matches_recursive_oracle(scenario, n):
     for alpha in (1.0, 3.0):
         for gamma in (0.0, 0.2):
             state = prepare_state(scenario, alpha, 2 / 3, gamma, n)
-            rule = build_decision_rule(scenario, alpha, ETA23, n=n)
+            rule = build_decision_rule(scenario, ETA23 * alpha, n=n)
             density = lambda v: outcome_density(state, rule.quadrature, v)
             for cls, pts in zip(rule.classes, _bin_breakpoints(state, rule)):
                 overlap = class_overlap_integrand(state, rule.quadrature, cls)
@@ -83,7 +83,7 @@ def test_evaluate_classes_matches_per_bin_integrals(scenario, n, empty):
     for alpha in (1.5, 3.0, 100.0):
         for gamma in (0.0, 0.2):
             state = prepare_state(scenario, alpha, 0.6667, gamma, n)
-            rule = build_decision_rule(scenario, alpha, math.sqrt(0.6667), n=n)
+            rule = build_decision_rule(scenario, math.sqrt(0.6667) * alpha, n=n)
             density = lambda v: outcome_density(state, rule.quadrature, v)
             results, = metrics.evaluate_classes([(state, rule)])
             for cls, pts, res in zip(rule.classes, _bin_breakpoints(state, rule),
@@ -177,12 +177,12 @@ def test_two_qubit_fidelity_anchor():
 def test_two_qubit_fidelity_limits():
     run = two_qubit_run(5.0, 1.0)
     assert run.results[1].fidelity > 1.0 - 1e-6
-    ps, f = closed_form_two_qubit(0.0, 1.0)
+    ps, f = closed_form_two_qubit(0.0)
     assert ps == 0.5 and f == 0.5
-    assert closed_form_two_qubit(MAX_ALPHA, 1.0) == (0.5, 1.0)
+    assert closed_form_two_qubit(MAX_ALPHA) == (0.5, 1.0)
     for alpha in (math.inf, math.nan):
         with pytest.raises(ValueError):
-            closed_form_two_qubit(alpha, 1.0)
+            closed_form_two_qubit(alpha)
 
 
 def test_gsum_fidelity():
@@ -214,14 +214,14 @@ def test_quadrature_matches_closed_form_across_grid():
         eta = math.sqrt(eta_sq)
         for alpha in alphas:
             run = two_qubit_run(float(alpha), eta_sq)
-            ps, f = closed_form_two_qubit(float(alpha), eta)
+            ps, f = closed_form_two_qubit(eta * float(alpha))
             assert abs(run.results[1].success_prob - ps) < 1e-8
             assert abs(run.results[1].fidelity - f) < 1e-8
 
 
 def test_fidelity_monotone_in_alpha():
     eta_sq = 2 / 3
-    fids = [closed_form_two_qubit(a, math.sqrt(eta_sq))[1]
+    fids = [closed_form_two_qubit(math.sqrt(eta_sq) * a)[1]
             for a in np.linspace(0.0, 6.0, 25)]
     quad = [two_qubit_run(float(a), eta_sq).results[1].fidelity
             for a in np.linspace(0.2, 4.0, 8)]
@@ -242,14 +242,14 @@ def test_class_symmetry_two_qubit():
 def test_closed_form_success_is_exactly_half():
     for alpha in (0.0, 0.3, 2.0, 6.0):
         for eta in (1.0, ETA23, 0.2):
-            ps, _ = closed_form_two_qubit(alpha, eta)
+            ps, _ = closed_form_two_qubit(eta * alpha)
             assert ps == 0.5
 
 
 def test_closed_form_matches_independent_oracle():
     for alpha, eta in ((0.7, 1.0), (math.sqrt(3), ETA23), (3.0, 0.5)):
         s = math.sqrt(2) * eta * alpha
-        _, f = closed_form_two_qubit(alpha, eta)
+        _, f = closed_form_two_qubit(eta * alpha)
         want = erfc_oracle(-s) / (erfc_oracle(s) + erfc_oracle(-s))
         assert abs(f - want) < 1e-13
 
@@ -613,6 +613,32 @@ def test_run_scenario_alias_matches_canonical():
     assert alias.rule == canonical.rule
     assert alias.rule.scenario == "gsum_X"
     assert alias.results == canonical.results
+
+
+@pytest.mark.parametrize("scenario, n", [
+    ("two_qubit_X", None), ("three_qubit_P", None), ("gsum_X", None),
+    ("n_qubit_P", 7), ("n_qubit_P", 13)])
+def test_channel_loss_is_a_rescaling_of_alpha(scenario, n):
+    # the channel is one lumped loss at the pulse input, so it enters only
+    # as a = eta alpha: a run at (alpha, eta^2) and one at (eta alpha, 1)
+    # share every threshold, P, F and Monte Carlo hit count, bit for bit
+    def same(x, y):                 # NaN, an empty bin's F, equals NaN
+        return x == y or (math.isnan(x) and math.isnan(y))
+    for alpha in (0.7, 2.0, 4.0):
+        for gamma in (0.0, 0.2, 1.0):
+            for eta_sq in (0.6667, 0.25):
+                lossy = run_scenario(scenario, alpha, eta_sq, gamma, n,
+                                     trials=2000)
+                scaled = run_scenario(scenario, math.sqrt(eta_sq) * alpha,
+                                      1.0, gamma, n, trials=2000)
+                where = (alpha, gamma, eta_sq)
+                assert lossy.rule.thresholds == scaled.rule.thresholds, where
+                assert len(lossy.mc_results) == len(lossy.results), where
+                # an MC success_prob is the bin's hit count over the trials
+                for got, want in zip(lossy.results + lossy.mc_results,
+                                     scaled.results + scaled.mc_results):
+                    assert got.success_prob == want.success_prob, where
+                    assert same(got.fidelity, want.fidelity), where
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -58,7 +58,7 @@ def test_every_configuration_gives_a_result(config):
 def test_monte_carlo_hits_agree_with_closed_form(config, seed):
     # normal bound where the binomial variance N p (1 - p) is at least 25
     scenario, n, alpha, eta_sq, gamma = config
-    rule = build_decision_rule(scenario, alpha, math.sqrt(eta_sq), n=n)
+    rule = build_decision_rule(scenario, math.sqrt(eta_sq) * alpha, n=n)
     state = prepare_state(scenario, alpha, eta_sq, gamma, n)
     mc = monte_carlo_estimate(state, rule, MC_TRIALS, seed)
     edges = (-math.inf, *rule.thresholds, math.inf)
