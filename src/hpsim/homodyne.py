@@ -31,8 +31,6 @@ from .numerics import check_trials, philox_stream, standard_normals
 
 _SIGMA = 1.0 / math.sqrt(2.0)      # quadrature standard deviation
 WINDOW_SIGMAS = 8.0                # integration window half-width, in sigmas
-# set bits of each byte value, for the sampler's popcount
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], 1).sum(1, np.uint8)
 
 # Scenario table: name -> (quadrature axis, short alias, smallest n,
 # largest n).  A scenario whose range holds a single n fixes its qubit count.
@@ -96,17 +94,10 @@ def _zeta_coefficients(label, quadrature):
 def outcome_density(state: SectorState, quadrature, v):
     """Probability density of the homodyne outcome at each v of an array.
     Atomic orthogonality kills every cross term, so it is the plain mixture
-    sum_k p_k |<v|f_k>|^2 over the weights; environment labels drop out."""
-    return _mixture(state, quadrature, slice(None), v)
-
-
-def _mixture(state: SectorState, quadrature, weights, v):
-    """sum_k p_k e^{-(v - m_k)^2} / sqrt(pi) over the weights k (an index
-    into the state's arrays): the density of integrands, without its
-    tables and with the same bits."""
-    means = quadrature_mean(state.fields[weights], quadrature)
-    return _gaussian_sum(np.asarray(v, dtype=float), means[:, None],
-                         state.probs[weights, None]) / math.sqrt(math.pi)
+    sum_k p_k |<v|f_k>|^2 over the weights (environment labels drop out):
+    the integrands density part over every weight, so it has the bits of
+    the density Simpson integrates."""
+    return integrands([(state, quadrature, [tuple(range(state.n + 1))])])(v)
 
 
 def integration_window(state: SectorState, quadrature):
@@ -273,9 +264,9 @@ def sample_outcomes(state: SectorState, quadrature, trials: int, seed,
     result equals the [start:stop] slice of the full draw and a caller can
     stream a long run in blocks of bounded memory.  The 2^n branches are
     equally likely, so the inverse-CDF pick of the uniform u is
-    x = floor(u 2^n), exact for 53-bit uniforms; its weight is the
-    popcount of x, read byte by byte from a 256-entry table.  Each step
-    works in place where the bits allow it: scaling by 2^n is exact.
+    x = floor(u 2^n), exact for 53-bit uniforms; its weight is numpy's
+    popcount of x.  Each step works in place where the bits allow it:
+    scaling by 2^n is exact.
     """
     _check_quadrature(quadrature)
     check_trials(trials, minimum=1)
@@ -286,10 +277,7 @@ def sample_outcomes(state: SectorState, quadrature, trials: int, seed,
     size = stop - start
     uniforms = philox_stream(seed, start).random(size)
     uniforms *= 2.0**state.n
-    branch = uniforms.astype(np.int64)
-    weight = _POPCOUNT[branch & 255]
-    for shift in range(8, state.n, 8):
-        weight += _POPCOUNT[(branch >> shift) & 255]
+    weight = np.bitwise_count(uniforms.astype(np.int64))
     means = quadrature_mean(state.fields, quadrature)[weight]
     normals = standard_normals(philox_stream(seed, trials + start), size,
                                philox_stream(seed, 2 * trials + start))
@@ -404,6 +392,6 @@ def class_overlap_integrand(state: SectorState, quadrature, cls: OutcomeClass):
 
 def density_components(state: SectorState, rule: DecisionRule, v: np.ndarray):
     """Per-class component densities over a grid (for curve export): the
-    density's mixture over the weights that feed each class."""
-    return [_mixture(state, rule.quadrature, list(cls.weights), v)
+    integrands density part over the weights that feed each class."""
+    return [integrands([(state, rule.quadrature, [cls.weights])])(v)
             for cls in rule.classes]

@@ -127,9 +127,10 @@ def closed_form_two_qubit(a: float):
 # Trials per Monte Carlo block.  A block holds its outcomes (sorted by bin)
 # and their bin indices, then the (n+1) Gaussians of the density, then one
 # bin's overlap terms at a time; all are freed before the next block is
-# drawn, so memory does not grow with the trial count.  The density's
-# Gaussians are the peak: a run's tracemalloc peak is 4-5 MB for n <= 5 and
-# 13 MB at n = 20.
+# drawn, so memory does not grow with the trial count.  Above the heap it
+# starts from, the sampler peaks at 2.06 MiB for every n and the density's
+# (n+1) Gaussians at 0.5 (n + 2) MiB: 2.0 MiB at n = 2, 3.5 at n = 5 and
+# 11.0 at n = 20 (tracemalloc), so the sampler is the peak at n = 2.
 MC_BLOCK_TRIALS = 1 << 16
 
 def monte_carlo_estimate(state: SectorState, rule: DecisionRule,

@@ -800,3 +800,24 @@ def test_class_result_equality_supports_comparison():
     a = ClassResult(1, "W(3)", 0.5, 0.9, "quadrature")
     b = ClassResult(1, "W(3)", 0.5, 0.9, "quadrature")
     assert a == b
+
+
+def test_legal_inputs_stay_above_simpson_depth_cap(monkeypatch):
+    # adaptive Simpson accepts every panel still open at numerics._MAX_DEPTH
+    # without a word; a scan of 864 extreme legal configurations refined to
+    # level 23 at most (notes/decisions.md, "Simpson depth scan").  These
+    # fast cases refine to level 22: a cap of 30 must change none of
+    # their numbers, and a cap of 16 must, or they no longer reach that deep
+    def numbers():
+        out = []
+        for scenario, gamma in (("two_qubit_X", 0.0), ("two_qubit_X", 0.2),
+                                ("gsum_X", 0.0)):
+            run = run_scenario(scenario, MAX_ALPHA, 1.0, gamma=gamma)
+            out += [x for r in run.results for x in (r.success_prob, r.fidelity)]
+        return np.array(out)
+
+    full = numbers()
+    monkeypatch.setattr(numerics, "_MAX_DEPTH", 30)
+    assert np.array_equal(numbers(), full, equal_nan=True)
+    monkeypatch.setattr(numerics, "_MAX_DEPTH", 16)
+    assert not np.array_equal(numbers(), full, equal_nan=True)
