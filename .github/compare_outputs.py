@@ -9,7 +9,11 @@ and largest size of the numbers that moved; the last line totals the
 moved numbers and names the task of the largest move.  It exits 1 on any
 difference in an exit code, in stderr, in the text around the numbers, or
 in a Monte Carlo `success_prob` (a changed hit count), which must all stay
-byte-identical.  bench/ is only read: no bytecode is written there.
+byte-identical.  Each tree also runs every `sweep` and `density` task a
+second time with `--out` to a temporary file; it exits 1 when that run's
+exit code differs, its stdout is not empty, or the file is not
+byte-identical to the tree's stdout for the task.  bench/ is only read: no
+bytecode is written there.
 """
 
 import json
@@ -25,22 +29,39 @@ SEEDS = (0, 4)
 NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.\d+(?:e[-+]?\d+)?|\d+e[-+]?\d+"
                     r"|inf|nan|NaN|Infinity)(?![\w.])")
 
-# Runs in each tree: every task at every seed, one JSON list on stdout.
+# Runs in each tree: every task at every seed, and the curve tasks again
+# with --out; one JSON object on stdout.
 RUNNER = """
-import json, os, sys
+import json, os, sys, tempfile
 import workloads
 from worker import run_task
 import hpsim
 from hpsim.cli import main
 if not os.path.realpath(hpsim.__file__).startswith(sys.argv[2] + os.sep):
     sys.exit(f"hpsim imported from {hpsim.__file__}, not {sys.argv[2]}")
-out = []
-for seed in json.loads(sys.argv[1]):
-    for workload in sorted(workloads.WORKLOADS):
-        for task_id, argv in workloads.tasks(workload, seed):
-            code, stdout, stderr, _ = run_task(main, argv)
-            out.append([f"{workload}/{task_id}@{seed}", code, stdout, stderr])
-json.dump(out, sys.stdout)
+out, files = [], []
+with tempfile.TemporaryDirectory() as tmp:
+    for seed in json.loads(sys.argv[1]):
+        for workload in sorted(workloads.WORKLOADS):
+            for task_id, argv in workloads.tasks(workload, seed):
+                key = f"{workload}/{task_id}@{seed}"
+                code, stdout, stderr, _ = run_task(main, argv)
+                out.append([key, code, stdout, stderr])
+                if argv[0] not in ("sweep", "density"):
+                    continue
+                path = os.path.join(tmp, f"{len(files)}.out")
+                fcode, fstdout, _, _ = run_task(main, argv + ["--out", path])
+                data = None
+                if os.path.isfile(path):
+                    with open(path, "rb") as fh:
+                        data = fh.read()
+                problems = [what for what, bad in (
+                    (f"exit code {code} -> {fcode}", fcode != code),
+                    (f"stdout of {len(fstdout)} chars", fstdout != ""),
+                    ("file differs from stdout",
+                     data != stdout.encode("utf-8"))) if bad]
+                files.append([key, problems])
+json.dump({"runs": out, "out_files": files}, sys.stdout)
 """
 
 
@@ -52,7 +73,9 @@ def run_tree(src):
                          env=env, capture_output=True, text=True)
     if res.returncode:
         raise SystemExit(f"running {src} failed:\n{res.stderr}")
-    return {key: (code, out, err) for key, code, out, err in json.loads(res.stdout)}
+    got = json.loads(res.stdout)
+    return ({key: (code, out, err) for key, code, out, err in got["runs"]},
+            got["out_files"])
 
 
 def mc_success_probs(text):
@@ -85,10 +108,18 @@ def compare(base, head):
 def main(argv):
     if len(argv) != 2:
         raise SystemExit(__doc__)
-    base, head = (run_tree(src) for src in argv)
+    (base, base_files), (head, head_files) = (run_tree(src) for src in argv)
     if base.keys() != head.keys():
         print("the trees ran different task lists")
         return 1
+    bad_files = 0
+    for tree, files in zip(argv, (base_files, head_files)):
+        bad = [(key, problems) for key, problems in files if problems]
+        for key, problems in bad:
+            print(f"{tree}: {key} --out: {'; '.join(problems)}")
+        print(f"{tree}: {len(files) - len(bad)} of {len(files)} --out runs "
+              f"write the stdout bytes")
+        bad_files += len(bad)
     failed, moved, largest = 0, 0, None     # largest: (size, task)
     for key in base:
         message, fatal, sizes = compare(base[key], head[key])
@@ -102,7 +133,7 @@ def main(argv):
         total += f", largest by {largest[0]:.3g} ({largest[1]})"
     print(f"{len(base)} task runs, {failed} with a difference that must not "
           f"be{total}")
-    return 1 if failed else 0
+    return 1 if failed or bad_files or not base_files else 0
 
 
 if __name__ == "__main__":

@@ -15,17 +15,17 @@ which --nbar goes through in every command), gamma (cavity.check_gamma),
 trials (numerics.check_trials) and the seed (numerics.check_seed).  Within
 the bounds no input reaches a SimulationError: exit 3 is kept for library
 failures (see errors.py).
-Each command returns its text and main() writes it.  Outputs are
-byte-identical across runs with the same flags and seed: the sampler is a
-documented counter-based recipe (see numerics.RNG_ALGORITHM), JSON keys are
-sorted, floats are written with shortest round-trip repr, and no timestamps
-are embedded.
+Each command checks its inputs, then returns its output as lines made as
+they are read, and main() writes them.  Outputs are byte-identical across
+runs with the same flags and seed: the sampler is a documented counter-based
+recipe (see numerics.RNG_ALGORITHM), JSON keys are sorted, floats are
+written with shortest round-trip repr, and no timestamps are embedded.
 """
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import math
 import os
@@ -121,13 +121,13 @@ def _num_or_null(x):
     return x
 
 
-def _csv(header, rows) -> str:
-    """UTF-8 CSV text with LF line endings and the header row."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv(header, rows):
+    """UTF-8 CSV lines with LF endings, the header first, each made as it is
+    read: writerow returns what its file's write returns, and str gives
+    back the line."""
+    writer = csv.writer(argparse.Namespace(write=str), lineterminator="\n")
+    yield writer.writerow(header)
+    yield from map(writer.writerow, rows)
 
 
 def _class_dict(res):
@@ -141,7 +141,7 @@ def _class_dict(res):
     }
 
 
-def cmd_solve_params(args) -> str:
+def cmd_solve_params(args) -> list:
     params = solve_params_for_phase(args.n)
     pair = reflection_pair(params)
     lines = [
@@ -151,10 +151,10 @@ def cmd_solve_params(args) -> str:
         f"phi0 = {math.degrees(pair.phi0):+.6f} deg  (target +180/{args.n})",
         f"phi1 = {math.degrees(pair.phi1):+.6f} deg  (target -180/{args.n})",
     ]
-    return "\n".join(lines) + "\n"
+    return [line + "\n" for line in lines]
 
 
-def cmd_simulate(args) -> str:
+def cmd_simulate(args) -> list:
     alpha = _resolve_alpha(args)
     seed = _resolve_seed(args)
     run = run_scenario(args.scenario, alpha, args.eta_sq, gamma=args.gamma,
@@ -181,10 +181,10 @@ def cmd_simulate(args) -> str:
     if run.rule.scenario == "two_qubit_X":
         ps, f = closed_form_two_qubit(run.rule.amplitude)
         report["closed_form_two_qubit"] = {"success_prob": ps, "fidelity": f}
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return [json.dumps(report, indent=2, sort_keys=True) + "\n"]
 
 
-def cmd_sweep(args) -> str:
+def cmd_sweep(args):
     nbars = _parse_float_list(args.nbar)
     gammas = _parse_float_list(args.gamma)
     if args.jobs < 1:
@@ -201,7 +201,7 @@ def cmd_sweep(args) -> str:
         for pt in points for res in pt.results))
 
 
-def cmd_density(args) -> str:
+def cmd_density(args):
     scenario, n, quadrature = resolve_scenario(args.scenario, args.n)
     alpha = _resolve_alpha(args)
     if not 2 <= args.points <= MAX_RANGE_POINTS:
@@ -227,9 +227,8 @@ def cmd_density(args) -> str:
     comps = [] if rule is None else density_components(state, rule, grid)
     header = ["v", "density"] + [f"class[{c.parity}]:{c.target_name}"
                                  for c in classes]
-    return _csv(header, ([repr(float(v)), repr(float(total[i]))]
-                         + [repr(float(comp[i])) for comp in comps]
-                         for i, v in enumerate(grid)))
+    return _csv(header, ([repr(float(x)) for x in row]
+                         for row in zip(grid, total, *comps)))
 
 
 @functools.cache      # one parser per process: parse_args leaves it unchanged
@@ -291,21 +290,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:       # --help (0) or a flag error (2)
         return exc.code
     try:
-        text = args.func(args)
+        lines = args.func(args)
+        with (contextlib.nullcontext(sys.stdout) if args.out in (None, "-")
+              else open(args.out, "w", encoding="utf-8", newline="")) as fh:
+            fh.writelines(lines)
     except ValueError as exc:
         print(f"hpsim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SimulationError as exc:
         print(f"hpsim: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-        return EXIT_OK
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
     except OSError as exc:
-        print(f"hpsim: error: cannot write {args.out}: "
+        print(f"hpsim: error: cannot write {args.out or 'stdout'}: "
               f"{exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK

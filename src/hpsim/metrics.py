@@ -22,6 +22,7 @@ and cli.py writes every report and CSV from them.
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -257,18 +258,19 @@ def run_scenario(scenario: str, alpha: float, eta_sq: float,
 SWEEP_BLOCK_POINTS = 32
 
 
-def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float,
-          n=None) -> list:
-    """Quadrature results over a (mean photon number) x (gamma) grid.
+def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float, n=None):
+    """Quadrature results over a (mean photon number) x (gamma) grid: an
+    iterator of SweepPoints, each made when it is read.
 
-    Points come in order, gamma fastest, and carry the canonical scenario
-    name.  Every mean photon number (alpha_for_nbar), gamma (check_gamma)
-    and eta_sq (pulse_amplitude) is checked before any work.  The phases are
-    solved once, each gamma's reflection pair made once.  The grid runs in
-    blocks of SWEEP_BLOCK_POINTS points: a block's rules (one per a),
-    then its states in one sector_states call, then one evaluate_classes
-    call, so each point's results equal run_scenario's bit for bit.  A
-    point whose pulse resolves no bins (DegenerateRuleError) has none.
+    Every mean photon number (alpha_for_nbar), gamma (check_gamma) and
+    eta_sq (pulse_amplitude) is checked when sweep is called, before any
+    work.  Points come in order, gamma fastest, and carry the canonical
+    scenario name.  The phases are solved once, each gamma's reflection
+    pair made once.  The grid runs in blocks of SWEEP_BLOCK_POINTS points,
+    and only the current block is held: its rules (one per a), then its
+    states in one sector_states call, then one evaluate_classes call, so
+    each point's results equal run_scenario's bit for bit.  A point whose
+    pulse resolves no bins (DegenerateRuleError) has none.
     """
     nbars = [float(nbar) for nbar in mean_photon_numbers]
     gammas = [float(gamma) for gamma in gammas]
@@ -282,27 +284,28 @@ def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float,
     scenario, n, _ = resolve_scenario(scenario, n)
     amplitudes = [pulse_amplitude(alpha, eta_sq) for alpha in alphas]
     eta_sq = float(eta_sq)
-    params = solve_params_for_phase(n)
-    reflections = {gamma: reflection_pair(replace(params, gamma=gamma))
-                   for gamma in dict.fromkeys(gammas)}
-    grid = [(nbar, alpha, a, gamma) for nbar, alpha, a
-            in zip(nbars, alphas, amplitudes) for gamma in gammas]
-    points = []
-    for start in range(0, len(grid), SWEEP_BLOCK_POINTS):
-        block = grid[start:start + SWEEP_BLOCK_POINTS]
-        rules = {}              # per a: the rule does not depend on gamma
-        for _, _, a, _ in block:
-            if a not in rules:
-                try:
-                    rules[a] = build_decision_rule(scenario, a, n=n)
-                except DegenerateRuleError:
-                    rules[a] = None             # no bins: no results
-        live = [(a, gamma) for _, _, a, gamma in block if rules[a]]
-        states = sector_states(n, [(a, reflections[g]) for a, g in live])
-        results = iter(evaluate_classes(
-            [(state, rules[a]) for state, (a, _) in zip(states, live)]))
-        points += [SweepPoint(scenario=scenario, mean_photon_number=nbar,
-                              alpha=alpha, gamma_over_kappa=gamma, eta_sq=eta_sq,
-                              results=tuple(next(results)) if rules[a] else ())
-                   for nbar, alpha, a, gamma in block]
-    return points
+
+    def points():
+        params = solve_params_for_phase(n)
+        reflections = {gamma: reflection_pair(replace(params, gamma=gamma))
+                       for gamma in dict.fromkeys(gammas)}
+        grid = ((nbar, alpha, a, gamma) for nbar, alpha, a
+                in zip(nbars, alphas, amplitudes) for gamma in gammas)
+        while block := list(islice(grid, SWEEP_BLOCK_POINTS)):
+            rules = {}          # per a: the rule does not depend on gamma
+            for _, _, a, _ in block:
+                if a not in rules:
+                    try:
+                        rules[a] = build_decision_rule(scenario, a, n=n)
+                    except DegenerateRuleError:
+                        rules[a] = None         # no bins: no results
+            live = [(a, gamma) for _, _, a, gamma in block if rules[a]]
+            states = sector_states(n, [(a, reflections[g]) for a, g in live])
+            results = iter(evaluate_classes(
+                [(state, rules[a]) for state, (a, _) in zip(states, live)]))
+            for nbar, alpha, a, gamma in block:
+                found = tuple(next(results)) if rules[a] else ()
+                yield SweepPoint(scenario=scenario, mean_photon_number=nbar,
+                                 alpha=alpha, gamma_over_kappa=gamma,
+                                 eta_sq=eta_sq, results=found)
+    return points()

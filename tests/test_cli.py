@@ -3,10 +3,11 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from hpsim import cli
+from hpsim import cli, metrics
 from hpsim.cavity import MAX_GAMMA, reflection_pair, solve_params_for_phase
 from hpsim.cli import SWEEP_CSV_COLUMNS
 from hpsim.homodyne import build_decision_rule
@@ -467,6 +468,75 @@ def test_sweep_writes_file(tmp_path):
     text = out.read_text()
     assert text.startswith("scenario,")
     assert "Gprime(3,1)" in text
+
+
+OUT_RUNS = {
+    "solve-params": ["solve-params", "--n", "3"],
+    "simulate": ["simulate", "--scenario", "three_qubit", "--alpha", "2",
+                 "--trials", "1000", "--seed", "5"],
+    "sweep": ["sweep", "--scenario", "gsum", "--nbar", "0:2:1",
+              "--gamma", "0,0.2"],
+    "density": ["density", "--scenario", "three_qubit", "--alpha", "5",
+                "--points", "51"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_RUNS))
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, command):
+    argv = OUT_RUNS[command]
+    shown = main_in_process(capsys, *argv)
+    out = tmp_path / "out.txt"
+    written = main_in_process(capsys, *argv, "--out", str(out))
+    assert shown.returncode == written.returncode == 0
+    assert shown.stdout and written.stdout == "" == written.stderr
+    assert out.read_bytes() == shown.stdout.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--scenario", "gsum", "--nbar=2,-1"],
+    ["simulate", "--scenario", "two_qubit", "--alpha", "-1"],
+    ["density", "--scenario", "three_qubit", "--alpha", "5", "--points", "1"],
+], ids=["sweep", "simulate", "density"])
+def test_input_error_leaves_the_out_file_alone(tmp_path, capsys, argv):
+    # every input is checked before the file is opened
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"earlier run\r\n")
+    res = main_in_process(capsys, *argv, "--out", str(out))
+    assert_usage_error(res, argv)
+    assert out.read_bytes() == b"earlier run\r\n"
+
+
+def test_sweep_opens_its_out_file_before_the_first_point(monkeypatch,
+                                                         tmp_path, capsys):
+    built = []
+    monkeypatch.setattr(metrics, "sector_states",
+                        lambda *args: built.append(args))
+    res = main_in_process(capsys, "sweep", "--scenario", "gsum", "--nbar",
+                          "1,2", "--out", str(tmp_path))
+    assert_usage_error(res, "sweep")
+    assert res.stderr.startswith(f"hpsim: error: cannot write {tmp_path}: ")
+    assert built == []
+
+
+def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
+    # points are written as they are made: an 8x grid peaks within 25 % of
+    # the small grid's traced heap.  Held whole, the sweep and its CSV grew
+    # it by about half (2.16 -> 3.22 MB).  A first run takes one-time
+    # allocations out of the small grid's peak.
+    argv = ["sweep", "--scenario", "gsum", "--gamma", "0:0.9:0.1",
+            "--out", str(tmp_path / "curves.csv")]
+
+    def peak(nbar):
+        tracemalloc.start()
+        try:
+            assert cli.main(argv + ["--nbar", nbar]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("0.5:1:0.5")
+    small, large = peak("0.5:10:0.5"), peak("0.0625:10:0.0625")  # 200, 1600
+    assert large <= 1.25 * small, (small, large)
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

@@ -307,7 +307,9 @@ def test_sampler_reproducible():
 
 @pytest.mark.parametrize("n", [2, 5, 8, 9, 13, 16, 17, 20])
 def test_sampler_equals_frozen_sampler_byte_for_byte(n):
-    # one-, two- and three-byte popcounts; distinct labels for every weight,
+    # n spans one-, two- and three-byte branch indices: only the frozen
+    # sample_outcomes_v1 still counts bits a byte at a time, so these n hold
+    # np.bitwise_count to its byte table; distinct labels for every weight,
     # so a wrong weight moves the mean; windows cut the 1001 trials (not a
     # multiple of 4) at both ends and inside a Philox counter step
     pair = ReflectionPair(np.exp(0.3j), 0.8 * np.exp(-0.9j))

@@ -360,7 +360,10 @@ def test_sector_state_with_two_lossy_reflections():
     for n, seed in [(2, 3), (5, 11), (9, 7), (10, 2024)]]
     # three full blocks and 5 trials: every block starts mid Philox counter
     + [(5, 13, 3 * MC_BLOCK_TRIALS + 5)]
-    # the popcount reads a partial third byte
+    # 17-bit branch indices: picked when the package counted bits a byte at
+    # a time (a partial third byte); only the frozen
+    # oracles.sample_outcomes_v1 reads bytes now, and the case stays as the
+    # one whose indices pass two bytes
     + [pytest.param(17, 5, 50_000, id="17-5")])
 def test_sampled_weight_matches_dense_inverse_cdf(n, seed, trials):
     # distinct labels for every weight, so a different pick shows in the mean

@@ -430,7 +430,7 @@ def test_gamma_degradation_monotone():
 # --- sweeps ------------------------------------------------------------------------
 
 def test_sweep_grid_and_order():
-    pts = sweep("two_qubit_X", [1.0, 2.0], [0.0, 0.2], 2 / 3)
+    pts = list(sweep("two_qubit_X", [1.0, 2.0], [0.0, 0.2], 2 / 3))
     assert len(pts) == 4
     assert [(p.mean_photon_number, p.gamma_over_kappa) for p in pts] == [
         (1.0, 0.0), (1.0, 0.2), (2.0, 0.0), (2.0, 0.2)]
@@ -439,7 +439,7 @@ def test_sweep_grid_and_order():
 
 
 def test_sweep_zero_photon_point_has_no_bins():
-    pts = sweep("two_qubit_X", [0.0, 1.0], [0.0], 1.0)
+    pts = list(sweep("two_qubit_X", [0.0, 1.0], [0.0], 1.0))
     assert pts[0].results == ()
     assert len(pts[1].results) == 2
 
@@ -505,7 +505,7 @@ def test_sweep_blocks_equal_run_scenario(monkeypatch, scenario, n, block):
     gammas = [0.0, 0.2, 0.5]
     assert len(nbars) * len(gammas) > block
     assert (len(nbars) * len(gammas)) % block
-    points = sweep(scenario, nbars, gammas, 0.6667, n=n)
+    points = list(sweep(scenario, nbars, gammas, 0.6667, n=n))
     assert [(p.mean_photon_number, p.gamma_over_kappa) for p in points] == [
         (nbar, gamma) for nbar in nbars for gamma in gammas]
     for point in points:
@@ -522,11 +522,13 @@ def test_sweep_blocks_equal_run_scenario(monkeypatch, scenario, n, block):
     ("two_qubit_X", None), ("gsum_X", None), ("n_qubit_P", 9)])
 def test_sweep_equals_frozen_integrator(monkeypatch, scenario, n):
     # a default block's batch, with its table columns and padded slots,
-    # integrates to the frozen 8-row frontier's numbers bit for bit
+    # integrates to the frozen 8-row frontier's numbers bit for bit.  got is
+    # read before the patch: read after it, it would be the frozen
+    # integrator's too
     nbars, gammas = [0.25 * i for i in range(1, 14)], [0.0, 0.2, 0.5]
-    got = sweep(scenario, nbars, gammas, 0.6667, n=n)
+    got = list(sweep(scenario, nbars, gammas, 0.6667, n=n))
     monkeypatch.setattr(metrics, "integrate_piecewise", integrate_piecewise_v1)
-    assert got == sweep(scenario, nbars, gammas, 0.6667, n=n)
+    assert got == list(sweep(scenario, nbars, gammas, 0.6667, n=n))
 
 
 def test_sweep_builds_states_one_block_at_a_time(monkeypatch):
@@ -542,6 +544,8 @@ def test_sweep_builds_states_one_block_at_a_time(monkeypatch):
     block = metrics.SWEEP_BLOCK_POINTS
     nbars, gammas = [0.0] * block + [0.5, 2.0, 9.0], [0.0, 0.2, 0.5, 0.2]
     points = sweep("n_qubit_P", nbars, gammas, 0.6667, n=9)
+    assert calls == {name: [] for name in calls}    # nothing runs until read
+    points = list(points)
     built = [len(args[1]) for args in calls["sector_states"]]
     assert max(built) <= block and built[0] == 0
     assert sum(built) == 12 == sum(bool(p.results) for p in points)
@@ -566,7 +570,7 @@ def test_fig4b_sweep_memory_is_bounded(monkeypatch):
     nbars, gammas = [0.25 * i for i in range(41)], [0.0, 0.2, 0.5]
     tracemalloc.start()
     try:
-        sweep("two_qubit", nbars, gammas, 0.6667)
+        list(sweep("two_qubit", nbars, gammas, 0.6667))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -575,7 +579,7 @@ def test_fig4b_sweep_memory_is_bounded(monkeypatch):
 
 
 def test_sweep_fidelity_monotone_in_nbar():
-    pts = sweep("two_qubit_X", [1.0, 2.0, 4.0, 9.0], [0.0], 2 / 3)
+    pts = list(sweep("two_qubit_X", [1.0, 2.0, 4.0, 9.0], [0.0], 2 / 3))
     fids = [p.results[1].fidelity for p in pts]
     assert all(hi >= lo for lo, hi in zip(fids, fids[1:]))
     assert all(abs(p.results[1].success_prob - 0.5) < 1e-8 for p in pts)
