@@ -207,7 +207,8 @@ def cmd_density(args):
     if not 2 <= args.points <= MAX_RANGE_POINTS:
         raise ValueError(f"--points must lie in 2..{MAX_RANGE_POINTS}")
 
-    from .homodyne import build_decision_rule, integration_window, outcome_density
+    from .homodyne import (SLICE_POINTS, build_decision_rule,
+                           integration_window, outcome_density)
     from .metrics import prepare_state, pulse_amplitude
 
     state = prepare_state(scenario, alpha, args.eta_sq, gamma=args.gamma, n=n)
@@ -222,13 +223,30 @@ def cmd_density(args):
         rule = None
     classes = rule.classes if rule is not None else ()
     lo, hi = integration_window(state, quadrature)
-    grid = np.linspace(lo, hi, args.points)
-    total = outcome_density(state, quadrature, grid)
-    comps = [] if rule is None else density_components(state, rule, grid)
     header = ["v", "density"] + [f"class[{c.parity}]:{c.target_name}"
                                  for c in classes]
-    return _csv(header, ([repr(float(x)) for x in row]
-                         for row in zip(grid, total, *comps)))
+
+    # one slice of the grid at a time, as it is read; only the zip holds a
+    # slice's curves, so they are freed before the next slice is evaluated
+    def rows():
+        for v in _linspace_slices(lo, hi, args.points, SLICE_POINTS):
+            yield from zip(v, outcome_density(state, quadrature, v), *(
+                () if rule is None else density_components(state, rule, v)))
+    return _csv(header, ([repr(float(x)) for x in row] for row in rows()))
+
+
+def _linspace_slices(lo, hi, points, size):
+    """np.linspace(lo, hi, points), points >= 2, in slices of at most size
+    points, with linspace's arithmetic: point i is i * step + lo, step =
+    (hi - lo) / (points - 1), and the last point is hi."""
+    step = (hi - lo) / (points - 1)
+    for at in range(0, points, size):
+        v = np.arange(at, min(at + size, points), dtype=float)
+        v *= step
+        v += lo
+        if at + size >= points:
+            v[-1] = hi
+        yield v
 
 
 @functools.cache      # one parser per process: parse_args leaves it unchanged

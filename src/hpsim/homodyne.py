@@ -31,6 +31,13 @@ from .numerics import check_trials, philox_stream, standard_normals
 
 _SIGMA = 1.0 / math.sqrt(2.0)      # quadrature standard deviation
 WINDOW_SIGMAS = 8.0                # integration window half-width, in sigmas
+# Most points an integrands evaluator takes at once: a longer input goes
+# through in slices, so its temporaries (slots x points) do not grow with
+# the input.  Simpson's levels arrive in smaller slices of their own
+# (numerics._SLICE_POINTS); Monte Carlo blocks are cut here, and the
+# density command hands its grid over in slices of this size
+# (notes/decisions.md, "Monte Carlo block path").
+SLICE_POINTS = 1 << 14
 
 # Scenario table: name -> (quadrature axis, short alias, smallest n,
 # largest n).  A scenario whose range holds a single n fixes its qubit count.
@@ -264,9 +271,10 @@ def sample_outcomes(state: SectorState, quadrature, trials: int, seed,
     result equals the [start:stop] slice of the full draw and a caller can
     stream a long run in blocks of bounded memory.  The 2^n branches are
     equally likely, so the inverse-CDF pick of the uniform u is
-    x = floor(u 2^n), exact for 53-bit uniforms; its weight is numpy's
-    popcount of x.  Each step works in place where the bits allow it:
-    scaling by 2^n is exact.
+    x = floor(u 2^n).  The uniform of stream word w is u = (w >> 11) 2^-53,
+    so for n <= 53 x is the word's top n bits, w >> (64 - n): it is read
+    from the raw words, shifted in place, and no float or integer copy of
+    the uniforms is made.  x's weight is numpy's popcount of x.
     """
     _check_quadrature(quadrature)
     check_trials(trials, minimum=1)
@@ -275,9 +283,9 @@ def sample_outcomes(state: SectorState, quadrature, trials: int, seed,
         raise ValueError(f"trial range [{start}, {stop}) is not a non-empty "
                          f"part of [0, {trials})")
     size = stop - start
-    uniforms = philox_stream(seed, start).random(size)
-    uniforms *= 2.0**state.n
-    weight = np.bitwise_count(uniforms.astype(np.int64))
+    branches = philox_stream(seed, start).bit_generator.random_raw(size)
+    branches >>= np.uint64(64 - state.n)
+    weight = np.bitwise_count(branches)
     means = quadrature_mean(state.fields, quadrature)[weight]
     normals = standard_normals(philox_stream(seed, trials + start), size,
                                philox_stream(seed, 2 * trials + start))
@@ -305,7 +313,9 @@ def integrands(specs):
     scattered straight into a zero-padded table, at its integrand's column
     and its slot.  Terms are gathered from the states laid end to end, so
     the numpy calls do not grow with the batch, and summed slot after slot
-    (not pairwise), so a point's value has the same bits in any v or batch."""
+    (not pairwise), so a point's value has the same bits in any v or batch.
+    An input longer than SLICE_POINTS is evaluated slice by slice into one
+    output array, with the same bits: the integrands are elementwise."""
     arrays, slots, pairs, count, lo, g0 = [], [], [], 0, 0, 0
     for state, quadrature, parts in specs:
         _check_quadrature(quadrature)
@@ -343,9 +353,17 @@ def integrands(specs):
                              offset[a] - offset[b] + np.angle(pair)]
 
     def values(v, which=None):
+        v = np.asarray(v, dtype=float)
+        if v.size > SLICE_POINTS:       # slice by slice into one array
+            out = np.empty(v.shape)
+            for lo in range(0, v.size, SLICE_POINTS):
+                hi = lo + SLICE_POINTS
+                out[lo:hi] = values(v[lo:hi],
+                                    None if which is None else which[lo:hi])
+            return out
+
         def columns(table):     # gathered one table at a time, for memory
             return table if which is None else np.take(table, which, 2)
-        v = np.asarray(v, dtype=float)
         total = _gaussian_sum(v, *columns(weights))
         if pairs.shape[1]:
             mi, mj, amps, slopes, offsets = columns(pairs)

@@ -125,13 +125,17 @@ def closed_form_two_qubit(a: float):
 
 # --- Monte Carlo ----------------------------------------------------------------
 
-# Trials per Monte Carlo block.  A block holds its outcomes (sorted by bin)
-# and their bin indices, then the (n+1) Gaussians of the density, then one
-# bin's overlap terms at a time; all are freed before the next block is
-# drawn, so memory does not grow with the trial count.  Above the heap it
-# starts from, the sampler peaks at 2.06 MiB for every n and the density's
-# (n+1) Gaussians at 0.5 (n + 2) MiB: 2.0 MiB at n = 2, 3.5 at n = 5 and
-# 11.0 at n = 20 (tracemalloc), so the sampler is the peak at n = 2.
+# Trials per Monte Carlo block.  A block holds its outcomes (sorted by bin),
+# their bin indices and their densities; each bin's ratios, then their
+# deviations, are written over its densities.  The integrands take the
+# block in slices of homodyne.SLICE_POINTS, so the density's (n+1)
+# Gaussians and a bin's overlap terms are held for one slice at a time.
+# The next block replaces all of it, so memory does not grow with the
+# trial count.  Above the heap it starts from, the sampler peaks at
+# 2.06 MiB for every n and a block's density at (n + 6) / 8 MiB: 1.0 MiB at
+# n = 2, 1.4 at n = 5 and 3.25 at n = 20.  The sampler runs while the last
+# block is still held, so a run peaks at 3.1 MiB for n <= 5, 3.45 at
+# n = 13 and 4.3 at n = 20 (tracemalloc, 200,000 trials).
 MC_BLOCK_TRIALS = 1 << 16
 
 def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
@@ -165,9 +169,12 @@ def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
         for i, n1 in enumerate(counts):
             if n1:
                 hi = lo + n1
-                ratio = overlaps[i](samples[lo:hi]) / dens[lo:hi]
-                n0, total = hits[i], float(np.sum(ratio))
-                dev = ratio - total / n1
+                # the bin's ratios, then their deviations, in place of
+                # its densities
+                dev = np.divide(overlaps[i](samples[lo:hi]), dens[lo:hi],
+                                out=dens[lo:hi])
+                n0, total = hits[i], float(np.sum(dev))
+                dev -= total / n1
                 # Chan et al.'s pairwise update of the squared deviations
                 shift = total / n1 - sums[i] / n0 if n0 else 0.0
                 squares[i] += float(dev @ dev) + shift**2 * n0 * n1 / (n0 + n1)

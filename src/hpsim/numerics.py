@@ -167,8 +167,9 @@ def check_seed(seed) -> int:
 
 
 # Most Monte Carlo trials one run takes: a block of metrics.MC_BLOCK_TRIALS
-# costs 5-8 ms for n <= 5 and 13-14 ms at n = 20 on one CPU of a 2-core
-# machine, so 10^9 trials (15,259 blocks) take 1.5-3.5 minutes.
+# costs 6-10 ms for n <= 5 and 9-14 ms at n = 20 on one CPU of a 2-core
+# machine (the ranges span the host's speed between runs), so 10^9 trials
+# (15,259 blocks) take 1.5-3.5 minutes.
 MAX_TRIALS = 10**9
 
 

@@ -5,9 +5,10 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from hpsim import cli, metrics
+from hpsim import cli, homodyne, metrics
 from hpsim.cavity import MAX_GAMMA, reflection_pair, solve_params_for_phase
 from hpsim.cli import SWEEP_CSV_COLUMNS
 from hpsim.homodyne import build_decision_rule
@@ -537,6 +538,42 @@ def test_sweep_memory_does_not_grow_with_the_grid(tmp_path):
     peak("0.5:1:0.5")
     small, large = peak("0.5:10:0.5"), peak("0.0625:10:0.0625")  # 200, 1600
     assert large <= 1.25 * small, (small, large)
+
+
+def test_density_memory_does_not_grow_with_the_grid(monkeypatch, tmp_path):
+    # the grid is made, evaluated and written one slice at a time: an 8x
+    # grid peaks within 25 % of the small grid's traced heap.  Evaluated
+    # whole, the 16,000-point grid peaked at several times the 2,000-point
+    # one.  Slices of 1,024 points keep both grids several slices long and
+    # the test short; a first run takes one-time allocations out of the
+    # small grid's peak.
+    monkeypatch.setattr(homodyne, "SLICE_POINTS", 1024, raising=False)
+    argv = ["density", "--scenario", "n_qubit", "--n", "20", "--alpha", "3",
+            "--gamma", "0.2", "--out", str(tmp_path / "curve.csv")]
+
+    def peak(points):
+        tracemalloc.start()
+        try:
+            assert cli.main(argv + ["--points", str(points)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)
+    small, large = peak(2_000), peak(16_000)
+    assert large <= 1.25 * small, (small, large)
+
+
+@pytest.mark.parametrize("points", [2, 3, 801, 16_383, 16_384, 16_385, 40_000])
+def test_density_grid_slices_are_linspace(points):
+    # the density command's grid, slice by slice, has np.linspace's bits
+    rng = np.random.default_rng(points)
+    for _ in range(5):
+        lo, hi = sorted(rng.normal(0.0, 10.0, 2))
+        slices = list(cli._linspace_slices(lo, hi, points, 16_384))
+        assert [v.size for v in slices[:-1]] == [16_384] * (len(slices) - 1)
+        assert np.concatenate(slices).tobytes() == \
+            np.linspace(lo, hi, points).tobytes()
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

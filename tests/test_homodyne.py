@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hpsim import homodyne
 from hpsim.cavity import ReflectionPair
 from hpsim.errors import DegenerateRuleError
 from hpsim.homodyne import (SCENARIOS, _zeta_coefficients,
@@ -305,13 +306,15 @@ def test_sampler_reproducible():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("n", [2, 5, 8, 9, 13, 16, 17, 20])
+@pytest.mark.parametrize("n", [2, 5, 8, 9, 13, 16, 17, 20, 32, 53])
 def test_sampler_equals_frozen_sampler_byte_for_byte(n):
-    # n spans one-, two- and three-byte branch indices: only the frozen
-    # sample_outcomes_v1 still counts bits a byte at a time, so these n hold
-    # np.bitwise_count to its byte table; distinct labels for every weight,
-    # so a wrong weight moves the mean; windows cut the 1001 trials (not a
-    # multiple of 4) at both ends and inside a Philox counter step
+    # the package takes branch x as the stream word's top n bits,
+    # w >> (64 - n), and np.bitwise_count for its weight; the frozen
+    # sample_outcomes_v1 floors u 2^n of the uniform u and counts bits a
+    # byte at a time.  n runs from one-byte indices to 53, the last n where
+    # the shift equals the floor; distinct labels for every weight, so a
+    # wrong branch or weight moves the mean; windows cut the 1001 trials
+    # (not a multiple of 4) at both ends and inside a Philox counter step
     pair = ReflectionPair(np.exp(0.3j), 0.8 * np.exp(-0.9j))
     st = sector_states(n, [(2.0, pair)])[0]
     for q, seed in (("P", 7), ("X", 2**64 - 1)):
@@ -484,6 +487,31 @@ def test_integrand_point_has_the_same_bits_in_any_array():
         assert np.array_equal(f(vs[::-1].copy())[::-1], alone)
         assert np.array_equal(mixed[lo:lo + vs.size], alone)
         lo += vs.size
+
+
+def test_long_input_is_evaluated_in_slices_with_the_same_bits(monkeypatch):
+    # an evaluator cuts an input longer than SLICE_POINTS into slices of at
+    # most that many points, for a density, a bin's overlap and a mixed
+    # batch read through `which`; the values keep their bits
+    st = prepare_state("n_qubit_P", 2.5, 0.8, 0.2, 6)
+    rule = build_decision_rule("n_qubit_P", math.sqrt(0.8) * 2.5, n=6)
+    vs = np.linspace(*integration_window(st, "P"), 103)
+    batch = integrands([(st, "P", [tuple(range(7)), *rule.classes])])
+    which = np.arange(vs.size) % (1 + len(rule.classes))
+    routes = [lambda v: outcome_density(st, "P", v),
+              class_overlap_integrand(st, "P", rule.classes[1]),
+              lambda v: batch(v, which[:v.size])]
+    whole = [f(vs) for f in routes]
+    sizes = []
+    gaussian_sum = homodyne._gaussian_sum
+    monkeypatch.setattr(homodyne, "_gaussian_sum",
+                        lambda v, *args: sizes.append(v.size)
+                        or gaussian_sum(v, *args))
+    monkeypatch.setattr(homodyne, "SLICE_POINTS", 10)
+    for f, expected in zip(routes, whole):
+        sizes.clear()
+        assert same_bits(f(vs), expected)
+        assert sizes == [10] * 10 + [3]
 
 
 @pytest.mark.parametrize("scenario, n", [

@@ -400,6 +400,25 @@ def test_monte_carlo_memory_does_not_grow_with_trials():
     assert peak < 20e6, peak
 
 
+def test_monte_carlo_working_set_does_not_grow_with_n():
+    # the integrand takes a block in slices and each bin is scored in place,
+    # so the (n+1) Gaussians of a block's density are held for one slice at
+    # a time: at 200,000 trials n = 20 peaks within 1.5x of n = 5 (whole
+    # blocks read 2.6x, 12.7 against 4.9 MB)
+    def peak(n):
+        run = run_scenario("n_qubit_P", 3.0, 0.6667, gamma=0.2, n=n)
+        tracemalloc.start()
+        try:
+            monte_carlo_estimate(run.state, run.rule, 200_000, seed=4)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(5), peak(20)
+    assert large <= 1.5 * small, (small, large)
+    assert large <= 5e6, large
+
+
 # --- gamma model ----------------------------------------------------------------------
 
 def test_gamma_fidelity_matches_env_model_prediction():
