@@ -5,8 +5,10 @@
 Runs the 21 tasks of bench/workloads.py at workload seeds 0 and 4 through
 `hpsim.cli.main`, in one process per tree (PYTHONPATH=BASE_SRC, then
 HEAD_SRC), and prints per task and seed either "identical" or the count
-and largest size of the numbers that moved; the last line totals the
-moved numbers and names the task of the largest move.  It exits 1 on any
+and largest size of the numbers that moved; a summary line totals the
+moved numbers and names the task of the largest move, and the last line
+gives the line totals of both trees' hpsim modules (a report, not a
+check), so a change in the package's size shows.  It exits 1 on any
 difference in an exit code, in stderr, in the text around the numbers, or
 in a Monte Carlo `success_prob` (a changed hit count), which must all stay
 byte-identical.  Each tree also runs every `sweep` and `density` task a
@@ -105,6 +107,17 @@ def compare(base, head):
     return message, fatal, moved
 
 
+def package_lines(src):
+    """Lines in the .py files of the tree's hpsim package."""
+    folder = os.path.join(src, "hpsim")
+    total = 0
+    for name in os.listdir(folder):
+        if name.endswith(".py"):
+            with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                total += sum(1 for _ in fh)
+    return total
+
+
 def main(argv):
     if len(argv) != 2:
         raise SystemExit(__doc__)
@@ -133,6 +146,9 @@ def main(argv):
         total += f", largest by {largest[0]:.3g} ({largest[1]})"
     print(f"{len(base)} task runs, {failed} with a difference that must not "
           f"be{total}")
+    base_lines, head_lines = map(package_lines, argv)
+    print(f"src/hpsim lines: {base_lines} -> {head_lines} "
+          f"({head_lines - base_lines:+d})")
     return 1 if failed or bad_files or not base_files else 0
 
 

@@ -172,12 +172,17 @@ def build_decision_rule(scenario, a, n=None) -> DecisionRule:
     """Thresholds and class map for one measurement scenario and pulse
     amplitude a (eta alpha: the detector is assumed to know the channel).
 
-    Bin centers are the branch means sqrt(2) a cos/sin of the weight-k
-    pulse labels a e^{i(1 - 2k/n) pi}; thresholds sit at midpoints of
-    adjacent centers.  Every group of weights whose means coincide becomes
-    one bin (see _outcome_class).  A pulse whose labels all coincide within
-    the grouping tolerance (a = 0 among them) resolves no bins and raises
-    DegenerateRuleError, a ValueError.
+    The weight-k pulse label is a e^{i(1 - 2k/n) pi}, and its branch mean
+    sqrt(2) a cos (X) or sin (P) of that phase.  Which weights share a bin
+    is exact arithmetic on the phases, not a float comparison: weights j
+    and k share a label only when j = k (mod n) (weights 0 and n), and
+    share a mean when they share a label or when 2j + 2k = 0 (X axis) or
+    n (P axis) (mod 2n).  So every bin is the weights of one or two
+    residues r = k mod n (see _outcome_class).  A bin's center is the
+    lowest float mean among its weights, and thresholds sit at midpoints
+    of adjacent centers.  A pulse whose labels all lie within
+    1e-9 max(1, sqrt(2) a) of the first (a = 0 among them) resolves no
+    bins and raises DegenerateRuleError, a ValueError.
     """
     scenario, n, axis = resolve_scenario(scenario, n)
     check_alpha(a)
@@ -192,69 +197,58 @@ def build_decision_rule(scenario, a, n=None) -> DecisionRule:
         raise DegenerateRuleError(
             f"scenario {scenario} with amplitude a={a} has no resolvable bins")
 
-    # group weights by mean
-    groups = []   # list of (center, [weights])
-    for k in sorted(range(n + 1), key=lambda k: means[k]):
-        if groups and abs(means[k] - groups[-1][0]) <= tol:
-            groups[-1][1].append(k)
-        else:
-            groups.append((means[k], [k]))
-
-    centers = [g[0] for g in groups]
-    thresholds = tuple(0.5 * (c1 + c2) for c1, c2 in zip(centers, centers[1:]))
-    classes = tuple(_outcome_class(n, axis, ws, labels, tol)
-                    for _, ws in groups)
+    # residue r shares its mean with residue -r (X) or n/2 - r (P, even n)
+    mirror = 0 if axis == "X" else n // 2 if n % 2 == 0 else None
+    groups = {}
+    for k in range(n + 1):
+        r = k % n
+        pair = r if mirror is None else (mirror - r) % n
+        groups.setdefault(min(r, pair), []).append(k)
+    groups = sorted((min(means[k] for k in ws), ws) for ws in groups.values())
+    thresholds = tuple(0.5 * (c1 + c2)
+                       for (c1, _), (c2, _) in zip(groups, groups[1:]))
+    classes = tuple(_outcome_class(n, axis, ws, labels) for _, ws in groups)
     return DecisionRule(scenario=scenario, n=n, amplitude=float(a),
                         quadrature=axis, thresholds=thresholds, classes=classes)
 
 
-def _outcome_class(n, axis, ws, labels, tol) -> OutcomeClass:
-    """The bin of the weights `ws`, which share one quadrature mean.
+def _outcome_class(n, axis, weights, labels) -> OutcomeClass:
+    """The bin of the increasing `weights`, which share one quadrature mean.
 
-    Its target is uniform over the union of the weights' supports.  A bin
-    holds at most two distinct pulse labels -- conjugates on the X axis,
-    mirror images on the P axis -- whose zeta phases are exact negatives,
-    so each weight carries e^{+i zeta} if its label is that of the first
-    weight in (k mod n, k) order and e^{-i zeta} otherwise.  The bin needs
-    an X gate when its two labels differ in X mean.
+    Its target is uniform over the union of the weights' supports.  The
+    weights hold one or two residues k mod n, one pulse label each --
+    conjugates on the X axis, mirror images on the P axis -- whose zeta
+    phases are exact negatives.  So with two, each weight carries
+    e^{+i zeta} if it has the lower residue r and e^{-i zeta} otherwise,
+    with zeta from weight r's label.  A two-label bin on P needs an X
+    gate: its labels differ in X mean, and X-axis conjugates do not.
     """
-    order = sorted(ws, key=lambda k: (k % n, k))
-    first = labels[order[0]]
-    sign = {k: 1 if abs(labels[k] - first) <= tol else -1 for k in order}
-    two_labels = -1 in sign.values()
-    weights = tuple(sorted(ws))
-    residues = list(dict.fromkeys(k % n for k in order))
-    parity = residues[0] if len(residues) == 1 else "|".join(map(str, residues))
-    needs_x = any(math.sqrt(2.0) * abs(labels[k].real - first.real) > tol
-                  for k in order)
-    zeta = _zeta_coefficients(first, axis) if two_labels else (0.0, 0.0)
+    residues = sorted({k % n for k in weights})
+    two = len(residues) == 2
     return OutcomeClass(
-        parity=parity, target_name=_target_name(n, axis, order, sign),
-        weights=weights, size=sum(math.comb(n, k) for k in weights),
-        phase_signs=tuple(sign[k] if two_labels else 0 for k in weights),
-        zeta_coefficients=zeta, needs_x_gate=needs_x)
+        parity="|".join(map(str, residues)) if two else residues[0],
+        target_name=_target_name(n, axis, residues), weights=tuple(weights),
+        size=sum(math.comb(n, k) for k in weights),
+        phase_signs=tuple((1 if k % n == residues[0] else -1) if two else 0
+                          for k in weights),
+        zeta_coefficients=(_zeta_coefficients(labels[residues[0]], axis)
+                           if two else (0.0, 0.0)),
+        needs_x_gate=two and axis == "P")
 
 
-def _target_name(n, axis, order, sign):
-    """GHZ/W/Dicke per pulse label, joined with '|' when a bin holds two.
+def _target_name(n, axis, residues):
+    """GHZ(n) for residue 0 (weights 0 and n), W(n) for 1 (n > 2) and
+    Dicke(n, r) otherwise, joined with '|' when a bin holds two residues.
 
     Two-node bins with one label are the Bell pairs; a conjugate pair on
-    the X axis is the summed-Dicke state Gprime(n, k).
+    the X axis is the summed-Dicke state Gprime(n, r).
     """
-    comps = [tuple(k for k in order if sign[k] == s) for s in (1, -1)]
-    comps = [c for c in comps if c]
-    if len(comps) == 2 and axis == "X":
-        return f"Gprime({n},{comps[0][0]})"
-    if len(comps) == 1 and n == 2:
-        return "Bell-phi+" if comps[0] == (0, 2) else "Bell-psi+"
-    return "|".join(_label_state_name(n, c) for c in comps)
-
-
-def _label_state_name(n, ks):
-    if len(ks) == 2:                # weights 0 and n share one label
-        return f"GHZ({n})"
-    k = ks[0]
-    return f"W({n})" if k == 1 and n > 2 else f"Dicke({n},{k})"
+    if len(residues) == 2 and axis == "X":
+        return f"Gprime({n},{residues[0]})"
+    if len(residues) == 1 and n == 2:
+        return "Bell-phi+" if residues == [0] else "Bell-psi+"
+    return "|".join(f"GHZ({n})" if r == 0 else f"W({n})" if r == 1 and n > 2
+                    else f"Dicke({n},{r})" for r in residues)
 
 
 # --- sampling ----------------------------------------------------------------

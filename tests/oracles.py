@@ -33,8 +33,10 @@ must reproduce bit for bit, and the Monte Carlo path as it stood before it
 worked in place: the sampler, the Box-Muller normals and the block loop,
 which the package must reproduce byte for byte.  The level-by-level
 Simpson as it stood with one 8-row frontier array and one integrand call
-per level closes the file: the sliced integrator must give its totals bit
-for bit, from the same points in the same order.
+per level: the sliced integrator must give its totals bit for bit, from
+the same points in the same order.  The decision rule as it stood when it
+grouped weights by float means within a tolerance closes the file:
+wherever that tolerance resolved the bins, the residue rule must equal it.
 """
 
 import math
@@ -45,9 +47,10 @@ from itertools import combinations
 import numpy as np
 
 from hpsim.cavity import CavityParams, reflection_pair, solve_params_for_phase
-from hpsim.errors import SimulationError
-from hpsim.homodyne import (_zeta_coefficients, quadrature_mean,
-                            resolve_scenario, sample_outcomes)
+from hpsim.errors import DegenerateRuleError, SimulationError
+from hpsim.homodyne import (DecisionRule, OutcomeClass, _zeta_coefficients,
+                            quadrature_mean, resolve_scenario, sample_outcomes)
+from hpsim.hybrid_state import check_alpha
 from hpsim.metrics import ClassResult
 from hpsim.numerics import erfc, philox_stream
 
@@ -853,3 +856,73 @@ def integrate_piecewise_v1(f, breakpoints, tol=1e-9, max_depth=48):
             [np.array([a, m, fa, flm, fm, left, tol, owner])[:, go],
              np.array([m, b, fm, frm, fb, right, tol, owner])[:, go]], axis=1)
     return totals.tolist()
+
+
+# --- the decision rule before its bins came from residues ---------------------
+
+def build_decision_rule_tol(scenario, a, n=None) -> DecisionRule:
+    """homodyne.build_decision_rule as it stood when it sorted the weights
+    by float mean and grouped means within 1e-9 max(1, sqrt(2) a) of the
+    group's first: below a of about 2.6e-8 that tolerance merges bins on
+    the P axis that the phases keep apart."""
+    scenario, n, axis = resolve_scenario(scenario, n)
+    check_alpha(a)
+
+    thetas = [(1.0 - 2.0 * k / n) * math.pi for k in range(n + 1)]
+    labels = [a * complex(math.cos(t), math.sin(t)) for t in thetas]
+    trig = math.cos if axis == "X" else math.sin
+    means = [math.sqrt(2.0) * a * trig(t) for t in thetas]
+
+    tol = 1e-9 * max(1.0, math.sqrt(2.0) * a)
+    if all(abs(lab - labels[0]) <= tol for lab in labels):
+        raise DegenerateRuleError(
+            f"scenario {scenario} with amplitude a={a} has no resolvable bins")
+
+    groups = []   # list of (center, [weights])
+    for k in sorted(range(n + 1), key=lambda k: means[k]):
+        if groups and abs(means[k] - groups[-1][0]) <= tol:
+            groups[-1][1].append(k)
+        else:
+            groups.append((means[k], [k]))
+
+    centers = [g[0] for g in groups]
+    thresholds = tuple(0.5 * (c1 + c2) for c1, c2 in zip(centers, centers[1:]))
+    classes = tuple(_outcome_class_tol(n, axis, ws, labels, tol)
+                    for _, ws in groups)
+    return DecisionRule(scenario=scenario, n=n, amplitude=float(a),
+                        quadrature=axis, thresholds=thresholds, classes=classes)
+
+
+def _outcome_class_tol(n, axis, ws, labels, tol) -> OutcomeClass:
+    order = sorted(ws, key=lambda k: (k % n, k))
+    first = labels[order[0]]
+    sign = {k: 1 if abs(labels[k] - first) <= tol else -1 for k in order}
+    two_labels = -1 in sign.values()
+    weights = tuple(sorted(ws))
+    residues = list(dict.fromkeys(k % n for k in order))
+    parity = residues[0] if len(residues) == 1 else "|".join(map(str, residues))
+    needs_x = any(math.sqrt(2.0) * abs(labels[k].real - first.real) > tol
+                  for k in order)
+    zeta = _zeta_coefficients(first, axis) if two_labels else (0.0, 0.0)
+    return OutcomeClass(
+        parity=parity, target_name=_target_name_tol(n, axis, order, sign),
+        weights=weights, size=sum(math.comb(n, k) for k in weights),
+        phase_signs=tuple(sign[k] if two_labels else 0 for k in weights),
+        zeta_coefficients=zeta, needs_x_gate=needs_x)
+
+
+def _target_name_tol(n, axis, order, sign):
+    comps = [tuple(k for k in order if sign[k] == s) for s in (1, -1)]
+    comps = [c for c in comps if c]
+    if len(comps) == 2 and axis == "X":
+        return f"Gprime({n},{comps[0][0]})"
+    if len(comps) == 1 and n == 2:
+        return "Bell-phi+" if comps[0] == (0, 2) else "Bell-psi+"
+    return "|".join(_label_state_name_tol(n, c) for c in comps)
+
+
+def _label_state_name_tol(n, ks):
+    if len(ks) == 2:                # weights 0 and n share one label
+        return f"GHZ({n})"
+    k = ks[0]
+    return f"W({n})" if k == 1 and n > 2 else f"Dicke({n},{k})"

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -147,6 +149,36 @@ def test_simulate_usage_errors_exit_2():
         assert res.returncode == 2, args
         assert res.stderr.startswith("hpsim: error: "), res.stderr
         assert res.stderr.endswith("has no resolvable bins\n"), res.stderr
+
+
+def test_near_total_channel_loss_keeps_every_bin(capsys):
+    # eta^2 = 1e-17 leaves a = 9.5e-9, where the float tolerance of the
+    # earlier rule merged P-axis bins (`Dicke(20,14)|GHZ(20)`, sweep rows of
+    # parity `9|10|11`); the bins come from residues now, so the lossless
+    # run's 11 bins stay, and each holds a probability Monte Carlo agrees
+    # with (the standard error taken from the quadrature P: the inner bins
+    # hold P of about 1e-9 and no hits)
+    argv = ("simulate", "--scenario", "n_qubit", "--n", "20", "--alpha", "3")
+    lossless = json.loads(
+        main_in_process(capsys, *argv, "--trials", "0").stdout)
+    res = main_in_process(capsys, *argv, "--eta-sq", "1e-17",
+                          "--trials", "2000", "--seed", "3")
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout)
+    names = [c["target"] for c in report["classes"]]
+    assert len(names) == 11
+    assert names == [c["target"] for c in lossless["classes"]]
+    probs = [c["success_prob"] for c in report["classes"]]
+    assert abs(math.fsum(probs) - 1.0) <= 1e-8
+    assert [mc["target"] for mc in report["monte_carlo"]] == names
+    for p, mc in zip(probs, report["monte_carlo"]):
+        assert abs(mc["success_prob"] - p) <= 5 * math.sqrt(p * (1 - p) / 2000)
+    res = main_in_process(capsys, "sweep", "--scenario", "n_qubit", "--n",
+                          "13", "--nbar", "1,9", "--eta-sq", "1e-17")
+    assert res.returncode == 0, res.stderr
+    rows = list(csv.DictReader(io.StringIO(res.stdout)))
+    assert len(rows) == 2 * 13         # odd n on P: one bin per residue
+    assert all(len(row["class_parity"].split("|")) == 1 for row in rows)
 
 
 def test_former_numerical_failures_exit_2(capsys):

@@ -18,8 +18,9 @@ from hpsim.hybrid_state import MAX_ALPHA, sector_states
 from hpsim.metrics import (closed_form_two_qubit, prepare_state,
                            pulse_amplitude, run_scenario)
 from oracles import (DegenerateOutcomeError, adaptive_simpson,
-                     complex_overlap_integrand, conditional_atomic_state,
-                     density_cdf, density_row_per_bin, dense_state,
+                     build_decision_rule_tol, complex_overlap_integrand,
+                     conditional_atomic_state, density_cdf,
+                     density_row_per_bin, dense_state,
                      make_target, mixture_density, overlap_row_per_bin,
                      overlap_scale, quadrature_wavefunction,
                      row_values_per_bin, same_bits, sample_outcomes_v1,
@@ -249,6 +250,68 @@ def test_library_input_checks(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
+
+
+# every scenario and n: the 22 rules a command line can ask for
+RULE_CASES = [("two_qubit_X", None), ("three_qubit_P", None),
+              ("gsum_X", None)] + [("n_qubit_P", n) for n in range(2, 21)]
+
+
+def first_resolvable(scenario, n):
+    """The amplitude below which a pulse resolves no bins (README):
+    1e-9 / max_k |e^{i theta_k} - e^{i theta_0}|, about 5e-10 to 6e-10."""
+    _, n, _ = resolve_scenario(scenario, n)
+    return 1e-9 / max(abs(complex(math.cos(t), math.sin(t)) + 1.0) for t in
+                      ((1.0 - 2.0 * k / n) * math.pi for k in range(n + 1)))
+
+
+def resolves(build, scenario, a, n):
+    try:
+        build(scenario, a, n=n)
+    except DegenerateRuleError:
+        return False
+    return True
+
+
+def test_residue_rule_equals_tolerance_rule():
+    # wherever the float tolerance of the earlier rule resolved the bins
+    # (a above about 2.6e-8), the residue rule is == to it: thresholds,
+    # zeta bits and names alike.  Below that the tolerance merged P-axis
+    # bins, but both rules find no bins at the same amplitudes, down to
+    # 1e-300 and on a fine grid around the cut.
+    for scenario, n in RULE_CASES:
+        for a in np.geomspace(3e-8, MAX_ALPHA, 150).tolist():
+            assert build_decision_rule(scenario, a, n=n) == (
+                build_decision_rule_tol(scenario, a, n=n)), (scenario, n, a)
+        cut = first_resolvable(scenario, n)
+        for a in [0.0, cut * (1 - 1e-9), cut * (1 + 1e-9),
+                  *np.geomspace(1e-300, 1e-7, 120).tolist(),
+                  *np.linspace(4e-10, 7e-10, 31).tolist()]:
+            exact = resolves(build_decision_rule, scenario, a, n)
+            assert exact == resolves(build_decision_rule_tol, scenario, a, n)
+            assert exact == (a > cut), (scenario, n, a)
+
+
+@pytest.mark.parametrize("scenario, n", RULE_CASES)
+def test_rule_bins_do_not_depend_on_amplitude(scenario, n):
+    # from the first resolvable amplitude up to MAX_ALPHA every bin is the
+    # weights of one or two residues k mod n, with the weights, parity,
+    # name, size, phase signs and X-gate flag of the rule at a = 1; the
+    # earlier rule merged P-axis bins below a = 2.6e-8 (n_qubit_P n = 20 at
+    # a = 3e-9, three_qubit_P at 7e-10)
+    def bins(rule):
+        return [(c.weights, c.parity, c.target_name, c.size, c.phase_signs,
+                 c.needs_x_gate) for c in rule.classes]
+    want = bins(build_decision_rule(scenario, 1.0, n=n))
+    cut = first_resolvable(scenario, n)
+    for a in [7e-10, 3e-9, 9.5e-9,
+              *np.geomspace(cut * (1 + 1e-9), MAX_ALPHA, 80).tolist()]:
+        rule = build_decision_rule(scenario, a, n=n)
+        assert bins(rule) == want, (scenario, n, a)
+        assert all(len({k % rule.n for k in c.weights}) <= 2
+                   for c in rule.classes)
+        assert all(lo < hi for lo, hi in zip(rule.thresholds,
+                                             rule.thresholds[1:]))
 
 
 @pytest.mark.parametrize("scenario, n", [

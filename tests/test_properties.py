@@ -1,8 +1,11 @@
 """Property tests: every legal configuration ends in a result.
 
 Configurations are drawn over the legal range: every scenario, n over its
-range, alpha log-uniform in [1e-3, MAX_ALPHA], eta^2 in [0.01, 1] and gamma
-either 0 or log-uniform in [1e-2, 1e3].  The command-line property runs
+range, alpha log-uniform in [1e-3, MAX_ALPHA] or in [1e-8, 2.5e-8], eta^2
+in [0.01, 1] and gamma either 0 or log-uniform in [1e-2, 1e3].  The second
+alpha range puts a = eta alpha between 1e-9 and 2.5e-8, above the "no
+resolvable bins" cut (about 5e-10) and where a float tolerance of 1e-9
+on the means would merge P-axis bins.  The command-line property runs
 `cli.main` up to both bounds, MAX_ALPHA and MAX_GAMMA.  Derandomized with
 no example database, so the draws are the same on every run.  The whole
 file stays within a 10 s budget.
@@ -24,6 +27,8 @@ from hpsim.metrics import monte_carlo_estimate, prepare_state, run_scenario
 from oracles import interval_probability
 
 MC_TRIALS = 20_000
+ALPHAS = st.one_of(st.floats(-3.0, math.log10(MAX_ALPHA)),
+                   st.floats(-8.0, math.log10(2.5e-8))).map(lambda e: 10.0 ** e)
 
 
 @st.composite
@@ -31,7 +36,7 @@ def configurations(draw):
     scenario = draw(st.sampled_from(sorted(SCENARIOS)))
     _, _, n_min, n_max = SCENARIOS[scenario]
     n = draw(st.integers(n_min, n_max))
-    alpha = 10.0 ** draw(st.floats(-3.0, math.log10(MAX_ALPHA)))
+    alpha = draw(ALPHAS)
     eta_sq = draw(st.floats(0.01, 1.0))
     gamma = draw(st.one_of(st.just(0.0),
                            st.floats(-2.0, 3.0).map(lambda e: 10.0 ** e)))
@@ -45,6 +50,9 @@ def test_every_configuration_gives_a_result(config):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run = run_scenario(scenario, alpha, eta_sq, gamma=gamma, n=n)
+    # a bin is the weights of one or two residues k mod n, at every a
+    assert all(len({k % run.rule.n for k in cls.weights}) <= 2
+               for cls in run.rule.classes)
     for res in run.results:
         if res.success_prob < 1e-12:
             assert math.isnan(res.fidelity), (res.target_name, res.success_prob)
@@ -95,7 +103,7 @@ def command_lines(draw):
     scenario = draw(st.sampled_from(sorted(SCENARIOS)))
     _, _, n_min, n_max = SCENARIOS[scenario]
     n = draw(st.integers(n_min, n_max))
-    alpha = 10.0 ** draw(st.floats(-3.0, math.log10(MAX_ALPHA)))
+    alpha = draw(ALPHAS)
     eta_sq = draw(st.floats(0.0, 1.0, exclude_min=True))
     gamma = draw(st.one_of(st.just(0.0), st.floats(
         -2.0, math.log10(MAX_GAMMA)).map(lambda e: 10.0 ** e)))
