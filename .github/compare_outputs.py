@@ -14,8 +14,11 @@ in a Monte Carlo `success_prob` (a changed hit count), which must all stay
 byte-identical.  Each tree also runs every `sweep` and `density` task a
 second time with `--out` to a temporary file; it exits 1 when that run's
 exit code differs, its stdout is not empty, or the file is not
-byte-identical to the tree's stdout for the task.  bench/ is only read: no
-bytecode is written there.
+byte-identical to the tree's stdout for the task.  Each tree also runs the
+start-up paths (STARTUP: --help, each command's --help, solve-params and
+two flag errors) with COLUMNS=80, so that argparse wraps alike; it exits 1
+on any difference in their exit codes, stdout or stderr.  bench/ is only
+read: no bytecode is written there.
 """
 
 import json
@@ -30,9 +33,16 @@ SEEDS = (0, 4)
 # a float as repr or JSON writes it; integers (counts, n, parities) are text
 NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.\d+(?:e[-+]?\d+)?|\d+e[-+]?\d+"
                     r"|inf|nan|NaN|Infinity)(?![\w.])")
+# The CLI's start-up paths, which run without numpy; no benchmark task runs one
+STARTUP = ([["--help"]]
+           + [[command, "--help"]
+              for command in ("solve-params", "simulate", "sweep", "density")]
+           + [["solve-params", "--n", str(n)] for n in range(2, 6)]
+           + [["simulate", "--scenario", "bogus"],
+              ["sweep", "--scenario", "gsum"]])
 
-# Runs in each tree: every task at every seed, and the curve tasks again
-# with --out; one JSON object on stdout.
+# Runs in each tree: the start-up command lines, every task at every seed,
+# and the curve tasks again with --out; one JSON object on stdout.
 RUNNER = """
 import json, os, sys, tempfile
 import workloads
@@ -41,6 +51,8 @@ import hpsim
 from hpsim.cli import main
 if not os.path.realpath(hpsim.__file__).startswith(sys.argv[2] + os.sep):
     sys.exit(f"hpsim imported from {hpsim.__file__}, not {sys.argv[2]}")
+startup = [[" ".join(argv), *run_task(main, argv)[:3]]
+           for argv in json.loads(sys.argv[3])]
 out, files = [], []
 with tempfile.TemporaryDirectory() as tmp:
     for seed in json.loads(sys.argv[1]):
@@ -63,21 +75,22 @@ with tempfile.TemporaryDirectory() as tmp:
                     ("file differs from stdout",
                      data != stdout.encode("utf-8"))) if bad]
                 files.append([key, problems])
-json.dump({"runs": out, "out_files": files}, sys.stdout)
+json.dump({"runs": out, "out_files": files, "startup": startup}, sys.stdout)
 """
 
 
 def run_tree(src):
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1",
+               COLUMNS="80",
                PYTHONPATH=os.pathsep.join([os.path.abspath(src), BENCH]))
     res = subprocess.run([sys.executable, "-c", RUNNER, json.dumps(SEEDS),
-                          os.path.realpath(src)],
+                          os.path.realpath(src), json.dumps(STARTUP)],
                          env=env, capture_output=True, text=True)
     if res.returncode:
         raise SystemExit(f"running {src} failed:\n{res.stderr}")
     got = json.loads(res.stdout)
     return ({key: (code, out, err) for key, code, out, err in got["runs"]},
-            got["out_files"])
+            got["out_files"], got["startup"])
 
 
 def mc_success_probs(text):
@@ -121,10 +134,19 @@ def package_lines(src):
 def main(argv):
     if len(argv) != 2:
         raise SystemExit(__doc__)
-    (base, base_files), (head, head_files) = (run_tree(src) for src in argv)
+    (base, base_files, base_startup), (head, head_files, head_startup) = (
+        run_tree(src) for src in argv)
     if base.keys() != head.keys():
         print("the trees ran different task lists")
         return 1
+    bad_startup = 0
+    for (line, *b), (_, *h) in zip(base_startup, head_startup):
+        if b != h:
+            print(f"start-up `hpsim {line}`: exit code, stdout or stderr "
+                  f"differs ({b[0]} -> {h[0]})")
+            bad_startup += 1
+    print(f"{len(base_startup)} start-up runs, {bad_startup} with a "
+          f"difference")
     bad_files = 0
     for tree, files in zip(argv, (base_files, head_files)):
         bad = [(key, problems) for key, problems in files if problems]
@@ -149,7 +171,7 @@ def main(argv):
     base_lines, head_lines = map(package_lines, argv)
     print(f"src/hpsim lines: {base_lines} -> {head_lines} "
           f"({head_lines - base_lines:+d})")
-    return 1 if failed or bad_files or not base_files else 0
+    return 1 if failed or bad_files or bad_startup or not base_files else 0
 
 
 if __name__ == "__main__":

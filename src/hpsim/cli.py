@@ -16,10 +16,12 @@ trials (numerics.check_trials) and the seed (numerics.check_seed).  Within
 the bounds no input reaches a SimulationError: exit 3 is kept for library
 failures (see errors.py).
 Each command checks its inputs, then returns its output as lines made as
-they are read, and main() writes them.  Outputs are byte-identical across
-runs with the same flags and seed: the sampler is a documented counter-based
-recipe (see numerics.RNG_ALGORITHM), JSON keys are sorted, floats are
-written with shortest round-trip repr, and no timestamps are embedded.
+they are read, and main() writes them.  The parser, --help, flag errors and
+solve-params run without numpy: the library loads when a computing command
+runs (see _HOME).  Outputs are byte-identical across runs with the same
+flags and seed: the sampler is a documented counter-based recipe (see
+numerics.RNG_ALGORITHM), JSON keys are sorted, floats are written with
+shortest round-trip repr, and no timestamps are embedded.
 """
 
 import argparse
@@ -30,19 +32,31 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
+from importlib import import_module
 
 from . import __version__
-from .cavity import reflection_pair, solve_params_for_phase
 from .errors import DegenerateRuleError, SimulationError
-from .homodyne import SCENARIOS, density_components, resolve_scenario
-from .hybrid_state import alpha_for_nbar
-from .metrics import closed_form_two_qubit, run_scenario, sweep
-from .numerics import RNG_ALGORITHM, check_seed
+from .scenarios import SCENARIOS, resolve_scenario
 
-MODEL_VERSION = (f"hpsim {__version__}; reflection=steady-state-v1; "
-                 f"rng={RNG_ALGORITHM}")
+# The library names the commands read from this module's globals, and their
+# home modules.  Each is bound on first access (__getattr__), and main binds
+# a command's names before it runs it, so the parser, --help, flag errors
+# and solve-params load no numpy.  A name already set (a tracer's wrapper, a
+# test's monkeypatch) is kept, so every call goes through these globals.
+_HOME = {"reflection_pair": "cavity", "solve_params_for_phase": "cavity",
+         "density_components": "homodyne", "alpha_for_nbar": "hybrid_state",
+         "closed_form_two_qubit": "metrics", "run_scenario": "metrics",
+         "sweep": "metrics", "RNG_ALGORITHM": "numerics",
+         "check_seed": "numerics"}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = import_module(f"{__package__}.{_HOME[name]}")
+    value = globals()[name] = getattr(home, name)
+    return value
+
 
 GAMMA_MODEL_NOTE = (
     "gamma > 0 curves use a reconstructed steady-state reflection model with "
@@ -160,7 +174,8 @@ def cmd_simulate(args) -> list:
     run = run_scenario(args.scenario, alpha, args.eta_sq, gamma=args.gamma,
                        n=args.n, trials=args.trials, seed=seed)
     report = {
-        "model_version": MODEL_VERSION,
+        "model_version": (f"hpsim {__version__}; reflection=steady-state-v1; "
+                          f"rng={RNG_ALGORITHM}"),
         "gamma_model_note": GAMMA_MODEL_NOTE,
         "config": {
             "scenario": run.rule.scenario,
@@ -239,6 +254,7 @@ def _linspace_slices(lo, hi, points, size):
     """np.linspace(lo, hi, points), points >= 2, in slices of at most size
     points, with linspace's arithmetic: point i is i * step + lo, step =
     (hi - lo) / (points - 1), and the last point is hi."""
+    import numpy as np
     step = (hi - lo) / (points - 1)
     for at in range(0, points, size):
         v = np.arange(at, min(at + size, points), dtype=float)
@@ -260,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cavity settings for conditional phases +-pi/n")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_solve_params)
+    sp.set_defaults(func=cmd_solve_params,
+                    library=("reflection_pair", "solve_params_for_phase"))
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scenario", required=True, choices=SCENARIO_CHOICES)
@@ -278,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="JSON report of bin probabilities and fidelities")
     sim.add_argument("--trials", type=int, default=0)
     sim.add_argument("--seed", type=int, default=None)
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=cmd_simulate, library=_HOME)
 
     sw = sub.add_parser("sweep", parents=[common],
                         help="CSV curves over mean photon number and gamma")
@@ -290,14 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility (at least 1); sweeps "
                          "run in one process")
-    sw.set_defaults(func=cmd_sweep)
+    sw.set_defaults(func=cmd_sweep, library=_HOME)
 
     dn = sub.add_parser("density", parents=[common, point],
                         help="CSV outcome-density curve with class components")
     dn.add_argument("--points", type=int, default=801)
     dn.add_argument("--quadrature", choices=("X", "P"), default=None,
                     help="measure the other axis (class bins then omitted)")
-    dn.set_defaults(func=cmd_density)
+    dn.set_defaults(func=cmd_density, library=_HOME)
 
     return parser
 
@@ -307,6 +324,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:       # --help (0) or a flag error (2)
         return exc.code
+    for name in [n for n in args.library if n not in globals()]:
+        __getattr__(name)           # a name already set is kept
     try:
         lines = args.func(args)
         with (contextlib.nullcontext(sys.stdout) if args.out in (None, "-")

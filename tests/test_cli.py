@@ -456,6 +456,98 @@ def test_cli_import_starts_no_process_machinery():
     assert res.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("statement, status, numpy_loaded", [
+    ("import hpsim", None, False),
+    ("import hpsim.cli; hpsim.cli.build_parser()", None, False),
+    ("status = main(['--help'])", 0, False),
+    ("status = main(['simulate', '--scenario', 'bogus'])", 2, False),
+    ("status = main(['solve-params', '--n', '5'])", 0, False),
+    ("status = main(['simulate', '--scenario', 'two_qubit', '--alpha', '1'])",
+     0, True),
+])
+def test_start_up_path_loads_no_numpy(statement, status, numpy_loaded):
+    # the parser, --help, flag errors and solve-params run on the standard
+    # library; a computing command loads numpy when it runs
+    code = ("import sys\nstatus = None\n"
+            + ("from hpsim.cli import main\n" if "main" in statement else "")
+            + f"{statement}\n"
+            "print(status, 'numpy' in sys.modules, file=sys.stderr)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.splitlines()[-1] == f"{status} {numpy_loaded}"
+
+
+# hpsim.__all__, by the module each name is read from
+PUBLIC_NAMES = {
+    "cavity": ("CavityParams", "ReflectionPair", "reflection_coefficient",
+               "reflection_pair", "solve_params_for_phase"),
+    "errors": ("DegenerateRuleError", "SimulationError",
+               "SingularParametersError"),
+    "homodyne": ("SCENARIOS", "DecisionRule", "OutcomeClass",
+                 "build_decision_rule", "integrands", "outcome_density",
+                 "resolve_scenario", "sample_outcomes"),
+    "hybrid_state": ("SectorState", "sector_states"),
+    "metrics": ("ClassResult", "ScenarioRun", "SweepPoint",
+                "closed_form_two_qubit", "monte_carlo_estimate",
+                "run_scenario", "sweep"),
+    "numerics": ("erfc",),
+}
+
+
+def test_package_names_resolve_to_their_modules():
+    import importlib
+
+    import hpsim
+    assert hpsim.__all__ == sorted(
+        [*PUBLIC_NAMES, *(n for names in PUBLIC_NAMES.values() for n in names)])
+    assert len(hpsim.__all__) == 32
+    assert set(hpsim.__all__) <= set(dir(hpsim))
+    for home, names in PUBLIC_NAMES.items():
+        module = importlib.import_module(f"hpsim.{home}")
+        assert getattr(hpsim, home) is module
+        for name in names:
+            assert getattr(hpsim, name) is getattr(module, name), name
+    scenarios = importlib.import_module("hpsim.scenarios")
+    assert hpsim.SCENARIOS is scenarios.SCENARIOS
+    assert hpsim.resolve_scenario is scenarios.resolve_scenario
+    for module in (hpsim, cli):
+        with pytest.raises(AttributeError):
+            module.no_such_name
+
+
+def test_cli_library_names_are_the_library_functions(monkeypatch):
+    # the names the benchmark's tracer patches on cli, resolved afresh
+    from hpsim import cavity
+    for module, name in ((metrics, "run_scenario"), (metrics, "sweep"),
+                         (metrics, "closed_form_two_qubit"),
+                         (homodyne, "density_components"),
+                         (cavity, "solve_params_for_phase"),
+                         (cavity, "reflection_pair")):
+        monkeypatch.delitem(vars(cli), name, raising=False)
+        assert getattr(cli, name) is getattr(module, name), name
+        assert vars(cli)[name] is getattr(module, name), name
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("density_components", ["density", "--scenario", "two_qubit", "--alpha",
+                            "1", "--points", "3"]),
+    ("solve_params_for_phase", ["solve-params", "--n", "3"]),
+])
+def test_commands_call_the_names_set_on_cli(monkeypatch, capsys, name, argv):
+    # main keeps a name already set on cli, as it keeps a tracer's wrapper
+    from hpsim.errors import SimulationError
+
+    def failing(*args, **kwargs):
+        raise SimulationError("injected")
+
+    monkeypatch.setattr(cli, name, failing)
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "hpsim: numerical failure: injected\n"
+
+
 def test_sweep_empty_range_exits_2():
     res = run_cli("sweep", "--scenario", "two_qubit", "--nbar", "5:1:1")
     assert res.returncode == 2
