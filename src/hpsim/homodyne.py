@@ -19,6 +19,8 @@ state.  Ties at a threshold go to the upper interval.
 """
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -31,12 +33,15 @@ from .scenarios import SCENARIOS, resolve_scenario  # noqa: F401 (re-exported)
 
 _SIGMA = 1.0 / math.sqrt(2.0)      # quadrature standard deviation
 WINDOW_SIGMAS = 8.0                # integration window half-width, in sigmas
-# Most points an integrands evaluator takes at once: a longer input goes
-# through in slices, so its temporaries (slots x points) do not grow with
-# the input.  Simpson's levels arrive in smaller slices of their own
-# (numerics._SLICE_POINTS); Monte Carlo blocks are cut here, and the
-# density command hands its grid over in slices of this size
-# (notes/decisions.md, "Monte Carlo block path").
+# Most points an integrands evaluator takes at once, and most term values
+# it holds: a longer input goes through in slices, and a slice's terms
+# are made for as many slots at a time as fill SLICE_POINTS values, so
+# its temporaries grow with neither the input nor n.  Simpson's levels
+# arrive in smaller slices of their own (numerics._SLICE_POINTS), whose
+# slots mostly fit in one group; Monte Carlo blocks are cut here, one slot
+# at a time, and so are the sampler's branch draws; the density command
+# hands its grid over in slices of this size (notes/decisions.md, "Monte
+# Carlo block path" and "Monte Carlo without fresh pages").
 SLICE_POINTS = 1 << 14
 
 
@@ -61,13 +66,15 @@ def _zeta_coefficients(label, quadrature):
     return -2.0 * math.sqrt(2.0) * label.real, 2.0 * label.real * label.imag
 
 
-def outcome_density(state: SectorState, quadrature, v):
+def outcome_density(state: SectorState, quadrature, v, out=None):
     """Probability density of the homodyne outcome at each v of an array.
     Atomic orthogonality kills every cross term, so it is the plain mixture
     sum_k p_k |<v|f_k>|^2 over the weights (environment labels drop out):
     the integrands density part over every weight, so it has the bits of
-    the density Simpson integrates."""
-    return integrands([(state, quadrature, [tuple(range(state.n + 1))])])(v)
+    the density Simpson integrates.  out, v's length, takes the values
+    (see integrands)."""
+    return integrands([(state, quadrature, [tuple(range(state.n + 1))])])(
+        v, out=out)
 
 
 def integration_window(state: SectorState, quadrature):
@@ -217,7 +224,7 @@ def _target_name(n, axis, residues):
 # --- sampling ----------------------------------------------------------------
 
 def sample_outcomes(state: SectorState, quadrature, trials: int, seed,
-                    start: int = 0, stop: int = None) -> np.ndarray:
+                    start: int = 0, stop: int = None, out=None) -> np.ndarray:
     """Draw homodyne outcomes: a branch x uniformly, then N(mean_|x|, 1/2).
 
     Stream layout (fixed for reproducibility): `trials` uniforms pick the
@@ -229,34 +236,51 @@ def sample_outcomes(state: SectorState, quadrature, trials: int, seed,
     stream a long run in blocks of bounded memory.  The 2^n branches are
     equally likely, so the inverse-CDF pick of the uniform u is
     x = floor(u 2^n).  The uniform of stream word w is u = (w >> 11) 2^-53,
-    so for n <= 53 x is the word's top n bits, w >> (64 - n): it is read
-    from the raw words, shifted in place, and no float or integer copy of
-    the uniforms is made.  x's weight is numpy's popcount of x.
+    so for n <= 53 x is the word's top n bits, w >> (64 - n), and x's
+    weight is numpy's popcount of x.  The normals are written into out (a
+    float64 array of stop - start values; a new one by default); then the
+    branches are read from the raw words a slice of SLICE_POINTS at a time,
+    shifted in place, and each slice's weights and means go to rows of
+    that length, the means added in place.  So a call holds no array of
+    its own length but out.
     """
     _check_quadrature(quadrature)
-    check_trials(trials, minimum=1)
+    trials = check_trials(trials, minimum=1)
     stop = trials if stop is None else stop
-    if not 0 <= start < stop <= trials:
+    integral = all(isinstance(end, numbers.Integral)
+                   and not isinstance(end, bool) for end in (start, stop))
+    if not (integral and 0 <= start < stop <= trials):
         raise ValueError(f"trial range [{start}, {stop}) is not a non-empty "
                          f"part of [0, {trials})")
+    start, stop = operator.index(start), operator.index(stop)
     size = stop - start
-    branches = philox_stream(seed, start).bit_generator.random_raw(size)
-    branches >>= np.uint64(64 - state.n)
-    weight = np.bitwise_count(branches)
-    means = quadrature_mean(state.fields, quadrature)[weight]
     normals = standard_normals(philox_stream(seed, trials + start), size,
-                               philox_stream(seed, 2 * trials + start))
-    normals *= _SIGMA
-    normals += means
+                               philox_stream(seed, 2 * trials + start),
+                               out=out)
+    means = quadrature_mean(state.fields, quadrature)
+    words = philox_stream(seed, start).bit_generator
+    mean = np.empty(min(size, SLICE_POINTS))
+    weight = np.empty(mean.size, np.uint8)
+    for lo in range(0, size, SLICE_POINTS):
+        part = normals[lo:lo + SLICE_POINTS]
+        branch = words.random_raw(part.size)
+        branch >>= np.uint64(64 - state.n)
+        np.bitwise_count(branch, out=weight[:part.size])
+        part *= _SIGMA
+        part += np.take(means, weight[:part.size], out=mean[:part.size],
+                        mode="clip")
     return normals
 
 
 # --- integrands ---------------------------------------------------------------
 
 def integrands(specs):
-    """f(v, which=None): integrand which[j] of the (state, quadrature,
-    parts) specs at outcome v[j] (1-D arrays), or, with which None, the one
-    integrand at every v.  One integrand per part, in order: a bin's
+    """f(v, which=None, out=None): integrand which[j] of the (state,
+    quadrature, parts) specs at outcome v[j] (1-D arrays), or, with which
+    None, the one integrand at every v, written into out (a float64 array
+    of v's length; a new one by default; v itself may be out, as each
+    slice is read whole before its values are written).  One integrand per
+    part, in order: a bin's
     <T(v)| rho~(v) |T(v)> for an OutcomeClass, else the density's mixture
     over a tuple of weights.  Target and state are uniform within a weight,
     so with W_k(v) = conj(T_k(v)) <v|f_k> = e_k(v) e^{i phi_k(v)} (phi_k
@@ -271,8 +295,9 @@ def integrands(specs):
     and its slot.  Terms are gathered from the states laid end to end, so
     the numpy calls do not grow with the batch, and summed slot after slot
     (not pairwise), so a point's value has the same bits in any v or batch.
-    An input longer than SLICE_POINTS is evaluated slice by slice into one
-    output array, with the same bits: the integrands are elementwise."""
+    An input longer than SLICE_POINTS is evaluated slice by slice, and a
+    slice's terms a group of slots at a time (see SLICE_POINTS), with the
+    same bits: the integrands are elementwise and the sum's order is kept."""
     arrays, slots, pairs, count, lo, g0 = [], [], [], 0, 0, 0
     for state, quadrature, parts in specs:
         _check_quadrature(quadrature)
@@ -309,54 +334,71 @@ def integrands(specs):
     pairs[:, pslot, prow] = [means[a], means[b], np.abs(pair), slope[a] - slope[b],
                              offset[a] - offset[b] + np.angle(pair)]
 
-    def values(v, which=None):
+    def values(v, which=None, out=None):
         v = np.asarray(v, dtype=float)
-        if v.size > SLICE_POINTS:       # slice by slice into one array
+        if out is None:
             out = np.empty(v.shape)
-            for lo in range(0, v.size, SLICE_POINTS):
-                hi = lo + SLICE_POINTS
-                out[lo:hi] = values(v[lo:hi],
-                                    None if which is None else which[lo:hi])
-            return out
+        for lo in range(0, v.size, SLICE_POINTS):
+            hi = lo + SLICE_POINTS
+            part = v[lo:hi]
+            group = SLICE_POINTS // part.size   # slots whose terms are held
 
-        def columns(table):     # gathered one table at a time, for memory
-            return table if which is None else np.take(table, which, 2)
-        total = _gaussian_sum(v, *columns(weights))
-        if pairs.shape[1]:
-            mi, mj, amps, slopes, offsets = columns(pairs)
-            terms, other = v - mi, v - mj       # in place from here on
-            terms *= terms
-            other *= other
-            terms += other
-            terms *= -0.5
-            np.exp(terms, out=terms)
-            np.multiply(v, slopes, out=other)
-            other += offsets
-            np.cos(other, out=other)
-            terms *= other
-            terms *= amps
-            total += _sum_rows(terms)
-        return total / math.sqrt(math.pi)
+            def columns(table):     # gathered one table at a time
+                return (table if which is None
+                        else np.take(table, which[lo:hi], 2))
+            total = _gaussian_sum(part, *columns(weights), group)
+            if pairs.shape[1]:
+                total += _pair_sum(part, *columns(pairs), group)
+            np.divide(total, math.sqrt(math.pi), out=out[lo:hi])
+        return out
 
     return values
 
 
-def _gaussian_sum(v, means, coefs):
-    """sum_k c_k e^{-(v - m_k)^2}, in place, slot after slot."""
-    terms = v - means
-    terms *= terms
-    np.negative(terms, out=terms)
-    np.exp(terms, out=terms)
-    terms *= coefs
-    return _sum_rows(terms)
+def _gaussian_sum(v, means, coefs, group):
+    """sum_k c_k e^{-(v - m_k)^2}, slot after slot: the terms of `group`
+    slots at a time are made in place, then added row after row."""
+    total = None
+    for a in range(0, len(means), group):
+        terms = v - means[a:a + group]
+        terms *= terms
+        np.negative(terms, out=terms)
+        np.exp(terms, out=terms)
+        terms *= coefs[a:a + group]
+        total = _sum_rows(terms, total)
+    return total
 
 
-def _sum_rows(terms):
-    """terms[0] + terms[1] + ..., added row after row into one new array
-    (not pairwise, and without a temporary per row)."""
-    total = terms[0].copy()
-    for row in terms[1:]:
-        total += row
+def _pair_sum(v, mi, mj, amps, slopes, offsets, group):
+    """sum of A cos(s v + o) e^{-((v - m_i)^2 + (v - m_j)^2) / 2} over the
+    pair slots, `group` slots at a time as _gaussian_sum."""
+    total = None
+    for a in range(0, len(mi), group):
+        b = a + group
+        terms, other = v - mi[a:b], v - mj[a:b]     # in place from here on
+        terms *= terms
+        other *= other
+        terms += other
+        terms *= -0.5
+        np.exp(terms, out=terms)
+        np.multiply(v, slopes[a:b], out=other)
+        other += offsets[a:b]
+        np.cos(other, out=other)
+        terms *= other
+        terms *= amps[a:b]
+        total = _sum_rows(terms, total)
+    return total
+
+
+def _sum_rows(terms, total=None):
+    """total + terms[0] + terms[1] + ..., added row after row into total
+    (not pairwise, and without a temporary per row); with total None, into
+    a copy of terms[0]."""
+    for row in terms:
+        if total is None:
+            total = row.copy()
+        else:
+            total += row
     return total
 
 

@@ -125,17 +125,20 @@ def closed_form_two_qubit(a: float):
 
 # --- Monte Carlo ----------------------------------------------------------------
 
-# Trials per Monte Carlo block.  A block holds its outcomes (sorted by bin),
-# their bin indices and their densities; each bin's ratios, then their
-# deviations, are written over its densities.  The integrands take the
-# block in slices of homodyne.SLICE_POINTS, so the density's (n+1)
-# Gaussians and a bin's overlap terms are held for one slice at a time.
-# The next block replaces all of it, so memory does not grow with the
-# trial count.  Above the heap it starts from, the sampler peaks at
-# 2.06 MiB for every n and a block's density at (n + 6) / 8 MiB: 1.0 MiB at
-# n = 2, 1.4 at n = 5 and 3.25 at n = 20.  The sampler runs while the last
-# block is still held, so a run peaks at 3.1 MiB for n <= 5, 3.45 at
-# n = 13 and 4.3 at n = 20 (tracemalloc, 200,000 trials).
+# Trials per Monte Carlo block.  A run makes its block arrays once, sized
+# min(trials, MC_BLOCK_TRIALS), and every block writes into them: the
+# drawn outcomes (then their densities, over which each bin's ratios and
+# deviations are written), the outcomes sorted by bin (over which each
+# bin's overlaps are written), and the sort's keys, positions and order.
+# So a run holds 2 MiB of them at this size, and no block makes an array
+# of its own length: freed per block, such arrays went back to the kernel
+# and the next block faulted them in again (notes/decisions.md, "Monte
+# Carlo without fresh pages").  The sampler and the integrands take a
+# block in slices of homodyne.SLICE_POINTS, into rows of that length: the
+# sampler peaks at 0.39 MiB, a density at 0.5 MiB and a bin's overlap at
+# 0.5-0.75 MiB.  A run then peaks at 2.70 MB for n <= 13 and 2.74 MB at
+# n = 20 (tracemalloc, 200,000 trials, after a first run).  The block
+# partition sets the bits of the fidelity sums, so the size is fixed.
 MC_BLOCK_TRIALS = 1 << 16
 
 def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
@@ -149,7 +152,7 @@ def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
     positions (see sample_outcomes); each adds to the per-bin hits, sums and
     squared deviations, so the hits do not depend on the block size.
     """
-    check_trials(trials, minimum=1)
+    trials = check_trials(trials, minimum=1)
     check_seed(seed)
     _check_same_n(state, rule)
     overlaps = [class_overlap_integrand(state, rule.quadrature, cls)
@@ -157,22 +160,31 @@ def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
     hits = [0] * len(rule.classes)
     sums = [0.0] * len(rule.classes)
     squares = [0.0] * len(rule.classes)    # summed squared deviations
+    # the run's block arrays: every block writes into them
+    size = min(trials, MC_BLOCK_TRIALS)
+    drawn, ordered = np.empty(size), np.empty(size)
+    order_of = _stable_order(size, len(rule.classes))
     for start in range(0, trials, MC_BLOCK_TRIALS):
+        stop = min(start + MC_BLOCK_TRIALS, trials)
         samples = sample_outcomes(state, rule.quadrature, trials, seed, start,
-                                  min(start + MC_BLOCK_TRIALS, trials))
-        # one stable sort: each bin's samples become a slice, in draw order,
-        # and the density is evaluated on them in that order
+                                  stop, out=drawn[:stop - start])
+        # one stable ordering by bin: each bin's samples become a slice, in
+        # draw order, and the density is evaluated on them in that order,
+        # into the drawn samples' array
         idx, counts = rule.classify(samples)
-        samples = samples[np.argsort(idx, kind="stable")]
-        dens = outcome_density(state, rule.quadrature, samples)
+        samples = np.take(samples, order_of(idx), out=ordered[:samples.size],
+                          mode="clip")
+        dens = outcome_density(state, rule.quadrature, samples,
+                               out=drawn[:samples.size])
         lo = 0
         for i, n1 in enumerate(counts):
             if n1:
                 hi = lo + n1
-                # the bin's ratios, then their deviations, in place of
-                # its densities
-                dev = np.divide(overlaps[i](samples[lo:hi]), dens[lo:hi],
-                                out=dens[lo:hi])
+                # the bin's overlaps in place of its samples, its ratios,
+                # then their deviations, in place of its densities
+                dev = np.divide(overlaps[i](samples[lo:hi],
+                                            out=samples[lo:hi]),
+                                dens[lo:hi], out=dens[lo:hi])
                 n0, total = hits[i], float(np.sum(dev))
                 dev -= total / n1
                 # Chan et al.'s pairwise update of the squared deviations
@@ -192,6 +204,28 @@ def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
                                method="monte_carlo", mc_stderr=stderr,
                                fidelity_stderr=fse))
     return out
+
+
+def _stable_order(size, bins):
+    """A function idx -> np.argsort(idx, kind="stable") for at most `size`
+    bin indices below `bins`, written into an array made here.  It sorts
+    the keys (bin << s) | position in place, where s bits hold a position,
+    and masks the bins off: distinct keys need no stable sort, and a call
+    makes no array of the indices' length."""
+    shift = (size - 1).bit_length()
+    dtype = np.min_scalar_type((bins - 1) << shift | (size - 1))
+    positions = np.arange(size, dtype=dtype)
+    keys, order = np.empty(size, dtype), np.empty(size, np.intp)
+
+    def order_of(idx):
+        k = keys[:idx.size]
+        np.copyto(k, idx)
+        k <<= shift
+        k |= positions[:idx.size]
+        k.sort()
+        return np.bitwise_and(k, (1 << shift) - 1, out=order[:idx.size])
+
+    return order_of
 
 
 # --- full pipeline ---------------------------------------------------------------
@@ -241,7 +275,7 @@ def prepare_state(scenario: str, alpha: float, eta_sq: float,
 def run_scenario(scenario: str, alpha: float, eta_sq: float,
                  gamma: float = 0.0, n=None, trials: int = 0,
                  seed=0) -> ScenarioRun:
-    check_trials(trials)
+    trials = check_trials(trials)
     check_seed(seed)
     check_eta_sq(eta_sq)
     scenario, n, _ = resolve_scenario(scenario, n)

@@ -9,7 +9,7 @@ import pytest
 from hpsim import homodyne
 from hpsim.cavity import ReflectionPair
 from hpsim.errors import DegenerateRuleError
-from hpsim.homodyne import (SCENARIOS, _zeta_coefficients,
+from hpsim.homodyne import (SCENARIOS, OutcomeClass, _zeta_coefficients,
                             build_decision_rule, class_overlap_integrand,
                             density_components, integrands, integration_window,
                             outcome_density, quadrature_mean, resolve_scenario,
@@ -385,6 +385,47 @@ def test_sampler_equals_frozen_sampler_byte_for_byte(n):
                             (1000, 1001)):
             assert same_bits(sample_outcomes(st, q, 1001, seed, start, stop),
                              sample_outcomes_v1(st, q, 1001, seed, start, stop))
+
+
+def _buffer_case(n):
+    """A state of n nodes whose weights all have distinct labels, and bins
+    with one weight, two labels (one pair term) and three weights (three)."""
+    pair = ReflectionPair(np.exp(0.3j), 0.8 * np.exp(-0.9j))
+    st = sector_states(n, [(2.0, pair)])[0]
+    return st, [OutcomeClass(1, "one", (1,), n, (0,)),
+                OutcomeClass("0|1", "two", (0, n), 2, (1, -1), (0.3, -0.7)),
+                OutcomeClass("x", "three", (0, 1, n), n + 2, (1, -1, 1),
+                             (-0.2, 0.5))]
+
+
+@pytest.mark.parametrize("n", [2, 5, 20, 53])
+def test_buffer_routes_equal_allocating_calls(n):
+    # sample_outcomes, outcome_density and the overlap callables write into
+    # a given out with the bits of their allocating calls: a run that
+    # crosses the sampler's and the evaluator's slices, a short last
+    # block, one buffer reused across two seeds (no stale value leaks
+    # through) and an overlap written over its own outcomes, as Monte
+    # Carlo does.  The allocating sampler keeps the frozen sampler's bits
+    # across its slices.
+    st, classes = _buffer_case(n)
+    trials = 2 * homodyne.SLICE_POINTS + 1001
+    buffer = np.full(trials, np.nan)
+    for q, seed in (("P", 7), ("X", 8)):        # the same buffer, reused
+        want = sample_outcomes(st, q, trials, seed)
+        assert same_bits(want, sample_outcomes_v1(st, q, trials, seed))
+        got = sample_outcomes(st, q, trials, seed, out=buffer)
+        assert got is buffer and same_bits(got, want)
+        last = sample_outcomes(st, q, trials, seed, trials - 5, trials,
+                               out=buffer[:5])
+        assert same_bits(last, want[-5:])
+        routes = [lambda v, out=None: outcome_density(st, q, v, out=out)]
+        routes += [class_overlap_integrand(st, q, cls) for cls in classes]
+        for f in routes:
+            expected = f(want)
+            assert same_bits(f(want, out=buffer), expected)
+            assert same_bits(f(want[-5:], out=buffer[:5]), expected[-5:])
+            own = want.copy()
+            assert same_bits(f(own, out=own), expected)
 
 
 def test_sampler_rejects_zero_trials():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -401,10 +405,12 @@ def test_monte_carlo_memory_does_not_grow_with_trials():
 
 
 def test_monte_carlo_working_set_does_not_grow_with_n():
-    # the integrand takes a block in slices and each bin is scored in place,
-    # so the (n+1) Gaussians of a block's density are held for one slice at
-    # a time: at 200,000 trials n = 20 peaks within 1.5x of n = 5 (whole
-    # blocks read 2.6x, 12.7 against 4.9 MB)
+    # the run's block arrays are made once and the integrand holds the
+    # terms of one slice's slots at a time (one Gaussian row per slot at
+    # Monte Carlo's slice length), so at 200,000 trials n = 20 peaks within
+    # 1.5x of n = 5 (2.74 against 2.70 MB once warm; holding a slice's
+    # (n+1) Gaussians at once read 4.54 against 3.29 MB, whole blocks 12.7
+    # against 4.9 MB)
     def peak(n):
         run = run_scenario("n_qubit_P", 3.0, 0.6667, gamma=0.2, n=n)
         tracemalloc.start()
@@ -417,6 +423,93 @@ def test_monte_carlo_working_set_does_not_grow_with_n():
     small, large = peak(5), peak(20)
     assert large <= 1.5 * small, (small, large)
     assert large <= 5e6, large
+
+
+# a child process of its own: the test process's heap history (earlier
+# tests' frees) can hide or add page faults
+_FAULT_CHILD = textwrap.dedent("""
+    import resource
+    from hpsim.hybrid_state import alpha_for_nbar
+    from hpsim.metrics import monte_carlo_estimate, run_scenario
+    for scenario, nbar, n in (("n_qubit_P", 9.0, 5), ("gsum_X", 3.0, None)):
+        run = run_scenario(scenario, alpha_for_nbar(nbar), 0.6667, gamma=0.2,
+                           n=n)
+        for _ in range(2):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            monte_carlo_estimate(run.state, run.rule, 1_000_000, 4)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        print(faults)
+""")
+
+
+def test_monte_carlo_blocks_take_no_fresh_pages():
+    # the benchmark's mc_n5 and mc_gsum runs at 10^6 trials, each run twice
+    # in a fresh process; the second run's minor page faults are counted.
+    # Block arrays made and freed per block went back to the kernel and
+    # were faulted in again by the next block: about 5,700 and 6,050
+    # faults a run.  With the run's arrays reused by every block, about
+    # 500-550 remain, most of them the first touch of those arrays.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(metrics.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-c", _FAULT_CHILD], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    faults = [int(line) for line in res.stdout.split()]
+    assert len(faults) == 2 and max(faults) <= 1500, faults
+
+
+@pytest.mark.parametrize("bins", range(1, 22))
+def test_stable_order_equals_stable_argsort(bins):
+    # the in-place key sort orders bin indices as a stable argsort does:
+    # a full block, a short last block and a single index, with the
+    # middle bin left empty.  A full block's call allocates no array of
+    # the block's length (512 KiB of order), only numpy's 8,192-value
+    # casting buffer.
+    rng = np.random.default_rng(bins)
+    dtype = np.min_scalar_type(bins - 1)
+    for size in (metrics.MC_BLOCK_TRIALS, 3000):
+        order_of = metrics._stable_order(size, bins)
+        for m in (size, size - 1234, 1):
+            idx = rng.integers(0, bins, m).astype(dtype)
+            if bins > 2:
+                idx[idx == bins // 2] = 0
+            tracemalloc.start()
+            try:
+                order = order_of(idx)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(order, np.argsort(idx, kind="stable"))
+            if m == metrics.MC_BLOCK_TRIALS:
+                assert peak < 64 * 1024, peak
+
+
+@pytest.mark.parametrize("trials", [np.int64(1000), np.uint16(1000),
+                                    np.int32(1)])
+def test_numpy_integer_trials_equal_python_ints(trials):
+    # a numpy integer passed the checks, then overflowed Philox.advance
+    # (np.int64) on its way to the normals' stream position
+    run = run_scenario("two_qubit", 1.5, 0.9, trials=trials, seed=3)
+    assert run.mc_results == run_scenario("two_qubit", 1.5, 0.9,
+                                          trials=int(trials), seed=3).mc_results
+    assert (monte_carlo_estimate(run.state, run.rule, trials, 3)
+            == list(run.mc_results))
+    if trials > 1:
+        assert np.array_equal(
+            sample_outcomes(run.state, "X", trials, 3, np.int8(2),
+                            np.uint64(9)),
+            sample_outcomes(run.state, "X", int(trials), 3, 2, 9))
+
+
+@pytest.mark.parametrize("start, stop", [(0.5, 4), (0, 4.0), (True, 4),
+                                         (0, np.float64(4)), ("0", 4)])
+def test_sampler_range_must_be_integers(start, stop):
+    # a fractional start raised a TypeError inside Philox; a bool or float
+    # is refused at the range check, as a bad range is
+    st = prepare_state("two_qubit_X", 1.0, 1.0)
+    with pytest.raises(ValueError, match="trial range"):
+        sample_outcomes(st, "X", 10, 1, start, stop)
 
 
 # --- gamma model ----------------------------------------------------------------------
@@ -707,7 +800,7 @@ def test_monte_carlo_takes_trials_up_to_the_cap(monkeypatch):
     class Drawn(Exception):
         pass
 
-    def draw(*args):
+    def draw(*args, **kwargs):
         raise Drawn
 
     monkeypatch.setattr(metrics, "sample_outcomes", draw)

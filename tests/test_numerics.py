@@ -292,6 +292,26 @@ def test_box_muller_equals_frozen_form_byte_for_byte():
                              standard_normals_v1(c, size, d))
 
 
+def test_normals_into_out_equal_allocating_call():
+    # out takes the normals over several u2 pieces with the frozen form's
+    # bits, also when one generator is passed twice (u1 is drawn whole
+    # before any u2)
+    size = 3 * numerics._U2_PIECE + 17
+    buffer = np.full(size, np.nan)
+    for two in (False, True):
+        want = standard_normals_v1(*_generators(size, two))
+        assert same_bits(standard_normals(*_generators(size, two)), want)
+        got = standard_normals(*_generators(size, two), out=buffer)
+        assert got is buffer and same_bits(got, want)
+
+
+def _generators(size, two):
+    """(rng, size, rng_u2): one generator twice, or two at u1's and u2's
+    stream words."""
+    rng = philox_stream(3, 5)
+    return rng, size, philox_stream(3, 5 + 2 * size) if two else rng
+
+
 def test_philox_seed_range_enforced():
     philox_stream(0)
     philox_stream(2**64 - 1)
