@@ -16,9 +16,10 @@ second time with `--out` to a temporary file; it exits 1 when that run's
 exit code differs, its stdout is not empty, or the file is not
 byte-identical to the tree's stdout for the task.  Each tree also runs the
 start-up paths (STARTUP: --help, each command's --help, solve-params and
-two flag errors) with COLUMNS=80, so that argparse wraps alike; it exits 1
-on any difference in their exit codes, stdout or stderr.  bench/ is only
-read: no bytecode is written there.
+two flag errors) with COLUMNS=80, so that argparse wraps alike, and the
+SIMULATE lines, which no benchmark task runs; it exits 1 on any
+difference in their exit codes, stdout or stderr.  bench/ is only read: no
+bytecode is written there.
 """
 
 import json
@@ -40,8 +41,17 @@ STARTUP = ([["--help"]]
            + [["solve-params", "--n", str(n)] for n in range(2, 6)]
            + [["simulate", "--scenario", "bogus"],
               ["sweep", "--scenario", "gsum"]])
+# Monte Carlo runs past the benchmark's tasks: three blocks with a ragged
+# last slice at the largest n, the largest seed, and a single trial
+SIMULATE = [["simulate", "--scenario", "n_qubit", "--n", "20", "--nbar", "9",
+             "--gamma", "0.2", "--trials", "150001", "--seed", "5"],
+            ["simulate", "--scenario", "n_qubit", "--n", "13", "--alpha", "3",
+             "--gamma", "1", "--trials", "70000",
+             "--seed", "18446744073709551615"],
+            ["simulate", "--scenario", "two_qubit", "--alpha", "1.5",
+             "--trials", "1", "--seed", "3"]]
 
-# Runs in each tree: the start-up command lines, every task at every seed,
+# Runs in each tree: the STARTUP and SIMULATE lines, every task at every seed,
 # and the curve tasks again with --out; one JSON object on stdout.
 RUNNER = """
 import json, os, sys, tempfile
@@ -84,7 +94,8 @@ def run_tree(src):
                COLUMNS="80",
                PYTHONPATH=os.pathsep.join([os.path.abspath(src), BENCH]))
     res = subprocess.run([sys.executable, "-c", RUNNER, json.dumps(SEEDS),
-                          os.path.realpath(src), json.dumps(STARTUP)],
+                          os.path.realpath(src),
+                          json.dumps(STARTUP + SIMULATE)],
                          env=env, capture_output=True, text=True)
     if res.returncode:
         raise SystemExit(f"running {src} failed:\n{res.stderr}")
@@ -142,11 +153,11 @@ def main(argv):
     bad_startup = 0
     for (line, *b), (_, *h) in zip(base_startup, head_startup):
         if b != h:
-            print(f"start-up `hpsim {line}`: exit code, stdout or stderr "
+            print(f"`hpsim {line}`: exit code, stdout or stderr "
                   f"differs ({b[0]} -> {h[0]})")
             bad_startup += 1
-    print(f"{len(base_startup)} start-up runs, {bad_startup} with a "
-          f"difference")
+    print(f"{len(base_startup)} start-up and simulate runs, {bad_startup} "
+          f"with a difference")
     bad_files = 0
     for tree, files in zip(argv, (base_files, head_files)):
         bad = [(key, problems) for key, problems in files if problems]

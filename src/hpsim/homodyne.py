@@ -39,7 +39,7 @@ WINDOW_SIGMAS = 8.0                # integration window half-width, in sigmas
 # its temporaries grow with neither the input nor n.  Simpson's levels
 # arrive in smaller slices of their own (numerics._SLICE_POINTS), whose
 # slots mostly fit in one group; Monte Carlo blocks are cut here, one slot
-# at a time, and so are the sampler's branch draws; the density command
+# at a time, and so is the sampler's draw of a block; the density command
 # hands its grid over in slices of this size (notes/decisions.md, "Monte
 # Carlo block path" and "Monte Carlo without fresh pages").
 SLICE_POINTS = 1 << 14
@@ -236,13 +236,14 @@ def sample_outcomes(state: SectorState, quadrature, trials: int, seed,
     stream a long run in blocks of bounded memory.  The 2^n branches are
     equally likely, so the inverse-CDF pick of the uniform u is
     x = floor(u 2^n).  The uniform of stream word w is u = (w >> 11) 2^-53,
-    so for n <= 53 x is the word's top n bits, w >> (64 - n), and x's
-    weight is numpy's popcount of x.  The normals are written into out (a
-    float64 array of stop - start values; a new one by default); then the
-    branches are read from the raw words a slice of SLICE_POINTS at a time,
-    shifted in place, and each slice's weights and means go to rows of
-    that length, the means added in place.  So a call holds no array of
-    its own length but out.
+    so u 2^n = (w >> 11) 2^(n - 53): for n <= 53 x is the word's top n
+    bits, w >> (64 - n), and x's weight is numpy's popcount of x; for
+    n > 53 x's low n - 53 bits would always be 0, so such a state is
+    refused.  out (a contiguous float64 array of stop - start values; a new
+    one by default) is checked before any draw.  Each slice of SLICE_POINTS
+    trials draws u1 into its part of out and u2 into one row, makes the
+    normals over u1 and adds the means, gathered into the row: a call holds
+    no array of its own length but out.
     """
     _check_quadrature(quadrature)
     trials = check_trials(trials, minimum=1)
@@ -252,24 +253,30 @@ def sample_outcomes(state: SectorState, quadrature, trials: int, seed,
     if not (integral and 0 <= start < stop <= trials):
         raise ValueError(f"trial range [{start}, {stop}) is not a non-empty "
                          f"part of [0, {trials})")
+    if state.n > 53:
+        raise ValueError(f"a uniform double picks among at most 2^53 "
+                         f"branches, got n = {state.n}")
     start, stop = operator.index(start), operator.index(stop)
     size = stop - start
-    normals = standard_normals(philox_stream(seed, trials + start), size,
-                               philox_stream(seed, 2 * trials + start),
-                               out=out)
+    out = np.empty(size) if out is None else out
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.shape == (size,) and out.flags.c_contiguous):
+        raise ValueError(f"out must be {size} contiguous float64 values")
     means = quadrature_mean(state.fields, quadrature)
     words = philox_stream(seed, start).bit_generator
-    mean = np.empty(min(size, SLICE_POINTS))
-    weight = np.empty(mean.size, np.uint8)
+    u1s, u2s = (philox_stream(seed, k * trials + start) for k in (1, 2))
+    row = np.empty(min(size, SLICE_POINTS))
+    weight = np.empty(row.size, np.uint8)
     for lo in range(0, size, SLICE_POINTS):
-        part = normals[lo:lo + SLICE_POINTS]
+        part = u1s.random(out=out[lo:lo + SLICE_POINTS])
+        standard_normals(part, u2s.random(out=row[:part.size]))
         branch = words.random_raw(part.size)
         branch >>= np.uint64(64 - state.n)
         np.bitwise_count(branch, out=weight[:part.size])
         part *= _SIGMA
-        part += np.take(means, weight[:part.size], out=mean[:part.size],
+        part += np.take(means, weight[:part.size], out=row[:part.size],
                         mode="clip")
-    return normals
+    return out
 
 
 # --- integrands ---------------------------------------------------------------

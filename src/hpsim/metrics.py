@@ -133,12 +133,12 @@ def closed_form_two_qubit(a: float):
 # So a run holds 2 MiB of them at this size, and no block makes an array
 # of its own length: freed per block, such arrays went back to the kernel
 # and the next block faulted them in again (notes/decisions.md, "Monte
-# Carlo without fresh pages").  The sampler and the integrands take a
-# block in slices of homodyne.SLICE_POINTS, into rows of that length: the
-# sampler peaks at 0.39 MiB, a density at 0.5 MiB and a bin's overlap at
-# 0.5-0.75 MiB.  A run then peaks at 2.70 MB for n <= 13 and 2.74 MB at
-# n = 20 (tracemalloc, 200,000 trials, after a first run).  The block
-# partition sets the bits of the fidelity sums, so the size is fixed.
+# Carlo without fresh pages").  The sampler draws a block and the
+# integrands take it in slices of homodyne.SLICE_POINTS, into rows of that
+# length: the sampler peaks at 0.39 MiB, a density at 0.5 MiB and a bin's
+# overlap at 0.5-0.75 MiB.  A run then peaks at 2.70 MB for n <= 13 and
+# 2.74 MB at n = 20 (tracemalloc, 200,000 trials, after a first run).  The
+# block partition sets the bits of the fidelity sums, so the size is fixed.
 MC_BLOCK_TRIALS = 1 << 16
 
 def monte_carlo_estimate(state: SectorState, rule: DecisionRule,

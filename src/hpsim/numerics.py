@@ -205,32 +205,22 @@ def philox_stream(seed, word=0):
     return rng
 
 
-# Uniforms u2 per piece of standard_normals: it draws u2 and takes its
-# cosine one piece at a time, in a row of this length.
-_U2_PIECE = 1 << 14
+def standard_normals(u1, u2):
+    """Box-Muller (cosine branch) normals from uniform doubles u1 and u2 of
+    one shape (float64 arrays), one normal per pair, written over u1.
 
-
-def standard_normals(rng, size, rng_u2, out=None):
-    """Box-Muller (cosine branch) normals from uniform doubles.
-
-    u1 is mapped to (0, 1] so the log never sees zero.  Exactly two uniforms
-    are consumed per normal: `size` values u1 from rng, then `size` values
-    u2 from rng_u2 (pass rng twice for the consecutive layout).  u1 is
-    drawn into out (a float64 array of `size` values; a new one by
-    default) and every step works in place on it; u2 is drawn and turned
-    into cos(2 pi u2) in pieces of _U2_PIECE values in one row, so a call
-    holds no second array of its own size.
+    u1 is mapped to (0, 1] so the log never sees zero, and u2 is turned
+    into cos(2 pi u2) in place, so the call makes no array.  Pass
+    rng.random(size), rng.random(size) for the consecutive layout.
     """
-    u1 = rng.random(size, out=out)
+    if np.shape(u1) != np.shape(u2):
+        raise ValueError(f"u1 and u2 must have one shape, got "
+                         f"{np.shape(u1)} and {np.shape(u2)}")
     np.subtract(1.0, u1, out=u1)
     np.log(u1, out=u1)
     u1 *= -2.0
     np.sqrt(u1, out=u1)
-    row = np.empty(min(size, _U2_PIECE))
-    for lo in range(0, size, _U2_PIECE):
-        part = u1[lo:lo + _U2_PIECE]
-        u2 = rng_u2.random(out=row[:part.size])
-        u2 *= 2.0 * np.pi
-        np.cos(u2, out=u2)
-        part *= u2
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    u1 *= u2
     return u1

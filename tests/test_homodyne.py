@@ -387,6 +387,34 @@ def test_sampler_equals_frozen_sampler_byte_for_byte(n):
                              sample_outcomes_v1(st, q, 1001, seed, start, stop))
 
 
+@pytest.mark.parametrize("n", [54, 65])
+def test_sampler_refuses_more_than_53_nodes(n):
+    # a uniform double carries 53 bits, so past n = 53 the word's top n
+    # bits are not the documented floor(u 2^n) (at n = 54 they differed in
+    # about half the trials) and at n = 65 the shift overflowed; refused
+    # before any draw
+    pair = ReflectionPair(np.exp(0.3j), 0.8 * np.exp(-0.9j))
+    st = sector_states(n, [(2.0, pair)])[0]
+    buffer = np.full(10, np.nan)
+    with pytest.raises(ValueError, match=r"2\^53 branches, got n = " + str(n)):
+        sample_outcomes(st, "X", 10, 1, out=buffer)
+    assert np.isnan(buffer).all()
+
+
+def test_sampler_refuses_a_wrong_out_before_any_draw():
+    # one value short (which a slice-by-slice draw would fill and return),
+    # one over, float32, 2-D and a strided view: each refused, and no
+    # value of the buffer behind it is written
+    st = prepare_state("two_qubit_X", 1.0, 1.0)
+    room = np.full(20, np.nan)
+    single = np.full(10, np.nan, np.float32)
+    for out in (room[:9], room[:11], single, room[:10].reshape(2, 5),
+                room[::2]):
+        with pytest.raises(ValueError, match="out must be 10 contiguous"):
+            sample_outcomes(st, "X", 10, 1, out=out)
+        assert np.isnan(room).all() and np.isnan(single).all()
+
+
 def _buffer_case(n):
     """A state of n nodes whose weights all have distinct labels, and bins
     with one weight, two labels (one pair term) and three weights (three)."""

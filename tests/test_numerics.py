@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hpsim import numerics
+from hpsim import homodyne, numerics
 from hpsim.errors import SimulationError
 from hpsim.numerics import (erfc, integrate_piecewise, philox_stream,
                             standard_normals)
@@ -263,16 +263,16 @@ def test_philox_stream_is_deterministic():
 
 def test_box_muller_normals_moments():
     rng = philox_stream(5)
-    z = standard_normals(rng, 200_000, rng)
+    z = standard_normals(rng.random(200_000), rng.random(200_000))
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
 
 
 def test_box_muller_consumes_fixed_stream():
-    # two uniforms per normal, branch-free layout; one generator passed
-    # twice reads u1 and u2 consecutively
+    # two uniforms per normal, branch-free layout; one generator drawn
+    # twice gives the consecutive layout, u1 then u2
     rng = philox_stream(11)
-    z1 = standard_normals(rng, 8, rng)
+    z1 = standard_normals(rng.random(8), rng.random(8))
     rng = philox_stream(11)
     u1 = 1.0 - rng.random(8)
     u2 = rng.random(8)
@@ -282,34 +282,44 @@ def test_box_muller_consumes_fixed_stream():
 
 def test_box_muller_equals_frozen_form_byte_for_byte():
     # u1 is drawn before u2, from one generator and from two
-    def generators(size, two):
-        rng = philox_stream(3, 5)
-        return rng, philox_stream(3, 5 + 2 * size) if two else rng
     for size in (1, 7, 1001):
         for two in (False, True):
-            (a, b), (c, d) = generators(size, two), generators(size, two)
-            assert same_bits(standard_normals(a, size, b),
-                             standard_normals_v1(c, size, d))
+            rng, rng_u2 = _generators(size, two)
+            got = standard_normals(rng.random(size), rng_u2.random(size))
+            rng, rng_u2 = _generators(size, two)
+            assert same_bits(got, standard_normals_v1(rng, size, rng_u2))
 
 
 def test_normals_into_out_equal_allocating_call():
-    # out takes the normals over several u2 pieces with the frozen form's
-    # bits, also when one generator is passed twice (u1 is drawn whole
-    # before any u2)
-    size = 3 * numerics._U2_PIECE + 17
-    buffer = np.full(size, np.nan)
+    # the normals are written over u1, which is returned, with the frozen
+    # form's bits, at a size of several sampler slices; u1 is a slice of a
+    # larger buffer, as the sampler passes it, and nothing past it moves
+    size = 3 * homodyne.SLICE_POINTS + 17
+    buffer = np.full(size + 5, np.nan)
     for two in (False, True):
-        want = standard_normals_v1(*_generators(size, two))
-        assert same_bits(standard_normals(*_generators(size, two)), want)
-        got = standard_normals(*_generators(size, two), out=buffer)
-        assert got is buffer and same_bits(got, want)
+        rng, rng_u2 = _generators(size, two)
+        want = standard_normals_v1(rng, size, rng_u2)
+        rng, rng_u2 = _generators(size, two)
+        u1 = rng.random(out=buffer[:size])
+        got = standard_normals(u1, rng_u2.random(size))
+        assert got is u1 and same_bits(got, want)
+        assert np.isnan(buffer[size:]).all()
 
 
 def _generators(size, two):
-    """(rng, size, rng_u2): one generator twice, or two at u1's and u2's
-    stream words."""
+    """(rng, rng_u2): one generator twice, or two at u1's and u2's stream
+    words."""
     rng = philox_stream(3, 5)
-    return rng, size, philox_stream(3, 5 + 2 * size) if two else rng
+    return rng, philox_stream(3, 5 + 2 * size) if two else rng
+
+
+def test_box_muller_refuses_unequal_shapes():
+    # a length-1 u2 would broadcast over every u1; refused before any step
+    for u2 in (np.full(1, 0.3), np.full(6, 0.3), np.full((5, 1), 0.3)):
+        u1 = np.full(5, 0.5)
+        with pytest.raises(ValueError, match="one shape"):
+            standard_normals(u1, u2)
+        assert np.all(u1 == 0.5) and np.all(u2 == 0.3)
 
 
 def test_philox_seed_range_enforced():
