@@ -17,8 +17,8 @@ exit code differs, its stdout is not empty, or the file is not
 byte-identical to the tree's stdout for the task.  Each tree also runs the
 start-up paths (STARTUP: --help, each command's --help, solve-params and
 two flag errors) with COLUMNS=80, so that argparse wraps alike, and the
-SIMULATE lines, which no benchmark task runs; it exits 1 on any
-difference in their exit codes, stdout or stderr.  bench/ is only read: no
+SIMULATE and DENSITY lines, which no benchmark task runs; it exits 1 on
+any difference in their exit codes, stdout or stderr.  bench/ is only read: no
 bytecode is written there.
 """
 
@@ -50,9 +50,17 @@ SIMULATE = [["simulate", "--scenario", "n_qubit", "--n", "20", "--nbar", "9",
              "--seed", "18446744073709551615"],
             ["simulate", "--scenario", "two_qubit", "--alpha", "1.5",
              "--trials", "1", "--seed", "3"]]
+# Density curves past fig5a's single slice: three slices with a ragged last
+# one, the other axis (no class columns) and a pulse that resolves no bins
+DENSITY = [["density", "--scenario", "n_qubit", "--n", "7", "--alpha", "3",
+            "--gamma", "0.2", "--eta-sq", "0.6667", "--points", "40000"],
+           ["density", "--scenario", "gsum", "--alpha", "2", "--quadrature",
+            "P", "--points", "33"],
+           ["density", "--scenario", "two_qubit", "--alpha", "0",
+            "--points", "5"]]
 
-# Runs in each tree: the STARTUP and SIMULATE lines, every task at every seed,
-# and the curve tasks again with --out; one JSON object on stdout.
+# Runs in each tree: the STARTUP, SIMULATE and DENSITY lines, every task at
+# every seed, and the curve tasks again with --out; one JSON object on stdout.
 RUNNER = """
 import json, os, sys, tempfile
 import workloads
@@ -95,7 +103,7 @@ def run_tree(src):
                PYTHONPATH=os.pathsep.join([os.path.abspath(src), BENCH]))
     res = subprocess.run([sys.executable, "-c", RUNNER, json.dumps(SEEDS),
                           os.path.realpath(src),
-                          json.dumps(STARTUP + SIMULATE)],
+                          json.dumps(STARTUP + SIMULATE + DENSITY)],
                          env=env, capture_output=True, text=True)
     if res.returncode:
         raise SystemExit(f"running {src} failed:\n{res.stderr}")
@@ -156,8 +164,8 @@ def main(argv):
             print(f"`hpsim {line}`: exit code, stdout or stderr "
                   f"differs ({b[0]} -> {h[0]})")
             bad_startup += 1
-    print(f"{len(base_startup)} start-up and simulate runs, {bad_startup} "
-          f"with a difference")
+    print(f"{len(base_startup)} start-up, simulate and density runs, "
+          f"{bad_startup} with a difference")
     bad_files = 0
     for tree, files in zip(argv, (base_files, head_files)):
         bad = [(key, problems) for key, problems in files if problems]

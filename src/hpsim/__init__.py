@@ -10,7 +10,7 @@ the nodes), evaluates bin probabilities and fidelities in closed form and by
 adaptive quadrature, and cross-checks them by seeded Monte Carlo sampling.
 
 Quadrature is adaptive Simpson over a batch of integrals, refined level by
-level in fixed-size slices (numerics.integrate_piecewise); one
+level, one integrand call a level (numerics.integrate_piecewise); one
 homodyne.integrands call builds a batch's integrands, and a sweep builds a
 block's states in one array pass.  Closed forms wait on re-made references
 (notes/decisions.md).  Cross-check routes, the dense 2^n state among them, are

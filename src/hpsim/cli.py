@@ -1,8 +1,8 @@
 """Command-line front end: solve-params, simulate, sweep, density.
 
 Reports are JSON, curves are CSV; plotting is left to external tools.
-Every output format lives here: the JSON report, and one CSV writer
-(_csv) for the sweep and density curves.
+Every output format lives here: the JSON report, and the CSV curves, whose
+text cells go through one CSV writer (_csv) and floats through repr.
 Exit codes: 0 ok, 2 usage/config error (including an --out file that
 cannot be written), 3 numerical failure; main() returns the code, also
 argparse's for --help and flag errors.  The CLI checks only its own flags
@@ -241,13 +241,17 @@ def cmd_density(args):
     header = ["v", "density"] + [f"class[{c.parity}]:{c.target_name}"
                                  for c in classes]
 
-    # one slice of the grid at a time, as it is read; only the zip holds a
-    # slice's curves, so they are freed before the next slice is evaluated
-    def rows():
+    # one slice of the grid at a time, as it is read: its curves become
+    # Python floats (tolist), freed before the next slice is evaluated, and
+    # each row is joined from their reprs, which need no CSV quoting
+    def lines():
+        yield from _csv(header, ())
         for v in _linspace_slices(lo, hi, args.points, SLICE_POINTS):
-            yield from zip(v, outcome_density(state, quadrature, v), *(
-                () if rule is None else density_components(state, rule, v)))
-    return _csv(header, ([repr(float(x)) for x in row] for row in rows()))
+            yield from (",".join(map(repr, row)) + "\n" for row in zip(*(
+                curve.tolist() for curve in (
+                    v, outcome_density(state, quadrature, v),
+                    *(density_components(state, rule, v) if rule else ())))))
+    return lines()
 
 
 def _linspace_slices(lo, hi, points, size):

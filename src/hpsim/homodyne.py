@@ -34,14 +34,15 @@ from .scenarios import SCENARIOS, resolve_scenario  # noqa: F401 (re-exported)
 _SIGMA = 1.0 / math.sqrt(2.0)      # quadrature standard deviation
 WINDOW_SIGMAS = 8.0                # integration window half-width, in sigmas
 # Most points an integrands evaluator takes at once, and most term values
-# it holds: a longer input goes through in slices, and a slice's terms
-# are made for as many slots at a time as fill SLICE_POINTS values, so
-# its temporaries grow with neither the input nor n.  Simpson's levels
-# arrive in smaller slices of their own (numerics._SLICE_POINTS), whose
-# slots mostly fit in one group; Monte Carlo blocks are cut here, one slot
-# at a time, and so is the sampler's draw of a block; the density command
-# hands its grid over in slices of this size (notes/decisions.md, "Monte
-# Carlo block path" and "Monte Carlo without fresh pages").
+# it holds: the one layer that slices an integrand's input.  A slice's
+# terms are made for as many slots at a time as fill SLICE_POINTS values,
+# so its temporaries grow with neither the input nor n.  Simpson's whole
+# levels (calls with `which`, whose slices gather their tables' columns
+# per point) go in slices of SLICE_POINTS // 8, whose slots mostly fit in
+# one group; Monte Carlo blocks and density grids in slices of this size,
+# one slot at a time, as does the sampler's draw of a block
+# (notes/decisions.md, "Monte Carlo block path", "Monte Carlo without
+# fresh pages" and "One layer slices the integrand").
 SLICE_POINTS = 1 << 14
 
 
@@ -302,8 +303,8 @@ def integrands(specs):
     and its slot.  Terms are gathered from the states laid end to end, so
     the numpy calls do not grow with the batch, and summed slot after slot
     (not pairwise), so a point's value has the same bits in any v or batch.
-    An input longer than SLICE_POINTS is evaluated slice by slice, and a
-    slice's terms a group of slots at a time (see SLICE_POINTS), with the
+    Input is evaluated in slices of SLICE_POINTS points (SLICE_POINTS // 8
+    with which) and a slice's terms a group of slots at a time, with the
     same bits: the integrands are elementwise and the sum's order is kept."""
     arrays, slots, pairs, count, lo, g0 = [], [], [], 0, 0, 0
     for state, quadrature, parts in specs:
@@ -345,8 +346,9 @@ def integrands(specs):
         v = np.asarray(v, dtype=float)
         if out is None:
             out = np.empty(v.shape)
-        for lo in range(0, v.size, SLICE_POINTS):
-            hi = lo + SLICE_POINTS
+        size = SLICE_POINTS if which is None else SLICE_POINTS // 8
+        for lo in range(0, v.size, size):
+            hi = lo + size
             part = v[lo:hi]
             group = SLICE_POINTS // part.size   # slots whose terms are held
 

@@ -294,7 +294,7 @@ def run_scenario(scenario: str, alpha: float, eta_sq: float,
 # Grid points per sweep block: one sector_states and one evaluate_classes
 # batch each.  Larger blocks cut the per-level overhead of the integration
 # but grow its frontier and G (points x (n+1)^2) in memory; the integrand's
-# own working set is bounded by the integrator's slices, whatever the block
+# own working set is bounded by its evaluator's slices, whatever the block
 # (notes/decisions.md, "Sliced Simpson levels and 32-point sweep blocks").
 SWEEP_BLOCK_POINTS = 32
 

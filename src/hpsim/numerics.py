@@ -79,10 +79,6 @@ def erfc(x):
 # --- adaptive Simpson quadrature ------------------------------------------
 
 _MAX_DEPTH = 48        # refinement levels below each initial segment
-# Most points per integrand call: a level's points reach f in slices of at
-# most this many, so f's working set (homodyne.integrands gathers slots x
-# points columns of its tables) does not grow with the batch.
-_SLICE_POINTS = 2048
 
 
 def integrate_piecewise(f, breakpoints, tol=1e-9):
@@ -94,9 +90,10 @@ def integrate_piecewise(f, breakpoints, tol=1e-9):
     halves differ from the whole by |delta| <= 15 tol (or at depth
     _MAX_DEPTH) and gives the Richardson sum; otherwise both halves go on
     with half the tolerance.  The batch is refined level by level, every
-    pending point of a level going to f in order, in slices of at most
-    _SLICE_POINTS points; a panel's decision reads only its own five
-    points, so an integral accepts the same panels in a batch as alone.
+    pending point of a level going to f in order, in one call (f bounds
+    its own working set: homodyne.integrands evaluates in slices); a
+    panel's decision reads only its own five points, so an integral
+    accepts the same panels in a batch as alone.
     Each level adds its accepted panels to their integrals' totals, left
     halves before right halves, so an integral's panels are summed in the
     same order in a batch as alone.  Returns the totals (0.0 for none);
@@ -139,16 +136,12 @@ def integrate_piecewise(f, breakpoints, tol=1e-9):
 
 
 def _evaluate(f, owner, *xs):
-    """f on the points of xs, one output row per x; owner holds each
-    column's integral index.  The points go to f in order, in slices of
-    at most _SLICE_POINTS.  SimulationError at the first non-finite value."""
+    """f on the points of xs in one call, one output row per x; owner holds
+    each column's integral index.  SimulationError at the first non-finite
+    value."""
     v = np.concatenate(xs)
-    which = np.tile(owner, len(xs))
-    out = np.empty_like(v)
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, v.size, _SLICE_POINTS):
-            hi = lo + _SLICE_POINTS
-            out[lo:hi] = f(v[lo:hi], which[lo:hi])
+        out = f(v, np.tile(owner, len(xs)))
     bad = ~np.isfinite(out)
     if bad.any():
         raise SimulationError(

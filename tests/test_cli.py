@@ -700,6 +700,43 @@ def test_density_grid_slices_are_linspace(points):
             np.linspace(lo, hi, points).tobytes()
 
 
+@pytest.mark.parametrize("scenario, n, alpha, axis, classes", [
+    ("n_qubit_P", 5, 2.0, "P", True),       # class names hold commas
+    ("gsum_X", None, 2.0, "P", False),      # the other axis: no bins
+    ("two_qubit_X", None, 0.0, "X", False)])    # no pulse: no bins
+def test_density_rows_are_float_reprs_in_any_slices(monkeypatch, capsys,
+                                                    scenario, n, alpha, axis,
+                                                    classes):
+    # a grid of several slices, the last one ragged, writes the bytes of the
+    # grid in one slice and of a csv.writer over repr(float(x)) of each
+    # value of the curves evaluated on the whole grid
+    argv = ["density", "--scenario", scenario, "--alpha", repr(alpha),
+            "--gamma", "0.2", "--quadrature", axis, "--points", "250",
+            *(["--n", str(n)] if n else [])]
+
+    def written(size):
+        monkeypatch.setattr(homodyne, "SLICE_POINTS", size)
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out
+
+    one_slice = written(homodyne.SLICE_POINTS)
+    assert written(64) == one_slice         # slices of 64, 64, 64 and 58
+    state = metrics.prepare_state(scenario, alpha, 1.0, 0.2, n)
+    v = np.linspace(*homodyne.integration_window(state, axis), 250)
+    header = ["v", "density"]
+    curves = [v, homodyne.outcome_density(state, axis, v)]
+    if classes:
+        rule = build_decision_rule(scenario, alpha, n=n)
+        header += [f"class[{c.parity}]:{c.target_name}" for c in rule.classes]
+        curves += homodyne.density_components(state, rule, v)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(float(x)) for x in row] for row in zip(*curves))
+    assert one_slice == want.getvalue()
+    assert ('"' in one_slice) == classes        # quoted class names
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     # a directory, or a path under a missing one: one line, no traceback
     from hpsim import cli

@@ -623,8 +623,9 @@ def test_integrand_point_has_the_same_bits_in_any_array():
 
 def test_long_input_is_evaluated_in_slices_with_the_same_bits(monkeypatch):
     # an evaluator cuts an input longer than SLICE_POINTS into slices of at
-    # most that many points, for a density, a bin's overlap and a mixed
-    # batch read through `which`; the values keep their bits
+    # most that many points, for a density and a bin's overlap, and a mixed
+    # batch read through `which` (Simpson's levels) into slices of at most
+    # SLICE_POINTS // 8; the values keep their bits
     st = prepare_state("n_qubit_P", 2.5, 0.8, 0.2, 6)
     rule = build_decision_rule("n_qubit_P", math.sqrt(0.8) * 2.5, n=6)
     vs = np.linspace(*integration_window(st, "P"), 103)
@@ -639,11 +640,12 @@ def test_long_input_is_evaluated_in_slices_with_the_same_bits(monkeypatch):
     monkeypatch.setattr(homodyne, "_gaussian_sum",
                         lambda v, *args: sizes.append(v.size)
                         or gaussian_sum(v, *args))
-    monkeypatch.setattr(homodyne, "SLICE_POINTS", 10)
-    for f, expected in zip(routes, whole):
+    monkeypatch.setattr(homodyne, "SLICE_POINTS", 80)
+    slices = ([80, 23], [80, 23], [10] * 10 + [3])
+    for f, expected, want in zip(routes, whole, slices):
         sizes.clear()
         assert same_bits(f(vs), expected)
-        assert sizes == [10] * 10 + [3]
+        assert sizes == want
 
 
 @pytest.mark.parametrize("scenario, n", [

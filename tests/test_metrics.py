@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hpsim import cli, metrics, numerics
+from hpsim import cli, homodyne, metrics, numerics
 from hpsim.homodyne import (build_decision_rule, class_overlap_integrand,
                             outcome_density, sample_outcomes)
 from hpsim.cli import SWEEP_CSV_COLUMNS
@@ -666,19 +666,16 @@ def test_sweep_builds_states_one_block_at_a_time(monkeypatch):
 
 
 def test_fig4b_sweep_memory_is_bounded(monkeypatch):
-    # the fig4b sweep at the default block: no integrand call gets more
-    # than one slice of points, and the traced heap peak stays under a
-    # budget that the same block without slices exceeds (1.94 MB measured,
-    # 3.33 MB unsliced; notes/decisions.md, "Sliced Simpson levels and
-    # 32-point sweep blocks")
+    # the fig4b sweep at the default block: the evaluator takes Simpson's
+    # whole levels in slices of at most SLICE_POINTS // 8 points, some of
+    # them full, and the traced heap peak stays under a budget that the
+    # same block without slices exceeds (2.08 MB measured, 3.33 MB
+    # unsliced; notes/decisions.md, "Sliced Simpson levels and 32-point
+    # sweep blocks" and "One layer slices the integrand")
     sizes = []
-    real = metrics.integrands
-
-    def spy(specs):
-        f = real(specs)
-        return lambda v, which=None: sizes.append(np.size(v)) or f(v, which)
-
-    monkeypatch.setattr(metrics, "integrands", spy)
+    real = homodyne._gaussian_sum
+    monkeypatch.setattr(homodyne, "_gaussian_sum", lambda v, *args:
+                        sizes.append(v.size) or real(v, *args))
     nbars, gammas = [0.25 * i for i in range(41)], [0.0, 0.2, 0.5]
     tracemalloc.start()
     try:
@@ -686,7 +683,7 @@ def test_fig4b_sweep_memory_is_bounded(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max(sizes) == numerics._SLICE_POINTS
+    assert max(sizes) == homodyne.SLICE_POINTS // 8
     assert peak < 2.6e6, peak
 
 

@@ -214,13 +214,10 @@ def test_shared_callable_costs_one_call_per_level():
     assert shared.calls == max(calls)
 
 
-@pytest.mark.parametrize("size", [None, 1, 7])
-def test_sliced_levels_equal_frozen_frontier(monkeypatch, size):
-    # 1-D frontier rows, levels in slices of the default size, of 1 or of
-    # 7 points: the frozen 8-row frontier's totals bit for bit, from the
-    # same points of the same integrals in the same order
-    if size:
-        monkeypatch.setattr(numerics, "_SLICE_POINTS", size)
+def test_levels_equal_frozen_frontier():
+    # 1-D frontier rows: the frozen 8-row frontier's totals bit for bit,
+    # from the same calls, one per level, on the same points of the same
+    # integrals in the same order
     jobs = [(_GAUSS, [-6.0, 0.3, 6.0]), (_LORENTZ, [-3.0, -1.0, 0.0, 2.0]),
             (_WAVE, [-8.0, 8.0]), (_GAUSS, []), (_WAVE, [0.0, 0.1])]
     for tol in (1e-6, 1e-10, 1e-13):
@@ -228,29 +225,37 @@ def test_sliced_levels_equal_frozen_frontier(monkeypatch, size):
                      for _ in range(2))
         assert integrate_piecewise(got, [p for _, p in jobs], tol) == (
             integrate_piecewise_v1(want, [p for _, p in jobs], tol))
-        assert np.array_equal(np.concatenate(got.seen),
-                              np.concatenate(want.seen))
+        assert got.calls == want.calls
+        assert all(map(np.array_equal, got.seen, want.seen))
         assert np.array_equal(got.owners, want.owners)
-        assert max(map(len, got.seen)) <= numerics._SLICE_POINTS
-        assert size is None or size < max(map(len, want.seen))
 
 
-def test_non_finite_value_in_one_integral_of_a_batch(monkeypatch):
-    # the message names the first non-finite point in level order, in
-    # slices of any size
+def test_level_of_many_points_costs_one_call():
+    # a level of more than 2,048 points (an integrands slice of a level)
+    # still reaches the integrand in one call: 1,200 copies of one
+    # integral cost that integral's calls, each with every copy's points
+    alone = _Counted(_one(_WAVE))
+    total, = integrate_piecewise(alone, [[-6.0, 6.0]])
+    batch = _Counted(_one(_WAVE))
+    assert integrate_piecewise(batch, [[-6.0, 6.0]] * 1200) == [total] * 1200
+    assert batch.calls == alone.calls
+    assert [v.size for v in batch.seen] == [1200 * v.size for v in alone.seen]
+    assert min(v.size for v in batch.seen) > 2048
+
+
+def test_non_finite_value_in_one_integral_of_a_batch():
+    # the message names the first non-finite point in level order
     nan_near_2 = lambda v: np.where(np.abs(v - 2.5) < 0.01, np.nan, _GAUSS(v))
     # non-finite at 2.5 (a midpoint) and at 3.0 (an end, later in level
-    # order, and in another slice of 1 point)
+    # order)
     two_bad = lambda v: np.where(np.abs(v - 3.0) < 0.01, np.inf, nan_near_2(v))
-    for size in (numerics._SLICE_POINTS, 1, 7):
-        monkeypatch.setattr(numerics, "_SLICE_POINTS", size)
-        with pytest.raises(SimulationError, match=r"v=2\.5"):
-            integrate_piecewise(_per_integral([_GAUSS, nan_near_2]),
-                                [[0.0, 1.0], [2.0, 3.0]])
-        with pytest.raises(SimulationError, match=r"v=2\.5"):
-            integrate_piecewise(_one(nan_near_2), [[0.0, 1.0], [2.0, 3.0]])
-        with pytest.raises(SimulationError, match=r"v=2\.5\b"):
-            integrate_piecewise(_one(two_bad), [[0.0, 1.0], [2.0, 3.0]])
+    with pytest.raises(SimulationError, match=r"v=2\.5"):
+        integrate_piecewise(_per_integral([_GAUSS, nan_near_2]),
+                            [[0.0, 1.0], [2.0, 3.0]])
+    with pytest.raises(SimulationError, match=r"v=2\.5"):
+        integrate_piecewise(_one(nan_near_2), [[0.0, 1.0], [2.0, 3.0]])
+    with pytest.raises(SimulationError, match=r"v=2\.5\b"):
+        integrate_piecewise(_one(two_bad), [[0.0, 1.0], [2.0, 3.0]])
 
 
 def test_philox_stream_is_deterministic():
