@@ -17,9 +17,9 @@ exit code differs, its stdout is not empty, or the file is not
 byte-identical to the tree's stdout for the task.  Each tree also runs the
 start-up paths (STARTUP: --help, each command's --help, solve-params and
 two flag errors) with COLUMNS=80, so that argparse wraps alike, and the
-SIMULATE and DENSITY lines, which no benchmark task runs; it exits 1 on
-any difference in their exit codes, stdout or stderr.  bench/ is only read: no
-bytecode is written there.
+SIMULATE, DENSITY and SWEEP lines, which no benchmark task runs; it exits 1
+on any difference in their exit codes, stdout or stderr.  bench/ is only
+read: no bytecode is written there.
 """
 
 import json
@@ -51,16 +51,26 @@ SIMULATE = [["simulate", "--scenario", "n_qubit", "--n", "20", "--nbar", "9",
             ["simulate", "--scenario", "two_qubit", "--alpha", "1.5",
              "--trials", "1", "--seed", "3"]]
 # Density curves past fig5a's single slice: three slices with a ragged last
-# one, the other axis (no class columns) and a pulse that resolves no bins
+# one, the other axis (no class columns), the scenario's own axis named
+# (class columns) and a pulse that resolves no bins
 DENSITY = [["density", "--scenario", "n_qubit", "--n", "7", "--alpha", "3",
             "--gamma", "0.2", "--eta-sq", "0.6667", "--points", "40000"],
            ["density", "--scenario", "gsum", "--alpha", "2", "--quadrature",
             "P", "--points", "33"],
+           ["density", "--scenario", "three_qubit", "--alpha", "2",
+            "--quadrature", "P", "--points", "9"],
            ["density", "--scenario", "two_qubit", "--alpha", "0",
             "--points", "5"]]
+# Sweeps past the benchmark's n <= 3: n = 20 over three sweep blocks and
+# n = 13 over two, both with a lossy gamma
+SWEEP = [["sweep", "--scenario", "n_qubit", "--n", "20", "--nbar",
+          "0.5:20:0.5", "--gamma", "0,0.2", "--eta-sq", "0.6667"],
+         ["sweep", "--scenario", "n_qubit", "--n", "13", "--nbar",
+          "0.25:8:0.25", "--gamma", "0,1", "--eta-sq", "0.6667"]]
 
-# Runs in each tree: the STARTUP, SIMULATE and DENSITY lines, every task at
-# every seed, and the curve tasks again with --out; one JSON object on stdout.
+# Runs in each tree: the STARTUP, SIMULATE, DENSITY and SWEEP lines, every
+# task at every seed, and the curve tasks again with --out; one JSON object
+# on stdout.
 RUNNER = """
 import json, os, sys, tempfile
 import workloads
@@ -103,7 +113,7 @@ def run_tree(src):
                PYTHONPATH=os.pathsep.join([os.path.abspath(src), BENCH]))
     res = subprocess.run([sys.executable, "-c", RUNNER, json.dumps(SEEDS),
                           os.path.realpath(src),
-                          json.dumps(STARTUP + SIMULATE + DENSITY)],
+                          json.dumps(STARTUP + SIMULATE + DENSITY + SWEEP)],
                          env=env, capture_output=True, text=True)
     if res.returncode:
         raise SystemExit(f"running {src} failed:\n{res.stderr}")
@@ -164,7 +174,7 @@ def main(argv):
             print(f"`hpsim {line}`: exit code, stdout or stderr "
                   f"differs ({b[0]} -> {h[0]})")
             bad_startup += 1
-    print(f"{len(base_startup)} start-up, simulate and density runs, "
+    print(f"{len(base_startup)} start-up, simulate, density and sweep runs, "
           f"{bad_startup} with a difference")
     bad_files = 0
     for tree, files in zip(argv, (base_files, head_files)):

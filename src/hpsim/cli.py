@@ -227,15 +227,12 @@ def cmd_density(args):
     from .metrics import prepare_state, pulse_amplitude
 
     state = prepare_state(scenario, alpha, args.eta_sq, gamma=args.gamma, n=n)
-    try:
-        rule = build_decision_rule(scenario, pulse_amplitude(alpha, args.eta_sq),
-                                   n=n)
-    except DegenerateRuleError:
-        rule = None             # the pulse resolves no bins: no class columns
-    if args.quadrature is not None and args.quadrature != quadrature:
-        # override measures the other axis; class bins do not apply there
-        quadrature = args.quadrature
-        rule = None
+    rule = None     # an override measures the other axis: no class bins there
+    if args.quadrature in (None, quadrature):
+        with contextlib.suppress(DegenerateRuleError):  # no bins: no columns
+            rule = build_decision_rule(
+                scenario, pulse_amplitude(alpha, args.eta_sq), n=n)
+    quadrature = args.quadrature or quadrature
     classes = rule.classes if rule is not None else ()
     lo, hi = integration_window(state, quadrature)
     header = ["v", "density"] + [f"class[{c.parity}]:{c.target_name}"

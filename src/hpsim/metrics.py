@@ -93,8 +93,10 @@ def evaluate_classes(pairs) -> list:
             breakpoints += [pts, pts]
         density += 1 + len(rule.classes)
     index = np.array(index)
-    values = iter(integrate_piecewise(lambda v, which: f(v, index[which]),
-                                      breakpoints, QUAD_TOL))
+    # which becomes integrand columns in place ("raise" would buffer out)
+    values = iter(integrate_piecewise(
+        lambda v, which: f(v, np.take(index, which, out=which, mode="clip")),
+        breakpoints, QUAD_TOL))
     return [[ClassResult(parity=cls.parity, target_name=cls.target_name,
                          success_prob=ps, method="quadrature",
                          fidelity=num / ps if ps >= EMPTY_BIN_P else math.nan)
@@ -115,12 +117,11 @@ def closed_form_two_qubit(a: float):
 
     P_s = [erfc(sqrt2 a) + erfc(-sqrt2 a)] / 4  (= 1/2 by the erfc
     reflection identity), and F = erfc(-sqrt2 a) / [erfc(sqrt2 a) + erfc(-sqrt2 a)].
+    Exact in numerics.erfc: erfc(-x) = fl(2 - erfc(x)), erfc(x) in [0, 1],
+    sums with erfc(x) to exactly 2.0, so one erfc call gives both numbers.
     """
     check_alpha(a)
-    s = math.sqrt(2.0) * a
-    hi = erfc(-s)
-    lo = erfc(s)
-    return (hi + lo) / 4.0, hi / (hi + lo)
+    return 0.5, erfc(-math.sqrt(2.0) * a) / 2.0
 
 
 # --- Monte Carlo ----------------------------------------------------------------
@@ -264,12 +265,13 @@ def prepare_state(scenario: str, alpha: float, eta_sq: float,
     node: a single lumped loss must not imprint gate phases on the
     environment, or it would carry which-path information the lumped model
     is not supposed to have.  Node absorption under gamma > 0 is recorded
-    per gate, where it physically occurs (see sector_states).
+    per gate, where it physically occurs (see sector_states).  Scenario, n,
+    eta^2 and alpha are checked before the phase solve, gamma after it.
     """
     _, nq, _ = resolve_scenario(scenario, n)
-    check_eta_sq(eta_sq)
+    a = pulse_amplitude(alpha, eta_sq)
     pair = reflection_pair(replace(solve_params_for_phase(nq), gamma=gamma))
-    return sector_states(nq, [(pulse_amplitude(alpha, eta_sq), pair)])[0]
+    return sector_states(nq, [(a, pair)])[0]
 
 
 def run_scenario(scenario: str, alpha: float, eta_sq: float,

@@ -85,19 +85,19 @@ def integrate_piecewise(f, breakpoints, tol=1e-9):
     """Adaptive Simpson for a batch of integrals of one integrand.
 
     f(v, which) returns integral which[j]'s integrand at v[j] for 1-D
-    arrays, elementwise; integral i runs over breakpoints[i], each of its
-    segments with tol / (its segment count).  A panel is accepted when its
-    halves differ from the whole by |delta| <= 15 tol (or at depth
-    _MAX_DEPTH) and gives the Richardson sum; otherwise both halves go on
-    with half the tolerance.  The batch is refined level by level, every
-    pending point of a level going to f in order, in one call (f bounds
-    its own working set: homodyne.integrands evaluates in slices); a
-    panel's decision reads only its own five points, so an integral
-    accepts the same panels in a batch as alone.
-    Each level adds its accepted panels to their integrals' totals, left
-    halves before right halves, so an integral's panels are summed in the
-    same order in a batch as alone.  Returns the totals (0.0 for none);
-    SimulationError at the first non-finite value.
+    arrays, elementwise; which is made for each call, and f may overwrite
+    it.  Integral i runs over breakpoints[i], each of its segments with
+    tol / (its segment count).  A panel is accepted when its halves differ
+    from the whole by |delta| <= 15 tol (or at depth _MAX_DEPTH) and gives
+    the Richardson sum; otherwise both halves go on with half the
+    tolerance.  The batch is refined level by level, every pending point
+    of a level going to f in order, in one call (f bounds its working set:
+    homodyne.integrands evaluates in slices); a panel's decision reads
+    only its own five points, so an integral accepts the same panels in a
+    batch as alone.  Each level adds its accepted panels to their
+    integrals' totals, left halves before right halves, so an integral's
+    panels are summed in the same order in a batch as alone.  Returns the
+    totals (0.0 for none); SimulationError at the first non-finite value.
     """
     panels = []                 # (a, b, tol, owner integral)
     for i, pts in enumerate(breakpoints):

@@ -279,41 +279,44 @@ BAD_INPUT_MESSAGES = {
     "alpha": "alpha must be finite and non-negative, at most 10000, got -1.0",
     "nbar": "mean photon number must be finite and non-negative, at most "
             "1e+08, got -1.0",
+    "gamma": "gamma must be finite and non-negative, at most 1e+16, got -0.1",
 }
 
 
 @pytest.mark.parametrize("route, firsts", [
-    ("run_scenario", ("eta_sq", "n", "eta_sq")),
-    ("sweep", ("nbar", "nbar", "n")),
-    ("simulate --alpha", ("eta_sq", "n", "eta_sq")),
-    ("simulate --nbar", ("nbar", "nbar", "eta_sq")),
-    ("density --alpha", ("eta_sq", "n", "n")),
-    ("density --nbar", ("nbar", "n", "n"))])
+    ("run_scenario", ("eta_sq", "n", "eta_sq", "alpha")),
+    ("sweep", ("nbar", "nbar", "n", "nbar")),
+    ("simulate --alpha", ("eta_sq", "n", "eta_sq", "alpha")),
+    ("simulate --nbar", ("nbar", "nbar", "eta_sq", "nbar")),
+    ("density --alpha", ("eta_sq", "n", "n", "alpha")),
+    ("density --nbar", ("nbar", "n", "n", "nbar"))])
 def test_which_input_error_comes_first(capsys, route, firsts):
     # two bad inputs at once: the message is the first check's.  The order
-    # is trials, seed, eta_sq, scenario/n, alpha in run_scenario; <n>,
-    # gamma, scenario/n, eta_sq in sweep; the --alpha/--nbar route (with
-    # --nbar's range) and then run_scenario's in simulate; and scenario/n,
-    # the route, --points, eta_sq, alpha's range in density.  A sweep's
-    # pulse is its <n>, so its bad alpha is a bad <n>.
-    pairs = (("eta_sq", "alpha"), ("n", "alpha"), ("eta_sq", "n"))
-    for bad, first in zip(pairs, firsts):
+    # is trials, seed, eta_sq, scenario/n, alpha, gamma in run_scenario;
+    # <n>, gamma, scenario/n, eta_sq in sweep; the --alpha/--nbar route
+    # (with --nbar's range) and then run_scenario's in simulate; and
+    # scenario/n, the route, --points, eta_sq, alpha's range, gamma in
+    # density.  A sweep's pulse is its <n>, so its bad alpha is a bad <n>.
+    pairs = (("eta_sq", "alpha"), ("n", "alpha"), ("eta_sq", "n"),
+             ("gamma", "alpha"))
+    for bad, first in zip(pairs, firsts, strict=True):
         eta_sq = 1.5 if "eta_sq" in bad else 0.5
         n = 21 if "n" in bad else 5
         pulse = -1.0 if "alpha" in bad else 4.0
+        gamma = -0.1 if "gamma" in bad else 0.0
         if route == "run_scenario":
             with pytest.raises(ValueError) as err:
-                run_scenario("n_qubit_P", pulse, eta_sq, n=n)
+                run_scenario("n_qubit_P", pulse, eta_sq, gamma=gamma, n=n)
             got = str(err.value)
         elif route == "sweep":
             with pytest.raises(ValueError) as err:
-                sweep("n_qubit_P", [pulse], [0.0], eta_sq, n=n)
+                sweep("n_qubit_P", [pulse], [gamma], eta_sq, n=n)
             got = str(err.value)
         else:
             command, flag = route.split()
             res = main_in_process(capsys, command, "--scenario", "n_qubit",
-                                  "--n", str(n), flag, str(pulse),
-                                  "--eta-sq", str(eta_sq))
+                                  "--n", str(n), flag, str(pulse), "--eta-sq",
+                                  str(eta_sq), "--gamma", str(gamma))
             assert (res.returncode, res.stdout) == (2, ""), (route, bad)
             got = res.stderr.removeprefix("hpsim: error: ").rstrip("\n")
         assert got == BAD_INPUT_MESSAGES[first], (route, bad)

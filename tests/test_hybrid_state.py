@@ -9,7 +9,7 @@ from hpsim.homodyne import (build_decision_rule, class_overlap_integrand,
                             integration_window, outcome_density,
                             quadrature_mean, sample_outcomes)
 from hpsim.hybrid_state import MAX_ALPHA, sector_states
-from hpsim.metrics import MC_BLOCK_TRIALS, prepare_state
+from hpsim.metrics import MC_BLOCK_TRIALS, SWEEP_BLOCK_POINTS, prepare_state
 from hpsim.numerics import philox_stream, standard_normals
 from oracles import (HybridState, apply_channel_loss, apply_cps,
                      brute_force_sequential_state, closed_form_final_state,
@@ -399,8 +399,20 @@ def test_batched_states_equal_per_point_states(n):
     rng = np.random.default_rng(n)
     order = rng.permutation(len(points))
     cuts = np.cumsum(rng.integers(1, 9, size=len(points)))
-    for batch in np.split(order, cuts[cuts < len(points)]):
-        chosen = [points[i] for i in batch]
+    batches = [[points[i] for i in batch]
+               for batch in np.split(order, cuts[cuts < len(points)])]
+    if n in (13, 20):
+        # a whole sweep block and a 128-point batch of mixed points: a step
+        # whose rounding follows the batch size differs only in batches of
+        # dozens of points
+        batches += [[(float(alpha), math.sqrt(eta_sq),
+                      reflection_pair(replace(params, gamma=float(gamma))))
+                     for alpha, gamma, eta_sq in zip(
+                         rng.uniform(0.0, 60.0, size),
+                         rng.choice([0.0, 0.05, 0.2, 1.0, 1e3], size),
+                         rng.choice([1.0, 0.6667, 0.3], size))]
+                    for size in (SWEEP_BLOCK_POINTS, 128)]
+    for chosen in batches:
         states = sector_states(n, [(eta * alpha, pair)
                                    for alpha, eta, pair in chosen])
         for state, point in zip(states, chosen):

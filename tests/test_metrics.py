@@ -17,7 +17,7 @@ from hpsim.metrics import (QUAD_TOL, ClassResult, _bin_breakpoints,
                            monte_carlo_estimate, prepare_state, run_scenario,
                            sweep)
 from hpsim.hybrid_state import MAX_ALPHA
-from hpsim.numerics import MAX_TRIALS, integrate_piecewise
+from hpsim.numerics import MAX_TRIALS, erfc, integrate_piecewise
 from oracles import (erfc_oracle, gauss_bin_mass, integrate_piecewise_recursive,
                      integrate_piecewise_v1, interval_probability,
                      mixture_bin_mass, monte_carlo_blocks, monte_carlo_masks,
@@ -248,6 +248,13 @@ def test_closed_form_success_is_exactly_half():
         for eta in (1.0, ETA23, 0.2):
             ps, _ = closed_form_two_qubit(eta * alpha)
             assert ps == 0.5
+    # the reflection identity is exact in numerics.erfc, so one erfc call
+    # gives the bits of P_s = (lo + hi) / 4 and F = hi / (hi + lo)
+    grid = np.concatenate([np.linspace(0.0, 12.0, 1201), [1e-300],
+                           np.geomspace(12.0, MAX_ALPHA, 200)])
+    for a in grid.tolist():
+        lo, hi = erfc(math.sqrt(2.0) * a), erfc(-math.sqrt(2.0) * a)
+        assert closed_form_two_qubit(a) == ((lo + hi) / 4, hi / (hi + lo)), a
 
 
 def test_closed_form_matches_independent_oracle():
@@ -669,9 +676,10 @@ def test_fig4b_sweep_memory_is_bounded(monkeypatch):
     # the fig4b sweep at the default block: the evaluator takes Simpson's
     # whole levels in slices of at most SLICE_POINTS // 8 points, some of
     # them full, and the traced heap peak stays under a budget that the
-    # same block without slices exceeds (2.08 MB measured, 3.33 MB
+    # same block without slices exceeds (2.01 MB measured, 3.33 MB
     # unsliced; notes/decisions.md, "Sliced Simpson levels and 32-point
-    # sweep blocks" and "One layer slices the integrand")
+    # sweep blocks", "One layer slices the integrand" and "Form each
+    # quantity once")
     sizes = []
     real = homodyne._gaussian_sum
     monkeypatch.setattr(homodyne, "_gaussian_sum", lambda v, *args:
@@ -887,6 +895,31 @@ def test_n_must_be_an_integer(monkeypatch, scenario, n):
             call()
         assert str(err.value) == f"n must be an integer, got {n!r}"
     assert calls == []
+
+
+def test_batch_of_mixed_scenarios_equals_each_pair_alone():
+    # pairs of different scenarios, axes and bin counts in one batch: each
+    # pair's bins sit at its own offsets among the integrand columns, and a
+    # pair's results must not depend on what shares its batch; n = 13 at
+    # alpha = 100, gamma = 0.2 has an empty bin (F = NaN)
+    pairs = []
+    for scenario, n, alpha, gamma in (
+            ("two_qubit_X", None, 1.5, 0.0), ("three_qubit_P", None, 3.0, 0.2),
+            ("gsum_X", None, 2.0, 0.0), ("n_qubit_P", 6, 3.0, 0.2),
+            ("n_qubit_P", 13, 100.0, 0.2), ("n_qubit_P", 20, 3.0, 0.0)):
+        state = prepare_state(scenario, alpha, 0.6667, gamma, n)
+        pairs.append((state, build_decision_rule(
+            scenario, math.sqrt(0.6667) * alpha, n=n)))
+
+    def bits(results):
+        return [(r.parity, r.target_name, r.success_prob.hex(),
+                 r.fidelity.hex()) for r in results]
+
+    alone = [bits(evaluate_classes([pair])[0]) for pair in pairs]
+    assert "nan" in [fidelity for *_, fidelity in alone[4]]
+    for order in (slice(None), slice(None, None, -1)):
+        got = [bits(results) for results in evaluate_classes(pairs[order])]
+        assert got == alone[order]
 
 
 def test_state_and_rule_of_different_n_are_refused(monkeypatch):
