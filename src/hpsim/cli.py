@@ -181,7 +181,8 @@ def cmd_simulate(args) -> list:
             "scenario": run.rule.scenario,
             "n": run.rule.n,
             "alpha": run.alpha,
-            "mean_photon_number": run.alpha**2,
+            "mean_photon_number": (run.alpha**2 if args.nbar is None
+                                   else args.nbar),
             "eta_sq": run.eta_sq,
             "gamma_over_kappa": run.gamma_over_kappa,
             "quadrature": run.rule.quadrature,
@@ -224,14 +225,14 @@ def cmd_density(args):
 
     from .homodyne import (SLICE_POINTS, build_decision_rule,
                            integration_window, outcome_density)
-    from .metrics import prepare_state, pulse_amplitude
+    from .metrics import pulse_amplitude, state_route
 
-    state = prepare_state(scenario, alpha, args.eta_sq, gamma=args.gamma, n=n)
+    a = pulse_amplitude(alpha, args.eta_sq)
+    state, = state_route(n)([(a, args.gamma)])
     rule = None     # an override measures the other axis: no class bins there
     if args.quadrature in (None, quadrature):
         with contextlib.suppress(DegenerateRuleError):  # no bins: no columns
-            rule = build_decision_rule(
-                scenario, pulse_amplitude(alpha, args.eta_sq), n=n)
+            rule = build_decision_rule(scenario, a, n=n)
     quadrature = args.quadrature or quadrature
     classes = rule.classes if rule is not None else ()
     lo, hi = integration_window(state, quadrature)

@@ -17,9 +17,10 @@ prod_j <e_yj|e_xj>; only their weight-sector sums
     G_kk' = 2^-n sum_{|x|=k, |y|=k'} Gamma_xy
 
 enter any probability or fidelity.  SectorState holds exactly that: the
-weight probabilities C(n,k)/2^n, the n + 1 labels and G.  The dense 2^n
-branch form lives in tests/oracles.py as the reference.
-
+weight probabilities C(n,k)/2^n, the n + 1 labels and G.  The package
+builds states on one route, metrics.state_route: one phase solve per run
+or sweep, each gamma's reflection pair made once, then sector_states.
+The dense 2^n branch form lives in tests/oracles.py as the reference.
 States are immutable.
 """
 

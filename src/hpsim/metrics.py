@@ -257,21 +257,34 @@ def pulse_amplitude(alpha: float, eta_sq: float) -> float:
     return math.sqrt(eta_sq) * alpha
 
 
-def prepare_state(scenario: str, alpha: float, eta_sq: float,
-                  gamma: float = 0.0, n=None) -> SectorState:
-    """Initial product state -> lumped channel -> one CPS gate per node.
-
+def state_route(n: int):
+    """The one route to the state at n nodes: pulse a = eta alpha at the
+    first node (pulse_amplitude), then one CPS gate per node.  It solves
+    the phases once and returns states(points): the SectorStates of (a,
+    gamma) points from one sector_states call, each gamma's reflection pair
+    (whose CavityParams checks gamma) made once, when states first sees it.
     The transmission-eta^2 channel is lumped at the pulse input, before any
     node: a single lumped loss must not imprint gate phases on the
     environment, or it would carry which-path information the lumped model
     is not supposed to have.  Node absorption under gamma > 0 is recorded
-    per gate, where it physically occurs (see sector_states).  Scenario, n,
-    eta^2 and alpha are checked before the phase solve, gamma after it.
+    per gate, where it physically occurs (see sector_states).
     """
-    _, nq, _ = resolve_scenario(scenario, n)
-    a = pulse_amplitude(alpha, eta_sq)
-    pair = reflection_pair(replace(solve_params_for_phase(nq), gamma=gamma))
-    return sector_states(nq, [(a, pair)])[0]
+    params = solve_params_for_phase(n)
+    pairs = {}
+
+    def states(points) -> list:
+        for gamma in dict.fromkeys(g for _, g in points if g not in pairs):
+            pairs[gamma] = reflection_pair(replace(params, gamma=gamma))
+        return sector_states(n, [(a, pairs[gamma]) for a, gamma in points])
+    return states
+
+
+def prepare_state(scenario: str, alpha: float, eta_sq: float,
+                  gamma: float = 0.0, n=None) -> SectorState:
+    """One point of state_route.  Scenario, n, eta^2 and alpha are checked
+    before the phase solve, gamma after it."""
+    _, n, _ = resolve_scenario(scenario, n)
+    return state_route(n)([(pulse_amplitude(alpha, eta_sq), gamma)])[0]
 
 
 def run_scenario(scenario: str, alpha: float, eta_sq: float,
@@ -281,8 +294,9 @@ def run_scenario(scenario: str, alpha: float, eta_sq: float,
     check_seed(seed)
     check_eta_sq(eta_sq)
     scenario, n, _ = resolve_scenario(scenario, n)
-    rule = build_decision_rule(scenario, pulse_amplitude(alpha, eta_sq), n=n)
-    state = prepare_state(scenario, alpha, eta_sq, gamma, n)
+    a = pulse_amplitude(alpha, eta_sq)
+    rule = build_decision_rule(scenario, a, n=n)
+    state, = state_route(n)([(a, gamma)])
     results, = evaluate_classes([(state, rule)])
     mc = (tuple(monte_carlo_estimate(state, rule, trials, seed))
           if trials > 0 else ())
@@ -308,12 +322,12 @@ def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float, n=None):
     Every mean photon number (alpha_for_nbar), gamma (check_gamma) and
     eta_sq (pulse_amplitude) is checked when sweep is called, before any
     work.  Points come in order, gamma fastest, and carry the canonical
-    scenario name.  The phases are solved once, each gamma's reflection
-    pair made once.  The grid runs in blocks of SWEEP_BLOCK_POINTS points,
-    and only the current block is held: its rules (one per a), then its
-    states in one sector_states call, then one evaluate_classes call, so
-    each point's results equal run_scenario's bit for bit.  A point whose
-    pulse resolves no bins (DegenerateRuleError) has none.
+    scenario name.  One state_route serves the sweep, so the phases are
+    solved once and each gamma's reflection pair made once.  The grid runs
+    in blocks of SWEEP_BLOCK_POINTS points, and only the current block is
+    held: its rules (one per a), its states in one states call, then one
+    evaluate_classes call, so each point's results equal run_scenario's bit
+    for bit.  A point whose pulse resolves no bins has none.
     """
     nbars = [float(nbar) for nbar in mean_photon_numbers]
     gammas = [float(gamma) for gamma in gammas]
@@ -329,9 +343,7 @@ def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float, n=None):
     eta_sq = float(eta_sq)
 
     def points():
-        params = solve_params_for_phase(n)
-        reflections = {gamma: reflection_pair(replace(params, gamma=gamma))
-                       for gamma in dict.fromkeys(gammas)}
+        states = state_route(n)
         grid = ((nbar, alpha, a, gamma) for nbar, alpha, a
                 in zip(nbars, alphas, amplitudes) for gamma in gammas)
         while block := list(islice(grid, SWEEP_BLOCK_POINTS)):
@@ -343,9 +355,8 @@ def sweep(scenario: str, mean_photon_numbers, gammas, eta_sq: float, n=None):
                     except DegenerateRuleError:
                         rules[a] = None         # no bins: no results
             live = [(a, gamma) for _, _, a, gamma in block if rules[a]]
-            states = sector_states(n, [(a, reflections[g]) for a, g in live])
-            results = iter(evaluate_classes(
-                [(state, rules[a]) for state, (a, _) in zip(states, live)]))
+            results = iter(evaluate_classes(list(zip(
+                states(live), [rules[a] for a, _ in live]))))
             for nbar, alpha, a, gamma in block:
                 found = tuple(next(results)) if rules[a] else ()
                 yield SweepPoint(scenario=scenario, mean_photon_number=nbar,

@@ -241,6 +241,53 @@ def test_simulate_and_sweep_take_the_same_nbar(capsys):
                 assert_usage_error(res, (command, nbar))
 
 
+def test_simulate_reports_the_given_nbar(capsys):
+    # --nbar is echoed, not alpha**2 after the square root (2.9999999999999996
+    # for 3), and reads as sweep's CSV cell for the same <n>; --alpha gives
+    # alpha**2
+    for nbar in ("0.5", "2", "3", "5", "7"):
+        res = main_in_process(capsys, "simulate", "--scenario", "two_qubit",
+                              "--nbar", nbar)
+        assert (res.returncode, res.stderr) == (0, "")
+        reported = json.loads(res.stdout)["config"]["mean_photon_number"]
+        assert reported == float(nbar), nbar
+        res = main_in_process(capsys, "sweep", "--scenario", "two_qubit",
+                              "--nbar", nbar)
+        row = next(csv.DictReader(io.StringIO(res.stdout)))
+        assert float(row["mean_photon_number"]) == reported, nbar
+    res = main_in_process(capsys, "simulate", "--scenario", "two_qubit",
+                          "--alpha", "1.1")
+    assert json.loads(res.stdout)["config"]["mean_photon_number"] == 1.1**2
+
+
+@pytest.mark.parametrize("argv, pulses, resolves", [
+    (["simulate", "--scenario", "n_qubit", "--n", "5", "--alpha", "2",
+      "--gamma", "0.2", "--trials", "10"], 1, 1),
+    (["density", "--scenario", "three_qubit", "--nbar", "4", "--gamma",
+      "0.2", "--points", "5"], 1, 0),
+    (["sweep", "--scenario", "gsum", "--nbar", "0,1,4", "--gamma",
+      "0,0.2,0.5"], 3, 1),
+], ids=["simulate", "density", "sweep"])
+def test_each_run_forms_its_pulse_and_phases_once(monkeypatch, capsys, argv,
+                                                  pulses, resolves):
+    # a = eta alpha once per pulse (per <n> in a sweep), the scenario once
+    # per run_scenario or sweep (density resolves it in the CLI), and one
+    # phase solve per run or sweep
+    calls = {"pulse_amplitude": 0, "resolve_scenario": 0,
+             "solve_params_for_phase": 0}
+    for name in calls:
+        real = getattr(metrics, name)
+
+        def spy(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(metrics, name, spy)
+    res = main_in_process(capsys, *argv)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert calls == {"pulse_amplitude": pulses, "resolve_scenario": resolves,
+                     "solve_params_for_phase": 1}
+
+
 @pytest.mark.parametrize("nbar", ["1.0000001e8", "-1", "nan"])
 def test_every_command_gives_one_nbar_message(capsys, nbar):
     # one check (hybrid_state.alpha_for_nbar) for simulate, density and
@@ -320,6 +367,27 @@ def test_which_input_error_comes_first(capsys, route, firsts):
             assert (res.returncode, res.stdout) == (2, ""), (route, bad)
             got = res.stderr.removeprefix("hpsim: error: ").rstrip("\n")
         assert got == BAD_INPUT_MESSAGES[first], (route, bad)
+
+
+def test_no_bins_and_a_bad_gamma_error_order(capsys):
+    # a pulse that resolves no bins and a bad gamma at once: run_scenario
+    # builds the rule before the state, so simulate names the pulse;
+    # density builds the state first, and sweep checks every gamma first
+    no_bins = ("scenario two_qubit_X with amplitude a=0.0 has no resolvable "
+               "bins")
+    with pytest.raises(ValueError) as err:
+        run_scenario("two_qubit", 0.0, 1.0, gamma=-0.1)
+    assert str(err.value) == no_bins
+    for argv, line in (
+            (["simulate", "--alpha", "0"], no_bins),
+            (["simulate", "--nbar", "0"], no_bins),
+            (["density", "--alpha", "0"], BAD_INPUT_MESSAGES["gamma"]),
+            (["density", "--nbar", "0"], BAD_INPUT_MESSAGES["gamma"]),
+            (["sweep", "--nbar", "0"], BAD_INPUT_MESSAGES["gamma"])):
+        res = main_in_process(capsys, *argv, "--scenario", "two_qubit",
+                              "--gamma", "-0.1")
+        assert (res.returncode, res.stdout, res.stderr) == (
+            2, "", f"hpsim: error: {line}\n"), argv
 
 
 def test_simulate_trials_above_cap_exit_2_at_once():
