@@ -20,8 +20,21 @@ two flag errors) with COLUMNS=80, so that argparse wraps alike, and the
 SIMULATE, DENSITY and SWEEP lines, which no benchmark task runs; it exits 1
 on any difference in their exit codes, stdout or stderr.  bench/ is only
 read: no bytecode is written there.
+
+A deliberate output change is declared in .github/expected_changes.json,
+an object that maps a base commit's full SHA to a list of entries
+{"line": L, "kind": "numbers", "bound": B} or {"line": L, "kind": "text"},
+where L is a task key as printed ("figures/fig4b@0") or a start-up,
+simulate, density or sweep line as printed after `hpsim`.  Only the entries
+under the SHA that BASE_SRC's checkout reads (`git rev-parse HEAD`) count,
+so a declaration ends with its pull request.  An undeclared line is judged
+as above.  A `numbers` line passes when its exit code, stderr, non-numeric
+text and Monte Carlo hit counts are equal and no number moves more than
+B; a `text` line prints a unified diff and passes; a declared line that
+does not change, or that no tree runs, fails.
 """
 
+import difflib
 import json
 import os
 import re
@@ -30,6 +43,8 @@ import sys
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "bench")
+DECLARATIONS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "expected_changes.json")
 SEEDS = (0, 4)
 # a float as repr or JSON writes it; integers (counts, n, parities) are text
 NUMBER = re.compile(r"(?<![\w.])-?(?:\d+\.\d+(?:e[-+]?\d+)?|\d+e[-+]?\d+"
@@ -149,6 +164,62 @@ def compare(base, head):
     return message, fatal, moved
 
 
+def base_sha(src):
+    """The commit that the checkout holding src is at, or None outside git."""
+    res = subprocess.run(["git", "-C", src, "rev-parse", "HEAD"],
+                         capture_output=True, text=True)
+    return res.stdout.strip() if res.returncode == 0 else None
+
+
+def declared_changes(sha, path):
+    """{line: entry} of the declarations under base commit sha ({} for a
+    commit with none).  A malformed entry or a line declared twice raises
+    SystemExit."""
+    with open(path, encoding="utf-8") as fh:
+        table = json.load(fh)
+    if not isinstance(table, dict):
+        raise SystemExit(f"{path}: not an object of base commits")
+    declared = {}
+    for entry in table.get(sha, []) if sha else []:
+        kind, bound = entry.get("kind"), entry.get("bound")
+        ok = (isinstance(entry.get("line"), str)
+              and entry["line"] not in declared
+              and (kind == "text" and "bound" not in entry
+                   or kind == "numbers" and isinstance(bound, (int, float))
+                   and not isinstance(bound, bool) and bound >= 0))
+        if not ok:
+            raise SystemExit(f"{path}: bad or repeated entry {entry!r}")
+        declared[entry["line"]] = entry
+    return declared
+
+
+def judge(base, head, entry=None, exact=False):
+    """(message, fatal, sizes of the moved numbers) for one line's (exit
+    code, stdout, stderr) pair: `compare`'s verdict, where exact (the
+    start-up, simulate, density and sweep lines) makes any difference
+    fatal, unless entry declares the change."""
+    message, fatal, moved = compare(base, head)
+    if entry is None:
+        return message, fatal or exact and base != head, moved
+    if base == head:
+        return f"declared {entry['kind']} change, but identical", True, []
+    if entry["kind"] == "text":
+        diff = difflib.unified_diff(_lines(base), _lines(head), "base", "head",
+                                    lineterm="")
+        return "declared text change:\n" + "\n".join(diff), False, moved
+    bound = entry["bound"]
+    if not fatal and max(moved) > bound:
+        return f"{message}, over the declared {bound:g}", True, moved
+    return f"{message} (declared numbers, bound {bound:g})", fatal, moved
+
+
+def _lines(run):
+    """One line's exit code, stdout and stderr as lines, for a diff."""
+    code, out, err = run
+    return ([f"exit code {code}", "stdout:"] + out.splitlines()
+            + ["stderr:"] + err.splitlines())
+
+
 def package_lines(src):
     """Lines in the .py files of the tree's hpsim package."""
     folder = os.path.join(src, "hpsim")
@@ -168,14 +239,18 @@ def main(argv):
     if base.keys() != head.keys():
         print("the trees ran different task lists")
         return 1
+    sha = base_sha(argv[0])
+    declared = declared_changes(sha, DECLARATIONS)
+    print(f"{len(declared)} declared changes for base {sha}")
     bad_startup = 0
     for (line, *b), (_, *h) in zip(base_startup, head_startup):
-        if b != h:
-            print(f"`hpsim {line}`: exit code, stdout or stderr "
-                  f"differs ({b[0]} -> {h[0]})")
-            bad_startup += 1
+        entry = declared.pop(line, None)
+        message, fatal, _ = judge(tuple(b), tuple(h), entry, exact=True)
+        if b != h or entry is not None:
+            print(f"`hpsim {line}`: {message}")
+        bad_startup += fatal
     print(f"{len(base_startup)} start-up, simulate, density and sweep runs, "
-          f"{bad_startup} with a difference")
+          f"{bad_startup} with a difference that must not be")
     bad_files = 0
     for tree, files in zip(argv, (base_files, head_files)):
         bad = [(key, problems) for key, problems in files if problems]
@@ -186,7 +261,8 @@ def main(argv):
         bad_files += len(bad)
     failed, moved, largest = 0, 0, None     # largest: (size, task)
     for key in base:
-        message, fatal, sizes = compare(base[key], head[key])
+        message, fatal, sizes = judge(base[key], head[key],
+                                      declared.pop(key, None))
         failed += fatal
         moved += len(sizes)
         if sizes and (largest is None or max(sizes) > largest[0]):
@@ -197,10 +273,13 @@ def main(argv):
         total += f", largest by {largest[0]:.3g} ({largest[1]})"
     print(f"{len(base)} task runs, {failed} with a difference that must not "
           f"be{total}")
+    for line in declared:
+        print(f"{line}: declared, but no tree runs it")
     base_lines, head_lines = map(package_lines, argv)
     print(f"src/hpsim lines: {base_lines} -> {head_lines} "
           f"({head_lines - base_lines:+d})")
-    return 1 if failed or bad_files or bad_startup or not base_files else 0
+    return 1 if (failed or bad_files or bad_startup or declared
+                 or not base_files) else 0
 
 
 if __name__ == "__main__":

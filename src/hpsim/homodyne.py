@@ -305,7 +305,9 @@ def integrands(specs):
     (not pairwise), so a point's value has the same bits in any v or batch.
     Input is evaluated in slices of SLICE_POINTS points (SLICE_POINTS // 8
     with which) and a slice's terms a group of slots at a time, with the
-    same bits: the integrands are elementwise and the sum's order is kept."""
+    same bits: the integrands are elementwise and the sum's order is kept.
+    With which, pair terms are made only at the points whose integrand has
+    a pair (a density or a one-weight bin has none)."""
     arrays, slots, pairs, count, lo, g0 = [], [], [], 0, 0, 0
     for state, quadrature, parts in specs:
         _check_quadrature(quadrature)
@@ -341,6 +343,8 @@ def integrands(specs):
     pairs = np.zeros((5, pslot.max(initial=-1) + 1, count))
     pairs[:, pslot, prow] = [means[a], means[b], np.abs(pair), slope[a] - slope[b],
                              offset[a] - offset[b] + np.angle(pair)]
+    paired = np.zeros(count, bool)      # the integrands with a pair term
+    paired[prow] = True
 
     def values(v, which=None, out=None):
         v = np.asarray(v, dtype=float)
@@ -351,13 +355,20 @@ def integrands(specs):
             hi = lo + size
             part = v[lo:hi]
             group = SLICE_POINTS // part.size   # slots whose terms are held
-
-            def columns(table):     # gathered one table at a time
-                return (table if which is None
-                        else np.take(table, which[lo:hi], 2))
-            total = _gaussian_sum(part, *columns(weights), group)
-            if pairs.shape[1]:
-                total += _pair_sum(part, *columns(pairs), group)
+            if which is None:
+                total = _gaussian_sum(part, *weights, group)
+                if pairs.shape[1]:
+                    total += _pair_sum(part, *pairs, group)
+            else:
+                cols = which[lo:hi]
+                total = _gaussian_sum(part, *np.take(weights, cols, 2), group)
+                # pair terms only at the points whose integrand has one
+                # (elsewhere they are +0.0): their columns, their values
+                hit = np.flatnonzero(paired[cols])
+                if hit.size:
+                    total[hit] += _pair_sum(
+                        part[hit], *np.take(pairs, cols[hit], 2),
+                        SLICE_POINTS // hit.size)
             np.divide(total, math.sqrt(math.pi), out=out[lo:hi])
         return out
 

@@ -96,8 +96,11 @@ def integrate_piecewise(f, breakpoints, tol=1e-9):
     only its own five points, so an integral accepts the same panels in a
     batch as alone.  Each level adds its accepted panels to their
     integrals' totals, left halves before right halves, so an integral's
-    panels are summed in the same order in a batch as alone.  Returns the
-    totals (0.0 for none); SimulationError at the first non-finite value.
+    panels are summed in the same order in a batch as alone.  A level
+    holds the open panels' rows and what they need: the next frontier is
+    built row by row, each old row dropped once no new row reads it.
+    Returns the totals (0.0 for none); SimulationError at the first
+    non-finite value.
     """
     panels = []                 # (a, b, tol, owner integral)
     for i, pts in enumerate(breakpoints):
@@ -108,45 +111,73 @@ def integrate_piecewise(f, breakpoints, tol=1e-9):
         return [0.0] * len(breakpoints)
     a, b, tol, owner = np.array(panels, dtype=float).T
     owner = owner.astype(np.intp)
-    fa, fm, fb = _evaluate(f, owner, a, 0.5 * (a + b), b)
+    fa, fm, fb = _evaluate(f, owner, np.concatenate((a, 0.5 * (a + b), b)))
     # the frontier: rows a, b, fa, fm, fb, whole, tol and owner hold one
     # entry per open panel
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     totals = np.zeros(len(breakpoints))
     for depth in range(_MAX_DEPTH, -1, -1):
         m = 0.5 * (a + b)
-        flm, frm = _evaluate(f, owner, 0.5 * (a + m), 0.5 * (m + b))
+        # the left midpoints, then the right ones, in one array
+        v = np.empty(2 * m.size)
+        np.add(a, m, out=v[:m.size])
+        np.add(m, b, out=v[m.size:])
+        v *= 0.5
+        flm, frm = _evaluate(f, owner, v)
+        del v
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = left + right - whole
-        done = (np.abs(delta) <= 15.0 * tol) | (depth == 0)
+        est = left + right
+        delta = np.subtract(est, whole, out=whole)   # whole is not read again
+        del whole
+        done = np.abs(delta) <= 15.0 * tol
+        done |= depth == 0
         # Richardson extrapolation of the two half-panel estimates
-        totals += np.bincount(owner[done], (left + right + delta / 15.0)[done],
-                              len(breakpoints))
+        delta /= 15.0
+        est += delta
+        totals += np.bincount(owner[done], est[done], len(breakpoints))
+        del est, delta
         go = np.flatnonzero(~done)
         if not go.size:
             break
-        tol = 0.5 * tol
-        # the open panels' left halves, then their right halves
-        a, b, fa, fm, fb, whole, tol, owner = [
-            np.concatenate((x[go], y[go])) for x, y in
-            ((a, m), (m, b), (fa, fm), (flm, frm), (fm, fb), (left, right),
-             (tol, tol), (owner, owner))]
+        # the open panels' left halves, then their right halves, row by
+        # row, each old row dropped after its last read
+        a = _halves(a, m, go)
+        b = _halves(m, b, go)
+        del m
+        fa = _halves(fa, fm, go)
+        fb = _halves(fm, fb, go)
+        fm = _halves(flm, frm, go)
+        del flm, frm
+        whole = _halves(left, right, go)
+        del left, right
+        tol = _halves(tol, tol, go)
+        tol *= 0.5
+        owner = _halves(owner, owner, go)
     return totals.tolist()
 
 
-def _evaluate(f, owner, *xs):
-    """f on the points of xs in one call, one output row per x; owner holds
-    each column's integral index.  SimulationError at the first non-finite
+def _halves(x, y, go):
+    """x's entries at go, then y's: the open panels' left halves' row, then
+    their right halves', gathered straight into it."""
+    out = np.empty(2 * go.size, x.dtype)
+    x.take(go, out=out[:go.size], mode="clip")      # "raise" buffers out
+    y.take(go, out=out[go.size:], mode="clip")
+    return out
+
+
+def _evaluate(f, owner, v):
+    """f on v in one call, one output row per len(owner) points; owner holds
+    each row's integral indices.  SimulationError at the first non-finite
     value."""
-    v = np.concatenate(xs)
+    rows = v.size // owner.size
     with np.errstate(over="ignore", invalid="ignore"):
-        out = f(v, np.tile(owner, len(xs)))
+        out = f(v, np.concatenate((owner,) * rows))
     bad = ~np.isfinite(out)
     if bad.any():
         raise SimulationError(
             f"non-finite integrand value at v={float(v[bad][0])!r}")
-    return out.reshape(len(xs), -1)
+    return out.reshape(rows, -1)
 
 
 # --- seeded sampling -------------------------------------------------------

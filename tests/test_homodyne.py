@@ -648,6 +648,46 @@ def test_long_input_is_evaluated_in_slices_with_the_same_bits(monkeypatch):
         assert sizes == want
 
 
+def test_pair_terms_are_made_only_where_a_bin_has_a_pair(monkeypatch):
+    # one `which` batch of density columns, single-weight bins (two_qubit_X,
+    # three_qubit_P) and paired bins (a P-axis bin at n = 6 has three
+    # weights and three pairs), read in slices where no point, every point
+    # and some points have a pair: each value has its integrand's bits
+    # alone, and the pair terms are made at the paired points only
+    specs, alone, paired = [], [], []
+    for scenario, n in (("two_qubit_X", None), ("three_qubit_P", None),
+                        ("gsum_X", None), ("n_qubit_P", 6)):
+        st = prepare_state(scenario, 2.5, 0.8, 0.2, n)
+        rule = build_decision_rule(scenario, math.sqrt(0.8) * 2.5, n=n)
+        q = rule.quadrature
+        specs.append((st, q, [tuple(range(st.n + 1)), *rule.classes]))
+        alone += [lambda v, st=st, q=q: outcome_density(st, q, v)]
+        alone += [class_overlap_integrand(st, q, cls) for cls in rule.classes]
+        paired += [False] + [len(cls.weights) > 1 for cls in rule.classes]
+    assert max(len(cls.weights) for cls in specs[-1][2][1:]) == 3
+    paired = np.array(paired)
+    rng = np.random.default_rng(11)
+    assert any(len(cls.weights) == 1 for _, _, parts in specs[:2]
+               for cls in parts[1:])
+    # slices of SLICE_POINTS // 8 = 10 points: none, every one, then some
+    which = np.concatenate([rng.choice(np.flatnonzero(~paired), 10),
+                            rng.choice(np.flatnonzero(paired), 10),
+                            rng.choice(len(alone), 35)])
+    v = rng.uniform(-5.0, 5.0, which.size)
+    want = np.array([alone[c](v[j:j + 1])[0] for j, c in enumerate(which)])
+    monkeypatch.setattr(homodyne, "SLICE_POINTS", 80)
+    seen = []
+    pair_sum = homodyne._pair_sum
+    monkeypatch.setattr(homodyne, "_pair_sum", lambda v, *args:
+                        seen.append(v.copy()) or pair_sum(v, *args))
+    assert same_bits(integrands(specs)(v, which.copy()), want)
+    hits = [v[lo:lo + 10][paired[which[lo:lo + 10]]]
+            for lo in range(0, v.size, 10)]
+    assert [h.size for h in hits[:2]] == [0, 10] and 0 < hits[2].size < 10
+    hits = [h for h in hits if h.size]
+    assert len(seen) == len(hits) and all(map(same_bits, seen, hits))
+
+
 @pytest.mark.parametrize("scenario, n", [
     ("two_qubit_X", None), ("three_qubit_P", None), ("gsum_X", None),
     ("n_qubit_P", 5), ("n_qubit_P", 6), ("n_qubit_P", 12)])

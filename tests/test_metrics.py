@@ -675,11 +675,11 @@ def test_sweep_builds_states_one_block_at_a_time(monkeypatch):
 def test_fig4b_sweep_memory_is_bounded(monkeypatch):
     # the fig4b sweep at the default block: the evaluator takes Simpson's
     # whole levels in slices of at most SLICE_POINTS // 8 points, some of
-    # them full, and the traced heap peak stays under a budget that the
-    # same block without slices exceeds (2.01 MB measured, 3.33 MB
-    # unsliced; notes/decisions.md, "Sliced Simpson levels and 32-point
-    # sweep blocks", "One layer slices the integrand" and "Form each
-    # quantity once")
+    # them full, and the traced heap peak stays under a budget that a
+    # level holding its whole old and new frontier at once exceeds (1.50-
+    # 1.57 MB measured, 2.01 MB with that rebuild, 3.33 MB unsliced;
+    # notes/decisions.md, "Sliced Simpson levels and 32-point sweep
+    # blocks", "One layer slices the integrand" and "Lean Simpson levels")
     sizes = []
     real = homodyne._gaussian_sum
     monkeypatch.setattr(homodyne, "_gaussian_sum", lambda v, *args:
@@ -692,7 +692,7 @@ def test_fig4b_sweep_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert max(sizes) == homodyne.SLICE_POINTS // 8
-    assert peak < 2.6e6, peak
+    assert peak < 1.8e6, peak
 
 
 def test_sweep_fidelity_monotone_in_nbar():
