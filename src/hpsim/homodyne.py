@@ -124,19 +124,14 @@ class DecisionRule:
             raise ValueError("thresholds must be strictly increasing")
 
     def classify(self, v: np.ndarray):
-        """(each v's class index, the number of v in each class), both from
-        one comparison per threshold.  The index counts the thresholds v
-        reaches (v >= t, so ties go up, as searchsorted side="right"; NaN
-        reaches none: class 0), and a class holds the v that reach its
-        lower threshold less those that reach its upper one."""
+        """Each v's class index, from one comparison per threshold: the
+        number of thresholds v reaches (v >= t, so ties go up, as
+        searchsorted side="right"; NaN reaches none: class 0)."""
         v = np.asarray(v)
         idx = np.zeros(v.shape, np.min_scalar_type(len(self.thresholds)))
-        reach = [v.size]
         for t in self.thresholds:
-            above = v >= t
-            idx += above
-            reach.append(int(np.count_nonzero(above)))
-        return idx, [a - b for a, b in zip(reach, reach[1:] + [0])]
+            idx += v >= t
+        return idx
 
 
 def build_decision_rule(scenario, a, n=None) -> DecisionRule:

@@ -128,30 +128,32 @@ def closed_form_two_qubit(a: float):
 
 # Trials per Monte Carlo block.  A run makes its block arrays once, sized
 # min(trials, MC_BLOCK_TRIALS), and every block writes into them: the
-# drawn outcomes (then their densities, over which each bin's ratios and
-# deviations are written), the outcomes sorted by bin (over which each
-# bin's overlaps are written), and the sort's keys, positions and order.
-# So a run holds 2 MiB of them at this size, and no block makes an array
-# of its own length: freed per block, such arrays went back to the kernel
-# and the next block faulted them in again (notes/decisions.md, "Monte
-# Carlo without fresh pages").  The sampler draws a block and the
-# integrands take it in slices of homodyne.SLICE_POINTS, into rows of that
-# length: the sampler peaks at 0.39 MiB, a density at 0.5 MiB and a bin's
-# overlap at 0.5-0.75 MiB.  A run then peaks at 2.70 MB for n <= 13 and
-# 2.74 MB at n = 20 (tracemalloc, 200,000 trials, after a first run).  The
-# block partition sets the bits of the fidelity sums, so the size is fixed.
+# drawn outcomes, sorted in place (over which each bin's overlaps are
+# written), and their densities (over which each bin's ratios and
+# deviations are written).  So a run holds 1 MiB of them at this size, and
+# no block makes an array of its own length: freed per block, such arrays
+# went back to the kernel and the next block faulted them in again
+# (notes/decisions.md, "Monte Carlo without fresh pages").  The sampler
+# draws a block and the integrands take it in slices of
+# homodyne.SLICE_POINTS, into rows of that length: the sampler peaks at
+# 0.39 MiB, a density at 0.5 MiB and a bin's overlap at 0.5-0.75 MiB.  A
+# run then peaks at 1.58 MB at n = 5 and 1.63 MB at n = 20 (tracemalloc,
+# 200,000 trials, after a first run).  The block partition sets the bits
+# of the fidelity sums, so the size is fixed.
 MC_BLOCK_TRIALS = 1 << 16
 
 def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
                          trials: int, seed) -> list:
-    """Sample outcomes, classify, and estimate per-bin probability and fidelity.
+    """Sample outcomes, bin them, and estimate per-bin probability and fidelity.
 
     Probabilities carry binomial standard errors (NaN with trials < 2).
     Bin fidelity averages <T(v)|rho(v)|T(v)> / density over the bin's
     samples (NaN if empty); fidelity_stderr is the mean's standard error
     (NaN below two hits).  Trials come in blocks of MC_BLOCK_TRIALS stream
     positions (see sample_outcomes); each adds to the per-bin hits, sums and
-    squared deviations, so the hits do not depend on the block size.
+    squared deviations, so the hits do not depend on the block size.  A
+    block's samples are sorted by value, so a bin's ratios are summed in
+    ascending outcome order within a block.
     """
     trials = check_trials(trials, minimum=1)
     check_seed(seed)
@@ -163,24 +165,22 @@ def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
     squares = [0.0] * len(rule.classes)    # summed squared deviations
     # the run's block arrays: every block writes into them
     size = min(trials, MC_BLOCK_TRIALS)
-    drawn, ordered = np.empty(size), np.empty(size)
-    order_of = _stable_order(size, len(rule.classes))
+    drawn, densities = np.empty(size), np.empty(size)
     for start in range(0, trials, MC_BLOCK_TRIALS):
         stop = min(start + MC_BLOCK_TRIALS, trials)
         samples = sample_outcomes(state, rule.quadrature, trials, seed, start,
                                   stop, out=drawn[:stop - start])
-        # one stable ordering by bin: each bin's samples become a slice, in
-        # draw order, and the density is evaluated on them in that order,
-        # into the drawn samples' array
-        idx, counts = rule.classify(samples)
-        samples = np.take(samples, order_of(idx), out=ordered[:samples.size],
-                          mode="clip")
+        # sorted by value, each bin's samples are a slice (v >= t lies
+        # above t, as in classify; samples are never NaN)
+        samples.sort()
+        ends = [*np.searchsorted(samples, rule.thresholds).tolist(),
+                samples.size]
         dens = outcome_density(state, rule.quadrature, samples,
-                               out=drawn[:samples.size])
+                               out=densities[:samples.size])
         lo = 0
-        for i, n1 in enumerate(counts):
-            if n1:
-                hi = lo + n1
+        for i, hi in enumerate(ends):
+            if hi > lo:
+                n1 = hi - lo
                 # the bin's overlaps in place of its samples, its ratios,
                 # then their deviations, in place of its densities
                 dev = np.divide(overlaps[i](samples[lo:hi],
@@ -192,7 +192,7 @@ def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
                 shift = total / n1 - sums[i] / n0 if n0 else 0.0
                 squares[i] += float(dev @ dev) + shift**2 * n0 * n1 / (n0 + n1)
                 hits[i], sums[i] = n0 + n1, sums[i] + total
-            lo += n1
+            lo = hi
     out = []
     for cls, hit, total, square in zip(rule.classes, hits, sums, squares):
         phat = hit / trials
@@ -205,28 +205,6 @@ def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
                                method="monte_carlo", mc_stderr=stderr,
                                fidelity_stderr=fse))
     return out
-
-
-def _stable_order(size, bins):
-    """A function idx -> np.argsort(idx, kind="stable") for at most `size`
-    bin indices below `bins`, written into an array made here.  It sorts
-    the keys (bin << s) | position in place, where s bits hold a position,
-    and masks the bins off: distinct keys need no stable sort, and a call
-    makes no array of the indices' length."""
-    shift = (size - 1).bit_length()
-    dtype = np.min_scalar_type((bins - 1) << shift | (size - 1))
-    positions = np.arange(size, dtype=dtype)
-    keys, order = np.empty(size, dtype), np.empty(size, np.intp)
-
-    def order_of(idx):
-        k = keys[:idx.size]
-        np.copyto(k, idx)
-        k <<= shift
-        k |= positions[:idx.size]
-        k.sort()
-        return np.bitwise_and(k, (1 << shift) - 1, out=order[:idx.size])
-
-    return order_of
 
 
 # --- full pipeline ---------------------------------------------------------------

@@ -762,13 +762,13 @@ def sample_outcomes_v1(state, quadrature, trials, seed, start=0, stop=None):
 
 
 def monte_carlo_blocks(state, rule, trials, seed, block):
-    """Monte Carlo ClassResults from blocks of `block` trials, as the block
-    loop stood with a density evaluated before the sort: per block, the
-    density at every sample, one stable sort by bin, gathers of samples
-    and density, bin ends from bincount and cumsum, and Chan et al.'s
-    update of each bin's squared deviations.  The density and overlaps
-    are the per-bin rows above, which the package's integrands reproduce
-    bit for bit."""
+    """Monte Carlo ClassResults from blocks of `block` trials: per block,
+    the density at every sample, one stable sort by outcome, gathers of
+    samples and density, bin ends from searchsorted classification,
+    bincount and cumsum, and Chan et al.'s update of each bin's squared
+    deviations, so a bin's ratios are summed in ascending outcome order
+    within a block.  The density and overlaps are the per-bin rows above,
+    which the package's integrands reproduce bit for bit."""
     q = rule.quadrature
     density = density_row_per_bin(state, q, range(state.n + 1))
     overlaps = [overlap_row_per_bin(state, q, cls) for cls in rule.classes]
@@ -780,7 +780,7 @@ def monte_carlo_blocks(state, rule, trials, seed, block):
                                      min(start + block, trials))
         dens = row_values_per_bin(density, samples)
         idx = np.searchsorted(np.asarray(rule.thresholds), samples, side="right")
-        order = np.argsort(idx, kind="stable")
+        order = np.argsort(samples, kind="stable")
         samples, dens = samples[order], dens[order]
         lo = 0
         for i, hi in enumerate(np.cumsum(np.bincount(

@@ -331,13 +331,13 @@ def test_classify_examples():
              (rule2, -0.3, 0, "Bell-phi+"),
              (rule3, 0.0, 0, "GHZ(3)")]
     for rule, v, parity, name in cases:
-        cls = rule.classes[rule.classify(np.array([v]))[0][0]]
+        cls = rule.classes[rule.classify(np.array([v]))[0]]
         assert (cls.parity, target_at(rule, cls, v).name) == (parity, name)
 
 
 def test_classify_merged_class_sets_flag():
     rule = build_decision_rule("n_qubit_P", 3.0, n=4)
-    cls = rule.classes[rule.classify(np.array([0.0]))[0][0]]
+    cls = rule.classes[rule.classify(np.array([0.0]))[0]]
     assert target_at(rule, cls, 0.0).needs_x_gate
 
 
@@ -554,11 +554,11 @@ def test_conditional_state_dense_cap():
 def test_vectorized_class_lookup_matches_scalar():
     rule = build_decision_rule("three_qubit_P", 0.8 * 4.0)
     vs = np.linspace(-8, 8, 101)
-    vec = rule.classify(vs)[0]
+    vec = rule.classify(vs)
     for v, i in zip(vs, vec):
         assert bisect_right(rule.thresholds, float(v)) == i
     for j, t in enumerate(rule.thresholds):           # tie -> upper interval
-        assert rule.classify(np.array([t]))[0][0] == j + 1
+        assert rule.classify(np.array([t]))[0] == j + 1
 
 
 def test_class_indices_match_searchsorted():
@@ -571,15 +571,11 @@ def test_class_indices_match_searchsorted():
         lo, hi = (t[0], t[-1]) if len(t) else (0.0, 0.0)
         vs = np.concatenate([rng.uniform(lo - 3.0, hi + 3.0, 1000), t,
                              np.nextafter(t, -np.inf), np.nextafter(t, np.inf)])
-        got = rule.classify(vs)[0]
+        got = rule.classify(vs)
         assert got.dtype == np.uint8
         assert np.array_equal(got, np.searchsorted(t, vs, side="right"))
-        # classify's counts are the bins' sizes, NaN in the lowest
-        idx, counts = rule.classify(np.append(vs, np.nan))
-        assert np.array_equal(idx[:-1], got)
-        assert counts == np.bincount(idx, minlength=len(t) + 1).tolist()
         # NaN compares false with every threshold: the lowest class
-        assert rule.classify(np.array([np.nan]))[0][0] == 0
+        assert rule.classify(np.array([np.nan]))[0] == 0
 
 
 def test_outcome_density_matches_broadcast_form():
