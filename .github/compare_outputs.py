@@ -1,37 +1,37 @@
-"""Compare the CLI outputs of two hpsim source trees, task by task.
+"""Compare the CLI outputs of two hpsim source trees, line by line.
 
     python .github/compare_outputs.py BASE_SRC HEAD_SRC
 
-Runs the 21 tasks of bench/workloads.py at workload seeds 0 and 4 through
-`hpsim.cli.main`, in one process per tree (PYTHONPATH=BASE_SRC, then
-HEAD_SRC), and prints per task and seed either "identical" or the count
-and largest size of the numbers that moved; a summary line totals the
-moved numbers and names the task of the largest move, and the last line
-gives the line totals of both trees' hpsim modules (a report, not a
-check), so a change in the package's size shows.  It exits 1 on any
-difference in an exit code, in stderr, in the text around the numbers, or
-in a Monte Carlo `success_prob` (a changed hit count), which must all stay
-byte-identical.  Each tree also runs every `sweep` and `density` task a
-second time with `--out` to a temporary file; it exits 1 when that run's
-exit code differs, its stdout is not empty, or the file is not
-byte-identical to the tree's stdout for the task.  Each tree also runs the
-start-up paths (STARTUP: --help, each command's --help, solve-params and
-two flag errors) with COLUMNS=80, so that argparse wraps alike, and the
-SIMULATE, DENSITY and SWEEP lines, which no benchmark task runs; it exits 1
-on any difference in their exit codes, stdout or stderr.  bench/ is only
-read: no bytecode is written there.
+Runs one list of lines through `hpsim.cli.main`, in one process per tree
+(PYTHONPATH=BASE_SRC, then HEAD_SRC) with COLUMNS=80, so that argparse
+wraps alike: the start-up paths (STARTUP: --help, each command's --help,
+solve-params and two flag errors), the SIMULATE, DENSITY and SWEEP lines,
+which no benchmark task runs, and then the 21 tasks of bench/workloads.py
+at workload seeds 0 and 4.  Every sweep and density line that exits 0 and
+is not --help runs a second time with `--out` to a temporary file; the
+script exits 1 when that run exits non-zero, its stdout is not empty, or
+the file is not byte-identical to the tree's stdout for the line.
+bench/ is only read: no bytecode is written there.
+
+One rule judges every line: identical output (exit code, stdout and
+stderr) passes, and any difference fails unless it is declared.  Each
+line that differs or is declared is printed with its verdict, which gives
+the count and largest size of the numbers that moved; a summary line
+totals the lines and the moved numbers, and the last line gives the line
+totals of both trees' hpsim modules (a report, not a check), so a change
+in the package's size shows.
 
 A deliberate output change is declared in .github/expected_changes.json,
 an object that maps a base commit's full SHA to a list of entries
 {"line": L, "kind": "numbers", "bound": B} or {"line": L, "kind": "text"},
-where L is a task key as printed ("figures/fig4b@0") or a start-up,
-simulate, density or sweep line as printed after `hpsim`.  Only the entries
-under the SHA that BASE_SRC's checkout reads (`git rev-parse HEAD`) count,
-so a declaration ends with its pull request.  An undeclared line is judged
-as above.  A `numbers` line passes when its exit code, stderr, non-numeric
-text and Monte Carlo hit counts are equal and no number moves more than
-B; a `text` line prints a unified diff and passes; a declared line that
-does not change, or that no tree runs, fails.
+where L is a line as printed: a task key ("monte_carlo/mc_gsum@0") or a
+command line as written after `hpsim`.  Only the entries under the SHA
+that BASE_SRC's checkout reads (`git rev-parse HEAD`) count, so a
+declaration ends with its pull request.  A `numbers` line passes when its
+exit code, stderr, non-numeric text and Monte Carlo `success_prob` (a hit
+count) are equal and no number moves more than B; a `text` line prints a
+unified diff and passes; a declared line that does not change, or that no
+tree runs, fails.
 """
 
 import difflib
@@ -83,9 +83,9 @@ SWEEP = [["sweep", "--scenario", "n_qubit", "--n", "20", "--nbar",
          ["sweep", "--scenario", "n_qubit", "--n", "13", "--nbar",
           "0.25:8:0.25", "--gamma", "0,1", "--eta-sq", "0.6667"]]
 
-# Runs in each tree: the STARTUP, SIMULATE, DENSITY and SWEEP lines, every
-# task at every seed, and the curve tasks again with --out; one JSON object
-# on stdout.
+# Runs in each tree: the STARTUP, SIMULATE, DENSITY and SWEEP lines, then
+# every task at every seed, each sweep and density line that exits 0 and
+# is not --help again with --out; one JSON object on stdout.
 RUNNER = """
 import json, os, sys, tempfile
 import workloads
@@ -94,31 +94,31 @@ import hpsim
 from hpsim.cli import main
 if not os.path.realpath(hpsim.__file__).startswith(sys.argv[2] + os.sep):
     sys.exit(f"hpsim imported from {hpsim.__file__}, not {sys.argv[2]}")
-startup = [[" ".join(argv), *run_task(main, argv)[:3]]
-           for argv in json.loads(sys.argv[3])]
+lines = [(" ".join(argv), argv) for argv in json.loads(sys.argv[3])]
+lines += [(f"{workload}/{task_id}@{seed}", argv)
+          for seed in json.loads(sys.argv[1])
+          for workload in sorted(workloads.WORKLOADS)
+          for task_id, argv in workloads.tasks(workload, seed)]
 out, files = [], []
 with tempfile.TemporaryDirectory() as tmp:
-    for seed in json.loads(sys.argv[1]):
-        for workload in sorted(workloads.WORKLOADS):
-            for task_id, argv in workloads.tasks(workload, seed):
-                key = f"{workload}/{task_id}@{seed}"
-                code, stdout, stderr, _ = run_task(main, argv)
-                out.append([key, code, stdout, stderr])
-                if argv[0] not in ("sweep", "density"):
-                    continue
-                path = os.path.join(tmp, f"{len(files)}.out")
-                fcode, fstdout, _, _ = run_task(main, argv + ["--out", path])
-                data = None
-                if os.path.isfile(path):
-                    with open(path, "rb") as fh:
-                        data = fh.read()
-                problems = [what for what, bad in (
-                    (f"exit code {code} -> {fcode}", fcode != code),
-                    (f"stdout of {len(fstdout)} chars", fstdout != ""),
-                    ("file differs from stdout",
-                     data != stdout.encode("utf-8"))) if bad]
-                files.append([key, problems])
-json.dump({"runs": out, "out_files": files, "startup": startup}, sys.stdout)
+    for key, argv in lines:
+        code, stdout, stderr, _ = run_task(main, argv)
+        out.append([key, code, stdout, stderr])
+        if argv[0] not in ("sweep", "density") or code or "--help" in argv:
+            continue
+        path = os.path.join(tmp, f"{len(files)}.out")
+        fcode, fstdout, _, _ = run_task(main, argv + ["--out", path])
+        data = None
+        if os.path.isfile(path):
+            with open(path, "rb") as fh:
+                data = fh.read()
+        problems = [what for what, bad in (
+            (f"exit code {fcode}", fcode != 0),
+            (f"stdout of {len(fstdout)} chars", fstdout != ""),
+            ("file differs from stdout", data != stdout.encode("utf-8")))
+            if bad]
+        files.append([key, problems])
+json.dump({"runs": out, "out_files": files}, sys.stdout)
 """
 
 
@@ -134,7 +134,7 @@ def run_tree(src):
         raise SystemExit(f"running {src} failed:\n{res.stderr}")
     got = json.loads(res.stdout)
     return ({key: (code, out, err) for key, code, out, err in got["runs"]},
-            got["out_files"], got["startup"])
+            got["out_files"])
 
 
 def mc_success_probs(text):
@@ -147,8 +147,9 @@ def mc_success_probs(text):
 
 
 def compare(base, head):
-    """(message, fatal, sizes of the moved numbers) for one task's
-    (exit code, stdout, stderr) pair."""
+    """(message, fatal, sizes of the moved numbers) for one line's (exit
+    code, stdout, stderr) pair, where fatal marks a difference that no
+    `numbers` declaration covers."""
     if base == head:
         return "identical", False, []
     (bcode, bout, berr), (hcode, hout, herr) = base, head
@@ -193,14 +194,13 @@ def declared_changes(sha, path):
     return declared
 
 
-def judge(base, head, entry=None, exact=False):
+def judge(base, head, entry=None):
     """(message, fatal, sizes of the moved numbers) for one line's (exit
-    code, stdout, stderr) pair: `compare`'s verdict, where exact (the
-    start-up, simulate, density and sweep lines) makes any difference
-    fatal, unless entry declares the change."""
+    code, stdout, stderr) pair: any difference is fatal unless entry
+    declares it."""
     message, fatal, moved = compare(base, head)
     if entry is None:
-        return message, fatal or exact and base != head, moved
+        return message, base != head, moved
     if base == head:
         return f"declared {entry['kind']} change, but identical", True, []
     if entry["kind"] == "text":
@@ -234,23 +234,10 @@ def package_lines(src):
 def main(argv):
     if len(argv) != 2:
         raise SystemExit(__doc__)
-    (base, base_files, base_startup), (head, head_files, head_startup) = (
-        run_tree(src) for src in argv)
-    if base.keys() != head.keys():
-        print("the trees ran different task lists")
-        return 1
+    (base, base_files), (head, head_files) = map(run_tree, argv)
     sha = base_sha(argv[0])
     declared = declared_changes(sha, DECLARATIONS)
     print(f"{len(declared)} declared changes for base {sha}")
-    bad_startup = 0
-    for (line, *b), (_, *h) in zip(base_startup, head_startup):
-        entry = declared.pop(line, None)
-        message, fatal, _ = judge(tuple(b), tuple(h), entry, exact=True)
-        if b != h or entry is not None:
-            print(f"`hpsim {line}`: {message}")
-        bad_startup += fatal
-    print(f"{len(base_startup)} start-up, simulate, density and sweep runs, "
-          f"{bad_startup} with a difference that must not be")
     bad_files = 0
     for tree, files in zip(argv, (base_files, head_files)):
         bad = [(key, problems) for key, problems in files if problems]
@@ -259,27 +246,27 @@ def main(argv):
         print(f"{tree}: {len(files) - len(bad)} of {len(files)} --out runs "
               f"write the stdout bytes")
         bad_files += len(bad)
-    failed, moved, largest = 0, 0, None     # largest: (size, task)
+    failed, moved, largest = 0, 0, None     # largest: (size, line)
     for key in base:
-        message, fatal, sizes = judge(base[key], head[key],
-                                      declared.pop(key, None))
+        entry = declared.pop(key, None)
+        message, fatal, sizes = judge(base[key], head[key], entry)
         failed += fatal
         moved += len(sizes)
         if sizes and (largest is None or max(sizes) > largest[0]):
             largest = max(sizes), key
-        print(f"{key}: {message}")
+        if base[key] != head[key] or entry is not None:
+            print(f"{key}: {message}")
     total = f"; {moved} numbers moved"
     if largest:
         total += f", largest by {largest[0]:.3g} ({largest[1]})"
-    print(f"{len(base)} task runs, {failed} with a difference that must not "
-          f"be{total}")
+    same = sum(base[key] == head[key] for key in base)
+    print(f"{len(base)} lines, {same} identical, {failed} fail{total}")
     for line in declared:
         print(f"{line}: declared, but no tree runs it")
     base_lines, head_lines = map(package_lines, argv)
     print(f"src/hpsim lines: {base_lines} -> {head_lines} "
           f"({head_lines - base_lines:+d})")
-    return 1 if (failed or bad_files or bad_startup or declared
-                 or not base_files) else 0
+    return 1 if failed or bad_files or declared or not base_files else 0
 
 
 if __name__ == "__main__":

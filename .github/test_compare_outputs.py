@@ -2,9 +2,11 @@
 
     python -m pytest .github/test_compare_outputs.py -q
 
-No tree runs: each test feeds `compare`, `judge`, `NUMBER` or
+No hpsim tree runs: each test feeds `compare`, `judge`, `NUMBER` or
 `mc_success_probs` an (exit code, stdout, stderr) pair or a text written
-here, or `declared_changes` a declarations file written here.
+here, `declared_changes` a declarations file written here, or `main` both
+trees' runs made here; `run_tree` runs a stub `hpsim.cli.main` written
+here.
 """
 
 import json
@@ -94,24 +96,22 @@ NUMBERS = {"line": "figures/fig4b@0", "kind": "numbers", "bound": 1e-6}
 TEXT = {"line": "--help", "kind": "text"}
 
 
-def test_undeclared_line_is_judged_as_before():
+def test_undeclared_difference_fails():
+    # one rule for every line: identical passes, any difference fails
     base, moved = (0, report(fidelity=0.9), ""), (0, report(fidelity=0.91), "")
-    assert judge(base, moved) == compare(base, moved)
+    message, fatal, sizes = judge(base, moved)
+    assert fatal and message.startswith("1 numbers moved")
+    assert compare(base, moved) == (message, False, sizes)
     assert judge(base, (0, report(), "warn\n")) == compare(
         base, (0, report(), "warn\n"))
-    # an exact line (start-up, simulate, density, sweep) fails on any byte
-    message, fatal, _ = judge(base, moved, exact=True)
-    assert fatal and message.startswith("1 numbers moved")
-    assert judge(base, base, exact=True) == ("identical", False, [])
+    assert judge(base, base) == ("identical", False, [])
 
 
 def test_declared_numbers_pass_within_their_bound():
-    base = (0, report(fidelity=0.9), "")
-    for exact in (False, True):
-        message, fatal, moved = judge(
-            base, (0, report(fidelity=0.9 + 5e-7), ""), NUMBERS, exact)
-        assert not fatal and len(moved) == 1
-        assert message.endswith("(declared numbers, bound 1e-06)")
+    message, fatal, moved = judge((0, report(fidelity=0.9), ""),
+                                  (0, report(fidelity=0.9 + 5e-7), ""), NUMBERS)
+    assert not fatal and len(moved) == 1
+    assert message.endswith("(declared numbers, bound 1e-06)")
 
 
 def test_declared_numbers_fail_past_their_bound():
@@ -132,7 +132,7 @@ def test_declared_numbers_do_not_cover_other_changes(head):
 
 def test_declared_text_prints_a_diff_and_passes():
     message, fatal, _ = judge((0, "usage: hpsim\n", ""),
-                              (0, "usage: hpsim [-h]\n", ""), TEXT, exact=True)
+                              (0, "usage: hpsim [-h]\n", ""), TEXT)
     assert not fatal
     assert message.splitlines()[:3] == ["declared text change:", "--- base",
                                         "+++ head"]
@@ -189,28 +189,83 @@ def test_base_sha_is_none_outside_git(tmp_path):
 
 
 SWEEP = "sweep --scenario n_qubit --n 20"
+TASK = "monte_carlo/mc_gsum@0"
 
 
-@pytest.mark.parametrize("entries, sweep_head, status", [
-    ([], "a,0.5\n", 0),                                  # nothing changed
-    ([], "a,0.5000001\n", 1),                            # undeclared move
-    ([{"line": SWEEP, "kind": "numbers", "bound": 2e-7}], "a,0.5000001\n", 0),
-    ([{"line": SWEEP, "kind": "numbers", "bound": 2e-7}], "a,0.5\n", 1),
-    ([{"line": "figures/fig9@0", "kind": "text"}], "a,0.5\n", 1),  # not run
-], ids=["unchanged", "undeclared", "declared", "stale", "unknown_line"])
+@pytest.mark.parametrize("entries, sweep_head, task_head, status", [
+    ([], "a,0.5\n", 0.9, 0),                             # nothing changed
+    ([], "a,0.5000001\n", 0.9, 1),                       # undeclared move
+    ([{"line": SWEEP, "kind": "numbers", "bound": 2e-7}], "a,0.5000001\n",
+     0.9, 0),
+    ([{"line": SWEEP, "kind": "numbers", "bound": 2e-7}], "a,0.5\n", 0.9, 1),
+    ([{"line": "figures/fig9@0", "kind": "text"}], "a,0.5\n", 0.9, 1),
+    ([], "a,0.5\n", 0.9 + 4e-16, 1),                     # a task's number
+    ([{"line": TASK, "kind": "numbers", "bound": 1e-15}], "a,0.5\n",
+     0.9 + 4e-16, 0),
+    ([{"line": TASK, "kind": "numbers", "bound": 1e-16}], "a,0.5\n",
+     0.9 + 4e-16, 1),
+], ids=["unchanged", "undeclared", "declared", "stale", "unknown_line",
+        "task_undeclared", "task_declared", "task_over_bound"])
 def test_main_applies_the_base_commits_declarations(
-        monkeypatch, tmp_path, capsys, entries, sweep_head, status):
-    # both trees' runs are made here: one task and one sweep line each
+        monkeypatch, tmp_path, capsys, entries, sweep_head, task_head, status):
+    # both trees' runs are made here: one sweep line and one task each
     path = tmp_path / "expected_changes.json"
     path.write_text(json.dumps({BASE: entries, "f" * 40: [
-        {"line": "figures/fig4b@0", "kind": "text"}]}))
+        {"line": TASK, "kind": "numbers", "bound": 1.0}]}))
     runs = {}
-    for name, sweep_out in (("base", "a,0.5\n"), ("head", sweep_head)):
+    for name, sweep_out, fidelity in (("base", "a,0.5\n", 0.9),
+                                      ("head", sweep_head, task_head)):
         (tmp_path / name / "hpsim").mkdir(parents=True)
         runs[str(tmp_path / name)] = (
-            {"figures/fig4b@0": (0, report(), "")}, [["figures/fig4b@0", []]],
-            [[SWEEP, 0, sweep_out, ""]])
+            {SWEEP: (0, sweep_out, ""),
+             TASK: (0, report(fidelity=fidelity), "")},
+            [[SWEEP, []]])
     monkeypatch.setattr(compare_outputs, "run_tree", runs.__getitem__)
     monkeypatch.setattr(compare_outputs, "base_sha", lambda src: BASE)
     monkeypatch.setattr(compare_outputs, "DECLARATIONS", str(path))
     assert compare_outputs.main(list(runs)) == status, capsys.readouterr().out
+
+
+# A stub CLI: it echoes its arguments, writes them to the --out file
+# instead, and exits 2 on a "bogus" argument
+STUB_CLI = """
+import sys
+
+
+def main(argv):
+    if "bogus" in argv:
+        print("bogus", file=sys.stderr)
+        return 2
+    if "--out" in argv:
+        with open(argv[argv.index("--out") + 1], "w") as fh:
+            fh.write(" ".join(argv[:argv.index("--out")]) + "\\n")
+    else:
+        print(" ".join(argv))
+    return 0
+"""
+
+
+def test_run_tree_reruns_each_curve_line_with_out(monkeypatch, tmp_path):
+    # every line of the one list runs once; the sweep and density lines
+    # that exit 0 and are not --help run again with --out, extra lines and
+    # benchmark tasks alike
+    (tmp_path / "hpsim").mkdir()
+    (tmp_path / "hpsim" / "__init__.py").write_text("")
+    (tmp_path / "hpsim" / "cli.py").write_text(STUB_CLI)
+    monkeypatch.setattr(compare_outputs, "STARTUP", [
+        ["sweep", "--help"], ["density", "--help"],
+        ["sweep", "--scenario", "bogus"], ["density", "--scenario", "bogus"]])
+    monkeypatch.setattr(compare_outputs, "SIMULATE", [["simulate", "--n", "9"]])
+    monkeypatch.setattr(compare_outputs, "DENSITY", [["density", "--n", "7"]])
+    monkeypatch.setattr(compare_outputs, "SWEEP", [["sweep", "--n", "20"]])
+    monkeypatch.setattr(compare_outputs, "SEEDS", (0,))
+    runs, files = compare_outputs.run_tree(str(tmp_path))
+    assert list(runs)[:7] == [
+        "sweep --help", "density --help", "sweep --scenario bogus",
+        "density --scenario bogus", "simulate --n 9", "density --n 7",
+        "sweep --n 20"]
+    assert runs["sweep --scenario bogus"] == (2, "", "bogus\n")
+    assert len(runs) == 7 + 21      # the benchmark's 21 tasks at one seed
+    assert files == [[key, []] for key in (
+        "density --n 7", "sweep --n 20", "figures/fig4b@0", "figures/fig6bc@0",
+        "figures/fig5a@0")]

@@ -123,16 +123,6 @@ class DecisionRule:
         if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise ValueError("thresholds must be strictly increasing")
 
-    def classify(self, v: np.ndarray):
-        """Each v's class index, from one comparison per threshold: the
-        number of thresholds v reaches (v >= t, so ties go up, as
-        searchsorted side="right"; NaN reaches none: class 0)."""
-        v = np.asarray(v)
-        idx = np.zeros(v.shape, np.min_scalar_type(len(self.thresholds)))
-        for t in self.thresholds:
-            idx += v >= t
-        return idx
-
 
 def build_decision_rule(scenario, a, n=None) -> DecisionRule:
     """Thresholds and class map for one measurement scenario and pulse

@@ -171,7 +171,7 @@ def monte_carlo_estimate(state: SectorState, rule: DecisionRule,
         samples = sample_outcomes(state, rule.quadrature, trials, seed, start,
                                   stop, out=drawn[:stop - start])
         # sorted by value, each bin's samples are a slice (v >= t lies
-        # above t, as in classify; samples are never NaN)
+        # above t, so ties go up; samples are never NaN)
         samples.sort()
         ends = [*np.searchsorted(samples, rule.thresholds).tolist(),
                 samples.size]

@@ -1,6 +1,5 @@
 import math
 import pickle
-from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
@@ -331,13 +330,13 @@ def test_classify_examples():
              (rule2, -0.3, 0, "Bell-phi+"),
              (rule3, 0.0, 0, "GHZ(3)")]
     for rule, v, parity, name in cases:
-        cls = rule.classes[rule.classify(np.array([v]))[0]]
+        cls = rule.classes[np.searchsorted(rule.thresholds, v, side="right")]
         assert (cls.parity, target_at(rule, cls, v).name) == (parity, name)
 
 
 def test_classify_merged_class_sets_flag():
     rule = build_decision_rule("n_qubit_P", 3.0, n=4)
-    cls = rule.classes[rule.classify(np.array([0.0]))[0]]
+    cls = rule.classes[np.searchsorted(rule.thresholds, 0.0, side="right")]
     assert target_at(rule, cls, 0.0).needs_x_gate
 
 
@@ -549,33 +548,6 @@ def test_conditional_state_dense_cap():
     st = dense_state("n_qubit_P", 1.0, 1.0, n=11)
     with pytest.raises(ValueError):
         conditional_atomic_state(st, "P", 0.0)
-
-
-def test_vectorized_class_lookup_matches_scalar():
-    rule = build_decision_rule("three_qubit_P", 0.8 * 4.0)
-    vs = np.linspace(-8, 8, 101)
-    vec = rule.classify(vs)
-    for v, i in zip(vs, vec):
-        assert bisect_right(rule.thresholds, float(v)) == i
-    for j, t in enumerate(rule.thresholds):           # tie -> upper interval
-        assert rule.classify(np.array([t]))[0] == j + 1
-
-
-def test_class_indices_match_searchsorted():
-    rng = np.random.default_rng(41)
-    configs = [(name, None) for name, row in SCENARIOS.items()
-               if row[2] == row[3]] + [("n_qubit_P", n) for n in range(2, 21)]
-    for scenario, n in configs:
-        rule = build_decision_rule(scenario, 0.9 * 3.0, n=n)
-        t = np.asarray(rule.thresholds)    # empty for n_qubit_P at n = 2
-        lo, hi = (t[0], t[-1]) if len(t) else (0.0, 0.0)
-        vs = np.concatenate([rng.uniform(lo - 3.0, hi + 3.0, 1000), t,
-                             np.nextafter(t, -np.inf), np.nextafter(t, np.inf)])
-        got = rule.classify(vs)
-        assert got.dtype == np.uint8
-        assert np.array_equal(got, np.searchsorted(t, vs, side="right"))
-        # NaN compares false with every threshold: the lowest class
-        assert rule.classify(np.array([np.nan]))[0] == 0
 
 
 def test_outcome_density_matches_broadcast_form():

@@ -403,8 +403,8 @@ def test_monte_carlo_equals_frozen_block_loop(monkeypatch, scenario, alpha,
     ("two_qubit_X", 1.5, None), ("gsum_X", 1.7, None), ("n_qubit_P", 3.0, 9)])
 def test_monte_carlo_bins_ties_as_classify(monkeypatch, scenario, alpha, n):
     # every threshold and its two neighbouring floats, and -0.0 beside 0.0,
-    # shuffled over blocks of 4: a bin's hits are the outcomes classify
-    # puts in it, ties up
+    # shuffled over blocks of 4: a bin's hits are the outcomes that
+    # searchsorted side="right" puts in it, ties up
     run = run_scenario(scenario, alpha, 1.0, n=n)
     t = np.asarray(run.rule.thresholds)
     v = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
@@ -419,7 +419,8 @@ def test_monte_carlo_bins_ties_as_classify(monkeypatch, scenario, alpha, n):
     monkeypatch.setattr(metrics, "MC_BLOCK_TRIALS", 4)
     got = monte_carlo_estimate(run.state, run.rule, v.size, 1)
     assert [round(r.success_prob * v.size) for r in got] == np.bincount(
-        run.rule.classify(v), minlength=len(run.rule.classes)).tolist()
+        np.searchsorted(t, v, side="right"),
+        minlength=len(run.rule.classes)).tolist()
 
 
 def test_monte_carlo_memory_does_not_grow_with_trials():
