@@ -13,8 +13,9 @@ Quadrature is adaptive Simpson over a batch of integrals, refined level by
 level, one integrand call a level (numerics.integrate_piecewise); one
 homodyne.integrands call builds a batch's integrands, and a sweep builds a
 block's states in one array pass.  Closed forms wait on re-made references
-(notes/decisions.md).  Cross-check routes, the dense 2^n state among them, are
-in tests/oracles.py.  Names load on first use: `import hpsim` loads no numpy.
+(notes/decisions.md, "Why the references pin adaptive Simpson").  Cross-check
+routes, the dense 2^n state among them, are in tests/oracles.py.  Names load
+on first use: `import hpsim` loads no numpy.
 
 A result that does not exist has one rule per layer: a pulse that
 resolves no bins raises DegenerateRuleError (a ValueError, exit 2 at the

@@ -43,8 +43,9 @@ SINGULAR_TOL = 1e-12
 MAX_PHASE_N = 2**53
 
 # Largest gamma/kappa.  From 1e16 on r1 equals its gamma -> inf limit r0 to
-# rounding, so a larger gamma gives no new result (notes/decisions.md); near
-# 5e307 the numerator of reflection_coefficient overflows.
+# rounding, so a larger gamma gives no new result (notes/decisions.md,
+# "Bounded inputs"); near 5e307 the numerator of reflection_coefficient
+# overflows.
 MAX_GAMMA = 1e16
 
 

@@ -19,9 +19,13 @@ Each command checks its inputs, then returns its output as lines made as
 they are read, and main() writes them.  The parser, --help, flag errors and
 solve-params run without numpy: the library loads when a computing command
 runs (see _HOME).  Outputs are byte-identical across runs with the same
-flags and seed: the sampler is a documented counter-based recipe (see
-numerics.RNG_ALGORITHM), JSON keys are sorted, floats are written with
-shortest round-trip repr, and no timestamps are embedded.
+flags and seed on one numpy build and CPU feature set: the sampler is a
+documented counter-based recipe (see numerics.RNG_ALGORITHM), JSON keys are
+sorted, floats are written with shortest round-trip repr, and no timestamps
+are embedded.  numpy picks its exp, log and cos kernels by CPU features, so
+across CPU dispatch the last bits of printed floats may move, while the text
+and the Monte Carlo hit counts do not (notes/decisions.md, "Byte identity:
+one numpy build and CPU feature set").
 """
 
 import argparse

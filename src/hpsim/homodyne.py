@@ -41,8 +41,7 @@ WINDOW_SIGMAS = 8.0                # integration window half-width, in sigmas
 # per point) go in slices of SLICE_POINTS // 8, whose slots mostly fit in
 # one group; Monte Carlo blocks and density grids in slices of this size,
 # one slot at a time, as does the sampler's draw of a block
-# (notes/decisions.md, "Monte Carlo block path", "Monte Carlo without
-# fresh pages" and "One layer slices the integrand").
+# (notes/decisions.md, "One integrand builder" and "Monte Carlo").
 SLICE_POINTS = 1 << 14
 
 

@@ -35,7 +35,8 @@ _UNIT_TOL = 1e-13        # |r|^2 within this of 1 counts as loss-free
 
 # Largest pulse amplitude (mean photon number 1e8).  Labels that are equal in
 # exact arithmetic round apart by about 4.4e-16 alpha, so 1 - F of a merged
-# bin grows as alpha^4: 1.6e-15 at 1e4, 1.3e-7 at 1e6 (notes/decisions.md).
+# bin grows as alpha^4: 1.6e-15 at 1e4, 1.3e-7 at 1e6 (notes/decisions.md,
+# "Bounded inputs").
 MAX_ALPHA = 1e4
 
 

@@ -133,7 +133,7 @@ def closed_form_two_qubit(a: float):
 # deviations are written).  So a run holds 1 MiB of them at this size, and
 # no block makes an array of its own length: freed per block, such arrays
 # went back to the kernel and the next block faulted them in again
-# (notes/decisions.md, "Monte Carlo without fresh pages").  The sampler
+# (notes/decisions.md, "Monte Carlo").  The sampler
 # draws a block and the integrands take it in slices of
 # homodyne.SLICE_POINTS, into rows of that length: the sampler peaks at
 # 0.39 MiB, a density at 0.5 MiB and a bin's overlap at 0.5-0.75 MiB.  A
@@ -289,7 +289,7 @@ def run_scenario(scenario: str, alpha: float, eta_sq: float,
 # batch each.  Larger blocks cut the per-level overhead of the integration
 # but grow its frontier and G (points x (n+1)^2) in memory; the integrand's
 # own working set is bounded by its evaluator's slices, whatever the block
-# (notes/decisions.md, "Sliced Simpson levels and 32-point sweep blocks").
+# (notes/decisions.md, "Sweeps: one process, blocks of 32 points").
 SWEEP_BLOCK_POINTS = 32
 
 

@@ -2,10 +2,13 @@
 
 erfc is implemented in-repo as one rational formula, Weideman's N = 40
 expansion (J. A. C. Weideman, SIAM J. Numer. Anal. 31, 1497 (1994)), with
-literal coefficients instead of a platform primitive or FFT, so the
-acceptance tolerances are bit-stable across platforms.  The test suite
-checks it against an independent dual-method oracle (Maclaurin series for
-small arguments, Lentz continued fraction for large ones).
+literal coefficients instead of a platform primitive or FFT, so no result
+depends on the platform's FFT.  Its exp is numpy's, whose kernel numpy picks
+by CPU features, so its last bits, like every printed float's, are the same
+on one numpy build and CPU feature set, not across CPU dispatch
+(notes/decisions.md, "Byte identity: one numpy build and CPU feature set").
+The test suite checks it against an independent dual-method oracle (Maclaurin
+series for small arguments, Lentz continued fraction for large ones).
 
 The random stream is a *named* algorithm, not a library default:
 Philox4x64 counter-based generator -> 53-bit uniform doubles -> Box-Muller

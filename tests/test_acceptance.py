@@ -164,7 +164,8 @@ def test_c07_w_state_scaling():
                 f"by the erfc oracle, needs alpha >~ 7.5)")
     assert ok, ("spec defect: at the pinned alpha = 6 the n = 5 deviation is "
                 f"{devs[5]:.3e} > 1e-3 and exactly matches the Gaussian-overlap "
-                "prediction; see notes/decisions.md")
+                "prediction; see "
+                'notes/decisions.md, "C7: the n = 5 W-state leg stays red"')
 
 
 def test_c08_monte_carlo_consistency():
@@ -218,8 +219,8 @@ def test_c09_gamma_robustness():
                 f"max |F(0.2k) - F(0)| over <n>=1..10: {max_gap:.4f} (bound 0.05)")
     assert monotone, "gamma degradation must be monotone"
     assert ok, ("spec defect: the 0.05 bound is unattainable under the "
-                f"documented gamma model (max gap {max_gap:.3f}); "
-                "see notes/decisions.md")
+                f"documented gamma model (max gap {max_gap:.3f}); see "
+                'notes/decisions.md, "C9: the 0.05 fidelity-gap leg stays red"')
 
 
 def _cli(*args):

@@ -677,8 +677,8 @@ def test_fig4b_sweep_memory_is_bounded(monkeypatch):
     # them full, and the traced heap peak stays under a budget that a
     # level holding its whole old and new frontier at once exceeds (1.50-
     # 1.57 MB measured, 2.01 MB with that rebuild, 3.33 MB unsliced;
-    # notes/decisions.md, "Sliced Simpson levels and 32-point sweep
-    # blocks", "One layer slices the integrand" and "Lean Simpson levels")
+    # notes/decisions.md, "Quadrature: adaptive Simpson, one array path"
+    # and "One integrand builder")
     sizes = []
     real = homodyne._gaussian_sum
     monkeypatch.setattr(homodyne, "_gaussian_sum", lambda v, *args:
